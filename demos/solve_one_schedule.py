@@ -10,9 +10,9 @@ from dataclasses import replace
 
 from fdrelay import (
     PaKind,
-    SolverConfig,
     Strategy,
     solve,
+    verify,
 )
 from fdrelay.config import ScenarioParams
 
@@ -41,10 +41,9 @@ for strategy in Strategy:
 
 strategy, pa_kind, sched, s = best
 print(f"\nbest: {strategy.value} under {pa_kind.value} "
-      f"({sched.ee:.4e} bit/J); re-solving with the oracle attached...")
+      f"({sched.ee:.4e} bit/J); auditing it with the brute-force oracle...")
 
-audited = solve(s, SolverConfig(oracle_check=True))
-rep = audited.oracle_report
+rep = verify(s, sched)
 print(f"grid best energy : {rep.grid_best_energy:.6e} J")
 print(f"solver energy    : {rep.solver_energy:.6e} J")
 print(f"relative gap     : {rep.relative_gap:+.3e}  (<= 0 means the solver "

@@ -13,9 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ScenarioParams, parse_params
-from .model import CircuitAccounting, InfeasibleError, PaKind, Strategy
+from .model import CircuitAccounting, InfeasibleError, PaKind, Scenario, Strategy
 from .oracle import random_feasible_scenarios, verify
-from .solver import SolverConfig, solve
+from .solver import solve
 from .sweep import Axis, AxisKind, SweepSpec, emit_csv, run_sweep
 
 __all__ = ["main", "cli_main"]
@@ -70,7 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_params(args: argparse.Namespace) -> ScenarioParams:
+def _load_params(args: argparse.Namespace) -> tuple[ScenarioParams, Scenario]:
+    """The configured parameters with the overrides applied, and the
+    scenario they build; parameters that build no scenario are a
+    configuration error."""
     if args.config == "defaults":
         params = ScenarioParams()
     else:
@@ -83,7 +86,10 @@ def _load_params(args: argparse.Namespace) -> ScenarioParams:
     if args.accounting:
         params = replace(params,
                          accounting=CircuitAccounting(args.accounting))
-    return params
+    try:
+        return params, params.build()
+    except ValueError as err:
+        raise ConfigError(f"invalid scenario: {err}") from err
 
 
 def _dbm(p_w: float) -> float:
@@ -91,10 +97,8 @@ def _dbm(p_w: float) -> float:
 
 
 def _run_solve(args: argparse.Namespace, out, err) -> int:
-    params = _load_params(args)
-    scenario = params.build()
-    cfg = SolverConfig(oracle_check=args.oracle)
-    schedule = solve(scenario, cfg)
+    params, scenario = _load_params(args)
+    schedule = solve(scenario)
     out.write(f"strategy        {params.strategy.value}  "
               f"(pa={params.pa.value}, accounting={params.accounting.value})\n")
     out.write(f"demand          {params.r_fl_mbps:.3f} + "
@@ -112,8 +116,8 @@ def _run_solve(args: argparse.Namespace, out, err) -> int:
         out.write(f"binding case    {schedule.active_case.value}\n")
     out.write(f"energy          {schedule.e_total:.9e} J per frame\n")
     out.write(f"efficiency      {schedule.ee:.9e} bit/J\n")
-    report = schedule.oracle_report
-    if report is not None:
+    if args.oracle:
+        report = verify(scenario, schedule)
         out.write(f"oracle          grid best {report.grid_best_energy:.9e} J, "
                   f"gap {report.relative_gap:+.3e}, "
                   f"convexity violations {report.convexity_violations}\n")
@@ -132,7 +136,7 @@ def _axis_from_args(kind_value: str, start, stop, step) -> Axis:
 
 
 def _run_sweep(args: argparse.Namespace, out, err) -> int:
-    params = _load_params(args)
+    params, _ = _load_params(args)
     axis1 = _axis_from_args(args.axis, args.start, args.stop, args.step)
     axis2 = None
     if args.axis2:
@@ -149,7 +153,7 @@ def _run_sweep(args: argparse.Namespace, out, err) -> int:
 
 
 def _run_verify(args: argparse.Namespace, out, err) -> int:
-    params = _load_params(args)
+    _load_params(args)
     failures = 0
     pa_kinds = (PaKind(args.pa),) if args.pa else tuple(PaKind)
     strategies = ((Strategy(args.strategy),) if args.strategy

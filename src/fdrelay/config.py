@@ -30,6 +30,7 @@ uncalibrated budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -210,7 +211,10 @@ def parse_params(text: str) -> ScenarioParams:
         seen[key] = lineno
         try:
             if key in _FLOAT_KEYS:
-                updates[key] = float(value) * scale
+                number = float(value) * scale
+                if not math.isfinite(number):
+                    raise ValueError(f"{value!r} is not a finite number")
+                updates[key] = number
             elif key in _ENUM_KEYS:
                 updates[key] = _ENUM_KEYS[key](value)
             elif key in _BOOL_KEYS:

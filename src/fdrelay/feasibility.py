@@ -13,9 +13,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .model import InfeasibleError, Scenario, Strategy
-from .strategies import powers_1ts, powers_2ts, powers_hd
+from .strategies import DESCRIPTIONS, Slot, powers_1ts
+# Unused here, but the benchmark's span tracer (bench/tracing.py) patches
+# these names on this module, so they stay importable from it.
+from .strategies import powers_2ts, powers_hd  # noqa: F401
 
-__all__ = ["FeasibleWindow", "tmin_2ts", "tmin_1ts", "tmin_hd", "t_floor"]
+__all__ = ["FeasibleWindow", "tmin_slots", "tmin_2ts", "tmin_1ts", "tmin_hd",
+           "tmin_for", "t_floor"]
 
 # Durations below this fraction of the frame make the spectral load
 # overflow double precision at realistic rates; it is the lower end of
@@ -32,15 +36,21 @@ class FeasibleWindow:
     """Per-slot minimum durations, or the reason none exist.
 
     ``t_min`` has one entry per decision variable (one for the single-slot
-    strategy, two otherwise).  ``binding_node`` names, per slot, the node
-    whose power budget is active at the minimum (None when the numerical
-    floor is the binder).
+    strategy, two otherwise); it is 0 for a slot with no traffic, which stays
+    closed.  ``binding_node`` names, per slot, the node whose power budget
+    is active at the minimum (None when the numerical floor is the binder).
     """
 
     t_min: tuple[float, ...]
     feasible: bool
     binding_node: tuple[str | None, ...]
     detail: str = ""
+
+    def spans(self, frame_t: float) -> tuple[tuple[float, float], ...]:
+        """Per-slot (shortest, longest) duration: a slot may grow until the
+        other slots are left only their minimum durations."""
+        return tuple((lo, frame_t - sum(self.t_min[:k] + self.t_min[k + 1:]))
+                     for k, lo in enumerate(self.t_min))
 
 
 def t_floor(s: Scenario) -> float:
@@ -66,59 +76,62 @@ def _bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float,
     return hi
 
 
-def _slot_tmin(constraints: list[tuple[str, Callable[[float], float], float]],
-               frame_t: float, floor: float,
+def _slot_tmin(s: Scenario, slot: Slot, floor: float,
                tol: float | None = None) -> tuple[float, str | None]:
-    """Minimum duration so every (node, power(t), cap) constraint holds.
+    """Minimum duration so every power of the slot stays within its budget.
 
     Each power map is strictly decreasing in t, so the per-node minimum is a
     bisection and the slot minimum is the largest of them.
     """
     t_min = floor
     binder: str | None = None
-    tol = tol if tol is not None else _BISECT_TOL_FRACTION * frame_t
-    for node, power_of_t, cap in constraints:
-        def ok(t: float, _p=power_of_t, _c=cap) -> bool:
-            return _p(t) <= _c
+    tol = tol if tol is not None else _BISECT_TOL_FRACTION * s.frame_t
+    for k, (node, cap) in enumerate(slot.budgets(s)):
+        def ok(t: float, _k=k, _c=cap) -> bool:
+            return slot.powers(s, t)[_k] <= _c
         if ok(floor):
             continue
-        if not ok(frame_t):
+        if not ok(s.frame_t):
             raise InfeasibleError(
                 f"node {node} exceeds its power budget even at the full "
                 f"frame", binding_node=node)
-        t_node = _bisect_monotone(ok, floor, frame_t, tol)
+        t_node = _bisect_monotone(ok, floor, s.frame_t, tol)
         if t_node > t_min:
             t_min, binder = t_node, node
     return t_min, binder
 
 
-def tmin_2ts(s: Scenario, tol: float | None = None) -> FeasibleWindow:
-    """Per-slot minimum durations for FD2TS, or an infeasible window.
+def tmin_slots(s: Scenario, slots: tuple[Slot, ...],
+               tol: float | None = None) -> FeasibleWindow:
+    """Per-slot minimum durations of independent slots, or why none exist.
 
-    ``tol`` overrides the default bisection width of 1e-9 of the frame.
+    A slot with no traffic stays closed at zero length.  ``tol`` overrides
+    the default bisection width of 1e-9 of the frame.
     """
     floor = t_floor(s)
-    ref = s.frame_t  # fixed opposite-slot duration; powers split per slot
+    t_min: list[float] = []
+    binders: list[str | None] = []
     try:
-        t1_min, bind1 = _slot_tmin(
-            [("a", lambda t: powers_2ts(s, t, ref).p_a, s.pa.a.p_max),
-             ("r", lambda t: powers_2ts(s, t, ref).p_r_fwd, s.pa.r.p_max)],
-            s.frame_t, floor, tol)
-        t2_min, bind2 = _slot_tmin(
-            [("b", lambda t: powers_2ts(s, ref, t).p_b, s.pa.b.p_max),
-             ("r", lambda t: powers_2ts(s, ref, t).p_r_rev, s.pa.r.p_max)],
-            s.frame_t, floor, tol)
+        for slot in slots:
+            t, node = (_slot_tmin(s, slot, floor, tol) if slot.demand(s)
+                       else (0.0, None))
+            t_min.append(t)
+            binders.append(node)
     except InfeasibleError as err:
-        return FeasibleWindow(t_min=(math.nan, math.nan), feasible=False,
-                              binding_node=(err.binding_node, err.binding_node),
+        return FeasibleWindow(t_min=(math.nan,) * len(slots), feasible=False,
+                              binding_node=(err.binding_node,) * len(slots),
                               detail=str(err))
-    if t1_min + t2_min > s.frame_t:
+    if sum(t_min) > s.frame_t:
         return FeasibleWindow(
-            t_min=(t1_min, t2_min), feasible=False,
-            binding_node=(bind1, bind2),
+            t_min=tuple(t_min), feasible=False, binding_node=tuple(binders),
             detail="minimum slot durations exceed the frame budget")
-    return FeasibleWindow(t_min=(t1_min, t2_min), feasible=True,
-                          binding_node=(bind1, bind2))
+    return FeasibleWindow(t_min=tuple(t_min), feasible=True,
+                          binding_node=tuple(binders))
+
+
+def tmin_2ts(s: Scenario, tol: float | None = None) -> FeasibleWindow:
+    """Per-slot minimum durations for FD2TS, or an infeasible window."""
+    return tmin_slots(s, DESCRIPTIONS[Strategy.FD2TS].slots, tol)
 
 
 def tmin_1ts(s: Scenario, tol: float | None = None) -> FeasibleWindow:
@@ -169,33 +182,14 @@ def tmin_1ts(s: Scenario, tol: float | None = None) -> FeasibleWindow:
 
 def tmin_hd(s: Scenario, tol: float | None = None) -> FeasibleWindow:
     """Per-slot minimum durations for the HD baseline."""
-    floor = t_floor(s)
-    ref = s.frame_t
-    try:
-        t1_min, bind1 = _slot_tmin(
-            [("a", lambda t: powers_hd(s, t, ref)[0], s.pa.a.p_max),
-             ("b", lambda t: powers_hd(s, t, ref)[1], s.pa.b.p_max)],
-            s.frame_t, floor, tol)
-        t2_min, bind2 = _slot_tmin(
-            [("r", lambda t: powers_hd(s, ref, t)[2], s.pa.r.p_max)],
-            s.frame_t, floor, tol)
-    except InfeasibleError as err:
-        return FeasibleWindow(t_min=(math.nan, math.nan), feasible=False,
-                              binding_node=(err.binding_node, err.binding_node),
-                              detail=str(err))
-    if t1_min + t2_min > s.frame_t:
-        return FeasibleWindow(
-            t_min=(t1_min, t2_min), feasible=False,
-            binding_node=(bind1, bind2),
-            detail="minimum slot durations exceed the frame budget")
-    return FeasibleWindow(t_min=(t1_min, t2_min), feasible=True,
-                          binding_node=(bind1, bind2))
+    return tmin_slots(s, DESCRIPTIONS[Strategy.HD2TS].slots, tol)
 
 
 def tmin_for(s: Scenario) -> FeasibleWindow:
-    """Dispatch to the strategy's minimum-duration computation."""
-    if s.strategy is Strategy.FD2TS:
-        return tmin_2ts(s)
-    if s.strategy is Strategy.FD1TS:
-        return tmin_1ts(s)
-    return tmin_hd(s)
+    """The feasibility window of the scenario's strategy.
+
+    The single-slot strategy bisects the joint predicate of its coupled
+    powers; every other strategy's slots are independent.
+    """
+    slots = DESCRIPTIONS[s.strategy].slots
+    return tmin_1ts(s) if len(slots) == 1 else tmin_slots(s, slots)

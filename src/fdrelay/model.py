@@ -249,7 +249,6 @@ class Schedule:
     e_total: float
     ee: float
     active_case: RelayCase | None = None
-    oracle_report: object | None = None
 
 
 def db_to_linear(x_db: float) -> float:

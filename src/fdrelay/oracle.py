@@ -16,21 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ScenarioParams
-from .feasibility import t_floor, tmin_1ts, tmin_2ts, tmin_for, tmin_hd
-from .model import InfeasibleError, PaKind, Scenario, Schedule, Strategy, pa_consumption
-from .strategies import (
-    PowerAssignment1TS,
-    PowerAssignment2TS,
-    caps_1ts,
-    caps_2ts,
-    caps_hd,
-    energy_1ts_at,
-    energy_2ts_at,
-    energy_hd_at,
-    powers_1ts,
-    powers_2ts,
-    powers_hd,
-)
+from .feasibility import t_floor, tmin_for
+from .model import InfeasibleError, PaKind, Scenario, Schedule, Strategy
+from .strategies import DESCRIPTIONS, Slot
+# Unused here, but the benchmark's span tracer (bench/tracing.py) patches
+# these names on this module, so they stay importable from it.
+from .feasibility import tmin_1ts, tmin_2ts, tmin_hd  # noqa: F401
+from .model import pa_consumption  # noqa: F401
+from .strategies import (caps_1ts, caps_2ts, caps_hd, energy_1ts_at,  # noqa: F401
+                         energy_2ts_at, energy_hd_at, powers_1ts, powers_2ts,
+                         powers_hd)
 
 __all__ = ["OracleReport", "grid_search", "verify_necessary_conditions",
            "convexity_probe", "verify", "random_params",
@@ -77,247 +72,120 @@ def _duration_axis(lo: float, hi: float, n_t: int,
     return pts
 
 
-def _grid_2ts(s: Scenario, n_t: int, n_p: int):
-    floor = t_floor(s)
-    window = tmin_2ts(s)
-    extras = ((window.t_min[0], window.t_min[1],
-               s.frame_t - window.t_min[0], s.frame_t - window.t_min[1])
-              if window.feasible else ())
-    t_axis = _duration_axis(floor, s.frame_t - floor, n_t, extras)
-    ref = s.frame_t
+def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
+    """Cheapest rate-feasible active power of one slot at each duration.
 
-    def slot_best(slot: int):
-        best_psum = np.full(t_axis.size, math.inf)
-        best_pw = [None] * t_axis.size
-        for i, t in enumerate(t_axis):
-            pw_cf = powers_2ts(s, t, ref) if slot == 1 else powers_2ts(s, ref, t)
-            if slot == 1:
-                end_pa, relay_p = pw_cf.p_a, pw_cf.p_r_fwd
-                end_model, demand = s.pa.a, s.r_fl
-            else:
-                end_pa, relay_p = pw_cf.p_b, pw_cf.p_r_rev
-                end_model, demand = s.pa.b, s.r_rl
-            box_end = _power_box(end_pa, end_model.p_max, n_p)
-            box_rel = _power_box(relay_p, s.pa.r.p_max, n_p)
-            if box_end is None or box_rel is None:
-                continue
-            pe = box_end[:, None]
-            pr = box_rel[None, :]
-            if slot == 1:
-                pw = PowerAssignment2TS(p_a=pe, p_b=0.0, p_r_fwd=pr, p_r_rev=0.0)
-                c_end, c_rel, _, _ = caps_2ts(s, t, ref, pw)
-                psum = (pa_consumption(s.pa.a, pe)
-                        + pa_consumption(s.pa.r, pr))
-            else:
-                pw = PowerAssignment2TS(p_a=0.0, p_b=pe, p_r_fwd=0.0, p_r_rev=pr)
-                _, _, c_end, c_rel = caps_2ts(s, ref, t, pw)
-                psum = (pa_consumption(s.pa.b, pe)
-                        + pa_consumption(s.pa.r, pr))
-            feas = ((c_end >= demand * (1.0 - _RATE_SLACK))
-                    & (c_rel >= demand * (1.0 - _RATE_SLACK)))
-            if not np.any(feas):
-                continue
-            psum = np.where(feas, psum, math.inf)
-            k = int(np.argmin(psum))
-            ke, kr = np.unravel_index(k, psum.shape)
-            best_psum[i] = psum[ke, kr]
-            best_pw[i] = (float(box_end[ke]), float(box_rel[kr]))
-        return best_psum, best_pw
-
-    sum1, pw1 = slot_best(1)
-    sum2, pw2 = slot_best(2)
-    best = (math.inf, None)
-    for i, t1 in enumerate(t_axis):
-        if not math.isfinite(sum1[i]):
-            continue
-        for j, t2 in enumerate(t_axis):
-            if not math.isfinite(sum2[j]) or t1 + t2 > s.frame_t:
-                continue
-            pw = PowerAssignment2TS(p_a=pw1[i][0], p_b=pw2[j][0],
-                                    p_r_fwd=pw1[i][1], p_r_rev=pw2[j][1])
-            e = energy_2ts_at(s, t1, t2, pw)
-            if e < best[0]:
-                best = (e, {"t1": float(t1), "t2": float(t2),
-                            "p_a": pw.p_a, "p_b": pw.p_b,
-                            "p_r_fwd": pw.p_r_fwd, "p_r_rev": pw.p_r_rev})
-    return best
-
-
-def _grid_1ts(s: Scenario, n_t: int, n_p: int):
-    floor = t_floor(s)
-    window = tmin_1ts(s)
-    extras = (window.t_min[0],) if window.feasible else ()
-    t_axis = _duration_axis(floor, s.frame_t, n_t, extras)
-    best = (math.inf, None)
-    for t in t_axis:
+    At every duration each transmitting node's power sweeps a box from the
+    closed-form point up to its budget; only assignments whose capacities
+    meet the demands survive.  Returns the best active power per duration
+    (inf where nothing survives) and the powers that reach it.
+    """
+    budgets = slot.budgets(s)
+    best = np.full(t_axis.size, math.inf)
+    best_powers: list[tuple[float, ...] | None] = [None] * t_axis.size
+    for i, t in enumerate(t_axis):
         try:
-            cf = powers_1ts(s, t)
+            anchor = slot.powers(s, t)
         except InfeasibleError:
             continue
-        box_a = _power_box(cf.p_a, s.pa.a.p_max, n_p)
-        box_b = _power_box(cf.p_b, s.pa.b.p_max, n_p)
-        box_r = _power_box(cf.p_r, s.pa.r.p_max, n_p)
-        if box_a is None or box_b is None or box_r is None:
+        boxes = [_power_box(p, cap, n_p) for p, (_, cap) in zip(anchor, budgets)]
+        if any(box is None for box in boxes):
             continue
-        pa = box_a[:, None, None]
-        pb = box_b[None, :, None]
-        pr = box_r[None, None, :]
-        c_ar, c_br, c_ra, c_rb = caps_1ts(s, t, pa, pb, pr)
-        feas = ((c_ar >= s.r_fl * (1.0 - _RATE_SLACK))
-                & (c_br >= s.r_rl * (1.0 - _RATE_SLACK))
-                & (c_ra >= s.r_rl * (1.0 - _RATE_SLACK))
-                & (c_rb >= s.r_fl * (1.0 - _RATE_SLACK)))
+        grid = np.ix_(*boxes)
+        feas = True
+        for _, capacity, demand in slot.rates(s, t, *grid):
+            feas = feas & (capacity >= demand * (1.0 - _RATE_SLACK))
         if not np.any(feas):
             continue
-        psum = (pa_consumption(s.pa.a, pa) + pa_consumption(s.pa.b, pb)
-                + pa_consumption(s.pa.r, pr))
-        psum = np.where(feas, psum, math.inf)
-        k = int(np.argmin(psum))
-        ka, kb, kr = np.unravel_index(k, psum.shape)
-        pw = PowerAssignment1TS(p_a=float(box_a[ka]), p_b=float(box_b[kb]),
-                                p_r=float(box_r[kr]),
-                                active_case=cf.active_case)
-        e = energy_1ts_at(s, t, pw)
-        if e < best[0]:
-            best = (e, {"t1": float(t), "t2": 0.0, "p_a": pw.p_a,
-                        "p_b": pw.p_b, "p_r": pw.p_r})
-    return best
-
-
-def _grid_hd(s: Scenario, n_t: int, n_p: int):
-    floor = t_floor(s)
-    window = tmin_hd(s)
-    extras = ((window.t_min[0], window.t_min[1],
-               s.frame_t - window.t_min[0], s.frame_t - window.t_min[1])
-              if window.feasible else ())
-    t_axis = _duration_axis(floor, s.frame_t - floor, n_t, extras)
-    ref = s.frame_t
-
-    sum1 = np.full(t_axis.size, math.inf)
-    pw1 = [None] * t_axis.size
-    for i, t in enumerate(t_axis):
-        p_a_cf, p_b_cf, _ = powers_hd(s, t, ref)
-        box_a = _power_box(p_a_cf, s.pa.a.p_max, n_p)
-        box_b = _power_box(p_b_cf, s.pa.b.p_max, n_p)
-        if box_a is None or box_b is None:
-            continue
-        pa = box_a[:, None]
-        pb = box_b[None, :]
-        c_ar, c_br, _, _ = caps_hd(s, t, ref, pa, pb, 0.0)
-        feas = ((c_ar >= s.r_fl * (1.0 - _RATE_SLACK))
-                & (c_br >= s.r_rl * (1.0 - _RATE_SLACK)))
-        if not np.any(feas):
-            continue
-        psum = pa_consumption(s.pa.a, pa) + pa_consumption(s.pa.b, pb)
-        psum = np.where(feas, psum, math.inf)
-        k = int(np.argmin(psum))
-        ka, kb = np.unravel_index(k, psum.shape)
-        sum1[i] = psum[ka, kb]
-        pw1[i] = (float(box_a[ka]), float(box_b[kb]))
-
-    sum2 = np.full(t_axis.size, math.inf)
-    pw2 = [None] * t_axis.size
-    for j, t in enumerate(t_axis):
-        _, _, p_r_cf = powers_hd(s, ref, t)
-        box_r = _power_box(p_r_cf, s.pa.r.p_max, n_p)
-        if box_r is None:
-            continue
-        pr = box_r
-        # Dummy end-node powers: only the broadcast capacities are read.
-        _, _, c_ra, c_rb = caps_hd(s, ref, t, 1.0, 1.0, pr)
-        feas = ((c_ra >= s.r_rl * (1.0 - _RATE_SLACK))
-                & (c_rb >= s.r_fl * (1.0 - _RATE_SLACK)))
-        if not np.any(feas):
-            continue
-        psum = np.where(feas, pa_consumption(s.pa.r, pr), math.inf)
-        k = int(np.argmin(psum))
-        sum2[j] = psum[k]
-        pw2[j] = float(box_r[k])
-
-    best = (math.inf, None)
-    for i, t1 in enumerate(t_axis):
-        if not math.isfinite(sum1[i]):
-            continue
-        for j, t2 in enumerate(t_axis):
-            if not math.isfinite(sum2[j]) or t1 + t2 > s.frame_t:
-                continue
-            e = energy_hd_at(s, t1, t2, pw1[i][0], pw1[i][1], pw2[j])
-            if e < best[0]:
-                best = (e, {"t1": float(t1), "t2": float(t2),
-                            "p_a": pw1[i][0], "p_b": pw1[i][1],
-                            "p_r": pw2[j]})
-    return best
+        active = np.where(feas, slot.active(s, *grid), math.inf)
+        k = np.unravel_index(int(np.argmin(active)), active.shape)
+        best[i] = active[k]
+        best_powers[i] = tuple(float(box[j]) for box, j in zip(boxes, k))
+    return best, best_powers
 
 
 def grid_search(s: Scenario, n_t: int = 50, n_p: int = 20):
     """Exhaustive feasible minimum over duration and power grids.
 
     Power boxes are anchored at the closed-form point so the sweep can
-    confirm, not assume, that equality-active powers dominate.  Raises
-    :class:`InfeasibleError` when no grid point is feasible.
+    confirm, not assume, that equality-active powers dominate.  Every slot
+    shares one duration axis.  Raises :class:`InfeasibleError` when no grid
+    point is feasible.
 
-    Returns (best_energy, best_point) with best_point a plain dict.
+    Returns (best_energy, best_point) with best_point a plain dict of the
+    slot durations (t1, t2) and the schedule's power fields.
     """
     if n_t < 2 or n_p < 2:
         raise ValueError("need at least two grid points per axis")
-    if s.strategy is Strategy.FD2TS:
-        best = _grid_2ts(s, n_t, n_p)
-    elif s.strategy is Strategy.FD1TS:
-        best = _grid_1ts(s, n_t, n_p)
-    else:
-        best = _grid_hd(s, n_t, n_p)
-    if best[1] is None:
+    slots = DESCRIPTIONS[s.strategy].slots
+    floor = t_floor(s)
+    window = tmin_for(s)
+    extras = (tuple(x for span in window.spans(s.frame_t) for x in span)
+              if window.feasible else ())
+    t_axis = _duration_axis(floor, s.frame_t - (len(slots) - 1) * floor,
+                            n_t, extras)
+    return _best_combination(s, slots, t_axis, [
+        _slot_best(s, slot, t_axis, n_p) for slot in slots])
+
+
+def _best_combination(s: Scenario, slots: tuple[Slot, ...],
+                      t_axis: np.ndarray, per_slot):
+    """Cheapest frame over every tuple of slot durations that fits it.
+
+    The frame energy at duration indices (i, j, ...) is the sum of each
+    slot's best active power times its duration plus the idle draw of the
+    rest, evaluated for all tuples at once by broadcasting one axis per slot.
+    """
+    n = len(slots)
+    energy, idle, busy = 0.0, s.frame_t, 0.0
+    for k, (active, _) in enumerate(per_slot):
+        shape = [1] * n
+        shape[k] = t_axis.size
+        t = t_axis.reshape(shape)
+        energy = energy + active.reshape(shape) * t
+        idle = idle - t
+        busy = busy + t
+    energy = np.where(busy > s.frame_t, math.inf,
+                      energy + s.p_idle_total * idle)
+    idx = np.unravel_index(int(np.argmin(energy)), energy.shape)
+    if not math.isfinite(energy[idx]):
         raise InfeasibleError("no feasible point on the oracle grid")
-    return best
+    point = {f"t{k + 1}": float(t_axis[i]) for k, i in enumerate(idx)}
+    for slot, (_, powers), i in zip(slots, per_slot, idx):
+        point.update(zip(slot.fields, powers[i]))
+    return float(energy[idx]), point
 
 
 def verify_necessary_conditions(s: Scenario, sched: Schedule,
                                 tol: float = 1e-9) -> dict[str, float]:
     """Relative rate-constraint slacks at a solved schedule.
 
-    For the two-slot FD strategy every one of the four constraints must be
-    active; for the single-slot and HD strategies both uplinks must be
-    active while the smaller broadcast slack vanishes.  Returns the named
-    slacks; raises ``ValueError`` naming the first violated pattern.
+    Every power closes at least one of the rate constraints it serves: for
+    the two-slot FD strategy all four constraints must be active; for the
+    single-slot and HD strategies both uplinks must be active while the
+    smaller broadcast slack vanishes.  A link with no demand has no slack
+    and is left out.  Returns the named slacks; raises ``ValueError`` naming
+    the first violated pattern.
     """
-    if s.strategy is Strategy.FD2TS:
-        pw = PowerAssignment2TS(sched.p_a, sched.p_b, sched.p_r_fwd,
-                                sched.p_r_rev)
-        c_ar, c_rb, c_br, c_ra = caps_2ts(s, sched.t1, sched.t2, pw)
-        slacks = {
-            "c_ar": (c_ar - s.r_fl) / s.r_fl,
-            "c_rb": (c_rb - s.r_fl) / s.r_fl,
-            "c_br": (c_br - s.r_rl) / s.r_rl,
-            "c_ra": (c_ra - s.r_rl) / s.r_rl,
-        }
-        for name, slack in slacks.items():
-            if abs(slack) > tol:
-                raise ValueError(
-                    f"constraint {name} not active: relative slack {slack:.3e}")
-        return slacks
-    if s.strategy is Strategy.FD1TS:
-        c_ar, c_br, c_ra, c_rb = caps_1ts(s, sched.t1, sched.p_a, sched.p_b,
-                                          sched.p_r_fwd)
-    else:
-        c_ar, c_br, c_ra, c_rb = caps_hd(s, sched.t1, sched.t2, sched.p_a,
-                                         sched.p_b, sched.p_r_fwd)
-    slacks = {
-        "c_ar": (c_ar - s.r_fl) / s.r_fl,
-        "c_br": (c_br - s.r_rl) / s.r_rl,
-        "c_ra": (c_ra - s.r_rl) / s.r_rl,
-        "c_rb": (c_rb - s.r_fl) / s.r_fl,
-    }
-    for name in ("c_ar", "c_br"):
-        if abs(slacks[name]) > tol:
-            raise ValueError(
-                f"uplink {name} not active: relative slack {slacks[name]:.3e}")
-    lo = min(slacks["c_ra"], slacks["c_rb"])
-    if lo < -tol or lo > tol:
-        raise ValueError(
-            f"broadcast constraints not properly active: min slack {lo:.3e}")
+    desc = DESCRIPTIONS[s.strategy]
+    slacks = {}
+    for slot, t in zip(desc.slots, (sched.t1, sched.t2)):
+        powers = (getattr(sched, name) for name in slot.fields)
+        for name, capacity, demand in slot.rates(s, t, *powers):
+            if demand > 0:
+                slacks[name] = (capacity - demand) / demand
+    for group in desc.binding:
+        present = [slacks[name] for name in group if name in slacks]
+        if not present:
+            continue
+        lo = min(present)
+        if abs(lo) > tol:
+            if len(group) == 1:
+                raise ValueError(f"constraint {group[0]} not active: "
+                                 f"relative slack {lo:.3e}")
+            raise ValueError(f"constraints {'/'.join(group)} not properly "
+                             f"active: min slack {lo:.3e}")
     return slacks
-
-
 def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
                     rel_tol: float = 1e-6, seed: int = 0,
                     sum_cap: float | None = None) -> int:
@@ -381,28 +249,16 @@ def verify(s: Scenario, sched: Schedule, n_t: int = 40, n_p: int = 12,
 
 def _probe_scenario_energy(s: Scenario, n_samples: int) -> int:
     """Convexity/unimodality spot check of the scenario's own objective."""
-    from .strategies import energy_1ts, energy_2ts, energy_hd
-
-    if s.strategy is Strategy.FD1TS:
-        window = tmin_1ts(s)
-        if not window.feasible:
-            return 0
-        lo = window.t_min[0]
-        return convexity_probe(lambda t: energy_1ts(s, t), (lo, s.frame_t),
-                               n_samples=n_samples)
-    if s.strategy is Strategy.FD2TS:
-        window, energy = tmin_2ts(s), energy_2ts
-    else:
-        window, energy = tmin_hd(s), energy_hd
+    desc = DESCRIPTIONS[s.strategy]
+    window = tmin_for(s)
     if not window.feasible:
         return 0
-    t1_min, t2_min = window.t_min
-    dom = ((t1_min, s.frame_t - t2_min), (t2_min, s.frame_t - t1_min))
-    if s.strategy is Strategy.HD2TS and s.pa.a.kind is PaKind.TPA:
-        # The HD objective is only quasi-convex under TPA; second
-        # differences are not a valid probe there.
+    if s.pa.a.kind is PaKind.TPA and not desc.convex_under_tpa:
+        # Only quasi-convex there; second differences are not a valid probe.
         return 0
-    return convexity_probe(lambda t1, t2: energy(s, t1, t2), dom,
+    spans = window.spans(s.frame_t)
+    return convexity_probe(lambda *t: desc.energy(s, *t),
+                           spans[0] if len(spans) == 1 else spans,
                            n_samples=n_samples, sum_cap=s.frame_t)
 
 

@@ -10,27 +10,18 @@ frame-budget boundary re-solve for the two-slot strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from .feasibility import tmin_1ts, tmin_2ts, tmin_hd
-from .model import (
-    CircuitAccounting,
-    InfeasibleError,
-    Scenario,
-    Schedule,
-    Strategy,
-    ee_from_energy,
-    pa_consumption,
-)
-from .strategies import (
-    energy_1ts,
-    energy_2ts,
-    energy_hd,
-    powers_1ts,
-    powers_2ts,
-    powers_hd,
-)
+from .feasibility import FeasibleWindow, tmin_1ts, tmin_slots
+from .model import InfeasibleError, Scenario, Schedule, Strategy, ee_from_energy
+from .strategies import DESCRIPTIONS, Description, energy_1ts, powers_1ts
+# Unused here, but the benchmark's span tracer (bench/tracing.py) patches
+# these names on this module, so they stay importable from it.
+from .feasibility import tmin_2ts, tmin_hd  # noqa: F401
+from .model import pa_consumption  # noqa: F401
+from .strategies import energy_2ts, energy_hd, powers_2ts, powers_hd  # noqa: F401
 
 __all__ = ["SolverConfig", "minimize_unimodal_1d", "solve_2ts", "solve_1ts",
            "solve_hd", "solve"]
@@ -49,7 +40,6 @@ class SolverConfig:
 
     duration_tol: float | None = None
     max_iters: int = 300
-    oracle_check: bool = False
 
     def __post_init__(self):
         if self.duration_tol is not None and not self.duration_tol > 0:
@@ -105,24 +95,34 @@ def minimize_unimodal_1d(f: Callable[[float], float], lo: float, hi: float,
     return x, fx
 
 
-def solve_2ts(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
-    """Optimal FD2TS schedule."""
+def _solve_slots(s: Scenario, desc: Description,
+                 cfg: SolverConfig | None = None) -> Schedule:
+    """Optimal schedule of a strategy whose slots are independent.
+
+    The frame energy is the sum of the per-slot costs plus the idle draw of
+    the whole frame, so each slot duration is searched on its own.
+    """
     cfg = cfg or SolverConfig()
-    window = tmin_2ts(s)
+    window = tmin_slots(s, desc.slots)
     if not window.feasible:
         raise InfeasibleError(window.detail or "scenario infeasible",
                               binding_node=next(
                                   (b for b in window.binding_node if b), None))
-    t1_min, t2_min = window.t_min
-    t1, t2 = _solve_separable(
-        lambda t: _slot_energy_2ts(s, t, slot=1),
-        lambda t: _slot_energy_2ts(s, t, slot=2),
-        t1_min, t2_min, s, cfg)
-    pw = powers_2ts(s, t1, t2)
-    e = energy_2ts(s, t1, t2)
-    return Schedule(t1=t1, t2=t2, p_a=pw.p_a, p_b=pw.p_b,
-                    p_r_fwd=pw.p_r_fwd, p_r_rev=pw.p_r_rev, e_total=e,
-                    ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e))
+    cost1, cost2 = (partial(slot.cost, s) for slot in desc.slots)
+    durations = _solve_separable(cost1, cost2, window, s, cfg)
+    powers = [slot.powers(s, t) for slot, t in zip(desc.slots, durations)]
+    fields = dict.fromkeys(("p_a", "p_b", "p_r_fwd", "p_r_rev"), 0.0)
+    for slot, p in zip(desc.slots, powers):
+        fields.update(zip(slot.fields, p))
+    e = desc.energy_at(s, durations, powers)
+    t1, t2 = durations
+    return Schedule(t1=t1, t2=t2, e_total=e,
+                    ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e), **fields)
+
+
+def solve_2ts(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
+    """Optimal FD2TS schedule."""
+    return _solve_slots(s, DESCRIPTIONS[Strategy.FD2TS], cfg)
 
 
 def solve_1ts(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
@@ -145,107 +145,42 @@ def solve_1ts(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
 
 def solve_hd(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
     """Optimal HD2TS schedule."""
-    cfg = cfg or SolverConfig()
-    window = tmin_hd(s)
-    if not window.feasible:
-        raise InfeasibleError(window.detail or "scenario infeasible",
-                              binding_node=next(
-                                  (b for b in window.binding_node if b), None))
-    t1_min, t2_min = window.t_min
-    t1, t2 = _solve_separable(
-        lambda t: _slot_energy_hd(s, t, slot=1),
-        lambda t: _slot_energy_hd(s, t, slot=2),
-        t1_min, t2_min, s, cfg)
-    p_a, p_b, p_r = powers_hd(s, t1, t2)
-    e = energy_hd(s, t1, t2)
-    return Schedule(t1=t1, t2=t2, p_a=p_a, p_b=p_b, p_r_fwd=p_r, p_r_rev=0.0,
-                    e_total=e,
-                    ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e))
+    return _solve_slots(s, DESCRIPTIONS[Strategy.HD2TS], cfg)
 
 
 def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
     """Solve the scenario with its configured strategy.
 
-    With ``cfg.oracle_check`` the brute-force oracle re-derives the result
-    and its report is attached to the returned schedule.
+    The single-slot strategy searches its one duration on the frame energy
+    itself; every other strategy's slots are searched one by one.
     """
-    cfg = cfg or SolverConfig()
-    if s.strategy is Strategy.FD2TS:
-        sched = solve_2ts(s, cfg)
-    elif s.strategy is Strategy.FD1TS:
-        sched = solve_1ts(s, cfg)
-    else:
-        sched = solve_hd(s, cfg)
-    if cfg.oracle_check:
-        from .oracle import verify
-        sched = replace(sched, oracle_report=verify(s, sched))
-    return sched
-
-
-# ---------------------------------------------------------------------------
-# Slot-cost helpers.  Both two-slot energies split as
-# cost1(t1) + cost2(t2) + P_idle*T with cost_k(t) = (P_slot_k(t) - P_idle)*t,
-# which is what makes the independent per-slot searches exact.
-# ---------------------------------------------------------------------------
-
-def _slot_energy_2ts(s: Scenario, t: float, slot: int) -> float:
-    c = s.circuit
-    statics = c.a.p_base + 2.0 * c.r.p_base + c.b.p_base
-    eps4 = c.a.epsilon + 2.0 * c.r.epsilon + c.b.epsilon
-    if slot == 1:
-        pw = powers_2ts(s, t, s.frame_t)
-        active = (pa_consumption(s.pa.a, pw.p_a)
-                  + pa_consumption(s.pa.r, pw.p_r_fwd)
-                  + statics + eps4 * s.r_fl)
-    else:
-        pw = powers_2ts(s, s.frame_t, t)
-        active = (pa_consumption(s.pa.b, pw.p_b)
-                  + pa_consumption(s.pa.r, pw.p_r_rev)
-                  + statics + eps4 * s.r_rl)
-    return (active - s.p_idle_total) * t
-
-
-def _slot_energy_hd(s: Scenario, t: float, slot: int) -> float:
-    c = s.circuit
-    statics = s.p_base_total
-    printed = s.circuit_accounting is CircuitAccounting.PRINTED
-    if slot == 1:
-        p_a, p_b, _ = powers_hd(s, t, s.frame_t)
-        if printed:
-            dyn = c.a.epsilon * (s.r_fl + s.r_rl)
-        else:
-            dyn = (c.a.epsilon * s.r_fl + c.b.epsilon * s.r_rl
-                   + c.r.epsilon * (s.r_fl + s.r_rl))
-        active = (pa_consumption(s.pa.a, p_a) + pa_consumption(s.pa.b, p_b)
-                  + statics + dyn)
-    else:
-        _, _, p_r = powers_hd(s, s.frame_t, t)
-        if printed:
-            dyn = c.a.epsilon * max(s.r_fl, s.r_rl)
-        else:
-            dyn = (c.r.epsilon * max(s.r_fl, s.r_rl)
-                   + c.a.epsilon * s.r_rl + c.b.epsilon * s.r_fl)
-        active = pa_consumption(s.pa.r, p_r) + statics + dyn
-    return (active - s.p_idle_total) * t
+    desc = DESCRIPTIONS[s.strategy]
+    if len(desc.slots) == 1:
+        return solve_1ts(s, cfg)
+    return _solve_slots(s, desc, cfg)
 
 
 def _solve_separable(cost1: Callable[[float], float],
                      cost2: Callable[[float], float],
-                     t1_min: float, t2_min: float, s: Scenario,
+                     window: FeasibleWindow, s: Scenario,
                      cfg: SolverConfig) -> tuple[float, float]:
     """Minimize cost1(t1) + cost2(t2) over the feasible duration triangle.
 
     Each slot is searched on its own interval first; the boundary re-solve
     along t1 + t2 = T runs only when the independent optima overrun the
-    frame.
+    frame.  A slot with no traffic (minimum duration 0) stays closed.
     """
     frame = s.frame_t
-    hi1 = frame - t2_min
-    hi2 = frame - t1_min
-    t1, _ = minimize_unimodal_1d(cost1, t1_min, hi1, cfg, frame_t=frame)
-    t2, _ = minimize_unimodal_1d(cost2, t2_min, hi2, cfg, frame_t=frame)
+    (lo1, hi1), (lo2, hi2) = window.spans(frame)
+
+    def search(cost: Callable[[float], float], lo: float, hi: float) -> float:
+        if lo == 0.0:
+            return 0.0
+        return minimize_unimodal_1d(cost, lo, hi, cfg, frame_t=frame)[0]
+
+    t1, t2 = search(cost1, lo1, hi1), search(cost2, lo2, hi2)
     if t1 + t2 <= frame:
         return t1, t2
     t1, _ = minimize_unimodal_1d(lambda t: cost1(t) + cost2(frame - t),
-                                 t1_min, hi1, cfg, frame_t=frame)
+                                 lo1, hi1, cfg, frame_t=frame)
     return t1, frame - t1

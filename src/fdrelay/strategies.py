@@ -1,17 +1,23 @@
-"""Capacities, closed-form optimal powers and energy objectives per strategy.
+"""Each strategy described once, slot by slot, and the closed forms behind it.
 
-For each strategy the rate constraints are active at the energy optimum, so
-the transmit powers collapse to closed forms in the slot durations.  The
-functions here come in pairs: ``powers_*`` (closed forms), ``caps_*``
-(capacity maps, array-friendly so the brute-force oracle can reuse them) and
-``energy_*`` / ``energy_*_at`` (total frame energy at closed-form or at
-arbitrary powers).
+At the energy optimum the rate constraints are active, so the transmit
+powers collapse to closed forms in the slot durations and the frame energy
+splits into one cost per slot plus the idle draw.  ``DESCRIPTIONS`` maps each
+strategy to its slots; a :class:`Slot` holds the closed-form powers of the
+nodes transmitting in it, their ``(node, p_max)`` budgets, its active power
+(PA draw plus static and dynamic circuit power under the scenario's
+accounting) and its rate constraints, read off the ``caps_*`` capacity maps.
+The frame energy at given powers (``energy_*_at``), the solver's slot costs,
+the feasibility window and the oracle's grid all derive from it.  The
+single-slot strategy keeps its own coupled closed forms: two relay-power
+cases and the pointwise max over them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,10 +26,14 @@ from .model import (
     InfeasibleError,
     RelayCase,
     Scenario,
+    Strategy,
     pa_consumption,
 )
 
 __all__ = [
+    "Slot",
+    "Description",
+    "DESCRIPTIONS",
     "PowerAssignment2TS",
     "PowerAssignment1TS",
     "SpectralLoads",
@@ -55,6 +65,68 @@ def _pow2(x: float) -> float:
     return 2.0 ** x
 
 
+def _load(s: Scenario, rate: float, t: float) -> float:
+    """Spectral load in bit/s/Hz of ``rate`` sent within duration ``t``.
+
+    Zero traffic is zero load, also in a closed (zero-length) slot.
+    """
+    return rate * s.frame_t / (s.bandwidth_w * t) if rate else 0.0
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One slot of a strategy.
+
+    ``fields`` names the :class:`~fdrelay.model.Schedule` field of each
+    transmit power and ``nodes`` the node that emits it, both in the order
+    ``powers(s, t)`` returns them.  ``active(s, *powers)`` and
+    ``rates(s, t, *powers)`` accept ndarray powers; ``rates`` yields one
+    ``(name, capacity, demand)`` triple per rate constraint.  ``demand(s)``
+    is the traffic the slot carries; a slot with none stays closed.
+    """
+
+    fields: tuple[str, ...]
+    nodes: tuple[str, ...]
+    demand: Callable[[Scenario], float]
+    powers: Callable[[Scenario, float], tuple[float, ...]]
+    active: Callable[..., float]
+    rates: Callable[..., tuple]
+
+    def budgets(self, s: Scenario) -> tuple[tuple[str, float], ...]:
+        """(node, p_max) of each transmit power."""
+        return tuple((node, getattr(s.pa, node).p_max) for node in self.nodes)
+
+    def cost(self, s: Scenario, t: float) -> float:
+        """Energy above the idle draw that the slot spends over duration t."""
+        return (self.active(s, *self.powers(s, t)) - s.p_idle_total) * t
+
+
+@dataclass(frozen=True)
+class Description:
+    """A strategy as its slots, closed-form energy and binding constraints.
+
+    ``energy(s, *durations)`` is the frame energy at the closed-form powers.
+    ``binding`` groups the rate constraints by the power that closes them:
+    at the optimum the smallest relative slack of every group vanishes.
+    ``convex_under_tpa`` is False where the closed-form energy is only
+    quasi-convex under TPA, so second differences do not probe it.
+    """
+
+    slots: tuple[Slot, ...]
+    energy: Callable[..., float]
+    binding: tuple[tuple[str, ...], ...]
+    convex_under_tpa: bool = True
+
+    def energy_at(self, s: Scenario, durations, powers) -> float:
+        """Frame energy: each slot's active power over its duration, plus
+        the idle draw over the rest of the frame."""
+        energy, idle = 0.0, s.frame_t
+        for slot, t, p in zip(self.slots, durations, powers):
+            energy += slot.active(s, *p) * t
+            idle -= t
+        return float(energy + s.p_idle_total * idle)
+
+
 @dataclass(frozen=True)
 class PowerAssignment2TS:
     """Per-slot transmit powers of the two-slot full-duplex strategy."""
@@ -84,17 +156,17 @@ class SpectralLoads:
 
 
 def spectral_loads_2ts(s: Scenario, t1: float, t2: float) -> SpectralLoads:
-    return SpectralLoads(
-        lambda_fl=s.r_fl * s.frame_t / (s.bandwidth_w * t1),
-        lambda_rl=s.r_rl * s.frame_t / (s.bandwidth_w * t2),
-    )
+    return SpectralLoads(lambda_fl=_load(s, s.r_fl, t1),
+                         lambda_rl=_load(s, s.r_rl, t2))
 
 
 def spectral_loads_1ts(s: Scenario, t1: float) -> SpectralLoads:
-    return SpectralLoads(
-        lambda_fl=s.r_fl * s.frame_t / (s.bandwidth_w * t1),
-        lambda_rl=s.r_rl * s.frame_t / (s.bandwidth_w * t1),
-    )
+    return SpectralLoads(lambda_fl=_load(s, s.r_fl, t1),
+                         lambda_rl=_load(s, s.r_rl, t1))
+
+
+def _total_demand(s: Scenario) -> float:
+    return s.r_fl + s.r_rl
 
 
 # ---------------------------------------------------------------------------
@@ -119,50 +191,89 @@ def caps_2ts(s: Scenario, t1: float, t2: float, pw: PowerAssignment2TS):
     return c_ar, c_rb, c_br, c_ra
 
 
-def powers_2ts(s: Scenario, t1: float, t2: float) -> PowerAssignment2TS:
-    """Minimum powers meeting both rate demands with equality in every link.
+# Minimum powers meeting the slot's demand with equality in both links.
+# Inverting the direct relay->destination link gives the relay power, then
+# the source power from the self-interference-loaded source->relay link.
+# Each is strictly decreasing in the slot duration.
 
-    Inverting the slot-1 pair gives the relay power toward b from the
-    direct r->b link, then the a power from the self-interference-loaded
-    a->r link; slot 2 is the mirror image.  Each component is strictly
-    decreasing in its own slot duration.
-    """
+def _powers_2ts_fwd(s: Scenario, t: float) -> tuple[float, float]:
+    """(p_a, p_r_fwd) of slot 1."""
     ch = s.channels
-    loads = spectral_loads_2ts(s, t1, t2)
-    x = _pow2(loads.lambda_fl) - 1.0
-    y = _pow2(loads.lambda_rl) - 1.0
-    if math.isfinite(x):
-        p_r_fwd = ch.sigma2_b / ch.g_rb * x
-        p_a = (ch.sigma2_r / ch.g_ar * x
-               + ch.sigma2_b * ch.gs_r / (ch.g_ar * ch.g_rb) * x * x)
-    else:
-        p_r_fwd = p_a = math.inf
-    if math.isfinite(y):
-        p_r_rev = ch.sigma2_a / ch.g_ra * y
-        p_b = (ch.sigma2_r / ch.g_br * y
-               + ch.sigma2_a * ch.gs_r / (ch.g_br * ch.g_ra) * y * y)
-    else:
-        p_r_rev = p_b = math.inf
+    x = _pow2(_load(s, s.r_fl, t)) - 1.0
+    if not math.isfinite(x):
+        return math.inf, math.inf
+    return (ch.sigma2_r / ch.g_ar * x
+            + ch.sigma2_b * ch.gs_r / (ch.g_ar * ch.g_rb) * x * x,
+            ch.sigma2_b / ch.g_rb * x)
+
+
+def _powers_2ts_rev(s: Scenario, t: float) -> tuple[float, float]:
+    """(p_b, p_r_rev) of slot 2, the mirror image of slot 1."""
+    ch = s.channels
+    y = _pow2(_load(s, s.r_rl, t)) - 1.0
+    if not math.isfinite(y):
+        return math.inf, math.inf
+    return (ch.sigma2_r / ch.g_br * y
+            + ch.sigma2_a * ch.gs_r / (ch.g_br * ch.g_ra) * y * y,
+            ch.sigma2_a / ch.g_ra * y)
+
+
+# Each slot runs one end node's transmitter, the relay's transmitter and
+# receiver, and the other end node's receiver, all at that slot's rate: four
+# epsilon*rate terms under either accounting mode.
+
+def _circuit_2ts(s: Scenario) -> tuple[float, float]:
+    """(static power, dynamic coefficient) of an active FD2TS slot."""
+    c = s.circuit
+    return (c.a.p_base + 2.0 * c.r.p_base + c.b.p_base,
+            c.a.epsilon + 2.0 * c.r.epsilon + c.b.epsilon)
+
+
+def _active_2ts_fwd(s: Scenario, p_a, p_r):
+    statics, eps4 = _circuit_2ts(s)
+    return (pa_consumption(s.pa.a, p_a) + pa_consumption(s.pa.r, p_r)
+            + statics + eps4 * s.r_fl)
+
+
+def _active_2ts_rev(s: Scenario, p_b, p_r):
+    statics, eps4 = _circuit_2ts(s)
+    return (pa_consumption(s.pa.b, p_b) + pa_consumption(s.pa.r, p_r)
+            + statics + eps4 * s.r_rl)
+
+
+def _rates_2ts_fwd(s: Scenario, t: float, p_a, p_r):
+    c_ar, c_rb, _, _ = caps_2ts(s, t, s.frame_t,
+                                PowerAssignment2TS(p_a, 0.0, p_r, 0.0))
+    return ("c_ar", c_ar, s.r_fl), ("c_rb", c_rb, s.r_fl)
+
+
+def _rates_2ts_rev(s: Scenario, t: float, p_b, p_r):
+    _, _, c_br, c_ra = caps_2ts(s, s.frame_t, t,
+                                PowerAssignment2TS(0.0, p_b, 0.0, p_r))
+    return ("c_br", c_br, s.r_rl), ("c_ra", c_ra, s.r_rl)
+
+
+_FD2TS_SLOTS = (
+    Slot(fields=("p_a", "p_r_fwd"), nodes=("a", "r"),
+         demand=lambda s: s.r_fl, powers=_powers_2ts_fwd,
+         active=_active_2ts_fwd, rates=_rates_2ts_fwd),
+    Slot(fields=("p_b", "p_r_rev"), nodes=("b", "r"),
+         demand=lambda s: s.r_rl, powers=_powers_2ts_rev,
+         active=_active_2ts_rev, rates=_rates_2ts_rev),
+)
+
+
+def powers_2ts(s: Scenario, t1: float, t2: float) -> PowerAssignment2TS:
+    """Minimum powers meeting both rate demands with equality in every link."""
+    p_a, p_r_fwd = _powers_2ts_fwd(s, t1)
+    p_b, p_r_rev = _powers_2ts_rev(s, t2)
     return PowerAssignment2TS(p_a=p_a, p_b=p_b, p_r_fwd=p_r_fwd, p_r_rev=p_r_rev)
 
 
 def energy_2ts_at(s: Scenario, t1: float, t2: float, pw: PowerAssignment2TS) -> float:
-    """Frame energy of FD2TS at the given powers.
-
-    Slot 1 runs a's transmitter, the relay's transmitter and receiver, and
-    b's receiver, all at the forward rate; slot 2 mirrors at the reverse
-    rate.  The dynamic circuit power is therefore four epsilon*rate terms
-    per slot under either accounting mode.
-    """
-    c = s.circuit
-    statics = c.a.p_base + 2.0 * c.r.p_base + c.b.p_base
-    eps4 = c.a.epsilon + 2.0 * c.r.epsilon + c.b.epsilon
-    slot1 = (pa_consumption(s.pa.a, pw.p_a) + pa_consumption(s.pa.r, pw.p_r_fwd)
-             + statics + eps4 * s.r_fl)
-    slot2 = (pa_consumption(s.pa.b, pw.p_b) + pa_consumption(s.pa.r, pw.p_r_rev)
-             + statics + eps4 * s.r_rl)
-    idle = s.p_idle_total * (s.frame_t - t1 - t2)
-    return float(slot1 * t1 + slot2 * t2 + idle)
+    """Frame energy of FD2TS at the given powers."""
+    return DESCRIPTIONS[Strategy.FD2TS].energy_at(
+        s, (t1, t2), ((pw.p_a, pw.p_r_fwd), (pw.p_b, pw.p_r_rev)))
 
 
 def energy_2ts(s: Scenario, t1: float, t2: float) -> float:
@@ -256,15 +367,12 @@ def powers_1ts(s: Scenario, t1: float) -> PowerAssignment1TS:
     return case1 if case1.p_r >= case2.p_r else case2
 
 
-def energy_1ts_at(s: Scenario, t1: float, pw: PowerAssignment1TS) -> float:
-    """Frame energy of FD1TS at the given powers.
-
-    All six chains (three tx, three rx) are live for the whole slot, so the
-    static circuit cost is twice the per-node sum.  The printed accounting
-    charges dynamic circuit power as eps*(r_fl + 2*r_rl); first-principles
-    accounting charges every chain at its actual rate, with the relay
-    forwarding at max(r_fl, r_rl).
-    """
+def _active_1ts(s: Scenario, p_a, p_b, p_r):
+    """All six chains (three tx, three rx) are live for the whole slot, so
+    the static circuit cost is twice the per-node sum.  The printed
+    accounting charges dynamic circuit power as eps*(r_fl + 2*r_rl);
+    first-principles accounting charges every chain at its actual rate, with
+    the relay forwarding at max(r_fl, r_rl)."""
     c = s.circuit
     statics = 2.0 * s.p_base_total
     if s.circuit_accounting is CircuitAccounting.PRINTED:
@@ -273,8 +381,24 @@ def energy_1ts_at(s: Scenario, t1: float, pw: PowerAssignment1TS) -> float:
         both = s.r_fl + s.r_rl
         dynamic = (c.a.epsilon * both + c.b.epsilon * both
                    + c.r.epsilon * (both + max(s.r_fl, s.r_rl)))
-    active = (pa_consumption(s.pa.a, pw.p_a) + pa_consumption(s.pa.b, pw.p_b)
-              + pa_consumption(s.pa.r, pw.p_r) + statics + dynamic)
+    return (pa_consumption(s.pa.a, p_a) + pa_consumption(s.pa.b, p_b)
+            + pa_consumption(s.pa.r, p_r) + statics + dynamic)
+
+
+def _powers_1ts_triple(s: Scenario, t: float) -> tuple[float, float, float]:
+    pw = powers_1ts(s, t)
+    return pw.p_a, pw.p_b, pw.p_r
+
+
+def _rates_1ts(s: Scenario, t: float, p_a, p_b, p_r):
+    c_ar, c_br, c_ra, c_rb = caps_1ts(s, t, p_a, p_b, p_r)
+    return (("c_ar", c_ar, s.r_fl), ("c_br", c_br, s.r_rl),
+            ("c_ra", c_ra, s.r_rl), ("c_rb", c_rb, s.r_fl))
+
+
+def energy_1ts_at(s: Scenario, t1: float, pw: PowerAssignment1TS) -> float:
+    """Frame energy of FD1TS at the given powers."""
+    active = _active_1ts(s, pw.p_a, pw.p_b, pw.p_r)
     return float(active * t1 + s.p_idle_total * (s.frame_t - t1))
 
 
@@ -308,53 +432,105 @@ def caps_hd(s: Scenario, t1: float, t2: float, p_a, p_b, p_r):
     return c_ar, c_br, c_ra, c_rb
 
 
+def _powers_hd_access(s: Scenario, t: float) -> tuple[float, float]:
+    """(p_a, p_b) closing both multiple-access equalities of slot 1."""
+    ch = s.channels
+    l1 = _pow2(_load(s, s.r_fl, t))
+    l2 = _pow2(_load(s, s.r_rl, t))
+    if not (math.isfinite(l1) and math.isfinite(l2)):
+        return math.inf, math.inf
+    return ((l1 - l1 / (l1 + l2)) * ch.sigma2_r / ch.g_ar,
+            (l2 - l2 / (l1 + l2)) * ch.sigma2_r / ch.g_br)
+
+
+def _powers_hd_broadcast(s: Scenario, t: float) -> tuple[float]:
+    """(p_r,) of slot 2: the weaker broadcast link sets the relay power."""
+    ch = s.channels
+    l3 = _pow2(_load(s, s.r_fl, t))
+    l4 = _pow2(_load(s, s.r_rl, t))
+    if not (math.isfinite(l3) and math.isfinite(l4)):
+        return (math.inf,)
+    return (max((l3 - 1.0) * ch.sigma2_b / ch.g_rb,
+                (l4 - 1.0) * ch.sigma2_a / ch.g_ra),)
+
+
+# Printed accounting charges dynamic circuit power eps*(r_fl + r_rl) in
+# slot 1 and eps*max(r_fl, r_rl) in slot 2; first-principles accounting
+# additionally charges the relay's slot-1 reception and the end nodes'
+# slot-2 reception.
+
+def _active_hd_access(s: Scenario, p_a, p_b):
+    c = s.circuit
+    if s.circuit_accounting is CircuitAccounting.PRINTED:
+        dyn = c.a.epsilon * (s.r_fl + s.r_rl)
+    else:
+        dyn = (c.a.epsilon * s.r_fl + c.b.epsilon * s.r_rl
+               + c.r.epsilon * (s.r_fl + s.r_rl))
+    return (pa_consumption(s.pa.a, p_a) + pa_consumption(s.pa.b, p_b)
+            + s.p_base_total + dyn)
+
+
+def _active_hd_broadcast(s: Scenario, p_r):
+    c = s.circuit
+    if s.circuit_accounting is CircuitAccounting.PRINTED:
+        dyn = c.a.epsilon * max(s.r_fl, s.r_rl)
+    else:
+        dyn = (c.r.epsilon * max(s.r_fl, s.r_rl)
+               + c.a.epsilon * s.r_rl + c.b.epsilon * s.r_fl)
+    return pa_consumption(s.pa.r, p_r) + s.p_base_total + dyn
+
+
+def _rates_hd_access(s: Scenario, t: float, p_a, p_b):
+    c_ar, c_br, _, _ = caps_hd(s, t, s.frame_t, p_a, p_b, 0.0)
+    return ("c_ar", c_ar, s.r_fl), ("c_br", c_br, s.r_rl)
+
+
+def _rates_hd_broadcast(s: Scenario, t: float, p_r):
+    # Dummy end-node powers: only the broadcast capacities are read.
+    _, _, c_ra, c_rb = caps_hd(s, s.frame_t, t, 1.0, 1.0, p_r)
+    return ("c_ra", c_ra, s.r_rl), ("c_rb", c_rb, s.r_fl)
+
+
+_HD2TS_SLOTS = (
+    Slot(fields=("p_a", "p_b"), nodes=("a", "b"), demand=_total_demand,
+         powers=_powers_hd_access, active=_active_hd_access,
+         rates=_rates_hd_access),
+    Slot(fields=("p_r_fwd",), nodes=("r",), demand=_total_demand,
+         powers=_powers_hd_broadcast, active=_active_hd_broadcast,
+         rates=_rates_hd_broadcast),
+)
+
+
 def powers_hd(s: Scenario, t1: float, t2: float) -> tuple[float, float, float]:
     """Closed-form powers (p_a, p_b, p_r) activating the HD constraints."""
-    ch = s.channels
-    l1 = _pow2(s.r_fl * s.frame_t / (s.bandwidth_w * t1))
-    l2 = _pow2(s.r_rl * s.frame_t / (s.bandwidth_w * t1))
-    l3 = _pow2(s.r_fl * s.frame_t / (s.bandwidth_w * t2))
-    l4 = _pow2(s.r_rl * s.frame_t / (s.bandwidth_w * t2))
-    if math.isfinite(l1) and math.isfinite(l2):
-        p_a = (l1 - l1 / (l1 + l2)) * ch.sigma2_r / ch.g_ar
-        p_b = (l2 - l2 / (l1 + l2)) * ch.sigma2_r / ch.g_br
-    else:
-        p_a = p_b = math.inf
-    if math.isfinite(l3) and math.isfinite(l4):
-        p_r = max((l3 - 1.0) * ch.sigma2_b / ch.g_rb,
-                  (l4 - 1.0) * ch.sigma2_a / ch.g_ra)
-    else:
-        p_r = math.inf
-    return p_a, p_b, p_r
+    return _powers_hd_access(s, t1) + _powers_hd_broadcast(s, t2)
 
 
 def energy_hd_at(s: Scenario, t1: float, t2: float, p_a: float, p_b: float,
                  p_r: float) -> float:
-    """Frame energy of HD2TS at the given powers.
-
-    Printed accounting charges dynamic circuit power eps*(r_fl + r_rl) in
-    slot 1 and eps*max(r_fl, r_rl) in slot 2; first-principles accounting
-    additionally charges the relay's slot-1 reception and the end nodes'
-    slot-2 reception.
-    """
-    c = s.circuit
-    statics = s.p_base_total
-    if s.circuit_accounting is CircuitAccounting.PRINTED:
-        dyn1 = c.a.epsilon * (s.r_fl + s.r_rl)
-        dyn2 = c.a.epsilon * max(s.r_fl, s.r_rl)
-    else:
-        dyn1 = (c.a.epsilon * s.r_fl + c.b.epsilon * s.r_rl
-                + c.r.epsilon * (s.r_fl + s.r_rl))
-        dyn2 = (c.r.epsilon * max(s.r_fl, s.r_rl)
-                + c.a.epsilon * s.r_rl + c.b.epsilon * s.r_fl)
-    slot1 = (pa_consumption(s.pa.a, p_a) + pa_consumption(s.pa.b, p_b)
-             + statics + dyn1)
-    slot2 = pa_consumption(s.pa.r, p_r) + statics + dyn2
-    idle = s.p_idle_total * (s.frame_t - t1 - t2)
-    return float(slot1 * t1 + slot2 * t2 + idle)
+    """Frame energy of HD2TS at the given powers."""
+    return DESCRIPTIONS[Strategy.HD2TS].energy_at(
+        s, (t1, t2), ((p_a, p_b), (p_r,)))
 
 
 def energy_hd(s: Scenario, t1: float, t2: float) -> float:
     """Frame energy of HD2TS at the closed-form optimal powers."""
-    p_a, p_b, p_r = powers_hd(s, t1, t2)
-    return energy_hd_at(s, t1, t2, p_a, p_b, p_r)
+    return energy_hd_at(s, t1, t2, *powers_hd(s, t1, t2))
+
+
+DESCRIPTIONS: dict[Strategy, Description] = {
+    Strategy.FD1TS: Description(
+        slots=(Slot(fields=("p_a", "p_b", "p_r_fwd"), nodes=("a", "b", "r"),
+                    demand=_total_demand, powers=_powers_1ts_triple,
+                    active=_active_1ts, rates=_rates_1ts),),
+        energy=energy_1ts,
+        # Both uplinks close; one relay power serves both broadcast links.
+        binding=(("c_ar",), ("c_br",), ("c_ra", "c_rb"))),
+    Strategy.FD2TS: Description(
+        slots=_FD2TS_SLOTS, energy=energy_2ts,
+        binding=(("c_ar",), ("c_rb",), ("c_br",), ("c_ra",))),
+    Strategy.HD2TS: Description(
+        slots=_HD2TS_SLOTS, energy=energy_hd,
+        binding=(("c_ar",), ("c_br",), ("c_ra", "c_rb")),
+        convex_under_tpa=False),
+}

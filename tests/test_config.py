@@ -88,6 +88,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_params("alpha_db=forty\n")
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("alpha_db = nan\n", 1, "alpha_db"),
+        ("r_fl_mbps=40\nd_ar_m = inf\n", 2, "d_ar_m"),
+        ("frame_t_s = -inf\n", 1, "frame_t_ms"),
+    ])
+    def test_non_finite_value_names_key_and_line(self, text, line, key):
+        with pytest.raises(ConfigError, match=f"line {line}: .*'{key}'"):
+            parse_params(text)
+
     def test_missing_equals_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_params("alpha_db=40\njust-noise\n")

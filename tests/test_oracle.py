@@ -1,13 +1,18 @@
+import itertools
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fdrelay.config import ScenarioParams
-from fdrelay.feasibility import tmin_for
+from fdrelay.feasibility import t_floor, tmin_for
 from fdrelay.model import InfeasibleError, PaKind, Strategy
 from fdrelay.oracle import (
     OracleReport,
+    _best_combination,
+    _slot_best,
     convexity_probe,
     grid_search,
     random_feasible_scenarios,
@@ -15,8 +20,9 @@ from fdrelay.oracle import (
     verify,
     verify_necessary_conditions,
 )
-from fdrelay.solver import SolverConfig, solve
+from fdrelay.solver import solve
 from fdrelay.strategies import (
+    DESCRIPTIONS,
     PowerAssignment1TS,
     PowerAssignment2TS,
     caps_1ts,
@@ -98,6 +104,26 @@ class TestGridSearch:
             checked += 1
         assert checked == 30
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_combination_matches_loop_over_duration_tuples(self, params,
+                                                           strategy):
+        """The broadcast combine equals a loop over every duration tuple."""
+        s = replace(params, strategy=strategy).build()
+        desc = DESCRIPTIONS[strategy]
+        t_axis = np.linspace(t_floor(s), s.frame_t - t_floor(s), 15)
+        per_slot = [_slot_best(s, slot, t_axis, 6) for slot in desc.slots]
+        best = math.inf
+        for idx in itertools.product(range(t_axis.size),
+                                     repeat=len(desc.slots)):
+            durations = [t_axis[i] for i in idx]
+            powers = [per_slot[k][1][i] for k, i in enumerate(idx)]
+            if sum(durations) > s.frame_t or None in powers:
+                continue
+            best = min(best, desc.energy_at(s, durations, powers))
+        energy, point = _best_combination(s, desc.slots, t_axis, per_slot)
+        assert energy == best
+        assert point["t1"] in t_axis
+
     def test_rejects_degenerate_grid(self, params):
         s = params.build()
         with pytest.raises(ValueError):
@@ -130,6 +156,18 @@ class TestNecessaryConditions:
         assert all(v > -1e-12 for v in slacks.values())  # over-provisioned
 
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_zero_demand_direction_has_no_slack(self, params, strategy):
+        s = replace(params, strategy=strategy, r_rl_mbps=0.0).build()
+        sched = solve(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slacks = verify_necessary_conditions(s, sched, tol=1e-9)
+        assert {"c_ar", "c_rb"} <= set(slacks)
+        assert "c_br" not in slacks and "c_ra" not in slacks
+        assert all(math.isfinite(v) for v in slacks.values())
+
+
 class TestConvexityProbe:
     def test_convex_function_clean(self):
         assert convexity_probe(lambda t: t * t, (0.0, 10.0), n_samples=200) == 0
@@ -159,8 +197,8 @@ class TestConvexityProbe:
 class TestVerify:
     def test_report_attached_by_solver(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()
-        sched = solve(s, SolverConfig(oracle_check=True))
-        report = sched.oracle_report
+        sched = solve(s)
+        report = verify(s, sched)
         assert isinstance(report, OracleReport)
         assert report.ok
         assert report.solver_energy == pytest.approx(sched.e_total)

@@ -104,6 +104,23 @@ class TestSolve2TS:
         assert sched.t1 == pytest.approx(t1, abs=2e-7 * s.frame_t)
 
 
+    @pytest.mark.parametrize("r_fl, r_rl", [(32.5, 0.0), (0.0, 32.5)])
+    def test_zero_demand_direction_closes_its_slot(self, params, r_fl, r_rl):
+        s = replace(params, strategy=Strategy.FD2TS, r_fl_mbps=r_fl,
+                    r_rl_mbps=r_rl).build()
+        sched = solve_2ts(s)
+        if r_rl == 0.0:
+            closed, open_ = (sched.t2, sched.p_b, sched.p_r_rev), sched.t1
+        else:
+            closed, open_ = (sched.t1, sched.p_a, sched.p_r_fwd), sched.t2
+        assert closed == (0.0, 0.0, 0.0)
+        assert open_ > 0.0
+        # Only the open slot and the idle rest of the frame are charged.
+        assert sched.e_total == energy_2ts(s, sched.t1, sched.t2)
+        assert sched.e_total < energy_2ts(s, sched.t1 or 1e-8,
+                                          sched.t2 or 1e-8)
+
+
 class TestSolve1TS:
     def test_symmetric_cases(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()

@@ -7,6 +7,7 @@ import pytest
 from fdrelay.config import ScenarioParams
 from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, RelayCase, Strategy
 from fdrelay.strategies import (
+    DESCRIPTIONS,
     PowerAssignment2TS,
     caps_1ts,
     caps_2ts,
@@ -448,3 +449,28 @@ class TestCrossCutting:
                     c_ar, c_br, c_ra, c_rb = caps_hd(s, t1, t2, p_a, p_b, p_r)
                     assert c_ar == pytest.approx(s.r_fl, rel=1e-9)
                     assert c_br == pytest.approx(s.r_rl, rel=1e-9)
+
+
+class TestSlotDescriptions:
+    @pytest.mark.parametrize("accounting", list(CircuitAccounting))
+    @pytest.mark.parametrize("strategy", [Strategy.FD2TS, Strategy.HD2TS])
+    def test_frame_energy_is_slot_costs_plus_idle_frame(self, params,
+                                                        strategy, accounting):
+        """The split the per-slot searches rely on."""
+        s = replace(params, strategy=strategy, accounting=accounting).build()
+        slot1, slot2 = DESCRIPTIONS[strategy].slots
+        for t1, t2 in ((0.004, 0.005), (0.0045, 0.0055), (0.006, 0.004)):
+            split = (slot1.cost(s, t1) + slot2.cost(s, t2)
+                     + s.p_idle_total * s.frame_t)
+            assert DESCRIPTIONS[strategy].energy(s, t1, t2) == \
+                pytest.approx(split, rel=1e-12)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_slot_powers_close_their_rate_constraints(self, params, strategy):
+        s = replace(params, strategy=strategy).build()
+        for slot in DESCRIPTIONS[strategy].slots:
+            powers = slot.powers(s, 0.006)
+            assert len(powers) == len(slot.fields) == len(slot.nodes)
+            slacks = [(c - d) / d for _, c, d in slot.rates(s, 0.006, *powers)]
+            assert min(abs(x) for x in slacks) < 1e-9
+            assert all(x > -1e-9 for x in slacks)

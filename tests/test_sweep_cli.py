@@ -149,6 +149,27 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "line 1" in err
 
+    @pytest.mark.parametrize("line, strategy", [
+        ("alpha_db = nan", "fd1ts"),
+        ("alpha_db = nan", "fd2ts"),
+        ("d_ar_m = inf", "fd1ts"),
+        ("d_ar_m = 0", "hd2ts"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("solve",),
+        ("sweep", "--axis", "cancellation", "--from", "40", "--to", "40",
+         "--step", "1"),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, line, strategy,
+                                              command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = self.run(*command, "--config", str(cfg),
+                                  "--strategy", strategy)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:")
+        assert out == ""
+
     def test_missing_config_file(self):
         code, _, err = self.run("solve", "--config", "/nonexistent.cfg")
         assert code == EXIT_CONFIG
