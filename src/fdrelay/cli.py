@@ -16,13 +16,18 @@ from .config import ConfigError, ScenarioParams, parse_params
 from .model import CircuitAccounting, InfeasibleError, PaKind, Scenario, Strategy
 from .oracle import random_feasible_scenarios, verify
 from .solver import solve
-from .sweep import Axis, AxisKind, SweepSpec, emit_csv, run_sweep
+from .sweep import (Axis, AxisKind, SweepSpec, apply_axis, emit_csv,
+                    run_sweep)
 
 __all__ = ["main", "cli_main"]
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_CONFIG = 2
+
+# Raised by parameters that build no scenario: a value out of its range, or
+# one that overflows in the unit conversions (say alpha_db = 1e5).
+_UNBUILDABLE = (ValueError, ArithmeticError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +93,7 @@ def _load_params(args: argparse.Namespace) -> tuple[ScenarioParams, Scenario]:
                          accounting=CircuitAccounting(args.accounting))
     try:
         return params, params.build()
-    except ValueError as err:
+    except _UNBUILDABLE as err:
         raise ConfigError(f"invalid scenario: {err}") from err
 
 
@@ -129,18 +134,33 @@ def _run_solve(args: argparse.Namespace, out, err) -> int:
     return EXIT_OK
 
 
-def _axis_from_args(kind_value: str, start, stop, step) -> Axis:
+def _axis_from_args(params: ScenarioParams, kind_value: str, start, stop,
+                    step) -> Axis:
+    """The swept axis, each of its values checked to build a scenario from
+    the base parameters before anything is solved."""
     if start is None or stop is None or step is None:
         raise ConfigError("axis range needs --from/--to/--step values")
-    return Axis.from_range(AxisKind(kind_value), start, stop, step)
+    kind = AxisKind(kind_value)
+    try:
+        axis = Axis.from_range(kind, start, stop, step)
+    except ValueError as err:
+        raise ConfigError(f"axis {kind.value}: {err}") from err
+    for value in axis.values:
+        try:
+            apply_axis(params, kind, value).build()
+        except _UNBUILDABLE as err:
+            raise ConfigError(f"axis {kind.value} value {value:g} builds no "
+                              f"scenario: {err}") from err
+    return axis
 
 
 def _run_sweep(args: argparse.Namespace, out, err) -> int:
     params, _ = _load_params(args)
-    axis1 = _axis_from_args(args.axis, args.start, args.stop, args.step)
+    axis1 = _axis_from_args(params, args.axis, args.start, args.stop,
+                            args.step)
     axis2 = None
     if args.axis2:
-        axis2 = _axis_from_args(args.axis2, args.start2, args.stop2,
+        axis2 = _axis_from_args(params, args.axis2, args.start2, args.stop2,
                                 args.step2)
     strategies = ((Strategy(args.strategy),) if args.strategy
                   else (Strategy.FD1TS, Strategy.FD2TS, Strategy.HD2TS))

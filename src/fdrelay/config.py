@@ -150,6 +150,8 @@ class ScenarioParams:
 
     def with_traffic_ratio(self, ratio: float) -> "ScenarioParams":
         """Redistribute the fixed total so that r_fl / r_rl = ratio."""
+        if not ratio >= 0:
+            raise ValueError(f"traffic ratio must be non-negative, got {ratio}")
         total = self.total_rate_mbps
         return replace(self, r_fl_mbps=total * ratio / (1.0 + ratio),
                        r_rl_mbps=total / (1.0 + ratio))

@@ -6,6 +6,16 @@ up to each budget, keeps only assignments whose capacities actually meet
 the demands, and takes the cheapest survivor.  A correct solver must never
 be worse than the grid; the closed-form point must never be worse than any
 rate-feasible grid point at the same durations.
+
+Both the grid and the scenario convexity probe run in array passes.  The
+closed-form powers stay scalar, one duration at a time, because numpy's
+``2.0 ** x`` on an array differs from the scalar power by one ULP on some
+inputs and the reports must not move; only the PA draw, the capacities and
+the sums go to arrays, where array and scalar results agree bit for bit.  The grid evaluates the power
+boxes of many durations in one pass, at most ``_CHUNK_ELEMENTS`` grid points
+at a time so that the single-slot strategy's 3-D boxes add no resident
+memory; the probe prices all of its points with one
+``Description.energy_at`` call.
 """
 
 from __future__ import annotations
@@ -35,6 +45,11 @@ __all__ = ["OracleReport", "grid_search", "verify_necessary_conditions",
 # closed-form anchor meets them with equality up to float rounding.
 _RATE_SLACK = 1e-9
 
+# Grid points one array pass of the oracle evaluates at most; a fixed cap
+# keeps the single-slot strategy's 3-D power boxes from adding resident
+# memory as the grid grows.
+_CHUNK_ELEMENTS = 2 ** 14
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -51,11 +66,19 @@ class OracleReport:
         return (self.relative_gap <= 0.01 and self.convexity_violations == 0)
 
 
-def _power_box(anchor: float, cap: float, n_p: int) -> np.ndarray | None:
-    """Grid from the closed-form anchor up to the budget; None if over it."""
-    if not math.isfinite(anchor) or anchor > cap * (1.0 + 1e-9):
-        return None
-    return np.linspace(min(anchor, cap), cap, n_p)
+def _power_boxes(lo: np.ndarray, hi: np.ndarray, n_p: int) -> np.ndarray:
+    """``np.linspace(lo[i], hi[i], n_p)`` for every entry i, bit for bit.
+
+    One ``np.linspace`` call over all entries switches every entry to its
+    zero-step formula once one entry's step is zero (an anchor on its
+    budget), so the zero-step entries get a call of their own.
+    """
+    boxes = np.empty(lo.shape + (n_p,))
+    flat = (hi - lo) / (n_p - 1) == 0
+    for part in (flat, ~flat):
+        if part.any():
+            boxes[part] = np.linspace(lo[part], hi[part], n_p, axis=-1)
+    return boxes
 
 
 def _duration_axis(lo: float, hi: float, n_t: int,
@@ -79,28 +102,52 @@ def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
     closed-form point up to its budget; only assignments whose capacities
     meet the demands survive.  Returns the best active power per duration
     (inf where nothing survives) and the powers that reach it.
+
+    The closed-form anchors are computed one duration at a time; the boxes,
+    capacities and active powers of many durations then go through one
+    array pass, ``_CHUNK_ELEMENTS`` grid points at a time.
     """
     budgets = slot.budgets(s)
+    caps = np.array([cap for _, cap in budgets])
     best = np.full(t_axis.size, math.inf)
     best_powers: list[tuple[float, ...] | None] = [None] * t_axis.size
+    rows, anchors = [], []
     for i, t in enumerate(t_axis):
         try:
             anchor = slot.powers(s, t)
         except InfeasibleError:
             continue
-        boxes = [_power_box(p, cap, n_p) for p, (_, cap) in zip(anchor, budgets)]
-        if any(box is None for box in boxes):
-            continue
-        grid = np.ix_(*boxes)
+        if all(math.isfinite(p) and p <= cap * (1.0 + 1e-9)
+               for p, (_, cap) in zip(anchor, budgets)):
+            rows.append(i)
+            anchors.append(anchor)
+    if not rows:
+        return best, best_powers
+    n_w = caps.size
+    boxes = _power_boxes(np.minimum(anchors, caps), np.broadcast_to(
+        caps, (len(rows), n_w)), n_p)
+    per_row = n_p ** n_w
+    step = max(1, _CHUNK_ELEMENTS // per_row)
+    for lo in range(0, len(rows), step):
+        box = boxes[lo:lo + step]
+        n = box.shape[0]
+        t = t_axis[rows[lo:lo + step]].reshape((n,) + (1,) * n_w)
+        # One open-mesh axis per power after the leading duration axis.
+        grid = [box[:, w].reshape((n,) + (1,) * w + (n_p,)
+                                  + (1,) * (n_w - 1 - w))
+                for w in range(n_w)]
         feas = True
         for _, capacity, demand in slot.rates(s, t, *grid):
             feas = feas & (capacity >= demand * (1.0 - _RATE_SLACK))
-        if not np.any(feas):
-            continue
-        active = np.where(feas, slot.active(s, *grid), math.inf)
-        k = np.unravel_index(int(np.argmin(active)), active.shape)
-        best[i] = active[k]
-        best_powers[i] = tuple(float(box[j]) for box, j in zip(boxes, k))
+        active = np.where(feas, slot.active(s, *grid),
+                          math.inf).reshape(n, per_row)
+        k = np.argmin(active, axis=1)
+        j = np.unravel_index(k, (n_p,) * n_w)
+        for r in np.flatnonzero(np.isfinite(active[np.arange(n), k])):
+            i = rows[lo + r]
+            best[i] = active[r, k[r]]
+            best_powers[i] = tuple(float(box[r, w, j[w][r]])
+                                   for w in range(n_w))
     return best, best_powers
 
 
@@ -186,6 +233,47 @@ def verify_necessary_conditions(s: Scenario, sched: Schedule,
             raise ValueError(f"constraints {'/'.join(group)} not properly "
                              f"active: min slack {lo:.3e}")
     return slacks
+
+
+def _probe_points(domain, n_samples: int, h: float | None, seed: int,
+                  sum_cap: float | None):
+    """The probe's step ``h`` and its sample points in draw order.
+
+    Each sample is a triple (x, x + h e, x - h e) of argument tuples, with
+    e = 1 on a scalar domain and a random unit direction on a pair of
+    intervals.  The arguments are Python floats on a scalar domain and
+    numpy floats on a pair of intervals.
+    """
+    rng = np.random.default_rng(seed)
+    two_d = hasattr(domain[0], "__len__")
+    if h is None:
+        widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
+                  if two_d else [domain[1] - domain[0]])
+        h = 0.02 * min(widths)
+    points = []
+    while len(points) < n_samples:
+        if two_d:
+            x = np.array([rng.uniform(domain[0][0] + h, domain[0][1] - h),
+                          rng.uniform(domain[1][0] + h, domain[1][1] - h)])
+            if sum_cap is not None and x[0] + x[1] + 2.0 * h > sum_cap:
+                continue
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            e = np.array([math.cos(theta), math.sin(theta)])
+            points.append((tuple(x), tuple(x + h * e), tuple(x - h * e)))
+        else:
+            x = rng.uniform(domain[0] + h, domain[1] - h)
+            points.append(((x,), (x + h,), (x - h,)))
+    return h, points
+
+
+def _count_violations(f: np.ndarray, h: float, rel_tol: float) -> int:
+    """Samples whose second difference falls below ``-rel_tol * |f(x)|``,
+    given one row (f(x), f(x + h e), f(x - h e)) per sample."""
+    f0, fp, fm = f[:, 0], f[:, 1], f[:, 2]
+    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    return int(np.count_nonzero(d2 < -rel_tol * np.abs(f0)))
+
+
 def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
                     rel_tol: float = 1e-6, seed: int = 0,
                     sum_cap: float | None = None) -> int:
@@ -194,38 +282,13 @@ def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
     ``domain`` is (lo, hi) for a scalar function or a pair of such
     intervals for a two-variable one (probed along random directions).
     ``sum_cap`` optionally restricts 2-D sampling to x + y <= sum_cap.
-    Returns the number of samples where (f(x+h) - 2 f(x) + f(x-h)) / h**2
-    falls below ``-rel_tol * |f(x)|``.
+    ``f`` is called once per point: at each sample x and at x +/- h along
+    the probe direction.  Returns the number of samples where
+    (f(x+h) - 2 f(x) + f(x-h)) / h**2 falls below ``-rel_tol * |f(x)|``.
     """
-    rng = np.random.default_rng(seed)
-    two_d = hasattr(domain[0], "__len__")
-    if h is None:
-        widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
-                  if two_d else [domain[1] - domain[0]])
-        h = 0.02 * min(widths)
-    violations = 0
-    count = 0
-    while count < n_samples:
-        if two_d:
-            x = np.array([rng.uniform(domain[0][0] + h, domain[0][1] - h),
-                          rng.uniform(domain[1][0] + h, domain[1][1] - h)])
-            if sum_cap is not None and x[0] + x[1] + 2.0 * h > sum_cap:
-                continue
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            e = np.array([math.cos(theta), math.sin(theta)])
-            f0 = f(*x)
-            fp = f(*(x + h * e))
-            fm = f(*(x - h * e))
-        else:
-            x = rng.uniform(domain[0] + h, domain[1] - h)
-            f0 = f(x)
-            fp = f(x + h)
-            fm = f(x - h)
-        count += 1
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if d2 < -rel_tol * abs(f0):
-            violations += 1
-    return violations
+    h, points = _probe_points(domain, n_samples, h, seed, sum_cap)
+    values = [[f(*x) for x in triple] for triple in points]
+    return _count_violations(np.array(values, dtype=float), h, rel_tol)
 
 
 def verify(s: Scenario, sched: Schedule, n_t: int = 40, n_p: int = 12,
@@ -257,9 +320,24 @@ def _probe_scenario_energy(s: Scenario, n_samples: int) -> int:
         # Only quasi-convex there; second differences are not a valid probe.
         return 0
     spans = window.spans(s.frame_t)
-    return convexity_probe(lambda *t: desc.energy(s, *t),
-                           spans[0] if len(spans) == 1 else spans,
-                           n_samples=n_samples, sum_cap=s.frame_t)
+    return _probe_closed_form(s, spans[0] if len(spans) == 1 else spans,
+                              n_samples)
+
+
+def _probe_closed_form(s: Scenario, domain, n_samples: int) -> int:
+    """``convexity_probe`` of the closed-form frame energy over ``domain``,
+    priced in one pass: the same points and the same count.
+
+    The closed-form powers are computed point by point and stacked, then
+    ``Description.energy_at`` prices every point at once.
+    """
+    desc = DESCRIPTIONS[s.strategy]
+    h, points = _probe_points(domain, n_samples, None, 0, s.frame_t)
+    durations = [x for triple in points for x in triple]
+    powers = [np.array([slot.powers(s, x[k]) for x in durations]).T
+              for k, slot in enumerate(desc.slots)]
+    energy = desc.energy_at(s, np.array(durations).T, powers)
+    return _count_violations(energy.reshape(-1, 3), h, 1e-6)
 
 
 def random_params(rng: np.random.Generator, strategy: Strategy,

@@ -117,14 +117,20 @@ class Description:
     binding: tuple[tuple[str, ...], ...]
     convex_under_tpa: bool = True
 
-    def energy_at(self, s: Scenario, durations, powers) -> float:
+    def energy_at(self, s: Scenario, durations, powers):
         """Frame energy: each slot's active power over its duration, plus
-        the idle draw over the rest of the frame."""
+        the idle draw over the rest of the frame.
+
+        Durations and powers may be ndarrays of one shape; the energy is
+        then an ndarray of that shape, elementwise equal to the scalar
+        calls.  Scalar arguments give a Python float.
+        """
         energy, idle = 0.0, s.frame_t
         for slot, t, p in zip(self.slots, durations, powers):
             energy += slot.active(s, *p) * t
             idle -= t
-        return float(energy + s.p_idle_total * idle)
+        total = energy + s.p_idle_total * idle
+        return float(total) if np.ndim(total) == 0 else total
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ class Axis:
     @classmethod
     def from_range(cls, kind: AxisKind, start: float, stop: float,
                    step: float) -> "Axis":
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ValueError("axis bounds and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1

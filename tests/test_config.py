@@ -125,6 +125,15 @@ class TestDerivedHelpers:
         assert q.total_rate_mbps == pytest.approx(60.0)
         assert q.r_fl_mbps / q.r_rl_mbps == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("ratio", [-1.0, -0.5, float("nan")])
+    def test_with_traffic_ratio_rejects_negative(self, ratio):
+        with pytest.raises(ValueError, match="traffic ratio"):
+            ScenarioParams().with_traffic_ratio(ratio)
+
+    def test_zero_traffic_ratio_silences_the_forward_link(self):
+        q = ScenarioParams(r_fl_mbps=30.0, r_rl_mbps=30.0).with_traffic_ratio(0.0)
+        assert (q.r_fl_mbps, q.r_rl_mbps) == (0.0, 60.0)
+
     def test_parse_config_returns_scenario(self):
         s = parse_config("r_fl_mbps=20\nr_rl_mbps=10\nstrategy=hd2ts\n")
         assert s.r_fl == pytest.approx(20e6)

@@ -1,0 +1,205 @@
+"""The oracle's array passes against the per-point code they replace.
+
+The grid's per-slot box search and the scenario convexity probe evaluate
+many durations in one numpy pass.  Both must give exactly the numbers of
+the one-duration-at-a-time and one-point-at-a-time code: the same best
+active powers and powers, and the same violation counts.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from fdrelay.config import ScenarioParams
+from fdrelay.feasibility import t_floor, tmin_for
+from fdrelay.model import InfeasibleError, PaKind, Strategy
+from fdrelay.oracle import (
+    _RATE_SLACK,
+    _CHUNK_ELEMENTS,
+    _power_boxes,
+    _probe_closed_form,
+    _slot_best,
+    convexity_probe,
+    random_feasible_scenarios,
+)
+from fdrelay.strategies import DESCRIPTIONS
+
+PAIRS = [(strategy, pa) for strategy in Strategy for pa in PaKind]
+
+
+def _power_box(anchor, cap, n_p):
+    if not math.isfinite(anchor) or anchor > cap * (1.0 + 1e-9):
+        return None
+    return np.linspace(min(anchor, cap), cap, n_p)
+
+
+def _slot_best_per_duration(s, slot, t_axis, n_p):
+    """The box search one duration at a time, as the oracle ran it before
+    its array passes: the reference the batched search must equal."""
+    budgets = slot.budgets(s)
+    best = np.full(t_axis.size, math.inf)
+    best_powers = [None] * t_axis.size
+    for i, t in enumerate(t_axis):
+        try:
+            anchor = slot.powers(s, t)
+        except InfeasibleError:
+            continue
+        boxes = [_power_box(p, cap, n_p) for p, (_, cap) in zip(anchor, budgets)]
+        if any(box is None for box in boxes):
+            continue
+        grid = np.ix_(*boxes)
+        feas = True
+        for _, capacity, demand in slot.rates(s, t, *grid):
+            feas = feas & (capacity >= demand * (1.0 - _RATE_SLACK))
+        if not np.any(feas):
+            continue
+        active = np.where(feas, slot.active(s, *grid), math.inf)
+        k = np.unravel_index(int(np.argmin(active)), active.shape)
+        best[i] = active[k]
+        best_powers[i] = tuple(float(box[j]) for box, j in zip(boxes, k))
+    return best, best_powers
+
+
+def _anchor_kinds(s, slot, t_axis):
+    """Which ways the closed-form anchors leave the grid, over the axis."""
+    kinds = set()
+    for t in t_axis:
+        try:
+            anchor = slot.powers(s, t)
+        except InfeasibleError as err:
+            kinds.add(f"raises:{err.cause}")
+            continue
+        caps = [cap for _, cap in slot.budgets(s)]
+        if not all(math.isfinite(p) for p in anchor):
+            kinds.add("infinite")
+        elif any(p > cap * (1.0 + 1e-9) for p, cap in zip(anchor, caps)):
+            kinds.add("over budget")
+        else:
+            kinds.add("in budget")
+    return kinds
+
+
+def _assert_same(s, slot, t_axis, n_p):
+    best, powers = _slot_best(s, slot, t_axis, n_p)
+    ref_best, ref_powers = _slot_best_per_duration(s, slot, t_axis, n_p)
+    assert best.tobytes() == ref_best.tobytes()
+    assert repr(powers) == repr(ref_powers)
+    assert any(p is not None for p in powers)
+
+
+def _full_axis(s, n_t):
+    """Floor to the full frame: the first durations leave the grid."""
+    return np.linspace(t_floor(s), s.frame_t, n_t)
+
+
+class TestSlotBestParity:
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_seeded_scenarios(self, strategy, pa_kind):
+        for s in random_feasible_scenarios(11, strategy, pa_kind, 3):
+            for slot in DESCRIPTIONS[strategy].slots:
+                _assert_same(s, slot, _full_axis(s, 40), 12)
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_anchors_infinite_and_over_budget(self, strategy, pa_kind):
+        s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
+        t_axis = _full_axis(s, 40)
+        for slot in DESCRIPTIONS[strategy].slots:
+            kinds = _anchor_kinds(s, slot, t_axis)
+            assert "over budget" in kinds and "in budget" in kinds
+            if strategy is not Strategy.FD1TS:
+                assert "infinite" in kinds
+            _assert_same(s, slot, t_axis, 7)
+
+    @pytest.mark.parametrize("pa_kind", list(PaKind))
+    def test_fd1ts_weak_cancellation_raises(self, pa_kind):
+        s = ScenarioParams(strategy=Strategy.FD1TS, pa=pa_kind,
+                           alpha_db=30.0).with_total_rate(65.0).build()
+        slot = DESCRIPTIONS[Strategy.FD1TS].slots[0]
+        t_axis = _full_axis(s, 40)
+        assert {"raises:cancellation", "raises:power_budget", "over budget",
+                "in budget"} <= _anchor_kinds(s, slot, t_axis)
+        _assert_same(s, slot, t_axis, 9)
+
+    def test_fd1ts_box_over_the_chunk_cap(self):
+        s = ScenarioParams(strategy=Strategy.FD1TS).build()
+        assert 30 ** 3 > _CHUNK_ELEMENTS
+        _assert_same(s, DESCRIPTIONS[Strategy.FD1TS].slots[0],
+                     _full_axis(s, 12), 30)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_anchor_on_its_budget(self, strategy):
+        """An anchor within the budget slack makes a zero-step box, which
+        must not change the boxes of the other durations."""
+        s = ScenarioParams(strategy=strategy).build()
+        t_axis = _full_axis(s, 30)
+        pinned = t_axis[20]
+        for slot in DESCRIPTIONS[strategy].slots:
+            cap = slot.budgets(s)[0][1]
+
+            def powers(s_, t, _slot=slot, _cap=cap):
+                anchor = _slot.powers(s_, t)
+                if t == pinned:
+                    return (_cap * (1.0 + 5e-10),) + anchor[1:]
+                return anchor
+
+            _assert_same(s, replace(slot, powers=powers), t_axis, 8)
+
+
+def test_power_boxes_match_linspace_per_entry():
+    rng = np.random.default_rng(8)
+    lo = rng.uniform(0.0, 20.0, (6, 3))
+    hi = lo + rng.uniform(0.0, 20.0, lo.shape)
+    hi[1, 2], hi[4, 0] = lo[1, 2], lo[4, 0]  # zero-step boxes
+    boxes = _power_boxes(lo, hi, 7)
+    for i in np.ndindex(lo.shape):
+        assert boxes[i].tobytes() == np.linspace(lo[i], hi[i], 7).tobytes()
+
+
+def _probe_cases(strategy, pa_kind):
+    low_load = ScenarioParams(strategy=strategy, pa=pa_kind, r_fl_mbps=1.0,
+                              r_rl_mbps=1.0).build()
+    return random_feasible_scenarios(5, strategy, pa_kind, 3) + [low_load]
+
+
+def _domain(s):
+    spans = tmin_for(s).spans(s.frame_t)
+    return spans[0] if len(spans) == 1 else spans
+
+
+class TestProbeParity:
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_same_count_as_convexity_probe(self, strategy, pa_kind):
+        desc = DESCRIPTIONS[strategy]
+        counts = []
+        for s in _probe_cases(strategy, pa_kind):
+            domain = _domain(s)
+            expected = convexity_probe(lambda *t: desc.energy(s, *t), domain,
+                                       n_samples=50, sum_cap=s.frame_t)
+            counts.append(expected)
+            assert _probe_closed_form(s, domain, 50) == expected
+        if pa_kind is PaKind.TPA:
+            # The low-load TPA objective is not convex: the probe sees it.
+            assert counts[-1] > 0
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_energy_at_on_arrays_equals_scalar_calls(self, strategy,
+                                                     pa_kind):
+        desc = DESCRIPTIONS[strategy]
+        s = random_feasible_scenarios(3, strategy, pa_kind, 1)[0]
+        spans = tmin_for(s).spans(s.frame_t)
+        n_slots = len(desc.slots)
+        rng = np.random.default_rng(4)
+        durations = [tuple(rng.uniform(lo, lo + (hi - lo) / n_slots)
+                           for lo, hi in spans) for _ in range(25)]
+        powers = [[slot.powers(s, t[k]) for t in durations]
+                  for k, slot in enumerate(desc.slots)]
+        scalar = [desc.energy_at(s, t, [p[i] for p in powers])
+                  for i, t in enumerate(durations)]
+        assert all(type(e) is float for e in scalar)
+        batched = desc.energy_at(s, np.array(durations).T,
+                                 [np.array(p).T for p in powers])
+        assert isinstance(batched, np.ndarray)
+        assert batched.shape == (len(durations),)
+        assert (batched == np.array(scalar)).all()

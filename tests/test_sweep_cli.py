@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,14 @@ class TestAxis:
     def test_single_point(self):
         axis = Axis.from_range(AxisKind.TOTAL_RATE_MBPS, 65.0, 65.0, 5.0)
         assert axis.values == (65.0,)
+
+    @pytest.mark.parametrize("bounds", [
+        (20.0, math.inf, 1.0), (-math.inf, 20.0, 1.0), (20.0, 30.0, math.inf),
+        (math.nan, 30.0, 1.0), (20.0, 30.0, math.nan),
+    ])
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            Axis.from_range(AxisKind.CANCELLATION_DB, *bounds)
 
 
 class TestRunSweep:
@@ -214,3 +223,40 @@ class TestCli:
     def test_unknown_argument_is_config_error(self):
         code, _, _ = self.run("solve", "--frobnicate")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("axis_args, names", [
+        (("--axis", "pa-efficiency", "--from", "0.9", "--to", "1.1",
+          "--step", "0.1"), ("pa-efficiency", "1.1", "eta_max")),
+        (("--axis", "cancellation", "--from", "20", "--to", "inf",
+          "--step", "1"), ("cancellation", "finite")),
+        (("--axis", "traffic-ratio", "--from", "-1", "--to", "1",
+          "--step", "1"), ("traffic-ratio", "-1", "non-negative")),
+        (("--axis", "total-rate", "--from", "-5", "--to", "5",
+          "--step", "5"), ("total-rate", "-5", "non-negative")),
+        (("--axis", "cancellation", "--from", "20", "--to", "30",
+          "--step", "0"), ("cancellation", "step must be positive")),
+    ])
+    def test_unbuildable_axis_value_is_config_error(self, axis_args, names):
+        code, out, err = self.run("sweep", *axis_args)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: axis ")
+        for name in names:
+            assert name in err
+        assert out == ""
+
+    def test_unbuildable_second_axis_value_is_config_error(self):
+        code, out, err = self.run(
+            "sweep", "--axis", "cancellation", "--from", "40", "--to", "41",
+            "--step", "1", "--axis2", "pa-efficiency", "--from2", "0",
+            "--to2", "0.5", "--step2", "0.5")
+        assert code == EXIT_CONFIG
+        assert "axis pa-efficiency value 0 builds no scenario" in err
+        assert out == ""
+
+    def test_overflowing_config_value_is_config_error(self, tmp_path):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("alpha_db = 1e5\n")
+        code, out, err = self.run("solve", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: invalid scenario")
+        assert out == ""
