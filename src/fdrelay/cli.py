@@ -12,7 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ScenarioParams, parse_params
+from .config import (ConfigError, ScenarioParams, parse_params,
+                     unbuildable_is_config_error)
 from .model import CircuitAccounting, InfeasibleError, PaKind, Scenario, Strategy
 from .oracle import random_feasible_scenarios, verify
 from .solver import solve
@@ -24,10 +25,6 @@ __all__ = ["main", "cli_main"]
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_CONFIG = 2
-
-# Raised by parameters that build no scenario: a value out of its range, or
-# one that overflows in the unit conversions (say alpha_db = 1e5).
-_UNBUILDABLE = (ValueError, ArithmeticError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,10 +88,8 @@ def _load_params(args: argparse.Namespace) -> tuple[ScenarioParams, Scenario]:
     if args.accounting:
         params = replace(params,
                          accounting=CircuitAccounting(args.accounting))
-    try:
+    with unbuildable_is_config_error():
         return params, params.build()
-    except _UNBUILDABLE as err:
-        raise ConfigError(f"invalid scenario: {err}") from err
 
 
 def _dbm(p_w: float) -> float:
@@ -146,11 +141,9 @@ def _axis_from_args(params: ScenarioParams, kind_value: str, start, stop,
     except ValueError as err:
         raise ConfigError(f"axis {kind.value}: {err}") from err
     for value in axis.values:
-        try:
+        with unbuildable_is_config_error(
+                f"axis {kind.value} value {value:g} builds no scenario"):
             apply_axis(params, kind, value).build()
-        except _UNBUILDABLE as err:
-            raise ConfigError(f"axis {kind.value} value {value:g} builds no "
-                              f"scenario: {err}") from err
     return axis
 
 

@@ -31,7 +31,9 @@ uncalibrated budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 
 from .model import (
     ChannelSet,
@@ -49,7 +51,7 @@ from .model import (
 )
 
 __all__ = ["ConfigError", "ScenarioParams", "parse_params", "parse_config",
-           "default_params"]
+           "unbuildable_is_config_error", "default_params"]
 
 
 class ConfigError(Exception):
@@ -161,23 +163,8 @@ def default_params() -> ScenarioParams:
     return ScenarioParams()
 
 
-_ENUM_KEYS = {
-    "strategy": lambda v: Strategy(v.lower()),
-    "pa": lambda v: PaKind(v.lower()),
-    "accounting": lambda v: CircuitAccounting(v.lower()),
-}
-
-_BOOL_KEYS = {"asymptotic_1ts"}
-
-_FLOAT_KEYS = {
-    "bandwidth_mhz", "frame_t_ms", "n0_dbm_per_hz", "d_ar_m", "d_rb_m",
-    "d_self_cm", "alpha_db", "ant_gain_db", "self_iso_a_db",
-    "self_iso_r_db", "self_iso_b_db", "eta_max",
-    "kappa_db", "etpa_u", "p_max_a_dbm", "p_max_r_dbm", "p_max_b_dbm",
-    "p_base_a_mw", "p_base_r_mw", "p_base_b_mw", "p_idle_a_mw",
-    "p_idle_r_mw", "p_idle_b_mw", "epsilon_mw_per_gbps", "r_fl_mbps",
-    "r_rl_mbps",
-}
+# Every field is a config key, parsed by the type of its default.
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioParams)}
 
 # Accepted spellings that normalize onto canonical keys.
 _ALIASES = {"frame_t_s": ("frame_t_ms", 1e3)}
@@ -211,29 +198,38 @@ def parse_params(text: str) -> ScenarioParams:
                 f"duplicate key {key!r} (first set on line {seen[key]})",
                 lineno)
         seen[key] = lineno
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        default = _DEFAULTS[key]
         try:
-            if key in _FLOAT_KEYS:
+            if isinstance(default, bool):
+                updates[key] = _parse_bool(value)
+            elif isinstance(default, Enum):
+                updates[key] = type(default)(value.lower())
+            else:
                 number = float(value) * scale
                 if not math.isfinite(number):
                     raise ValueError(f"{value!r} is not a finite number")
                 updates[key] = number
-            elif key in _ENUM_KEYS:
-                updates[key] = _ENUM_KEYS[key](value)
-            elif key in _BOOL_KEYS:
-                updates[key] = _parse_bool(value)
-            else:
-                raise ConfigError(f"unknown key {key!r}", lineno)
-        except ConfigError:
-            raise
         except ValueError as err:
             raise ConfigError(f"bad value for {key!r}: {err}", lineno) from err
     return replace(ScenarioParams(), **updates)
 
 
+@contextmanager
+def unbuildable_is_config_error(context: str = "invalid scenario"):
+    """Turn parameters that build no scenario into a ConfigError that starts
+    with ``context``.  A value out of its range raises ValueError; one that
+    overflows in the unit conversions (say ``alpha_db = 1e5``) raises an
+    ArithmeticError."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as err:
+        raise ConfigError(f"{context}: {err}") from err
+
+
 def parse_config(text: str) -> Scenario:
     """Parse configuration text and build the scenario it describes."""
     params = parse_params(text)
-    try:
+    with unbuildable_is_config_error():
         return params.build()
-    except ValueError as err:
-        raise ConfigError(f"invalid scenario: {err}") from err

@@ -60,10 +60,6 @@ class Strategy(str, Enum):
     FD2TS = "fd2ts"  # relay full duplex, two timeslots
     HD2TS = "hd2ts"  # half-duplex baseline, two timeslots
 
-    @property
-    def n_slots(self) -> int:
-        return 1 if self is Strategy.FD1TS else 2
-
 
 class CircuitAccounting(str, Enum):
     """How rate-dependent circuit power enters the energy objectives.

@@ -1,27 +1,31 @@
 """Duration optimization and schedule assembly.
 
 The energy objectives are convex (or at worst unimodal) in the slot
-durations once the powers are eliminated, so a derivative-free golden-section
-search per scalar coordinate is exact for this problem family: one search
-for the single-slot strategy, two independent searches plus an optional
-frame-budget boundary re-solve for the two-slot strategies.
+durations once the powers are eliminated, and the frame energy is one cost
+per slot plus the idle draw, so a derivative-free golden-section search per
+slot duration is exact for this problem family.  Every strategy is solved
+the same way from its description: one search per slot, plus a
+frame-budget boundary re-solve when two slots overrun the frame.  Only the
+single-slot strategy's feasibility window stays its own (see
+:func:`~fdrelay.feasibility.tmin_for`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
-from .feasibility import FeasibleWindow, tmin_1ts, tmin_slots
+from .feasibility import FeasibleWindow, tmin_for
 from .model import InfeasibleError, Scenario, Schedule, Strategy, ee_from_energy
-from .strategies import DESCRIPTIONS, Description, energy_1ts, powers_1ts
+from .strategies import DESCRIPTIONS
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # these names on this module, so they stay importable from it.
-from .feasibility import tmin_2ts, tmin_hd  # noqa: F401
+from .feasibility import tmin_1ts, tmin_2ts, tmin_hd  # noqa: F401
 from .model import pa_consumption  # noqa: F401
-from .strategies import energy_2ts, energy_hd, powers_2ts, powers_hd  # noqa: F401
+from .strategies import (energy_1ts, energy_2ts, energy_hd,  # noqa: F401
+                         powers_1ts, powers_2ts, powers_hd)
 
 __all__ = ["SolverConfig", "minimize_unimodal_1d", "solve_2ts", "solve_1ts",
            "solve_hd", "solve"]
@@ -95,92 +99,74 @@ def minimize_unimodal_1d(f: Callable[[float], float], lo: float, hi: float,
     return x, fx
 
 
-def _solve_slots(s: Scenario, desc: Description,
-                 cfg: SolverConfig | None = None) -> Schedule:
-    """Optimal schedule of a strategy whose slots are independent.
+def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
+    """Solve the scenario with its configured strategy.
 
-    The frame energy is the sum of the per-slot costs plus the idle draw of
-    the whole frame, so each slot duration is searched on its own.
+    Every strategy is solved alike from its description: the frame energy is
+    the sum of the per-slot costs plus the idle draw of the whole frame, so
+    each slot duration is searched on its own, on that slot's cost.  Only
+    the feasibility window of the single-slot strategy is its own
+    (:func:`tmin_for`).
     """
     cfg = cfg or SolverConfig()
-    window = tmin_slots(s, desc.slots)
+    desc = DESCRIPTIONS[s.strategy]
+    window = tmin_for(s)
     if not window.feasible:
         raise InfeasibleError(window.detail or "scenario infeasible",
                               binding_node=next(
                                   (b for b in window.binding_node if b), None))
-    cost1, cost2 = (partial(slot.cost, s) for slot in desc.slots)
-    durations = _solve_separable(cost1, cost2, window, s, cfg)
+    costs = [partial(slot.cost, s) for slot in desc.slots]
+    durations = _solve_separable(costs, window, s, cfg)
     powers = [slot.powers(s, t) for slot, t in zip(desc.slots, durations)]
-    fields = dict.fromkeys(("p_a", "p_b", "p_r_fwd", "p_r_rev"), 0.0)
+    fields = dict.fromkeys(("t1", "t2", "p_a", "p_b", "p_r_fwd", "p_r_rev"),
+                           0.0)
+    fields.update(zip(("t1", "t2"), durations))
     for slot, p in zip(desc.slots, powers):
         fields.update(zip(slot.fields, p))
     e = desc.energy_at(s, durations, powers)
-    t1, t2 = durations
-    return Schedule(t1=t1, t2=t2, e_total=e,
-                    ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e), **fields)
+    return Schedule(e_total=e, ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e),
+                    active_case=desc.active_case(s, *durations), **fields)
 
 
 def solve_2ts(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
-    """Optimal FD2TS schedule."""
-    return _solve_slots(s, DESCRIPTIONS[Strategy.FD2TS], cfg)
+    """Optimal FD2TS schedule of the scenario's link."""
+    return solve(replace(s, strategy=Strategy.FD2TS), cfg)
 
 
 def solve_1ts(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
-    """Optimal FD1TS schedule (single duration, worse-case energy)."""
-    cfg = cfg or SolverConfig()
-    window = tmin_1ts(s)
-    if not window.feasible:
-        raise InfeasibleError(window.detail or "scenario infeasible",
-                              binding_node=window.binding_node[0])
-    t_min = window.t_min[0]
-    t1, _ = minimize_unimodal_1d(lambda t: energy_1ts(s, t), t_min,
-                                 s.frame_t, cfg, frame_t=s.frame_t)
-    pw = powers_1ts(s, t1)
-    e = energy_1ts(s, t1)
-    return Schedule(t1=t1, t2=0.0, p_a=pw.p_a, p_b=pw.p_b, p_r_fwd=pw.p_r,
-                    p_r_rev=0.0, e_total=e,
-                    ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e),
-                    active_case=pw.active_case)
+    """Optimal FD1TS schedule of the scenario's link."""
+    return solve(replace(s, strategy=Strategy.FD1TS), cfg)
 
 
 def solve_hd(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
-    """Optimal HD2TS schedule."""
-    return _solve_slots(s, DESCRIPTIONS[Strategy.HD2TS], cfg)
+    """Optimal HD2TS schedule of the scenario's link."""
+    return solve(replace(s, strategy=Strategy.HD2TS), cfg)
 
 
-def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
-    """Solve the scenario with its configured strategy.
-
-    The single-slot strategy searches its one duration on the frame energy
-    itself; every other strategy's slots are searched one by one.
-    """
-    desc = DESCRIPTIONS[s.strategy]
-    if len(desc.slots) == 1:
-        return solve_1ts(s, cfg)
-    return _solve_slots(s, desc, cfg)
-
-
-def _solve_separable(cost1: Callable[[float], float],
-                     cost2: Callable[[float], float],
+def _solve_separable(costs: list[Callable[[float], float]],
                      window: FeasibleWindow, s: Scenario,
-                     cfg: SolverConfig) -> tuple[float, float]:
-    """Minimize cost1(t1) + cost2(t2) over the feasible duration triangle.
+                     cfg: SolverConfig) -> tuple[float, ...]:
+    """Minimize the sum of the slot costs over the feasible durations.
 
     Each slot is searched on its own interval first; the boundary re-solve
-    along t1 + t2 = T runs only when the independent optima overrun the
-    frame.  A slot with no traffic (minimum duration 0) stays closed.
+    along t1 + t2 = T runs only when two independent optima overrun the
+    frame (one slot's interval already ends at the frame).  A slot with no
+    traffic (minimum duration 0) stays closed.
     """
     frame = s.frame_t
-    (lo1, hi1), (lo2, hi2) = window.spans(frame)
+    spans = window.spans(frame)
 
     def search(cost: Callable[[float], float], lo: float, hi: float) -> float:
         if lo == 0.0:
             return 0.0
         return minimize_unimodal_1d(cost, lo, hi, cfg, frame_t=frame)[0]
 
-    t1, t2 = search(cost1, lo1, hi1), search(cost2, lo2, hi2)
-    if t1 + t2 <= frame:
-        return t1, t2
+    durations = tuple(search(cost, lo, hi)
+                      for cost, (lo, hi) in zip(costs, spans))
+    if sum(durations) <= frame:
+        return durations
+    cost1, cost2 = costs
+    (lo1, hi1), _ = spans
     t1, _ = minimize_unimodal_1d(lambda t: cost1(t) + cost2(frame - t),
                                  lo1, hi1, cfg, frame_t=frame)
     return t1, frame - t1

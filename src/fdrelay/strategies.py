@@ -7,16 +7,18 @@ strategy to its slots; a :class:`Slot` holds the closed-form powers of the
 nodes transmitting in it, their ``(node, p_max)`` budgets, its active power
 (PA draw plus static and dynamic circuit power under the scenario's
 accounting) and its rate constraints, read off the ``caps_*`` capacity maps.
-The frame energy at given powers (``energy_*_at``), the solver's slot costs,
-the feasibility window and the oracle's grid all derive from it.  The
-single-slot strategy keeps its own coupled closed forms: two relay-power
-cases and the pointwise max over them.
+The frame energy at given or closed-form powers (``energy_*_at``,
+``energy_*``), the solver's slot costs, the feasibility window and the
+oracle's grid all derive from it.  The single-slot strategy is one slot
+like any other: its closed form picks the larger of two relay-power cases,
+and the description reports which case binds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -101,21 +103,31 @@ class Slot:
         return (self.active(s, *self.powers(s, t)) - s.p_idle_total) * t
 
 
+def _no_case(s: Scenario, *durations: float) -> None:
+    return None
+
+
 @dataclass(frozen=True)
 class Description:
-    """A strategy as its slots, closed-form energy and binding constraints.
+    """A strategy as its slots and binding constraints.
 
-    ``energy(s, *durations)`` is the frame energy at the closed-form powers.
     ``binding`` groups the rate constraints by the power that closes them:
     at the optimum the smallest relative slack of every group vanishes.
     ``convex_under_tpa`` is False where the closed-form energy is only
     quasi-convex under TPA, so second differences do not probe it.
+    ``active_case(s, *durations)`` names the relay case that binds at the
+    closed-form powers, for the strategy that has one.
     """
 
     slots: tuple[Slot, ...]
-    energy: Callable[..., float]
     binding: tuple[tuple[str, ...], ...]
     convex_under_tpa: bool = True
+    active_case: Callable[..., RelayCase | None] = _no_case
+
+    def energy(self, s: Scenario, *durations: float) -> float:
+        """Frame energy at each slot's closed-form powers."""
+        return self.energy_at(s, durations, [
+            slot.powers(s, t) for slot, t in zip(self.slots, durations)])
 
     def energy_at(self, s: Scenario, durations, powers):
         """Frame energy: each slot's active power over its duration, plus
@@ -180,99 +192,72 @@ def _total_demand(s: Scenario) -> float:
 # b->r->a in slot 2, the relay forwarding while it receives.
 # ---------------------------------------------------------------------------
 
-def caps_2ts(s: Scenario, t1: float, t2: float, pw: PowerAssignment2TS):
-    """Link capacities (C_ar, C_rb, C_br, C_ra) in bit/s.
+def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
+    """The FD2TS slot carrying demand ``rate`` over src -> r -> dst.
 
-    The relay's own forwarding signal leaks into its receiver, so its
-    receive SINR carries the residual self-interference term.  Power fields
-    may be ndarrays; the outputs then broadcast.
+    Its minimum powers meet the demand with equality in both links.
+    Inverting the direct relay->dst link gives the relay power, then the
+    source power from the self-interference-loaded src->relay link; each is
+    strictly decreasing in the slot duration.  The slot runs the source's
+    transmitter, the relay's transmitter and receiver, and dst's receiver,
+    all at the slot's rate: four epsilon*rate terms under either accounting
+    mode.
     """
-    ch = s.channels
-    w1 = t1 / s.frame_t * s.bandwidth_w
-    w2 = t2 / s.frame_t * s.bandwidth_w
-    c_ar = w1 * np.log2(1.0 + pw.p_a * ch.g_ar / (pw.p_r_fwd * ch.gs_r + ch.sigma2_r))
-    c_rb = w1 * np.log2(1.0 + pw.p_r_fwd * ch.g_rb / ch.sigma2_b)
-    c_br = w2 * np.log2(1.0 + pw.p_b * ch.g_br / (pw.p_r_rev * ch.gs_r + ch.sigma2_r))
-    c_ra = w2 * np.log2(1.0 + pw.p_r_rev * ch.g_ra / ch.sigma2_a)
+    demand = attrgetter(rate)
+    src_pa = attrgetter(f"pa.{src}")
+    # (src->relay gain, relay->dst gain, dst noise) of s.channels
+    links = attrgetter(f"g_{src}r", f"g_r{dst}", f"sigma2_{dst}")
+
+    def powers(s: Scenario, t: float) -> tuple[float, float]:
+        x = _pow2(_load(s, demand(s), t)) - 1.0
+        if not math.isfinite(x):
+            return math.inf, math.inf
+        ch = s.channels
+        g_up, g_down, sigma2 = links(ch)
+        return (ch.sigma2_r / g_up * x
+                + sigma2 * ch.gs_r / (g_up * g_down) * x * x,
+                sigma2 / g_down * x)
+
+    def active(s: Scenario, p_src, p_r):
+        c = s.circuit
+        statics = c.a.p_base + 2.0 * c.r.p_base + c.b.p_base
+        eps4 = c.a.epsilon + 2.0 * c.r.epsilon + c.b.epsilon
+        return (pa_consumption(src_pa(s), p_src)
+                + pa_consumption(s.pa.r, p_r) + statics + eps4 * demand(s))
+
+    def rates(s: Scenario, t: float, p_src, p_r):
+        # The relay's own forwarding signal leaks into its receiver, so its
+        # receive SINR carries the residual self-interference term.
+        ch = s.channels
+        g_up, g_down, sigma2 = links(ch)
+        w = t / s.frame_t * s.bandwidth_w
+        c_up = w * np.log2(1.0 + p_src * g_up / (p_r * ch.gs_r + ch.sigma2_r))
+        c_down = w * np.log2(1.0 + p_r * g_down / sigma2)
+        return (f"c_{src}r", c_up, demand(s)), (f"c_r{dst}", c_down, demand(s))
+
+    return Slot(fields=(f"p_{src}", relay_field), nodes=(src, "r"),
+                demand=demand, powers=powers, active=active, rates=rates)
+
+
+_FD2TS_SLOTS = (_fd2ts_slot("a", "b", "r_fl", "p_r_fwd"),
+                _fd2ts_slot("b", "a", "r_rl", "p_r_rev"))
+
+
+def caps_2ts(s: Scenario, t1: float, t2: float, pw: PowerAssignment2TS):
+    """Link capacities (C_ar, C_rb, C_br, C_ra) in bit/s, read off the two
+    slots' rate constraints.  Power fields may be ndarrays; the outputs then
+    broadcast."""
+    fwd, rev = _FD2TS_SLOTS
+    (_, c_ar, _), (_, c_rb, _) = fwd.rates(s, t1, pw.p_a, pw.p_r_fwd)
+    (_, c_br, _), (_, c_ra, _) = rev.rates(s, t2, pw.p_b, pw.p_r_rev)
     return c_ar, c_rb, c_br, c_ra
-
-
-# Minimum powers meeting the slot's demand with equality in both links.
-# Inverting the direct relay->destination link gives the relay power, then
-# the source power from the self-interference-loaded source->relay link.
-# Each is strictly decreasing in the slot duration.
-
-def _powers_2ts_fwd(s: Scenario, t: float) -> tuple[float, float]:
-    """(p_a, p_r_fwd) of slot 1."""
-    ch = s.channels
-    x = _pow2(_load(s, s.r_fl, t)) - 1.0
-    if not math.isfinite(x):
-        return math.inf, math.inf
-    return (ch.sigma2_r / ch.g_ar * x
-            + ch.sigma2_b * ch.gs_r / (ch.g_ar * ch.g_rb) * x * x,
-            ch.sigma2_b / ch.g_rb * x)
-
-
-def _powers_2ts_rev(s: Scenario, t: float) -> tuple[float, float]:
-    """(p_b, p_r_rev) of slot 2, the mirror image of slot 1."""
-    ch = s.channels
-    y = _pow2(_load(s, s.r_rl, t)) - 1.0
-    if not math.isfinite(y):
-        return math.inf, math.inf
-    return (ch.sigma2_r / ch.g_br * y
-            + ch.sigma2_a * ch.gs_r / (ch.g_br * ch.g_ra) * y * y,
-            ch.sigma2_a / ch.g_ra * y)
-
-
-# Each slot runs one end node's transmitter, the relay's transmitter and
-# receiver, and the other end node's receiver, all at that slot's rate: four
-# epsilon*rate terms under either accounting mode.
-
-def _circuit_2ts(s: Scenario) -> tuple[float, float]:
-    """(static power, dynamic coefficient) of an active FD2TS slot."""
-    c = s.circuit
-    return (c.a.p_base + 2.0 * c.r.p_base + c.b.p_base,
-            c.a.epsilon + 2.0 * c.r.epsilon + c.b.epsilon)
-
-
-def _active_2ts_fwd(s: Scenario, p_a, p_r):
-    statics, eps4 = _circuit_2ts(s)
-    return (pa_consumption(s.pa.a, p_a) + pa_consumption(s.pa.r, p_r)
-            + statics + eps4 * s.r_fl)
-
-
-def _active_2ts_rev(s: Scenario, p_b, p_r):
-    statics, eps4 = _circuit_2ts(s)
-    return (pa_consumption(s.pa.b, p_b) + pa_consumption(s.pa.r, p_r)
-            + statics + eps4 * s.r_rl)
-
-
-def _rates_2ts_fwd(s: Scenario, t: float, p_a, p_r):
-    c_ar, c_rb, _, _ = caps_2ts(s, t, s.frame_t,
-                                PowerAssignment2TS(p_a, 0.0, p_r, 0.0))
-    return ("c_ar", c_ar, s.r_fl), ("c_rb", c_rb, s.r_fl)
-
-
-def _rates_2ts_rev(s: Scenario, t: float, p_b, p_r):
-    _, _, c_br, c_ra = caps_2ts(s, s.frame_t, t,
-                                PowerAssignment2TS(0.0, p_b, 0.0, p_r))
-    return ("c_br", c_br, s.r_rl), ("c_ra", c_ra, s.r_rl)
-
-
-_FD2TS_SLOTS = (
-    Slot(fields=("p_a", "p_r_fwd"), nodes=("a", "r"),
-         demand=lambda s: s.r_fl, powers=_powers_2ts_fwd,
-         active=_active_2ts_fwd, rates=_rates_2ts_fwd),
-    Slot(fields=("p_b", "p_r_rev"), nodes=("b", "r"),
-         demand=lambda s: s.r_rl, powers=_powers_2ts_rev,
-         active=_active_2ts_rev, rates=_rates_2ts_rev),
-)
 
 
 def powers_2ts(s: Scenario, t1: float, t2: float) -> PowerAssignment2TS:
     """Minimum powers meeting both rate demands with equality in every link."""
-    p_a, p_r_fwd = _powers_2ts_fwd(s, t1)
-    p_b, p_r_rev = _powers_2ts_rev(s, t2)
+    fwd, rev = _FD2TS_SLOTS
+    p_a, p_r_fwd = fwd.powers(s, t1)
+    p_b, p_r_rev = rev.powers(s, t2)
     return PowerAssignment2TS(p_a=p_a, p_b=p_b, p_r_fwd=p_r_fwd, p_r_rev=p_r_rev)
 
 
@@ -284,7 +269,7 @@ def energy_2ts_at(s: Scenario, t1: float, t2: float, pw: PowerAssignment2TS) -> 
 
 def energy_2ts(s: Scenario, t1: float, t2: float) -> float:
     """Frame energy of FD2TS at the closed-form optimal powers."""
-    return energy_2ts_at(s, t1, t2, powers_2ts(s, t1, t2))
+    return DESCRIPTIONS[Strategy.FD2TS].energy(s, t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +389,18 @@ def _rates_1ts(s: Scenario, t: float, p_a, p_b, p_r):
 
 def energy_1ts_at(s: Scenario, t1: float, pw: PowerAssignment1TS) -> float:
     """Frame energy of FD1TS at the given powers."""
-    active = _active_1ts(s, pw.p_a, pw.p_b, pw.p_r)
-    return float(active * t1 + s.p_idle_total * (s.frame_t - t1))
+    return DESCRIPTIONS[Strategy.FD1TS].energy_at(
+        s, (t1,), ((pw.p_a, pw.p_b, pw.p_r),))
 
 
 def energy_1ts(s: Scenario, t1: float) -> float:
-    """Frame energy of FD1TS: the worse of the two case energies.
+    """Frame energy of FD1TS at the closed-form optimal powers.
 
     The binding broadcast constraint needs the larger relay power, which
-    also inflates both end-node powers, so the pointwise max over the two
-    case energies is the actual cost at duration ``t1``.
+    also inflates both end-node powers, so this equals the worse of the two
+    case energies.
     """
-    case1, case2 = _powers_1ts_cases(s, t1)
-    return max(energy_1ts_at(s, t1, case1), energy_1ts_at(s, t1, case2))
+    return DESCRIPTIONS[Strategy.FD1TS].energy(s, t1)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +505,7 @@ def energy_hd_at(s: Scenario, t1: float, t2: float, p_a: float, p_b: float,
 
 def energy_hd(s: Scenario, t1: float, t2: float) -> float:
     """Frame energy of HD2TS at the closed-form optimal powers."""
-    return energy_hd_at(s, t1, t2, *powers_hd(s, t1, t2))
+    return DESCRIPTIONS[Strategy.HD2TS].energy(s, t1, t2)
 
 
 DESCRIPTIONS: dict[Strategy, Description] = {
@@ -529,14 +513,14 @@ DESCRIPTIONS: dict[Strategy, Description] = {
         slots=(Slot(fields=("p_a", "p_b", "p_r_fwd"), nodes=("a", "b", "r"),
                     demand=_total_demand, powers=_powers_1ts_triple,
                     active=_active_1ts, rates=_rates_1ts),),
-        energy=energy_1ts,
         # Both uplinks close; one relay power serves both broadcast links.
-        binding=(("c_ar",), ("c_br",), ("c_ra", "c_rb"))),
+        binding=(("c_ar",), ("c_br",), ("c_ra", "c_rb")),
+        active_case=lambda s, t: powers_1ts(s, t).active_case),
     Strategy.FD2TS: Description(
-        slots=_FD2TS_SLOTS, energy=energy_2ts,
+        slots=_FD2TS_SLOTS,
         binding=(("c_ar",), ("c_rb",), ("c_br",), ("c_ra",))),
     Strategy.HD2TS: Description(
-        slots=_HD2TS_SLOTS, energy=energy_hd,
+        slots=_HD2TS_SLOTS,
         binding=(("c_ar",), ("c_br",), ("c_ra", "c_rb")),
         convex_under_tpa=False),
 }

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from fdrelay.config import ConfigError, ScenarioParams, parse_config, parse_params
@@ -110,6 +112,17 @@ class TestParsing:
     def test_bad_enum_value(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_params("strategy=simplex\n")
+
+    def test_every_params_field_is_a_key(self):
+        for f in fields(ScenarioParams):
+            value = getattr(ScenarioParams(), f.name)
+            text = f"{f.name} = {getattr(value, 'value', value)}\n"
+            assert getattr(parse_params(text), f.name) == value
+
+    @pytest.mark.parametrize("key", ["alpha_db", "kappa_db", "p_max_a_dbm"])
+    def test_overflowing_value_is_config_error(self, key):
+        with pytest.raises(ConfigError, match="invalid scenario"):
+            parse_config(f"{key} = 1e5\n")
 
 
 class TestDerivedHelpers:

@@ -15,7 +15,9 @@ from fdrelay.solver import (
     solve_2ts,
     solve_hd,
 )
-from fdrelay.strategies import energy_1ts, energy_2ts, energy_hd
+from fdrelay.strategies import energy_1ts, energy_2ts, energy_hd, powers_1ts
+
+from conftest import random_scenario_params
 
 
 class TestGoldenSection:
@@ -128,6 +130,19 @@ class TestSolve1TS:
         assert sched.active_case is not None
         assert sched.t2 == 0.0
         assert sched.p_r_rev == 0.0
+
+    @pytest.mark.parametrize("pa_kind", list(PaKind))
+    def test_active_case_is_the_closed_forms_case(self, pa_kind):
+        rng = np.random.default_rng(23)
+        solved = 0
+        while solved < 20:
+            s = random_scenario_params(rng, Strategy.FD1TS, pa_kind).build()
+            try:
+                sched = solve(s)
+            except InfeasibleError:
+                continue
+            assert sched.active_case == powers_1ts(s, sched.t1).active_case
+            solved += 1
 
     def test_matches_grid_oracle(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()

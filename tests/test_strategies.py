@@ -453,17 +453,39 @@ class TestCrossCutting:
 
 class TestSlotDescriptions:
     @pytest.mark.parametrize("accounting", list(CircuitAccounting))
-    @pytest.mark.parametrize("strategy", [Strategy.FD2TS, Strategy.HD2TS])
+    @pytest.mark.parametrize("strategy", [Strategy.FD1TS, Strategy.FD2TS,
+                                          Strategy.HD2TS])
     def test_frame_energy_is_slot_costs_plus_idle_frame(self, params,
                                                         strategy, accounting):
         """The split the per-slot searches rely on."""
         s = replace(params, strategy=strategy, accounting=accounting).build()
-        slot1, slot2 = DESCRIPTIONS[strategy].slots
-        for t1, t2 in ((0.004, 0.005), (0.0045, 0.0055), (0.006, 0.004)):
-            split = (slot1.cost(s, t1) + slot2.cost(s, t2)
+        slots = DESCRIPTIONS[strategy].slots
+        for durations in ((0.004, 0.005), (0.0045, 0.0055), (0.006, 0.004)):
+            durations = durations[:len(slots)]
+            split = (sum(slot.cost(s, t) for slot, t in zip(slots, durations))
                      + s.p_idle_total * s.frame_t)
-            assert DESCRIPTIONS[strategy].energy(s, t1, t2) == \
+            assert DESCRIPTIONS[strategy].energy(s, *durations) == \
                 pytest.approx(split, rel=1e-12)
+
+    @pytest.mark.parametrize("accounting", list(CircuitAccounting))
+    @pytest.mark.parametrize("pa_kind", list(PaKind))
+    def test_1ts_energy_is_the_worse_case_energy(self, pa_kind, accounting):
+        """Pricing the larger relay-power case alone gives the max over both
+        cases exactly: that case has every power at least as large."""
+        from fdrelay.strategies import _powers_1ts_cases
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 40:
+            p = random_scenario_params(rng, Strategy.FD1TS, pa_kind)
+            s = replace(p, accounting=accounting).build()
+            t = float(rng.uniform(0.2, 1.0)) * s.frame_t
+            try:
+                cases = _powers_1ts_cases(s, t)
+                expected = max(energy_1ts_at(s, t, c) for c in cases)
+            except (InfeasibleError, ValueError):
+                continue
+            assert energy_1ts(s, t) == expected
+            checked += 1
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_slot_powers_close_their_rate_constraints(self, params, strategy):
