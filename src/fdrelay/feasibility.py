@@ -39,12 +39,15 @@ class FeasibleWindow:
     strategy, two otherwise); it is 0 for a slot with no traffic, which stays
     closed.  ``binding_node`` names, per slot, the node whose power budget
     is active at the minimum (None when the numerical floor is the binder).
+    An infeasible window says why in ``detail`` and names the
+    :class:`InfeasibleError` cause in ``cause``.
     """
 
     t_min: tuple[float, ...]
     feasible: bool
     binding_node: tuple[str | None, ...]
     detail: str = ""
+    cause: str = ""
 
     def spans(self, frame_t: float) -> tuple[tuple[float, float], ...]:
         """Per-slot (shortest, longest) duration: a slot may grow until the
@@ -120,11 +123,12 @@ def tmin_slots(s: Scenario, slots: tuple[Slot, ...],
     except InfeasibleError as err:
         return FeasibleWindow(t_min=(math.nan,) * len(slots), feasible=False,
                               binding_node=(err.binding_node,) * len(slots),
-                              detail=str(err))
+                              detail=str(err), cause=err.cause)
     if sum(t_min) > s.frame_t:
         return FeasibleWindow(
             t_min=tuple(t_min), feasible=False, binding_node=tuple(binders),
-            detail="minimum slot durations exceed the frame budget")
+            detail="minimum slot durations exceed the frame budget",
+            cause="power_budget")
     return FeasibleWindow(t_min=tuple(t_min), feasible=True,
                           binding_node=tuple(binders))
 
@@ -161,14 +165,15 @@ def tmin_1ts(s: Scenario, tol: float | None = None) -> FeasibleWindow:
         except InfeasibleError as err:
             return FeasibleWindow(t_min=(math.nan,), feasible=False,
                                   binding_node=(err.binding_node,),
-                                  detail=str(err))
+                                  detail=str(err), cause=err.cause)
         over = [(node, p, cap) for node, p, cap in
                 (("a", pw.p_a, s.pa.a.p_max), ("b", pw.p_b, s.pa.b.p_max),
                  ("r", pw.p_r, s.pa.r.p_max)) if p > cap]
         node = max(over, key=lambda item: item[1] / item[2])[0]
         return FeasibleWindow(
             t_min=(math.nan,), feasible=False, binding_node=(node,),
-            detail=f"node {node} exceeds its power budget even at the full frame")
+            detail=f"node {node} exceeds its power budget even at the full frame",
+            cause="power_budget")
     tol = tol if tol is not None else _BISECT_TOL_FRACTION * s.frame_t
     t_min = _bisect_monotone(ok, floor, s.frame_t, tol)
     pw = powers_1ts(s, t_min * (1.0 - 1e-7)) if t_min > floor else None

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ScenarioParams
-from .feasibility import t_floor, tmin_for
+from .feasibility import FeasibleWindow, t_floor, tmin_for
 from .model import InfeasibleError, PaKind, Scenario, Schedule, Strategy
 from .strategies import DESCRIPTIONS, Slot
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
@@ -162,11 +162,15 @@ def grid_search(s: Scenario, n_t: int = 50, n_p: int = 20):
     Returns (best_energy, best_point) with best_point a plain dict of the
     slot durations (t1, t2) and the schedule's power fields.
     """
+    return _grid_search(s, tmin_for(s), n_t, n_p)
+
+
+def _grid_search(s: Scenario, window: FeasibleWindow, n_t: int, n_p: int):
+    """:func:`grid_search` given the scenario's feasibility window."""
     if n_t < 2 or n_p < 2:
         raise ValueError("need at least two grid points per axis")
     slots = DESCRIPTIONS[s.strategy].slots
     floor = t_floor(s)
-    window = tmin_for(s)
     extras = (tuple(x for span in window.spans(s.frame_t) for x in span)
               if window.feasible else ())
     t_axis = _duration_axis(floor, s.frame_t - (len(slots) - 1) * floor,
@@ -239,10 +243,12 @@ def _probe_points(domain, n_samples: int, h: float | None, seed: int,
                   sum_cap: float | None):
     """The probe's step ``h`` and its sample points in draw order.
 
-    Each sample is a triple (x, x + h e, x - h e) of argument tuples, with
-    e = 1 on a scalar domain and a random unit direction on a pair of
-    intervals.  The arguments are Python floats on a scalar domain and
-    numpy floats on a pair of intervals.
+    Each sample is a triple (x, x + h e, x - h e) of argument tuples of
+    Python floats, with e = 1 on a scalar domain and a random unit
+    direction on a pair of intervals.  The uniform draws come from
+    ``default_rng(seed)`` in blocks, consumed in the order single
+    ``Generator.uniform`` calls would take them; ``lo + (hi - lo) * u`` is
+    the value ``Generator.uniform(lo, hi)`` gives for the same double ``u``.
     """
     rng = np.random.default_rng(seed)
     two_d = hasattr(domain[0], "__len__")
@@ -250,18 +256,32 @@ def _probe_points(domain, n_samples: int, h: float | None, seed: int,
         widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
                   if two_d else [domain[1] - domain[0]])
         h = 0.02 * min(widths)
+    ranges = ([(lo + h, hi - h) for lo, hi in domain] if two_d
+              else [(domain[0] + h, domain[1] - h)])
+    if any(not lo <= hi for lo, hi in ranges):
+        raise ValueError(f"probe step {h} leaves no room in {domain}")
+
+    def blocks():
+        while True:
+            yield from rng.random(3 * n_samples).tolist()
+
+    doubles = blocks()
+
+    def uniform(lo: float, hi: float) -> float:
+        return lo + (hi - lo) * next(doubles)
+
     points = []
     while len(points) < n_samples:
         if two_d:
-            x = np.array([rng.uniform(domain[0][0] + h, domain[0][1] - h),
-                          rng.uniform(domain[1][0] + h, domain[1][1] - h)])
+            x = tuple(uniform(lo, hi) for lo, hi in ranges)
             if sum_cap is not None and x[0] + x[1] + 2.0 * h > sum_cap:
                 continue
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            e = np.array([math.cos(theta), math.sin(theta)])
-            points.append((tuple(x), tuple(x + h * e), tuple(x - h * e)))
+            theta = uniform(0.0, 2.0 * math.pi)
+            e = (math.cos(theta), math.sin(theta))
+            points.append((x, tuple(a + h * b for a, b in zip(x, e)),
+                           tuple(a - h * b for a, b in zip(x, e))))
         else:
-            x = rng.uniform(domain[0] + h, domain[1] - h)
+            x = uniform(*ranges[0])
             points.append(((x,), (x + h,), (x - h,)))
     return h, points
 
@@ -294,7 +314,8 @@ def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
 def verify(s: Scenario, sched: Schedule, n_t: int = 40, n_p: int = 12,
            probe_samples: int = 50, tol: float = 1e-6) -> OracleReport:
     """Full oracle pass: grid dominance, constraint slacks, convexity."""
-    grid_best, _ = grid_search(s, n_t=n_t, n_p=n_p)
+    window = tmin_for(s)
+    grid_best, _ = _grid_search(s, window, n_t, n_p)
     slack_tol = 1e-9 if not (s.strategy is Strategy.FD1TS
                              and s.asymptotic_1ts) else math.inf
     try:
@@ -302,7 +323,7 @@ def verify(s: Scenario, sched: Schedule, n_t: int = 40, n_p: int = 12,
     except ValueError:
         slacks = {}
     gap = (sched.e_total - grid_best) / grid_best
-    violations = _probe_scenario_energy(s, probe_samples)
+    violations = _probe_scenario_energy(s, window, probe_samples)
     return OracleReport(grid_best_energy=grid_best,
                         solver_energy=sched.e_total,
                         relative_gap=float(gap),
@@ -310,10 +331,11 @@ def verify(s: Scenario, sched: Schedule, n_t: int = 40, n_p: int = 12,
                         convexity_violations=violations)
 
 
-def _probe_scenario_energy(s: Scenario, n_samples: int) -> int:
-    """Convexity/unimodality spot check of the scenario's own objective."""
+def _probe_scenario_energy(s: Scenario, window: FeasibleWindow,
+                           n_samples: int) -> int:
+    """Convexity/unimodality spot check of the scenario's own objective
+    over its feasibility window."""
     desc = DESCRIPTIONS[s.strategy]
-    window = tmin_for(s)
     if not window.feasible:
         return 0
     if s.pa.a.kind is PaKind.TPA and not desc.convex_under_tpa:

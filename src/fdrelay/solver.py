@@ -8,6 +8,11 @@ the same way from its description: one search per slot, plus a
 frame-budget boundary re-solve when two slots overrun the frame.  Only the
 single-slot strategy's feasibility window stays its own (see
 :func:`~fdrelay.feasibility.tmin_for`).
+
+The slot searches step in lockstep and stop as soon as the lower ends of
+their brackets prove that the optima overrun the frame, since the boundary
+re-solve then discards them; the result is the same as searching each slot
+to the end.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Generator
 
 from .feasibility import FeasibleWindow, tmin_for
 from .model import InfeasibleError, Scenario, Schedule, Strategy, ee_from_energy
@@ -56,15 +61,18 @@ class SolverConfig:
             else 1e-7 * frame_t
 
 
-def minimize_unimodal_1d(f: Callable[[float], float], lo: float, hi: float,
-                         cfg: SolverConfig | None = None,
-                         frame_t: float | None = None) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi].
+def _golden_section(f: Callable[[float], float], lo: float, hi: float,
+                    cfg: SolverConfig, frame_t: float | None
+                    ) -> Generator[float, None, tuple[float, float]]:
+    """Golden-section search of :func:`minimize_unimodal_1d`, one step at a
+    time: yields the bracket's lower end after every step and returns
+    (argmin, value).
 
-    Works across kinks (e.g. a pointwise max of convex functions) because
-    only function-value comparisons are used.  Returns (argmin, value).
+    The bracket only ever shrinks, so every yielded lower end is a lower
+    bound on the argmin it returns.  The values at the bracket ends are
+    kept as the probes move onto them, so the closing edge check evaluates
+    only an end that was never probed.
     """
-    cfg = cfg or SolverConfig()
     if not lo <= hi:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
     tol = cfg.tol_for(frame_t if frame_t is not None else (hi - lo) or 1.0)
@@ -75,6 +83,7 @@ def minimize_unimodal_1d(f: Callable[[float], float], lo: float, hi: float,
     c = lo + _INV_PHI2 * span
     d = lo + _INV_PHI * span
     fc, fd = f(c), f(d)
+    f_lo = f_hi = None
     for _ in range(cfg.max_iters):
         if not (math.isfinite(fc) and math.isfinite(fd)):
             raise ValueError(
@@ -82,21 +91,39 @@ def minimize_unimodal_1d(f: Callable[[float], float], lo: float, hi: float,
         if hi - lo <= tol:
             break
         if fc < fd:
-            hi, d, fd = d, c, fc
+            hi, f_hi, d, fd = d, fd, c, fc
             c = lo + _INV_PHI2 * (hi - lo)
             fc = f(c)
         else:
-            lo, c, fc = c, d, fd
+            lo, f_lo, c, fc = c, fc, d, fd
             d = lo + _INV_PHI * (hi - lo)
             fd = f(d)
+        yield lo
     x, fx = (c, fc) if fc <= fd else (d, fd)
     # The minimum may sit exactly on an endpoint the interior probes never
     # reach; keep the better of the probe and the nearest endpoint.
-    for edge in (lo, hi):
-        fe = f(edge)
+    for edge, fe in ((lo, f_lo), (hi, f_hi)):
+        if fe is None:
+            fe = f(edge)
         if fe < fx:
             x, fx = edge, fe
     return x, fx
+
+
+def minimize_unimodal_1d(f: Callable[[float], float], lo: float, hi: float,
+                         cfg: SolverConfig | None = None,
+                         frame_t: float | None = None) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal scalar function on [lo, hi].
+
+    Works across kinks (e.g. a pointwise max of convex functions) because
+    only function-value comparisons are used.  Returns (argmin, value).
+    """
+    steps = _golden_section(f, lo, hi, cfg or SolverConfig(), frame_t)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
@@ -114,7 +141,8 @@ def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
     if not window.feasible:
         raise InfeasibleError(window.detail or "scenario infeasible",
                               binding_node=next(
-                                  (b for b in window.binding_node if b), None))
+                                  (b for b in window.binding_node if b), None),
+                              cause=window.cause)
     costs = [partial(slot.cost, s) for slot in desc.slots]
     durations = _solve_separable(costs, window, s, cfg)
     powers = [slot.powers(s, t) for slot, t in zip(desc.slots, durations)]
@@ -152,19 +180,34 @@ def _solve_separable(costs: list[Callable[[float], float]],
     along t1 + t2 = T runs only when two independent optima overrun the
     frame (one slot's interval already ends at the frame).  A slot with no
     traffic (minimum duration 0) stays closed.
+
+    The slot searches run in lockstep, one step each in turn, and are
+    dropped as soon as their brackets' lower ends sum to more than the
+    frame.  That stop is exact: a bracket only shrinks and float addition
+    is monotone, so the optima would overrun the frame too and the re-solve
+    would run anyway; every result equals that of searching each slot to
+    the end.  The dropped searches evaluate only a prefix of their points,
+    so an objective that turns non-finite beyond the stop no longer raises
+    the ``ValueError`` the full search would have raised.
     """
     frame = s.frame_t
     spans = window.spans(frame)
-
-    def search(cost: Callable[[float], float], lo: float, hi: float) -> float:
-        if lo == 0.0:
-            return 0.0
-        return minimize_unimodal_1d(cost, lo, hi, cfg, frame_t=frame)[0]
-
-    durations = tuple(search(cost, lo, hi)
-                      for cost, (lo, hi) in zip(costs, spans))
-    if sum(durations) <= frame:
-        return durations
+    # Per slot, a lower bound on its optimum: the bracket's lower end while
+    # its search runs, the optimum itself once the search is done.
+    bounds = [lo for lo, _ in spans]
+    running = [(k, _golden_section(cost, lo, hi, cfg, frame))
+               for k, (cost, (lo, hi)) in enumerate(zip(costs, spans))
+               if lo != 0.0]
+    while running and sum(bounds) <= frame:
+        k, steps = running.pop(0)
+        try:
+            bounds[k] = next(steps)
+        except StopIteration as done:
+            bounds[k] = done.value[0]
+        else:
+            running.append((k, steps))
+    if sum(bounds) <= frame:
+        return tuple(bounds)
     cost1, cost2 = costs
     (lo1, hi1), _ = spans
     t1, _ = minimize_unimodal_1d(lambda t: cost1(t) + cost2(frame - t),

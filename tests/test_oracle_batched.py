@@ -20,6 +20,7 @@ from fdrelay.oracle import (
     _CHUNK_ELEMENTS,
     _power_boxes,
     _probe_closed_form,
+    _probe_points,
     _slot_best,
     convexity_probe,
     random_feasible_scenarios,
@@ -168,7 +169,52 @@ def _domain(s):
     return spans[0] if len(spans) == 1 else spans
 
 
+def _probe_points_per_draw(domain, n_samples, h, seed, sum_cap):
+    """The probe's sampler drawing one ``Generator.uniform`` at a time, as
+    it ran before it drew in blocks: the reference for its points."""
+    rng = np.random.default_rng(seed)
+    two_d = hasattr(domain[0], "__len__")
+    if h is None:
+        widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
+                  if two_d else [domain[1] - domain[0]])
+        h = 0.02 * min(widths)
+    points = []
+    while len(points) < n_samples:
+        if two_d:
+            x = np.array([rng.uniform(domain[0][0] + h, domain[0][1] - h),
+                          rng.uniform(domain[1][0] + h, domain[1][1] - h)])
+            if sum_cap is not None and x[0] + x[1] + 2.0 * h > sum_cap:
+                continue
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            e = np.array([math.cos(theta), math.sin(theta)])
+            points.append((tuple(x), tuple(x + h * e), tuple(x - h * e)))
+        else:
+            x = rng.uniform(domain[0] + h, domain[1] - h)
+            points.append(((x,), (x + h,), (x - h,)))
+    return h, points
+
+
 class TestProbeParity:
+    @pytest.mark.parametrize("domain, sum_cap, h", [
+        ((0.001, 0.0093), None, None),
+        (((0.002, 0.009), (0.0015, 0.0085)), 0.01, None),
+        (((0.0, 1.0), (0.0, 1.0)), 1.0, 0.01),
+        (((0.0, 1.0), (0.0, 1.0)), None, None)])
+    def test_probe_points_equal_per_draw_sampler(self, domain, sum_cap, h):
+        for seed in range(4):
+            want = _probe_points_per_draw(domain, 300, h, seed, sum_cap)
+            got = _probe_points(domain, 300, h, seed, sum_cap)
+            assert got == want
+            assert all(type(v) is float
+                       for triple in got[1] for x in triple for v in x)
+
+    def test_probe_step_wider_than_domain_is_rejected(self):
+        with pytest.raises(ValueError):
+            convexity_probe(lambda t: t * t, (0.0, 1.0), h=0.6)
+        with pytest.raises(ValueError):
+            convexity_probe(lambda x, y: x * y, ((0.0, 1.0), (0.0, 2.0)),
+                            h=0.6)
+
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_same_count_as_convexity_probe(self, strategy, pa_kind):
         desc = DESCRIPTIONS[strategy]

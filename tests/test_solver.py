@@ -215,6 +215,14 @@ class TestDispatch:
         with pytest.raises(InfeasibleError):
             solve(s)
 
+    def test_infeasible_names_its_cause(self, params):
+        s = replace(params, strategy=Strategy.FD1TS, alpha_db=20.0,
+                    r_fl_mbps=100.0, r_rl_mbps=100.0).build()
+        with pytest.raises(InfeasibleError) as err:
+            solve(s)
+        assert err.value.cause == "cancellation"
+        assert err.value.binding_node == "a"
+
     def test_fd1ts_beats_fd2ts_on_defaults(self, params):
         e1 = solve(replace(params, strategy=Strategy.FD1TS).build()).ee
         e2 = solve(replace(params, strategy=Strategy.FD2TS).build()).ee
