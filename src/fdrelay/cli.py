@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -171,8 +172,10 @@ def _run_verify(args: argparse.Namespace, out, err) -> int:
     pa_kinds = (PaKind(args.pa),) if args.pa else tuple(PaKind)
     strategies = ((Strategy(args.strategy),) if args.strategy
                   else tuple(Strategy))
+    gaps: dict[str, list[float]] = {}
     for strategy in strategies:
         for pa_kind in pa_kinds:
+            pair = f"{strategy.value}/{pa_kind.value}"
             scenarios = random_feasible_scenarios(
                 args.seed, strategy, pa_kind, args.scenarios)
             for i, scenario in enumerate(scenarios):
@@ -181,10 +184,16 @@ def _run_verify(args: argparse.Namespace, out, err) -> int:
                 status = "ok" if report.ok else "FAIL"
                 if not report.ok:
                     failures += 1
+                gaps.setdefault(pair, []).append(report.relative_gap)
                 out.write(
-                    f"{strategy.value}/{pa_kind.value} #{i}: {status} "
+                    f"{pair} #{i}: {status} "
                     f"gap={report.relative_gap:+.3e} "
                     f"convexity_violations={report.convexity_violations}\n")
+    # The worst gap is the solver's largest excess over the grid best.
+    for pair, pair_gaps in gaps.items():
+        out.write(f"{pair} summary: n={len(pair_gaps)} "
+                  f"worst_gap={max(pair_gaps):+.3e} "
+                  f"median_gap={statistics.median(pair_gaps):+.3e}\n")
     if failures:
         err.write(f"{failures} verification failure(s)\n")
         return EXIT_INFEASIBLE

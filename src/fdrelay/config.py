@@ -63,9 +63,14 @@ class ConfigError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioParams:
-    """Raw scenario parameters in radio-planning units."""
+    """Raw scenario parameters in radio-planning units.
+
+    Slotted: with 30 fields an instance is past CPython's limit for
+    key-sharing instance dicts, so each would carry its own ``__dict__`` of
+    about 1.6 KB, which dominates pools of thousands of parameter sets.
+    """
 
     bandwidth_mhz: float = 10.0
     frame_t_ms: float = 10.0

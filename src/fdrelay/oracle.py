@@ -7,15 +7,20 @@ the demands, and takes the cheapest survivor.  A correct solver must never
 be worse than the grid; the closed-form point must never be worse than any
 rate-feasible grid point at the same durations.
 
-Both the grid and the scenario convexity probe run in array passes.  The
-closed-form powers stay scalar, one duration at a time, because numpy's
-``2.0 ** x`` on an array differs from the scalar power by one ULP on some
-inputs and the reports must not move; only the PA draw, the capacities and
-the sums go to arrays, where array and scalar results agree bit for bit.  The grid evaluates the power
-boxes of many durations in one pass, at most ``_CHUNK_ELEMENTS`` grid points
-at a time so that the single-slot strategy's 3-D boxes add no resident
-memory; the probe prices all of its points with one
-``Description.energy_at`` call.
+Both the grid and the scenario convexity probe run in array passes.  Each
+slot's closed-form powers are priced over a whole duration array in one
+``Slot.powers`` call: the anchors of every grid duration, then every probe
+point.  The array powers equal the float calls bit for bit (the exponentials
+go through the float power one element at a time, because numpy's array
+``2.0 ** x`` is one ULP off on some inputs), so the reports equal those of
+a point-by-point run.  Where the single-slot form raises
+:class:`~fdrelay.model.InfeasibleError` for a float, its array holds NaN:
+the grid drops that duration, as it drops a duration whose anchor is
+infinite or over budget, and the probe calls the float form at the first
+such point, which raises the error.  The grid evaluates the power boxes of
+many durations in one pass, at most ``_CHUNK_ELEMENTS`` grid points at a
+time so that the single-slot strategy's 3-D boxes add no resident memory;
+the probe prices all of its points with one ``Description.energy_at`` call.
 """
 
 from __future__ import annotations
@@ -101,34 +106,29 @@ def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
     At every duration each transmitting node's power sweeps a box from the
     closed-form point up to its budget; only assignments whose capacities
     meet the demands survive.  Returns the best active power per duration
-    (inf where nothing survives) and the powers that reach it.
+    (inf where nothing survives) and the powers that reach it, one row per
+    duration (NaN where nothing survives).
 
-    The closed-form anchors are computed one duration at a time; the boxes,
-    capacities and active powers of many durations then go through one
+    One ``slot.powers`` call prices the anchors of every duration.  An
+    anchor that is not finite (NaN where the single-slot form raises) or
+    over its budget leaves its duration off the grid.  The boxes,
+    capacities and active powers of the remaining durations go through one
     array pass, ``_CHUNK_ELEMENTS`` grid points at a time.
     """
-    budgets = slot.budgets(s)
-    caps = np.array([cap for _, cap in budgets])
-    best = np.full(t_axis.size, math.inf)
-    best_powers: list[tuple[float, ...] | None] = [None] * t_axis.size
-    rows, anchors = [], []
-    for i, t in enumerate(t_axis):
-        try:
-            anchor = slot.powers(s, t)
-        except InfeasibleError:
-            continue
-        if all(math.isfinite(p) and p <= cap * (1.0 + 1e-9)
-               for p, (_, cap) in zip(anchor, budgets)):
-            rows.append(i)
-            anchors.append(anchor)
-    if not rows:
-        return best, best_powers
+    caps = np.array([cap for _, cap in slot.budgets(s)])
     n_w = caps.size
-    boxes = _power_boxes(np.minimum(anchors, caps), np.broadcast_to(
-        caps, (len(rows), n_w)), n_p)
+    best = np.full(t_axis.size, math.inf)
+    best_powers = np.full((t_axis.size, n_w), math.nan)
+    anchors = np.column_stack(slot.powers(s, t_axis))
+    rows = np.flatnonzero((np.isfinite(anchors)
+                           & (anchors <= caps * (1.0 + 1e-9))).all(axis=1))
+    if not rows.size:
+        return best, best_powers
+    boxes = _power_boxes(np.minimum(anchors[rows], caps), np.broadcast_to(
+        caps, (rows.size, n_w)), n_p)
     per_row = n_p ** n_w
     step = max(1, _CHUNK_ELEMENTS // per_row)
-    for lo in range(0, len(rows), step):
+    for lo in range(0, rows.size, step):
         box = boxes[lo:lo + step]
         n = box.shape[0]
         t = t_axis[rows[lo:lo + step]].reshape((n,) + (1,) * n_w)
@@ -142,12 +142,12 @@ def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
         active = np.where(feas, slot.active(s, *grid),
                           math.inf).reshape(n, per_row)
         k = np.argmin(active, axis=1)
-        j = np.unravel_index(k, (n_p,) * n_w)
-        for r in np.flatnonzero(np.isfinite(active[np.arange(n), k])):
-            i = rows[lo + r]
-            best[i] = active[r, k[r]]
-            best_powers[i] = tuple(float(box[r, w, j[w][r]])
-                                   for w in range(n_w))
+        won = active[np.arange(n), k]
+        hit = np.flatnonzero(np.isfinite(won))
+        i = rows[lo + hit]
+        best[i] = won[hit]
+        j = np.column_stack(np.unravel_index(k[hit], (n_p,) * n_w))
+        best_powers[i] = box[hit[:, None], np.arange(n_w), j]
     return best, best_powers
 
 
@@ -203,7 +203,7 @@ def _best_combination(s: Scenario, slots: tuple[Slot, ...],
         raise InfeasibleError("no feasible point on the oracle grid")
     point = {f"t{k + 1}": float(t_axis[i]) for k, i in enumerate(idx)}
     for slot, (_, powers), i in zip(slots, per_slot, idx):
-        point.update(zip(slot.fields, powers[i]))
+        point.update(zip(slot.fields, powers[i].tolist()))
     return float(energy[idx]), point
 
 
@@ -243,12 +243,19 @@ def _probe_points(domain, n_samples: int, h: float | None, seed: int,
                   sum_cap: float | None):
     """The probe's step ``h`` and its sample points in draw order.
 
-    Each sample is a triple (x, x + h e, x - h e) of argument tuples of
-    Python floats, with e = 1 on a scalar domain and a random unit
-    direction on a pair of intervals.  The uniform draws come from
-    ``default_rng(seed)`` in blocks, consumed in the order single
-    ``Generator.uniform`` calls would take them; ``lo + (hi - lo) * u`` is
-    the value ``Generator.uniform(lo, hi)`` gives for the same double ``u``.
+    The points come as an array of shape (n_samples, 3, dim): per sample
+    the rows x, x + h e and x - h e, with e = 1 on a scalar domain (dim 1)
+    and a random unit direction on a pair of intervals (dim 2).
+
+    The draws are those of single ``Generator.uniform`` calls on
+    ``default_rng(seed)``: a 2-D sample takes two doubles for x and, unless
+    ``sum_cap`` rejects x, a third for the direction's angle.  The doubles
+    come in blocks of ``3 * n_samples``; whether each stream position would
+    start an accepted sample is decided for the whole block at once, and
+    only the walk from one sample's start to the next runs per sample.
+    ``lo + (hi - lo) * u`` is the value ``Generator.uniform(lo, hi)`` gives
+    for the double ``u``; the angle's ``math.cos``/``math.sin`` run per
+    sample.
     """
     rng = np.random.default_rng(seed)
     two_d = hasattr(domain[0], "__len__")
@@ -261,29 +268,37 @@ def _probe_points(domain, n_samples: int, h: float | None, seed: int,
     if any(not lo <= hi for lo, hi in ranges):
         raise ValueError(f"probe step {h} leaves no room in {domain}")
 
-    def blocks():
-        while True:
-            yield from rng.random(3 * n_samples).tolist()
+    def uniform(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
+        return lo + (hi - lo) * u
 
-    doubles = blocks()
+    u = rng.random(3 * n_samples)
+    if not two_d:
+        x, e = uniform(*ranges[0], u[:n_samples])[:, None], 1.0
+        return h, np.stack([x, x + h * e, x - h * e], axis=1)
 
-    def uniform(lo: float, hi: float) -> float:
-        return lo + (hi - lo) * next(doubles)
+    def accepted(u: np.ndarray) -> list[bool]:
+        if sum_cap is None:
+            return [True] * (u.size - 1)
+        sums = uniform(*ranges[0], u[:-1]) + uniform(*ranges[1], u[1:])
+        return (~(sums + 2.0 * h > sum_cap)).tolist()
 
-    points = []
-    while len(points) < n_samples:
-        if two_d:
-            x = tuple(uniform(lo, hi) for lo, hi in ranges)
-            if sum_cap is not None and x[0] + x[1] + 2.0 * h > sum_cap:
-                continue
-            theta = uniform(0.0, 2.0 * math.pi)
-            e = (math.cos(theta), math.sin(theta))
-            points.append((x, tuple(a + h * b for a, b in zip(x, e)),
-                           tuple(a - h * b for a, b in zip(x, e))))
+    keep, starts, pos = accepted(u), [], 0
+    while len(starts) < n_samples:
+        if pos + 3 > u.size:
+            u = np.concatenate([u, rng.random(3 * n_samples)])
+            keep = accepted(u)
+        if keep[pos]:
+            starts.append(pos)
+            pos += 3
         else:
-            x = uniform(*ranges[0])
-            points.append(((x,), (x + h,), (x - h,)))
-    return h, points
+            pos += 2
+    first = np.array(starts, dtype=np.intp)
+    x = np.column_stack([uniform(*ranges[0], u[first]),
+                         uniform(*ranges[1], u[first + 1])])
+    theta = uniform(0.0, 2.0 * math.pi, u[first + 2]).tolist()
+    e = np.array([(math.cos(a), math.sin(a)) for a in theta],
+                 dtype=float).reshape(n_samples, 2)
+    return h, np.stack([x, x + h * e, x - h * e], axis=1)
 
 
 def _count_violations(f: np.ndarray, h: float, rel_tol: float) -> int:
@@ -307,7 +322,7 @@ def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
     (f(x+h) - 2 f(x) + f(x-h)) / h**2 falls below ``-rel_tol * |f(x)|``.
     """
     h, points = _probe_points(domain, n_samples, h, seed, sum_cap)
-    values = [[f(*x) for x in triple] for triple in points]
+    values = [[f(*x) for x in triple] for triple in points.tolist()]
     return _count_violations(np.array(values, dtype=float), h, rel_tol)
 
 
@@ -350,15 +365,22 @@ def _probe_closed_form(s: Scenario, domain, n_samples: int) -> int:
     """``convexity_probe`` of the closed-form frame energy over ``domain``,
     priced in one pass: the same points and the same count.
 
-    The closed-form powers are computed point by point and stacked, then
-    ``Description.energy_at`` prices every point at once.
+    One ``slot.powers`` call per slot prices every probe point, and
+    ``Description.energy_at`` sums them.  Where the single-slot form raises
+    :class:`InfeasibleError` at a point, its array holds NaN; the float
+    form is then called at the first such point and raises the error.
     """
     desc = DESCRIPTIONS[s.strategy]
     h, points = _probe_points(domain, n_samples, None, 0, s.frame_t)
-    durations = [x for triple in points for x in triple]
-    powers = [np.array([slot.powers(s, x[k]) for x in durations]).T
-              for k, slot in enumerate(desc.slots)]
-    energy = desc.energy_at(s, np.array(durations).T, powers)
+    durations = points.reshape(-1, points.shape[-1]).T
+    powers = []
+    for slot, t in zip(desc.slots, durations):
+        p = slot.powers(s, t)
+        raised = np.isnan(p).any(axis=0)
+        if raised.any():
+            slot.powers(s, float(t[raised.argmax()]))
+        powers.append(p)
+    energy = desc.energy_at(s, durations, powers)
     return _count_violations(energy.reshape(-1, 3), h, 1e-6)
 
 

@@ -9,9 +9,11 @@ nodes transmitting in it, their ``(node, p_max)`` budgets, its active power
 accounting) and its rate constraints, read off the ``caps_*`` capacity maps.
 The frame energy at given or closed-form powers (``energy_*_at``,
 ``energy_*``), the solver's slot costs, the feasibility window and the
-oracle's grid all derive from it.  The single-slot strategy is one slot
-like any other: its closed form picks the larger of two relay-power cases,
-and the description reports which case binds.
+oracle's grid all derive from it.  One definition of each closed form
+serves a float duration, in pure ``math`` for the solver, and an array of
+durations, bit for bit the same numbers, for the oracle.  The single-slot
+strategy is one slot like any other: its closed form picks the larger of
+two relay-power cases, and the description reports which case binds.
 """
 
 from __future__ import annotations
@@ -67,12 +69,35 @@ def _pow2(x: float) -> float:
     return 2.0 ** x
 
 
-def _load(s: Scenario, rate: float, t: float) -> float:
-    """Spectral load in bit/s/Hz of ``rate`` sent within duration ``t``.
+def _load(s: Scenario, rate: float, t):
+    """Spectral load in bit/s/Hz of ``rate`` sent within duration ``t``,
+    a float or an ndarray of durations.
 
     Zero traffic is zero load, also in a closed (zero-length) slot.
     """
-    return rate * s.frame_t / (s.bandwidth_w * t) if rate else 0.0
+    return rate * s.frame_t / (s.bandwidth_w * t) if rate else 0.0 * t
+
+
+def _array_exps(s: Scenario, t: np.ndarray, *rates: float):
+    """Where a spectral load overflows over the durations ``t``, and the
+    exponential 2**load of each rate there, with NaN where any overflows.
+
+    Each element goes through the float :func:`_pow2`: numpy's array power
+    differs from it by one ULP on some exponents.  NaN runs through the
+    closed-form arithmetic without a warning, where inf would meet
+    inf - inf or 0 * inf.
+    """
+    exps = [np.fromiter(map(_pow2, _load(s, rate, t).tolist()), float,
+                        t.size) for rate in rates]
+    over = ~np.isfinite(exps[0])
+    for e in exps[1:]:
+        over |= ~np.isfinite(e)
+    return over, [np.where(over, math.nan, e) for e in exps]
+
+
+def _inf_where(over: np.ndarray, powers: tuple) -> tuple:
+    """Power arrays with +inf wherever a spectral load overflowed."""
+    return tuple(np.where(over, math.inf, p) for p in powers)
 
 
 @dataclass(frozen=True)
@@ -81,7 +106,13 @@ class Slot:
 
     ``fields`` names the :class:`~fdrelay.model.Schedule` field of each
     transmit power and ``nodes`` the node that emits it, both in the order
-    ``powers(s, t)`` returns them.  ``active(s, *powers)`` and
+    ``powers(s, t)`` returns them.  ``powers`` takes a float duration and
+    returns Python floats computed with ``math`` alone (the solver's path),
+    or a 1-D ndarray of durations and returns one array per power, equal
+    to the float calls element for element and bit for bit (the oracle's
+    path).  A spectral load past ``_LOAD_LIMIT`` gives +inf powers; where
+    the single-slot form raises :class:`~fdrelay.model.InfeasibleError` for
+    a float, the array holds NaN.  ``active(s, *powers)`` and
     ``rates(s, t, *powers)`` accept ndarray powers; ``rates`` yields one
     ``(name, capacity, demand)`` triple per rate constraint.  ``demand(s)``
     is the traffic the slot carries; a slot with none stays closed.
@@ -90,7 +121,7 @@ class Slot:
     fields: tuple[str, ...]
     nodes: tuple[str, ...]
     demand: Callable[[Scenario], float]
-    powers: Callable[[Scenario, float], tuple[float, ...]]
+    powers: Callable[..., tuple]
     active: Callable[..., float]
     rates: Callable[..., tuple]
 
@@ -208,15 +239,20 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
     # (src->relay gain, relay->dst gain, dst noise) of s.channels
     links = attrgetter(f"g_{src}r", f"g_r{dst}", f"sigma2_{dst}")
 
-    def powers(s: Scenario, t: float) -> tuple[float, float]:
-        x = _pow2(_load(s, demand(s), t)) - 1.0
-        if not math.isfinite(x):
-            return math.inf, math.inf
+    def powers(s: Scenario, t):
+        if isinstance(t, float):
+            over, e = None, _pow2(_load(s, demand(s), t))
+            if not math.isfinite(e):
+                return math.inf, math.inf
+        else:
+            over, (e,) = _array_exps(s, t, demand(s))
+        x = e - 1.0
         ch = s.channels
         g_up, g_down, sigma2 = links(ch)
-        return (ch.sigma2_r / g_up * x
-                + sigma2 * ch.gs_r / (g_up * g_down) * x * x,
-                sigma2 / g_down * x)
+        p = (ch.sigma2_r / g_up * x
+             + sigma2 * ch.gs_r / (g_up * g_down) * x * x,
+             sigma2 / g_down * x)
+        return p if over is None else _inf_where(over, p)
 
     def active(s: Scenario, p_src, p_r):
         c = s.circuit
@@ -297,7 +333,7 @@ def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r):
     return c_ar, c_br, c_ra, c_rb
 
 
-def _powers_1ts_cases(s: Scenario, t1: float):
+def _powers_1ts_cases(s: Scenario, t1):
     """Candidate power triples for both relay-power cases.
 
     Closing both uplink equalities expresses p_a and p_b as multiples of
@@ -305,14 +341,21 @@ def _powers_1ts_cases(s: Scenario, t1: float):
     two broadcast equalities then pins p_r through a scalar linear solve.
     In asymptotic mode the shared factor (2^lfl + 2^lrl - 1)/(2^lfl + 2^lrl)
     is dropped and 2^l - 1 becomes 2^l, matching the high-load forms.
+
+    A 1-D array of durations gives arrays in every field, NaN wherever
+    the float form raises :class:`InfeasibleError`.
     """
     ch = s.channels
-    loads = spectral_loads_1ts(s, t1)
-    e_fl = _pow2(loads.lambda_fl)
-    e_rl = _pow2(loads.lambda_rl)
-    if not (math.isfinite(e_fl) and math.isfinite(e_rl)):
-        raise InfeasibleError(
-            "spectral load overflows any finite power", cause="power_budget")
+    arrays = not isinstance(t1, float)
+    if arrays:
+        _, (e_fl, e_rl) = _array_exps(s, t1, s.r_fl, s.r_rl)
+    else:
+        loads = spectral_loads_1ts(s, t1)
+        e_fl = _pow2(loads.lambda_fl)
+        e_rl = _pow2(loads.lambda_rl)
+        if not (math.isfinite(e_fl) and math.isfinite(e_rl)):
+            raise InfeasibleError("spectral load overflows any finite power",
+                                  cause="power_budget")
     total = e_fl + e_rl
     if s.asymptotic_1ts:
         factor = 1.0
@@ -327,6 +370,8 @@ def _powers_1ts_cases(s: Scenario, t1: float):
                     g_down: float, sigma2_self: float, side: str) -> float:
         num = down * (factor * up * gs_self * ch.sigma2_r + g_up * sigma2_self)
         den = g_down * g_up - down * factor * up * gs_self * ch.gs_r
+        if arrays:  # NaN where the float form raises
+            return num / np.where(den > 0, den, math.nan)
         if den <= 0:
             raise InfeasibleError(
                 f"self-cancellation too weak to close the {side} broadcast "
@@ -376,9 +421,19 @@ def _active_1ts(s: Scenario, p_a, p_b, p_r):
             + pa_consumption(s.pa.r, p_r) + statics + dynamic)
 
 
-def _powers_1ts_triple(s: Scenario, t: float) -> tuple[float, float, float]:
-    pw = powers_1ts(s, t)
-    return pw.p_a, pw.p_b, pw.p_r
+def _powers_1ts_triple(s: Scenario, t):
+    """(p_a, p_b, p_r) of :func:`powers_1ts`; a 1-D array of durations
+    gives arrays, NaN wherever either relay case raises."""
+    if isinstance(t, float):
+        pw = powers_1ts(s, t)
+        return pw.p_a, pw.p_b, pw.p_r
+    case1, case2 = _powers_1ts_cases(s, t)
+    raised = np.isnan(case1.p_r) | np.isnan(case2.p_r)
+    first = case1.p_r >= case2.p_r
+    return tuple(np.where(raised, math.nan, np.where(first, p1, p2))
+                 for p1, p2 in ((case1.p_a, case2.p_a),
+                                (case1.p_b, case2.p_b),
+                                (case1.p_r, case2.p_r)))
 
 
 def _rates_1ts(s: Scenario, t: float, p_a, p_b, p_r):
@@ -422,26 +477,38 @@ def caps_hd(s: Scenario, t1: float, t2: float, p_a, p_b, p_r):
     return c_ar, c_br, c_ra, c_rb
 
 
-def _powers_hd_access(s: Scenario, t: float) -> tuple[float, float]:
+def _powers_hd_access(s: Scenario, t):
     """(p_a, p_b) closing both multiple-access equalities of slot 1."""
     ch = s.channels
-    l1 = _pow2(_load(s, s.r_fl, t))
-    l2 = _pow2(_load(s, s.r_rl, t))
-    if not (math.isfinite(l1) and math.isfinite(l2)):
-        return math.inf, math.inf
-    return ((l1 - l1 / (l1 + l2)) * ch.sigma2_r / ch.g_ar,
-            (l2 - l2 / (l1 + l2)) * ch.sigma2_r / ch.g_br)
+    if isinstance(t, float):
+        over = None
+        l1 = _pow2(_load(s, s.r_fl, t))
+        l2 = _pow2(_load(s, s.r_rl, t))
+        if not (math.isfinite(l1) and math.isfinite(l2)):
+            return math.inf, math.inf
+    else:
+        over, (l1, l2) = _array_exps(s, t, s.r_fl, s.r_rl)
+    p = ((l1 - l1 / (l1 + l2)) * ch.sigma2_r / ch.g_ar,
+         (l2 - l2 / (l1 + l2)) * ch.sigma2_r / ch.g_br)
+    return p if over is None else _inf_where(over, p)
 
 
-def _powers_hd_broadcast(s: Scenario, t: float) -> tuple[float]:
+def _powers_hd_broadcast(s: Scenario, t):
     """(p_r,) of slot 2: the weaker broadcast link sets the relay power."""
     ch = s.channels
-    l3 = _pow2(_load(s, s.r_fl, t))
-    l4 = _pow2(_load(s, s.r_rl, t))
-    if not (math.isfinite(l3) and math.isfinite(l4)):
-        return (math.inf,)
-    return (max((l3 - 1.0) * ch.sigma2_b / ch.g_rb,
-                (l4 - 1.0) * ch.sigma2_a / ch.g_ra),)
+    if isinstance(t, float):
+        over = None
+        l3 = _pow2(_load(s, s.r_fl, t))
+        l4 = _pow2(_load(s, s.r_rl, t))
+        if not (math.isfinite(l3) and math.isfinite(l4)):
+            return (math.inf,)
+    else:
+        over, (l3, l4) = _array_exps(s, t, s.r_fl, s.r_rl)
+    fwd = (l3 - 1.0) * ch.sigma2_b / ch.g_rb
+    rev = (l4 - 1.0) * ch.sigma2_a / ch.g_ra
+    if over is None:
+        return (max(fwd, rev),)
+    return _inf_where(over, (np.maximum(fwd, rev),))
 
 
 # Printed accounting charges dynamic circuit power eps*(r_fl + r_rl) in

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -151,3 +151,17 @@ class TestDerivedHelpers:
         s = parse_config("r_fl_mbps=20\nr_rl_mbps=10\nstrategy=hd2ts\n")
         assert s.r_fl == pytest.approx(20e6)
         assert s.strategy is Strategy.HD2TS
+
+    def test_params_are_slotted_and_frozen(self):
+        """No per-instance ``__dict__``; replace, the derived helpers and
+        the parser still build parameter sets."""
+        p = ScenarioParams()
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            p.alpha_db = 70.0
+        assert replace(p, alpha_db=70.0).alpha_db == 70.0
+        q = ScenarioParams(r_fl_mbps=40.0, r_rl_mbps=10.0).with_total_rate(10.0)
+        assert (q.r_fl_mbps, q.r_rl_mbps) == pytest.approx((8.0, 2.0))
+        parsed = parse_params("alpha_db = 70\nstrategy = fd2ts\n")
+        assert parsed == replace(p, alpha_db=70.0, strategy=Strategy.FD2TS)
+        assert not hasattr(parsed, "__dict__")

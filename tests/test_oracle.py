@@ -117,7 +117,8 @@ class TestGridSearch:
                                      repeat=len(desc.slots)):
             durations = [t_axis[i] for i in idx]
             powers = [per_slot[k][1][i] for k, i in enumerate(idx)]
-            if sum(durations) > s.frame_t or None in powers:
+            if sum(durations) > s.frame_t or any(np.isnan(p).any()
+                                                 for p in powers):
                 continue
             best = min(best, desc.energy_at(s, durations, powers))
         energy, point = _best_combination(s, desc.slots, t_axis, per_slot)

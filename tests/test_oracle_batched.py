@@ -83,11 +83,16 @@ def _anchor_kinds(s, slot, t_axis):
 
 
 def _assert_same(s, slot, t_axis, n_p):
+    """The batched search equals the per-duration one; its powers hold one
+    row per duration, NaN where the reference has None."""
     best, powers = _slot_best(s, slot, t_axis, n_p)
     ref_best, ref_powers = _slot_best_per_duration(s, slot, t_axis, n_p)
     assert best.tobytes() == ref_best.tobytes()
-    assert repr(powers) == repr(ref_powers)
-    assert any(p is not None for p in powers)
+    assert powers.shape == (t_axis.size, len(slot.fields))
+    rows = [None if np.isnan(row).all() else tuple(row.tolist())
+            for row in powers]
+    assert repr(rows) == repr(ref_powers)
+    assert any(p is not None for p in rows)
 
 
 def _full_axis(s, n_t):
@@ -140,10 +145,14 @@ class TestSlotBestParity:
             cap = slot.budgets(s)[0][1]
 
             def powers(s_, t, _slot=slot, _cap=cap):
+                # A float for the per-duration reference, an array for
+                # the batched search: pin the first power at ``pinned``.
                 anchor = _slot.powers(s_, t)
-                if t == pinned:
-                    return (_cap * (1.0 + 5e-10),) + anchor[1:]
-                return anchor
+                first = np.where(t == pinned, _cap * (1.0 + 5e-10),
+                                 anchor[0])
+                if np.ndim(t) == 0:
+                    first = float(first)
+                return (first,) + anchor[1:]
 
             _assert_same(s, replace(slot, powers=powers), t_axis, 8)
 
@@ -204,9 +213,10 @@ class TestProbeParity:
         for seed in range(4):
             want = _probe_points_per_draw(domain, 300, h, seed, sum_cap)
             got = _probe_points(domain, 300, h, seed, sum_cap)
-            assert got == want
-            assert all(type(v) is float
-                       for triple in got[1] for x in triple for v in x)
+            ref = np.array(want[1])
+            assert got[0] == want[0]
+            assert got[1].dtype == ref.dtype and got[1].shape == ref.shape
+            assert got[1].tobytes() == ref.tobytes()
 
     def test_probe_step_wider_than_domain_is_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +238,26 @@ class TestProbeParity:
         if pa_kind is PaKind.TPA:
             # The low-load TPA objective is not convex: the probe sees it.
             assert counts[-1] > 0
+
+    @pytest.mark.parametrize("pa_kind", list(PaKind))
+    def test_raising_point_raises_its_error(self, pa_kind):
+        """Where the float single-slot form raises at a probe point, the
+        batched probe raises that error too, never reading the NaN.  The
+        reference prices the points one at a time in draw order, as the
+        probe did before its powers went to arrays."""
+        s = ScenarioParams(strategy=Strategy.FD1TS, pa=pa_kind,
+                           alpha_db=30.0).with_total_rate(65.0).build()
+        slot, = DESCRIPTIONS[Strategy.FD1TS].slots
+        domain = (t_floor(s), s.frame_t)
+        _, points = _probe_points(domain, 50, None, 0, s.frame_t)
+        with pytest.raises(InfeasibleError) as want:
+            for t in points.ravel().tolist():
+                slot.powers(s, t)
+        with pytest.raises(InfeasibleError) as got:
+            _probe_closed_form(s, domain, 50)
+        assert str(got.value) == str(want.value)
+        assert (got.value.cause, got.value.binding_node) == (
+            want.value.cause, want.value.binding_node)
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_energy_at_on_arrays_equals_scalar_calls(self, strategy,

@@ -1,11 +1,13 @@
 import io
 import math
+import statistics
 from dataclasses import replace
 
 import pytest
 
 from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
-from fdrelay.model import Strategy
+from fdrelay.model import PaKind, Strategy
+from fdrelay.oracle import random_feasible_scenarios, verify
 from fdrelay.solver import solve
 from fdrelay.sweep import Axis, AxisKind, SweepSpec, emit_csv, run_sweep
 
@@ -219,6 +221,25 @@ class TestCli:
                                 "--seed", "11")
         assert code == EXIT_OK
         assert "all verifications passed" in out
+
+    def test_verify_prints_gap_summary_per_pair(self):
+        code, out, _ = self.run("verify", "--scenarios", "4",
+                                "--strategy", "fd2ts", "--seed", "11")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        summaries = [line for line in lines if " summary: " in line]
+        assert [line.split()[0] for line in summaries] == [
+            f"fd2ts/{pa.value}" for pa in PaKind]
+        # The summaries follow every per-scenario line.
+        assert lines.index(summaries[0]) == 2 * 4
+        assert lines[-1] == "all verifications passed"
+        for pa, line in zip(PaKind, summaries):
+            gaps = [verify(s, solve(s)).relative_gap
+                    for s in random_feasible_scenarios(11, Strategy.FD2TS,
+                                                       pa, 4)]
+            assert line == (f"fd2ts/{pa.value} summary: n=4 "
+                            f"worst_gap={max(gaps):+.3e} "
+                            f"median_gap={statistics.median(gaps):+.3e}")
 
     def test_unknown_argument_is_config_error(self):
         code, _, _ = self.run("solve", "--frobnicate")
