@@ -80,7 +80,10 @@ def _load_params(args: argparse.Namespace) -> tuple[ScenarioParams, Scenario]:
     if args.config == "defaults":
         params = ScenarioParams()
     else:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read {args.config}: {err}") from err
         params = parse_params(text)
     if args.strategy:
         params = replace(params, strategy=Strategy(args.strategy))
@@ -176,8 +179,11 @@ def _run_verify(args: argparse.Namespace, out, err) -> int:
     for strategy in strategies:
         for pa_kind in pa_kinds:
             pair = f"{strategy.value}/{pa_kind.value}"
-            scenarios = random_feasible_scenarios(
-                args.seed, strategy, pa_kind, args.scenarios)
+            try:
+                scenarios = random_feasible_scenarios(
+                    args.seed, strategy, pa_kind, args.scenarios)
+            except ValueError as exc:
+                raise ConfigError(f"--scenarios: {exc}") from exc
             for i, scenario in enumerate(scenarios):
                 schedule = solve(scenario)
                 report = verify(scenario, schedule)
@@ -217,9 +223,6 @@ def cli_main(argv: list[str] | None = None, out=None, err=None) -> int:
             return _run_sweep(args, out, err)
         return _run_verify(args, out, err)
     except ConfigError as exc:
-        err.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         err.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except InfeasibleError as exc:

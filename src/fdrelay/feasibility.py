@@ -1,22 +1,26 @@
 """Minimum admissible slot durations under per-node power budgets.
 
-Every closed-form power is strictly decreasing in its own slot duration, so
-"does duration t respect all the caps" is a monotone predicate and each
-minimum duration is found by bisection.  Infeasibility is reported, never
+Every closed-form power relaxes as its own slot grows, in the single-slot
+strategy and the two-slot ones alike, so "does duration t keep every node
+of the slot within its budget" is one monotone predicate per slot, and each
+slot's minimum duration is one bisection on it.  A duration at which the
+powers raise :class:`~fdrelay.model.InfeasibleError` (too weak a
+self-cancellation) fails the predicate.  Infeasibility is reported, never
 clamped.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 from .model import InfeasibleError, Scenario, Strategy
-from .strategies import DESCRIPTIONS, Slot, powers_1ts
+from .strategies import DESCRIPTIONS, Slot
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # these names on this module, so they stay importable from it.
-from .strategies import powers_2ts, powers_hd  # noqa: F401
+from .strategies import powers_1ts, powers_2ts, powers_hd  # noqa: F401
 
 __all__ = ["FeasibleWindow", "tmin_slots", "tmin_2ts", "tmin_1ts", "tmin_hd",
            "tmin_for", "t_floor"]
@@ -62,13 +66,11 @@ def t_floor(s: Scenario) -> float:
 
 
 def _bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float,
-                     tol: float, max_iters: int = _BISECT_MAX_ITERS) -> float:
-    """Smallest t in [lo, hi] with pred(t) true, given pred monotone in t.
-
-    Assumes pred(hi) is true and pred(lo) is false; returns a point on the
-    feasible side of the boundary.
-    """
-    for _ in range(max_iters):
+                     tol: float) -> tuple[float, float]:
+    """Final bracket (lo, hi) of the smallest t with pred(t) true, given
+    pred monotone in t, pred(lo) false and pred(hi) true; the bracket keeps
+    that invariant and is at most ``tol`` wide."""
+    for _ in range(_BISECT_MAX_ITERS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -76,125 +78,90 @@ def _bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float,
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
 def _slot_tmin(s: Scenario, slot: Slot, floor: float,
-               tol: float | None = None) -> tuple[float, str | None]:
-    """Minimum duration so every power of the slot stays within its budget.
+               furthest: bool) -> tuple[float, str | None]:
+    """Minimum duration at which every power of the slot is within its
+    budget, and the node that binds there.
 
-    Each power map is strictly decreasing in t, so the per-node minimum is a
-    bisection and the slot minimum is the largest of them.
+    The binder is the first node, in slot order, still over budget just
+    below the minimum.  When even the full frame is over budget this raises
+    :class:`InfeasibleError` naming the first over-budget node in slot
+    order, or with ``furthest`` the node furthest over its budget.
     """
-    t_min = floor
-    binder: str | None = None
-    tol = tol if tol is not None else _BISECT_TOL_FRACTION * s.frame_t
-    for k, (node, cap) in enumerate(slot.budgets(s)):
-        def ok(t: float, _k=k, _c=cap) -> bool:
-            return slot.powers(s, t)[_k] <= _c
-        if ok(floor):
-            continue
-        if not ok(s.frame_t):
-            raise InfeasibleError(
-                f"node {node} exceeds its power budget even at the full "
-                f"frame", binding_node=node)
-        t_node = _bisect_monotone(ok, floor, s.frame_t, tol)
-        if t_node > t_min:
-            t_min, binder = t_node, node
-    return t_min, binder
+    caps = [cap for _, cap in slot.budgets(s)]
+
+    def over(t: float) -> list[tuple[str, float]]:
+        """(node, p / cap) of each node over budget at t, in slot order."""
+        return [(node, p / cap) for node, p, cap
+                in zip(slot.nodes, slot.powers(s, t), caps) if not p <= cap]
+
+    def within(t: float) -> bool:
+        try:
+            return all(map(operator.le, slot.powers(s, t), caps))
+        except InfeasibleError:
+            return False
+
+    if within(floor):
+        return floor, None
+    if not within(s.frame_t):
+        nodes = over(s.frame_t)
+        node = (max(nodes, key=operator.itemgetter(1)) if furthest
+                else nodes[0])[0]
+        raise InfeasibleError(f"node {node} exceeds its power budget even at "
+                              f"the full frame", binding_node=node)
+    lo, hi = _bisect_monotone(within, floor, s.frame_t,
+                              _BISECT_TOL_FRACTION * s.frame_t)
+    try:
+        return hi, over(lo)[0][0]
+    except InfeasibleError as err:
+        return hi, err.binding_node
 
 
-def tmin_slots(s: Scenario, slots: tuple[Slot, ...],
-               tol: float | None = None) -> FeasibleWindow:
+def tmin_slots(s: Scenario, slots: tuple[Slot, ...]) -> FeasibleWindow:
     """Per-slot minimum durations of independent slots, or why none exist.
 
-    A slot with no traffic stays closed at zero length.  ``tol`` overrides
-    the default bisection width of 1e-9 of the frame.
+    Each slot with traffic is one bisection on its joint budget predicate;
+    a slot with no traffic stays closed at zero length.  The only rule that
+    depends on the strategy is the full-frame diagnosis: a single slot names
+    the node furthest over its budget, several slots the first over-budget
+    node in slot order.
     """
     floor = t_floor(s)
-    t_min: list[float] = []
-    binders: list[str | None] = []
     try:
-        for slot in slots:
-            t, node = (_slot_tmin(s, slot, floor, tol) if slot.demand(s)
-                       else (0.0, None))
-            t_min.append(t)
-            binders.append(node)
+        found = [_slot_tmin(s, slot, floor, furthest=len(slots) == 1)
+                 if slot.demand(s) else (0.0, None) for slot in slots]
     except InfeasibleError as err:
         return FeasibleWindow(t_min=(math.nan,) * len(slots), feasible=False,
                               binding_node=(err.binding_node,) * len(slots),
                               detail=str(err), cause=err.cause)
+    t_min, binders = map(tuple, zip(*found))
     if sum(t_min) > s.frame_t:
         return FeasibleWindow(
-            t_min=tuple(t_min), feasible=False, binding_node=tuple(binders),
+            t_min=t_min, feasible=False, binding_node=binders,
             detail="minimum slot durations exceed the frame budget",
             cause="power_budget")
-    return FeasibleWindow(t_min=tuple(t_min), feasible=True,
-                          binding_node=tuple(binders))
+    return FeasibleWindow(t_min=t_min, feasible=True, binding_node=binders)
 
 
-def tmin_2ts(s: Scenario, tol: float | None = None) -> FeasibleWindow:
+def tmin_2ts(s: Scenario) -> FeasibleWindow:
     """Per-slot minimum durations for FD2TS, or an infeasible window."""
-    return tmin_slots(s, DESCRIPTIONS[Strategy.FD2TS].slots, tol)
+    return tmin_slots(s, DESCRIPTIONS[Strategy.FD2TS].slots)
 
 
-def tmin_1ts(s: Scenario, tol: float | None = None) -> FeasibleWindow:
-    """Minimum duration for FD1TS via bisection on the joint predicate.
-
-    The predicate bundles the cancellation condition (positive case
-    denominators) with the three power caps; all of them relax as the slot
-    grows, so it stays monotone.  ``tol`` overrides the default bisection
-    width of 1e-9 of the frame.
-    """
-    floor = t_floor(s)
-
-    def ok(t: float) -> bool:
-        try:
-            pw = powers_1ts(s, t)
-        except InfeasibleError:
-            return False
-        return (pw.p_a <= s.pa.a.p_max and pw.p_b <= s.pa.b.p_max
-                and pw.p_r <= s.pa.r.p_max)
-
-    if ok(floor):
-        return FeasibleWindow(t_min=(floor,), feasible=True,
-                              binding_node=(None,))
-    if not ok(s.frame_t):
-        try:
-            pw = powers_1ts(s, s.frame_t)
-        except InfeasibleError as err:
-            return FeasibleWindow(t_min=(math.nan,), feasible=False,
-                                  binding_node=(err.binding_node,),
-                                  detail=str(err), cause=err.cause)
-        over = [(node, p, cap) for node, p, cap in
-                (("a", pw.p_a, s.pa.a.p_max), ("b", pw.p_b, s.pa.b.p_max),
-                 ("r", pw.p_r, s.pa.r.p_max)) if p > cap]
-        node = max(over, key=lambda item: item[1] / item[2])[0]
-        return FeasibleWindow(
-            t_min=(math.nan,), feasible=False, binding_node=(node,),
-            detail=f"node {node} exceeds its power budget even at the full frame",
-            cause="power_budget")
-    tol = tol if tol is not None else _BISECT_TOL_FRACTION * s.frame_t
-    t_min = _bisect_monotone(ok, floor, s.frame_t, tol)
-    pw = powers_1ts(s, t_min * (1.0 - 1e-7)) if t_min > floor else None
-    binder = None
-    if pw is not None:
-        ratios = {"a": pw.p_a / s.pa.a.p_max, "b": pw.p_b / s.pa.b.p_max,
-                  "r": pw.p_r / s.pa.r.p_max}
-        binder = max(ratios, key=ratios.get)
-    return FeasibleWindow(t_min=(t_min,), feasible=True, binding_node=(binder,))
+def tmin_1ts(s: Scenario) -> FeasibleWindow:
+    """Minimum duration for FD1TS, or an infeasible window."""
+    return tmin_slots(s, DESCRIPTIONS[Strategy.FD1TS].slots)
 
 
-def tmin_hd(s: Scenario, tol: float | None = None) -> FeasibleWindow:
+def tmin_hd(s: Scenario) -> FeasibleWindow:
     """Per-slot minimum durations for the HD baseline."""
-    return tmin_slots(s, DESCRIPTIONS[Strategy.HD2TS].slots, tol)
+    return tmin_slots(s, DESCRIPTIONS[Strategy.HD2TS].slots)
 
 
 def tmin_for(s: Scenario) -> FeasibleWindow:
-    """The feasibility window of the scenario's strategy.
-
-    The single-slot strategy bisects the joint predicate of its coupled
-    powers; every other strategy's slots are independent.
-    """
-    slots = DESCRIPTIONS[s.strategy].slots
-    return tmin_1ts(s) if len(slots) == 1 else tmin_slots(s, slots)
+    """The feasibility window of the scenario's strategy: one bisection per
+    slot, derived from its description alone (:func:`tmin_slots`)."""
+    return tmin_slots(s, DESCRIPTIONS[s.strategy].slots)

@@ -406,7 +406,10 @@ def random_params(rng: np.random.Generator, strategy: Strategy,
 
 def random_feasible_scenarios(seed: int, strategy: Strategy, pa_kind: PaKind,
                               n: int, max_attempts: int = 4000) -> list[Scenario]:
-    """Seeded stream of feasible scenarios for a strategy/PA combination."""
+    """Seeded stream of ``n >= 1`` feasible scenarios for a strategy/PA
+    combination."""
+    if n < 1:
+        raise ValueError(f"need at least one scenario, got {n}")
     rng = np.random.default_rng(seed)
     out: list[Scenario] = []
     for _ in range(max_attempts):

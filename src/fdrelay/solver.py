@@ -5,9 +5,9 @@ durations once the powers are eliminated, and the frame energy is one cost
 per slot plus the idle draw, so a derivative-free golden-section search per
 slot duration is exact for this problem family.  Every strategy is solved
 the same way from its description: one search per slot, plus a
-frame-budget boundary re-solve when two slots overrun the frame.  Only the
-single-slot strategy's feasibility window stays its own (see
-:func:`~fdrelay.feasibility.tmin_for`).
+frame-budget boundary re-solve when two slots overrun the frame.  The
+feasibility window comes from the same description, one bisection per slot
+(see :func:`~fdrelay.feasibility.tmin_for`).
 
 The slot searches step in lockstep and stop as soon as the lower ends of
 their brackets prove that the optima overrun the frame, since the boundary
@@ -131,9 +131,8 @@ def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
 
     Every strategy is solved alike from its description: the frame energy is
     the sum of the per-slot costs plus the idle draw of the whole frame, so
-    each slot duration is searched on its own, on that slot's cost.  Only
-    the feasibility window of the single-slot strategy is its own
-    (:func:`tmin_for`).
+    each slot duration is searched on its own, on that slot's cost, above
+    the slot's minimum duration (:func:`tmin_for`).
     """
     cfg = cfg or SolverConfig()
     desc = DESCRIPTIONS[s.strategy]

@@ -221,6 +221,14 @@ class TestRandomGeneration:
         b = random_feasible_scenarios(5, Strategy.FD2TS, PaKind.TPA, 4)
         assert [s.r_fl for s in a] == [s.r_fl for s in b]
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_scenario(self, n, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a scenario")
+        monkeypatch.setattr("fdrelay.oracle.random_params", no_draw)
+        with pytest.raises(ValueError, match="at least one scenario"):
+            random_feasible_scenarios(5, Strategy.FD2TS, PaKind.TPA, n)
+
     def test_params_within_documented_ranges(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -185,6 +185,30 @@ class TestCli:
         code, _, err = self.run("solve", "--config", "/nonexistent.cfg")
         assert code == EXIT_CONFIG
 
+    def test_config_directory_is_config_error(self, tmp_path):
+        code, out, err = self.run("solve", "--config", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: cannot read")
+        assert out == ""
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"alpha_db = 60 # \xb0\n")
+        code, out, err = self.run("solve", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: cannot read")
+        assert out == ""
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_verify_needs_a_scenario(self, count, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a scenario")
+        monkeypatch.setattr("fdrelay.oracle.random_params", no_draw)
+        code, out, err = self.run("verify", "--scenarios", count)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: --scenarios:")
+        assert out == ""
+
     def test_sweep_emits_csv(self):
         code, out, _ = self.run("sweep", "--axis", "cancellation",
                                 "--from", "20", "--to", "30", "--step", "5",
