@@ -9,7 +9,7 @@ design with only the relay full duplex, and a two-slot half-duplex
 baseline.
 """
 
-from .config import ConfigError, ScenarioParams, default_params, parse_config, parse_params
+from .config import ConfigError, ScenarioParams, parse_config, parse_params
 from .feasibility import FeasibleWindow, tmin_1ts, tmin_2ts, tmin_hd
 from .model import (
     ChannelSet,
@@ -29,8 +29,6 @@ from .model import (
     pa_consumption,
     pathloss_gain,
     residual_self_gain,
-    rx_circuit_power,
-    tx_circuit_power,
 )
 from .oracle import (
     OracleReport,
@@ -40,11 +38,10 @@ from .oracle import (
     verify,
     verify_necessary_conditions,
 )
-from .solver import SolverConfig, minimize_unimodal_1d, solve, solve_1ts, solve_2ts, solve_hd
+from .solver import minimize_unimodal_1d, solve
 from .strategies import (
     PowerAssignment1TS,
     PowerAssignment2TS,
-    SpectralLoads,
     caps_1ts,
     caps_2ts,
     caps_hd,
@@ -57,8 +54,6 @@ from .strategies import (
     powers_1ts,
     powers_2ts,
     powers_hd,
-    spectral_loads_1ts,
-    spectral_loads_2ts,
 )
 from .sweep import Axis, AxisKind, SweepRow, SweepSpec, emit_csv, run_sweep
 

@@ -35,26 +35,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "relay links.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_selection(p: argparse.ArgumentParser, what: str) -> None:
+        p.add_argument("--strategy", choices=[s.value for s in Strategy],
+                       help=f"{what} strategy")
+        p.add_argument("--pa", choices=[k.value for k in PaKind],
+                       help=f"{what} PA model")
+
+    def add_scenario(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default="defaults", metavar="PATH",
                        help="configuration file, or 'defaults'")
-        p.add_argument("--strategy", choices=[s.value for s in Strategy],
-                       help="override the configured strategy")
-        p.add_argument("--pa", choices=[k.value for k in PaKind],
-                       help="override the configured PA model")
+        add_selection(p, "override the configured")
         p.add_argument("--accounting",
                        choices=[m.value for m in CircuitAccounting],
                        help="override the circuit accounting mode")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
 
     p_solve = sub.add_parser("solve", help="solve one scenario")
-    add_common(p_solve)
+    add_scenario(p_solve)
     p_solve.add_argument("--oracle", action="store_true",
                          help="run the brute-force oracle on the result")
 
     p_sweep = sub.add_parser("sweep", help="sweep an axis, emit CSV on stdout")
-    add_common(p_sweep)
+    add_scenario(p_sweep)
     p_sweep.add_argument("--axis", required=True,
                          choices=[a.value for a in AxisKind])
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
@@ -67,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify", help="run oracle and property checks on random scenarios")
-    add_common(p_verify)
+    add_selection(p_verify, "only this")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed of the random scenarios")
     p_verify.add_argument("--scenarios", type=int, default=5,
                           help="feasible scenarios per strategy/PA pair")
     return parser
@@ -152,49 +155,55 @@ def _axis_from_args(params: ScenarioParams, kind_value: str, start, stop,
 
 
 def _run_sweep(args: argparse.Namespace, out, err) -> int:
+    range2 = (args.start2, args.stop2, args.step2)
+    if args.axis2 is None and range2 != (None, None, None):
+        raise ConfigError("--from2/--to2/--step2 need --axis2")
+    if args.axis2 == args.axis:
+        raise ConfigError(f"--axis2 {args.axis2} repeats --axis")
     params, _ = _load_params(args)
     axis1 = _axis_from_args(params, args.axis, args.start, args.stop,
                             args.step)
     axis2 = None
     if args.axis2:
-        axis2 = _axis_from_args(params, args.axis2, args.start2, args.stop2,
-                                args.step2)
+        axis2 = _axis_from_args(params, args.axis2, *range2)
     strategies = ((Strategy(args.strategy),) if args.strategy
                   else (Strategy.FD1TS, Strategy.FD2TS, Strategy.HD2TS))
     spec = SweepSpec(base=params, axis1=axis1, axis2=axis2,
-                     strategies=strategies,
-                     pa_kinds=(params.pa,))
+                     strategies=strategies)
     rows = run_sweep(spec)
     emit_csv(rows, out)
     return EXIT_OK
 
 
 def _run_verify(args: argparse.Namespace, out, err) -> int:
-    _load_params(args)
-    failures = 0
     pa_kinds = (PaKind(args.pa),) if args.pa else tuple(PaKind)
     strategies = ((Strategy(args.strategy),) if args.strategy
                   else tuple(Strategy))
-    gaps: dict[str, list[float]] = {}
+    # Every pair's scenarios are drawn before any is solved, so a count
+    # the draws cannot meet fails before anything is printed.
+    drawn: dict[str, list[Scenario]] = {}
     for strategy in strategies:
         for pa_kind in pa_kinds:
-            pair = f"{strategy.value}/{pa_kind.value}"
             try:
                 scenarios = random_feasible_scenarios(
                     args.seed, strategy, pa_kind, args.scenarios)
             except ValueError as exc:
                 raise ConfigError(f"--scenarios: {exc}") from exc
-            for i, scenario in enumerate(scenarios):
-                schedule = solve(scenario)
-                report = verify(scenario, schedule)
-                status = "ok" if report.ok else "FAIL"
-                if not report.ok:
-                    failures += 1
-                gaps.setdefault(pair, []).append(report.relative_gap)
-                out.write(
-                    f"{pair} #{i}: {status} "
-                    f"gap={report.relative_gap:+.3e} "
-                    f"convexity_violations={report.convexity_violations}\n")
+            drawn[f"{strategy.value}/{pa_kind.value}"] = scenarios
+    failures = 0
+    gaps: dict[str, list[float]] = {}
+    for pair, scenarios in drawn.items():
+        for i, scenario in enumerate(scenarios):
+            schedule = solve(scenario)
+            report = verify(scenario, schedule)
+            status = "ok" if report.ok else "FAIL"
+            if not report.ok:
+                failures += 1
+            gaps.setdefault(pair, []).append(report.relative_gap)
+            out.write(
+                f"{pair} #{i}: {status} "
+                f"gap={report.relative_gap:+.3e} "
+                f"convexity_violations={report.convexity_violations}\n")
     # The worst gap is the solver's largest excess over the grid best.
     for pair, pair_gaps in gaps.items():
         out.write(f"{pair} summary: n={len(pair_gaps)} "

@@ -51,7 +51,7 @@ from .model import (
 )
 
 __all__ = ["ConfigError", "ScenarioParams", "parse_params", "parse_config",
-           "unbuildable_is_config_error", "default_params"]
+           "unbuildable_is_config_error"]
 
 
 class ConfigError(Exception):
@@ -162,10 +162,6 @@ class ScenarioParams:
         total = self.total_rate_mbps
         return replace(self, r_fl_mbps=total * ratio / (1.0 + ratio),
                        r_rl_mbps=total / (1.0 + ratio))
-
-
-def default_params() -> ScenarioParams:
-    return ScenarioParams()
 
 
 # Every field is a config key, parsed by the type of its default.

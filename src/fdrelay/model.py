@@ -32,8 +32,6 @@ __all__ = [
     "pathloss_gain",
     "residual_self_gain",
     "pa_consumption",
-    "tx_circuit_power",
-    "rx_circuit_power",
     "ee_from_energy",
 ]
 
@@ -297,20 +295,6 @@ def pa_consumption(pa: PaModel, p):
         uk = pa.u * pa.kappa
         out = (arr + uk * pa.p_max) / ((1.0 + uk) * pa.eta_max)
     return float(out) if np.ndim(p) == 0 else out
-
-
-def tx_circuit_power(node: NodeCircuit, pa: PaModel, p: float, rate: float) -> float:
-    """Total power of a transmitting chain: PA draw + dynamic + static."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    return pa_consumption(pa, p) + node.epsilon * rate + node.p_base
-
-
-def rx_circuit_power(node: NodeCircuit, rate: float) -> float:
-    """Total power of a receiving chain: dynamic + static."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    return node.epsilon * rate + node.p_base
 
 
 def ee_from_energy(r_fl: float, r_rl: float, frame_t: float, e_total: float) -> float:

@@ -55,6 +55,15 @@ _RATE_SLACK = 1e-9
 # memory as the grid grows.
 _CHUNK_ELEMENTS = 2 ** 14
 
+# The grid and probe sizes of a :func:`verify` pass: duration and power
+# points per axis, and convexity-probe samples.
+_VERIFY_N_T = 40
+_VERIFY_N_P = 12
+_VERIFY_PROBE_SAMPLES = 50
+
+# Draws :func:`random_feasible_scenarios` makes at most.
+_MAX_ATTEMPTS = 4000
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -326,11 +335,10 @@ def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
     return _count_violations(np.array(values, dtype=float), h, rel_tol)
 
 
-def verify(s: Scenario, sched: Schedule, n_t: int = 40, n_p: int = 12,
-           probe_samples: int = 50, tol: float = 1e-6) -> OracleReport:
+def verify(s: Scenario, sched: Schedule) -> OracleReport:
     """Full oracle pass: grid dominance, constraint slacks, convexity."""
     window = tmin_for(s)
-    grid_best, _ = _grid_search(s, window, n_t, n_p)
+    grid_best, _ = _grid_search(s, window, _VERIFY_N_T, _VERIFY_N_P)
     slack_tol = 1e-9 if not (s.strategy is Strategy.FD1TS
                              and s.asymptotic_1ts) else math.inf
     try:
@@ -338,7 +346,7 @@ def verify(s: Scenario, sched: Schedule, n_t: int = 40, n_p: int = 12,
     except ValueError:
         slacks = {}
     gap = (sched.e_total - grid_best) / grid_best
-    violations = _probe_scenario_energy(s, window, probe_samples)
+    violations = _probe_scenario_energy(s, window, _VERIFY_PROBE_SAMPLES)
     return OracleReport(grid_best_energy=grid_best,
                         solver_energy=sched.e_total,
                         relative_gap=float(gap),
@@ -405,20 +413,24 @@ def random_params(rng: np.random.Generator, strategy: Strategy,
 
 
 def random_feasible_scenarios(seed: int, strategy: Strategy, pa_kind: PaKind,
-                              n: int, max_attempts: int = 4000) -> list[Scenario]:
+                              n: int) -> list[Scenario]:
     """Seeded stream of ``n >= 1`` feasible scenarios for a strategy/PA
-    combination."""
+    combination.
+
+    Raises ``ValueError`` when ``n < 1`` or when fewer than ``n`` of the
+    first 4000 draws are feasible.
+    """
     if n < 1:
         raise ValueError(f"need at least one scenario, got {n}")
     rng = np.random.default_rng(seed)
     out: list[Scenario] = []
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         if len(out) == n:
             break
         s = random_params(rng, strategy, pa_kind).build()
         if tmin_for(s).feasible:
             out.append(s)
     if len(out) < n:
-        raise RuntimeError(
-            f"could not draw {n} feasible scenarios in {max_attempts} attempts")
+        raise ValueError(
+            f"could not draw {n} feasible scenarios in {_MAX_ATTEMPTS} attempts")
     return out

@@ -18,12 +18,11 @@ to the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Generator
 
 from .feasibility import FeasibleWindow, tmin_for
-from .model import InfeasibleError, Scenario, Schedule, Strategy, ee_from_energy
+from .model import InfeasibleError, Scenario, Schedule, ee_from_energy
 from .strategies import DESCRIPTIONS
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # these names on this module, so they stay importable from it.
@@ -32,38 +31,19 @@ from .model import pa_consumption  # noqa: F401
 from .strategies import (energy_1ts, energy_2ts, energy_hd,  # noqa: F401
                          powers_1ts, powers_2ts, powers_hd)
 
-__all__ = ["SolverConfig", "minimize_unimodal_1d", "solve_2ts", "solve_1ts",
-           "solve_hd", "solve"]
+__all__ = ["minimize_unimodal_1d", "solve"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi**2
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Termination control for the scalar searches.
-
-    ``duration_tol`` is the absolute bracket width (seconds) at which the
-    search stops; when None it defaults to 1e-7 of the frame length.
-    """
-
-    duration_tol: float | None = None
-    max_iters: int = 300
-
-    def __post_init__(self):
-        if self.duration_tol is not None and not self.duration_tol > 0:
-            raise ValueError("duration_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-    def tol_for(self, frame_t: float) -> float:
-        return self.duration_tol if self.duration_tol is not None \
-            else 1e-7 * frame_t
+# A slot search stops once its bracket is at most this fraction of the frame
+# wide, or after _MAX_ITERS steps.
+DURATION_TOL = 1e-7
+_MAX_ITERS = 300
 
 
 def _golden_section(f: Callable[[float], float], lo: float, hi: float,
-                    cfg: SolverConfig, frame_t: float | None
-                    ) -> Generator[float, None, tuple[float, float]]:
+                    tol: float) -> Generator[float, None, tuple[float, float]]:
     """Golden-section search of :func:`minimize_unimodal_1d`, one step at a
     time: yields the bracket's lower end after every step and returns
     (argmin, value).
@@ -75,7 +55,6 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float,
     """
     if not lo <= hi:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    tol = cfg.tol_for(frame_t if frame_t is not None else (hi - lo) or 1.0)
     span = hi - lo
     if span <= tol:
         mid = 0.5 * (lo + hi)
@@ -84,7 +63,7 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float,
     d = lo + _INV_PHI * span
     fc, fd = f(c), f(d)
     f_lo = f_hi = None
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         if not (math.isfinite(fc) and math.isfinite(fd)):
             raise ValueError(
                 "objective is not finite inside the feasibility window")
@@ -111,14 +90,14 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float,
 
 
 def minimize_unimodal_1d(f: Callable[[float], float], lo: float, hi: float,
-                         cfg: SolverConfig | None = None,
-                         frame_t: float | None = None) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi].
+                         tol: float) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal scalar function on [lo, hi],
+    searched until the bracket is at most ``tol`` wide.
 
     Works across kinks (e.g. a pointwise max of convex functions) because
     only function-value comparisons are used.  Returns (argmin, value).
     """
-    steps = _golden_section(f, lo, hi, cfg or SolverConfig(), frame_t)
+    steps = _golden_section(f, lo, hi, tol)
     while True:
         try:
             next(steps)
@@ -126,15 +105,15 @@ def minimize_unimodal_1d(f: Callable[[float], float], lo: float, hi: float,
             return done.value
 
 
-def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
+def solve(s: Scenario) -> Schedule:
     """Solve the scenario with its configured strategy.
 
     Every strategy is solved alike from its description: the frame energy is
     the sum of the per-slot costs plus the idle draw of the whole frame, so
     each slot duration is searched on its own, on that slot's cost, above
-    the slot's minimum duration (:func:`tmin_for`).
+    the slot's minimum duration (:func:`tmin_for`), until its bracket is
+    at most ``DURATION_TOL`` of the frame wide.
     """
-    cfg = cfg or SolverConfig()
     desc = DESCRIPTIONS[s.strategy]
     window = tmin_for(s)
     if not window.feasible:
@@ -143,7 +122,7 @@ def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
                                   (b for b in window.binding_node if b), None),
                               cause=window.cause)
     costs = [partial(slot.cost, s) for slot in desc.slots]
-    durations = _solve_separable(costs, window, s, cfg)
+    durations = _solve_separable(costs, window, s)
     powers = [slot.powers(s, t) for slot, t in zip(desc.slots, durations)]
     fields = dict.fromkeys(("t1", "t2", "p_a", "p_b", "p_r_fwd", "p_r_rev"),
                            0.0)
@@ -155,24 +134,9 @@ def solve(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
                     active_case=desc.active_case(s, *durations), **fields)
 
 
-def solve_2ts(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
-    """Optimal FD2TS schedule of the scenario's link."""
-    return solve(replace(s, strategy=Strategy.FD2TS), cfg)
-
-
-def solve_1ts(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
-    """Optimal FD1TS schedule of the scenario's link."""
-    return solve(replace(s, strategy=Strategy.FD1TS), cfg)
-
-
-def solve_hd(s: Scenario, cfg: SolverConfig | None = None) -> Schedule:
-    """Optimal HD2TS schedule of the scenario's link."""
-    return solve(replace(s, strategy=Strategy.HD2TS), cfg)
-
-
 def _solve_separable(costs: list[Callable[[float], float]],
-                     window: FeasibleWindow, s: Scenario,
-                     cfg: SolverConfig) -> tuple[float, ...]:
+                     window: FeasibleWindow, s: Scenario
+                     ) -> tuple[float, ...]:
     """Minimize the sum of the slot costs over the feasible durations.
 
     Each slot is searched on its own interval first; the boundary re-solve
@@ -190,11 +154,12 @@ def _solve_separable(costs: list[Callable[[float], float]],
     the ``ValueError`` the full search would have raised.
     """
     frame = s.frame_t
+    tol = DURATION_TOL * frame
     spans = window.spans(frame)
     # Per slot, a lower bound on its optimum: the bracket's lower end while
     # its search runs, the optimum itself once the search is done.
     bounds = [lo for lo, _ in spans]
-    running = [(k, _golden_section(cost, lo, hi, cfg, frame))
+    running = [(k, _golden_section(cost, lo, hi, tol))
                for k, (cost, (lo, hi)) in enumerate(zip(costs, spans))
                if lo != 0.0]
     while running and sum(bounds) <= frame:
@@ -210,5 +175,5 @@ def _solve_separable(costs: list[Callable[[float], float]],
     cost1, cost2 = costs
     (lo1, hi1), _ = spans
     t1, _ = minimize_unimodal_1d(lambda t: cost1(t) + cost2(frame - t),
-                                 lo1, hi1, cfg, frame_t=frame)
+                                 lo1, hi1, tol)
     return t1, frame - t1

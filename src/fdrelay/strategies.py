@@ -40,9 +40,6 @@ __all__ = [
     "DESCRIPTIONS",
     "PowerAssignment2TS",
     "PowerAssignment1TS",
-    "SpectralLoads",
-    "spectral_loads_2ts",
-    "spectral_loads_1ts",
     "caps_2ts",
     "powers_2ts",
     "energy_2ts",
@@ -196,24 +193,6 @@ class PowerAssignment1TS:
     active_case: RelayCase
 
 
-@dataclass(frozen=True)
-class SpectralLoads:
-    """Per-slot spectral loads in bit/s/Hz for each link direction."""
-
-    lambda_fl: float
-    lambda_rl: float
-
-
-def spectral_loads_2ts(s: Scenario, t1: float, t2: float) -> SpectralLoads:
-    return SpectralLoads(lambda_fl=_load(s, s.r_fl, t1),
-                         lambda_rl=_load(s, s.r_rl, t2))
-
-
-def spectral_loads_1ts(s: Scenario, t1: float) -> SpectralLoads:
-    return SpectralLoads(lambda_fl=_load(s, s.r_fl, t1),
-                         lambda_rl=_load(s, s.r_rl, t1))
-
-
 def _total_demand(s: Scenario) -> float:
     return s.r_fl + s.r_rl
 
@@ -350,9 +329,8 @@ def _powers_1ts_cases(s: Scenario, t1):
     if arrays:
         _, (e_fl, e_rl) = _array_exps(s, t1, s.r_fl, s.r_rl)
     else:
-        loads = spectral_loads_1ts(s, t1)
-        e_fl = _pow2(loads.lambda_fl)
-        e_rl = _pow2(loads.lambda_rl)
+        e_fl = _pow2(_load(s, s.r_fl, t1))
+        e_rl = _pow2(_load(s, s.r_rl, t1))
         if not (math.isfinite(e_fl) and math.isfinite(e_rl)):
             raise InfeasibleError("spectral load overflows any finite power",
                                   cause="power_budget")

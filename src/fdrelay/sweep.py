@@ -1,7 +1,7 @@
 """Parameter-sweep engine and CSV emission.
 
 A sweep re-solves the scenario across one or two parameter axes and a set
-of strategies / PA kinds.  Infeasible points are recorded, not fatal, so a
+of strategies, under the base parameters' PA kind.  Infeasible points are recorded, not fatal, so a
 sweep always yields one row per grid point.
 """
 
@@ -14,7 +14,7 @@ from typing import IO, Iterable, Sequence
 
 from .config import ScenarioParams
 from .model import InfeasibleError, PaKind, Strategy
-from .solver import SolverConfig, solve
+from .solver import solve
 
 __all__ = ["AxisKind", "Axis", "SweepSpec", "SweepRow", "run_sweep",
            "emit_csv"]
@@ -53,14 +53,13 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: base parameters, axes, strategies and PA kinds."""
+    """What to sweep: base parameters, axes and strategies."""
 
     base: ScenarioParams
     axis1: Axis
     axis2: Axis | None = None
     strategies: tuple[Strategy, ...] = (Strategy.FD1TS, Strategy.FD2TS,
                                         Strategy.HD2TS)
-    pa_kinds: tuple[PaKind, ...] | None = None  # None: the base's PA kind
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,9 @@ def apply_axis(params: ScenarioParams, kind: AxisKind,
     return replace(params, eta_max=value)
 
 
-def run_sweep(spec: SweepSpec, cfg: SolverConfig | None = None) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Solve every sweep point; infeasible points yield flagged rows."""
-    cfg = cfg or SolverConfig()
-    pa_kinds = spec.pa_kinds or (spec.base.pa,)
+    pa_kind = spec.base.pa
     axis2_values: Sequence[float | None] = (
         spec.axis2.values if spec.axis2 is not None else (None,))
     rows: list[SweepRow] = []
@@ -107,21 +105,18 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig | None = None) -> list[SweepRow
             if spec.axis2 is not None:
                 base = apply_axis(base, spec.axis2.kind, v2)
             for strategy in spec.strategies:
-                for pa_kind in pa_kinds:
-                    params = replace(base, strategy=strategy, pa=pa_kind)
-                    try:
-                        sched = solve(params.build(), cfg)
-                    except InfeasibleError:
-                        rows.append(SweepRow(axis1=v1, axis2=v2,
-                                             strategy=strategy,
-                                             pa_kind=pa_kind, feasible=False))
-                        continue
-                    rows.append(SweepRow(
-                        axis1=v1, axis2=v2, strategy=strategy,
-                        pa_kind=pa_kind, feasible=True, ee=sched.ee,
-                        e_total=sched.e_total, t1=sched.t1, t2=sched.t2,
-                        p_a=sched.p_a, p_b=sched.p_b,
-                        p_r_fwd=sched.p_r_fwd, p_r_rev=sched.p_r_rev))
+                try:
+                    sched = solve(replace(base, strategy=strategy).build())
+                except InfeasibleError:
+                    rows.append(SweepRow(axis1=v1, axis2=v2,
+                                         strategy=strategy, pa_kind=pa_kind,
+                                         feasible=False))
+                    continue
+                rows.append(SweepRow(
+                    axis1=v1, axis2=v2, strategy=strategy, pa_kind=pa_kind,
+                    feasible=True, ee=sched.ee, e_total=sched.e_total,
+                    t1=sched.t1, t2=sched.t2, p_a=sched.p_a, p_b=sched.p_b,
+                    p_r_fwd=sched.p_r_fwd, p_r_rev=sched.p_r_rev))
     return rows
 
 

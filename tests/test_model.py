@@ -17,8 +17,6 @@ from fdrelay.model import (
     pa_consumption,
     pathloss_gain,
     residual_self_gain,
-    rx_circuit_power,
-    tx_circuit_power,
 )
 
 
@@ -102,34 +100,6 @@ class TestPaConsumption:
             pa_consumption(pa, 5.1)
         with pytest.raises(ValueError):
             pa_consumption(pa, math.inf)
-
-
-class TestCircuitPower:
-    def test_tx_collapses_to_pa_draw(self):
-        pa = PaModel(PaKind.TPA, p_max=5.0, eta_max=0.35)
-        node = NodeCircuit(p_base=0.0, p_idle=0.0, epsilon=0.0)
-        assert tx_circuit_power(node, pa, 5.0, 1e6) == pytest.approx(5.0 / 0.35)
-
-    def test_tx_dynamic_term(self):
-        pa = PaModel(PaKind.ETPA, p_max=5.0, eta_max=0.35, u=0.0)
-        node = NodeCircuit(p_base=0.01, p_idle=0.0, epsilon=5e-11)
-        assert tx_circuit_power(node, pa, 0.0, 1e9) == pytest.approx(0.05 + 0.01)
-
-    def test_tx_static_only(self):
-        pa = PaModel(PaKind.ETPA, p_max=5.0, eta_max=0.35, u=0.0)
-        node = NodeCircuit(p_base=0.1, p_idle=0.0, epsilon=0.0)
-        assert tx_circuit_power(node, pa, 0.0, 3e7) == pytest.approx(0.1)
-
-    def test_rx_examples(self):
-        assert rx_circuit_power(
-            NodeCircuit(0.02, 0.0, 0.0), 5e6) == pytest.approx(0.02)
-        assert rx_circuit_power(
-            NodeCircuit(0.05, 0.0, 5e-11), 65e6) == pytest.approx(0.0533, rel=1e-3)
-        assert rx_circuit_power(NodeCircuit(0.0, 0.0, 0.0), 1e9) == 0.0
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            rx_circuit_power(NodeCircuit(0.0, 0.0, 0.0), -1.0)
 
 
 class TestEnergyEfficiency:

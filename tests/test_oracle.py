@@ -211,7 +211,7 @@ class TestVerify:
         for strategy in Strategy:
             scenarios = random_feasible_scenarios(7, strategy, PaKind.ETPA, 3)
             for s in scenarios:
-                report = verify(s, solve(s), n_t=25, n_p=8, probe_samples=20)
+                report = verify(s, solve(s))
                 assert report.ok, report
 
 

@@ -13,8 +13,9 @@ import re
 
 import pytest
 
-from fdrelay import PaKind, SolverConfig, Strategy, solve
+from fdrelay import PaKind, Strategy, solve
 from fdrelay.oracle import random_feasible_scenarios
+from fdrelay.solver import DURATION_TOL
 
 GOLDEN = {
     ("fd1ts", "tpa"): (
@@ -65,7 +66,7 @@ def test_seeded_schedules_unchanged(strategy, pa_kind):
             float(want.pop("e_total")), rel=1e-12)
         assert float(got.pop("ee")) == pytest.approx(
             float(want.pop("ee")), rel=1e-12)
-        tol = 2 * SolverConfig().tol_for(s.frame_t)
+        tol = 2 * DURATION_TOL * s.frame_t
         t1 = float(want.pop("t1"))
         assert float(got.pop("t1")) == pytest.approx(t1, abs=tol)
         for name in ("p_a", "p_b", "p_r_fwd"):

@@ -17,20 +17,18 @@ from fdrelay import solver
 from fdrelay.config import ScenarioParams
 from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, Strategy
 from fdrelay.oracle import random_params
-from fdrelay.solver import SolverConfig, minimize_unimodal_1d, solve
+from fdrelay.solver import minimize_unimodal_1d, solve
 from fdrelay.strategies import Slot
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden_sequential(f, lo, hi, cfg=None, frame_t=None):
+def _golden_sequential(f, lo, hi, tol):
     """The golden section as it ran before it became a step generator:
     the reference the generator must equal."""
-    cfg = cfg or SolverConfig()
     if not lo <= hi:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    tol = cfg.tol_for(frame_t if frame_t is not None else (hi - lo) or 1.0)
     span = hi - lo
     if span <= tol:
         mid = 0.5 * (lo + hi)
@@ -38,7 +36,7 @@ def _golden_sequential(f, lo, hi, cfg=None, frame_t=None):
     c = lo + _INV_PHI2 * span
     d = lo + _INV_PHI * span
     fc, fd = f(c), f(d)
-    for _ in range(cfg.max_iters):
+    for _ in range(solver._MAX_ITERS):
         if not (math.isfinite(fc) and math.isfinite(fd)):
             raise ValueError(
                 "objective is not finite inside the feasibility window")
@@ -60,16 +58,17 @@ def _golden_sequential(f, lo, hi, cfg=None, frame_t=None):
     return x, fx
 
 
-def _solve_separable_sequential(costs, window, s, cfg):
+def _solve_separable_sequential(costs, window, s):
     """Each slot searched to the end, then the boundary re-solve when the
     optima overrun the frame: the reference the lockstep solve must equal."""
     frame = s.frame_t
+    tol = solver.DURATION_TOL * frame
     spans = window.spans(frame)
 
     def search(cost, lo, hi):
         if lo == 0.0:
             return 0.0
-        return _golden_sequential(cost, lo, hi, cfg, frame_t=frame)[0]
+        return _golden_sequential(cost, lo, hi, tol)[0]
 
     durations = tuple(search(cost, lo, hi)
                       for cost, (lo, hi) in zip(costs, spans))
@@ -78,7 +77,7 @@ def _solve_separable_sequential(costs, window, s, cfg):
     cost1, cost2 = costs
     (lo1, hi1), _ = spans
     t1, _ = _golden_sequential(lambda t: cost1(t) + cost2(frame - t),
-                               lo1, hi1, cfg, frame_t=frame)
+                               lo1, hi1, tol)
     return t1, frame - t1
 
 
@@ -163,7 +162,7 @@ def test_golden_section_evaluates_each_point_once(lo, hi, centre):
         points.append(t)
         return (t - centre) ** 2
 
-    cfg = SolverConfig(duration_tol=1e-9)
-    got = minimize_unimodal_1d(f, lo, hi, cfg)
+    got = minimize_unimodal_1d(f, lo, hi, 1e-9)
     assert len(points) == len(set(points))
-    assert got == _golden_sequential(lambda t: (t - centre) ** 2, lo, hi, cfg)
+    assert got == _golden_sequential(lambda t: (t - centre) ** 2, lo, hi,
+                                     1e-9)

@@ -7,15 +7,9 @@ import pytest
 from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import tmin_1ts, tmin_2ts, tmin_hd
 from fdrelay.model import InfeasibleError, PaKind, Strategy
-from fdrelay.solver import (
-    SolverConfig,
-    minimize_unimodal_1d,
-    solve,
-    solve_1ts,
-    solve_2ts,
-    solve_hd,
-)
-from fdrelay.strategies import energy_1ts, energy_2ts, energy_hd, powers_1ts
+from fdrelay.solver import DURATION_TOL, minimize_unimodal_1d, solve
+from fdrelay.strategies import (DESCRIPTIONS, energy_1ts, energy_2ts,
+                                energy_hd, powers_1ts)
 
 from conftest import random_scenario_params
 
@@ -23,40 +17,33 @@ from conftest import random_scenario_params
 class TestGoldenSection:
     def test_quadratic(self):
         x, fx = minimize_unimodal_1d(lambda t: (t - 3.0) ** 2, 0.0, 10.0,
-                                     SolverConfig(duration_tol=1e-8))
+                                     1e-8)
         assert x == pytest.approx(3.0, abs=1e-7)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
     def test_piecewise_linear_kink(self):
         x, _ = minimize_unimodal_1d(lambda t: abs(t - 2.0) + 1.0, 0.0, 5.0,
-                                    SolverConfig(duration_tol=1e-8))
+                                    1e-8)
         assert x == pytest.approx(2.0, abs=1e-7)
 
     def test_boundary_minimum(self):
-        x, _ = minimize_unimodal_1d(lambda t: t, 1.0, 4.0,
-                                    SolverConfig(duration_tol=1e-9))
+        x, _ = minimize_unimodal_1d(lambda t: t, 1.0, 4.0, 1e-9)
         assert x == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_empty_bracket(self):
         with pytest.raises(ValueError):
-            minimize_unimodal_1d(lambda t: t, 2.0, 1.0)
+            minimize_unimodal_1d(lambda t: t, 2.0, 1.0, 1e-9)
 
     def test_rejects_non_finite_objective(self):
         with pytest.raises(ValueError):
-            minimize_unimodal_1d(lambda t: math.inf, 0.0, 1.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(duration_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iters=0)
+            minimize_unimodal_1d(lambda t: math.inf, 0.0, 1.0, 1e-7)
 
     def test_matches_dense_grid_on_1ts_energy(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()
         w = tmin_1ts(s)
         t1, e = minimize_unimodal_1d(lambda t: energy_1ts(s, t),
                                      w.t_min[0], s.frame_t,
-                                     SolverConfig(), frame_t=s.frame_t)
+                                     DURATION_TOL * s.frame_t)
         grid = np.linspace(w.t_min[0], s.frame_t, 10_000)
         energies = [energy_1ts(s, t) for t in grid]
         k = int(np.argmin(energies))
@@ -67,7 +54,7 @@ class TestGoldenSection:
 class TestSolve2TS:
     def test_symmetric_scenario(self, params):
         s = replace(params, strategy=Strategy.FD2TS).build()
-        sched = solve_2ts(s)
+        sched = solve(s)
         assert sched.t1 == pytest.approx(sched.t2, rel=1e-5)
         assert sched.p_a == pytest.approx(sched.p_b, rel=1e-4)
 
@@ -75,13 +62,13 @@ class TestSolve2TS:
         p = replace(params, strategy=Strategy.FD2TS, p_idle_a_mw=3e4,
                     p_idle_r_mw=1.5e4, p_idle_b_mw=5e3)
         s = p.build()
-        sched = solve_2ts(s)
+        sched = solve(s)
         assert sched.t1 + sched.t2 == pytest.approx(s.frame_t, rel=1e-9)
 
     def test_matches_grid_oracle(self, params):
         p = replace(params, strategy=Strategy.FD2TS).with_total_rate(40.0)
         s = p.build()
-        sched = solve_2ts(s)
+        sched = solve(s)
         w = tmin_2ts(s)
         t1s = np.linspace(w.t_min[0], s.frame_t - w.t_min[1], 200)
         t2s = np.linspace(w.t_min[1], s.frame_t - w.t_min[0], 200)
@@ -96,13 +83,13 @@ class TestSolve2TS:
         """When the independent optima fit the frame they are returned as is."""
         p = replace(params, strategy=Strategy.FD2TS).with_total_rate(40.0)
         s = p.build()
-        sched = solve_2ts(s)
+        sched = solve(s)
         assert sched.t1 + sched.t2 < s.frame_t
         w = tmin_2ts(s)
         t1, _ = minimize_unimodal_1d(
             lambda t: energy_2ts(s, t, s.frame_t - w.t_min[1])
             - energy_2ts(s, s.frame_t / 2, s.frame_t - w.t_min[1]),
-            w.t_min[0], s.frame_t - w.t_min[1], frame_t=s.frame_t)
+            w.t_min[0], s.frame_t - w.t_min[1], DURATION_TOL * s.frame_t)
         assert sched.t1 == pytest.approx(t1, abs=2e-7 * s.frame_t)
 
 
@@ -110,7 +97,7 @@ class TestSolve2TS:
     def test_zero_demand_direction_closes_its_slot(self, params, r_fl, r_rl):
         s = replace(params, strategy=Strategy.FD2TS, r_fl_mbps=r_fl,
                     r_rl_mbps=r_rl).build()
-        sched = solve_2ts(s)
+        sched = solve(s)
         if r_rl == 0.0:
             closed, open_ = (sched.t2, sched.p_b, sched.p_r_rev), sched.t1
         else:
@@ -126,7 +113,7 @@ class TestSolve2TS:
 class TestSolve1TS:
     def test_symmetric_cases(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()
-        sched = solve_1ts(s)
+        sched = solve(s)
         assert sched.active_case is not None
         assert sched.t2 == 0.0
         assert sched.p_r_rev == 0.0
@@ -146,7 +133,7 @@ class TestSolve1TS:
 
     def test_matches_grid_oracle(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()
-        sched = solve_1ts(s)
+        sched = solve(s)
         w = tmin_1ts(s)
         grid = np.linspace(w.t_min[0], s.frame_t, 10_000)
         best = min(energy_1ts(s, t) for t in grid)
@@ -160,7 +147,7 @@ class TestSolve1TS:
                            p_idle_a_mw=0.0, p_idle_r_mw=0.0, p_idle_b_mw=0.0,
                            asymptotic_1ts=True).with_total_rate(20.0)
         s = p.build()
-        sched = solve_1ts(s)
+        sched = solve(s)
         assert sched.t1 < s.frame_t * (1 - 1e-6)
         # grid confirmation
         grid = np.linspace(sched.t1 * 0.5, s.frame_t, 4000)
@@ -171,19 +158,19 @@ class TestSolve1TS:
 class TestSolveHd:
     def test_symmetric_scenario(self, params):
         s = replace(params, strategy=Strategy.HD2TS).build()
-        sched = solve_hd(s)
+        sched = solve(s)
         recomputed = energy_hd(s, sched.t1, sched.t2)
         assert sched.e_total == pytest.approx(recomputed)
 
     def test_low_demand_leaves_idle_time(self, params):
         p = replace(params, strategy=Strategy.HD2TS).with_total_rate(30.0)
         s = p.build()
-        sched = solve_hd(s)
+        sched = solve(s)
         assert sched.t1 + sched.t2 < s.frame_t * (1 - 1e-6)
 
     def test_matches_grid_oracle(self, params):
         s = replace(params, strategy=Strategy.HD2TS).build()
-        sched = solve_hd(s)
+        sched = solve(s)
         w = tmin_hd(s)
         t1s = np.linspace(w.t_min[0], s.frame_t - w.t_min[1], 150)
         t2s = np.linspace(w.t_min[1], s.frame_t - w.t_min[0], 150)
@@ -197,11 +184,11 @@ class TestSolveHd:
 
 class TestDispatch:
     def test_dispatch_identity(self, params):
-        for strategy, direct in ((Strategy.FD1TS, solve_1ts),
-                                 (Strategy.FD2TS, solve_2ts),
-                                 (Strategy.HD2TS, solve_hd)):
+        """solve follows the scenario's strategy field alone."""
+        other = replace(params, strategy=Strategy.HD2TS).build()
+        for strategy in Strategy:
             s = replace(params, strategy=strategy).build()
-            assert solve(s).e_total == direct(s).e_total
+            assert solve(replace(other, strategy=strategy)) == solve(s)
 
     def test_ee_definition(self, params):
         s = replace(params, strategy=Strategy.FD2TS).build()
@@ -231,9 +218,15 @@ class TestDispatch:
 
 class TestNumericalBehavior:
     def test_tolerance_stability(self, params):
+        """A search ten times finer than solve's moves the energy by less
+        than 1e-6 relative."""
         s = replace(params, strategy=Strategy.FD1TS).build()
-        e_coarse = solve(s, SolverConfig(duration_tol=1e-7 * s.frame_t)).e_total
-        e_fine = solve(s, SolverConfig(duration_tol=1e-8 * s.frame_t)).e_total
+        e_coarse = solve(s).e_total
+        slot, = DESCRIPTIONS[Strategy.FD1TS].slots
+        t1, _ = minimize_unimodal_1d(lambda t: slot.cost(s, t),
+                                     tmin_1ts(s).t_min[0], s.frame_t,
+                                     1e-8 * s.frame_t)
+        e_fine = energy_1ts(s, t1)
         assert abs(e_fine - e_coarse) / e_coarse < 1e-6
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -248,7 +241,7 @@ class TestNumericalBehavior:
         s1, s2 = p1.build(), p2.build()
         sched1, sched2 = solve(s1), solve(s2)
         assert sched2.e_total == pytest.approx(c * sched1.e_total, rel=1e-9)
-        tol = SolverConfig().tol_for(s1.frame_t)
+        tol = DURATION_TOL * s1.frame_t
         assert abs(sched2.t1 - sched1.t1) <= 2 * tol
         assert abs(sched2.t2 - sched1.t2) <= 2 * tol
 

@@ -20,11 +20,16 @@ from fdrelay.strategies import (
     powers_1ts,
     powers_2ts,
     powers_hd,
-    spectral_loads_1ts,
-    spectral_loads_2ts,
 )
 
 from conftest import random_scenario_params
+
+
+def loads(s, t_fl, t_rl):
+    """Spectral loads (lambda_fl, lambda_rl) in bit/s/Hz when each
+    direction's frame demand is sent within its duration."""
+    return (s.r_fl * s.frame_t / (s.bandwidth_w * t_fl),
+            s.r_rl * s.frame_t / (s.bandwidth_w * t_rl))
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -67,10 +72,10 @@ class TestPowers2TS:
 
     def test_no_self_interference_is_point_to_point(self, make_scenario):
         s = make_scenario(gs=0.0)
-        loads = spectral_loads_2ts(s, 0.003, 0.004)
+        lambda_fl, lambda_rl = loads(s, 0.003, 0.004)
         pw = powers_2ts(s, 0.003, 0.004)
         expected = (s.channels.sigma2_r / s.channels.g_ar
-                    * (2 ** loads.lambda_fl - 1))
+                    * (2 ** lambda_fl - 1))
         assert pw.p_a == pytest.approx(expected)
 
     def test_round_trip_constraints_active(self, make_scenario):
@@ -146,9 +151,9 @@ class TestEnergy2TS:
         ch, circ = s.channels, s.circuit
         uk = s.pa.a.u * s.pa.a.kappa
         scale = (1.0 + uk) * s.pa.a.eta_max
-        loads = spectral_loads_2ts(s, t1, t2)
-        x = 2 ** loads.lambda_fl - 1.0
-        y = 2 ** loads.lambda_rl - 1.0
+        lambda_fl, lambda_rl = loads(s, t1, t2)
+        x = 2 ** lambda_fl - 1.0
+        y = 2 ** lambda_rl - 1.0
         alpha_1 = ch.sigma2_r / (scale * ch.g_ar) + ch.sigma2_b / (scale * ch.g_rb)
         alpha_2 = ch.sigma2_r / (scale * ch.g_br) + ch.sigma2_a / (scale * ch.g_ra)
         beta_1 = ch.sigma2_b * ch.gs_r / (scale * ch.g_ar * ch.g_rb)
@@ -169,9 +174,9 @@ class TestEnergy2TS:
         t1, t2 = 0.0035, 0.0045
         ch, circ = s.channels, s.circuit
         eta = s.pa.a.eta_max
-        loads = spectral_loads_2ts(s, t1, t2)
-        x = 2 ** loads.lambda_fl - 1.0
-        y = 2 ** loads.lambda_rl - 1.0
+        lambda_fl, lambda_rl = loads(s, t1, t2)
+        x = 2 ** lambda_fl - 1.0
+        y = 2 ** lambda_rl - 1.0
         beta11 = s.pa.a.p_max * ch.sigma2_r / (eta ** 2 * ch.g_ar)
         gamma1 = (s.pa.a.p_max * ch.sigma2_b * ch.gs_r
                   / (eta ** 2 * ch.g_ar * ch.g_rb))
@@ -223,11 +228,11 @@ class TestPowers1TS:
     def test_interference_free_asymptotic_limit(self, make_scenario):
         s = make_scenario(strategy=Strategy.FD1TS, gs=0.0, asymptotic=True)
         t1 = 0.006
-        loads = spectral_loads_1ts(s, t1)
+        lambda_fl, lambda_rl = loads(s, t1, t1)
         pw = powers_1ts(s, t1)
         expected = max(
-            2 ** loads.lambda_rl * s.channels.sigma2_a / s.channels.g_ra,
-            2 ** loads.lambda_fl * s.channels.sigma2_b / s.channels.g_rb)
+            2 ** lambda_rl * s.channels.sigma2_a / s.channels.g_ra,
+            2 ** lambda_fl * s.channels.sigma2_b / s.channels.g_rb)
         assert pw.p_r == pytest.approx(expected)
 
     def test_exact_round_trip(self, params):
@@ -271,8 +276,8 @@ class TestPowers1TS:
         exact = p.build()
         approx = replace(p, asymptotic_1ts=True).build()
         for t1 in (0.003, 0.005, 0.008, 0.01):
-            loads = spectral_loads_1ts(exact, t1)
-            bound = 4.0 / (2 ** loads.lambda_fl + 2 ** loads.lambda_rl)
+            lambda_fl, lambda_rl = loads(exact, t1, t1)
+            bound = 4.0 / (2 ** lambda_fl + 2 ** lambda_rl)
             pe = powers_1ts(exact, t1)
             pa = powers_1ts(approx, t1)
             for name in ("p_a", "p_b", "p_r"):

@@ -305,3 +305,54 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert err.startswith("config error: invalid scenario")
         assert out == ""
+
+    def test_repeated_sweep_axis_is_config_error(self):
+        code, out, err = self.run(
+            "sweep", "--axis", "cancellation", "--from", "40", "--to", "41",
+            "--step", "1", "--axis2", "cancellation", "--from2", "50",
+            "--to2", "50", "--step2", "1")
+        assert code == EXIT_CONFIG
+        assert err == "config error: --axis2 cancellation repeats --axis\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--from2", "--to2", "--step2"])
+    def test_second_axis_range_needs_axis2(self, flag):
+        code, out, err = self.run(
+            "sweep", "--axis", "cancellation", "--from", "40", "--to", "41",
+            "--step", "1", flag, "1")
+        assert code == EXIT_CONFIG
+        assert err == "config error: --from2/--to2/--step2 need --axis2\n"
+        assert out == ""
+
+    def test_verify_count_beyond_the_draws_is_config_error(self):
+        code, out, err = self.run("verify", "--scenarios", "3500",
+                                  "--strategy", "fd2ts", "--pa", "tpa")
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: --scenarios: could not draw "
+                              "3500 feasible scenarios")
+        assert out == ""
+
+    def test_verify_draws_every_pair_before_printing(self, monkeypatch):
+        """A count one pair cannot meet fails before any pair is solved."""
+        def draw(seed, strategy, pa_kind, n):
+            if strategy is Strategy.HD2TS:
+                raise ValueError("could not draw")
+            return random_feasible_scenarios(seed, strategy, pa_kind, n)
+        monkeypatch.setattr("fdrelay.cli.random_feasible_scenarios", draw)
+        code, out, err = self.run("verify", "--scenarios", "1")
+        assert code == EXIT_CONFIG
+        assert err == "config error: --scenarios: could not draw\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--seed", "1"),
+        ("sweep", "--axis", "cancellation", "--from", "40", "--to", "40",
+         "--step", "1", "--seed", "1"),
+        ("verify", "--scenarios", "1", "--config", "defaults"),
+        ("verify", "--scenarios", "1", "--accounting", "printed"),
+    ])
+    def test_flag_a_command_does_not_read_is_rejected(self, argv, capsys):
+        code, out, _ = self.run(*argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
