@@ -35,27 +35,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "relay links.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_selection(p: argparse.ArgumentParser, what: str) -> None:
+    def add_selection(p: argparse.ArgumentParser, strategy_help: str,
+                      pa_help: str) -> None:
         p.add_argument("--strategy", choices=[s.value for s in Strategy],
-                       help=f"{what} strategy")
+                       help=strategy_help)
         p.add_argument("--pa", choices=[k.value for k in PaKind],
-                       help=f"{what} PA model")
+                       help=pa_help)
 
-    def add_scenario(p: argparse.ArgumentParser) -> None:
+    def add_scenario(p: argparse.ArgumentParser, strategy_help: str) -> None:
         p.add_argument("--config", default="defaults", metavar="PATH",
                        help="configuration file, or 'defaults'")
-        add_selection(p, "override the configured")
+        add_selection(p, strategy_help, "override the configured PA model")
         p.add_argument("--accounting",
                        choices=[m.value for m in CircuitAccounting],
                        help="override the circuit accounting mode")
 
     p_solve = sub.add_parser("solve", help="solve one scenario")
-    add_scenario(p_solve)
+    add_scenario(p_solve, "override the configured strategy")
     p_solve.add_argument("--oracle", action="store_true",
                          help="run the brute-force oracle on the result")
 
     p_sweep = sub.add_parser("sweep", help="sweep an axis, emit CSV on stdout")
-    add_scenario(p_sweep)
+    add_scenario(p_sweep, "sweep only this strategy (default: all three)")
     p_sweep.add_argument("--axis", required=True,
                          choices=[a.value for a in AxisKind])
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
@@ -68,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify", help="run oracle and property checks on random scenarios")
-    add_selection(p_verify, "only this")
+    add_selection(p_verify, "only this strategy", "only this PA model")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed of the random scenarios")
     p_verify.add_argument("--scenarios", type=int, default=5,
@@ -176,6 +177,8 @@ def _run_sweep(args: argparse.Namespace, out, err) -> int:
 
 
 def _run_verify(args: argparse.Namespace, out, err) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     pa_kinds = (PaKind(args.pa),) if args.pa else tuple(PaKind)
     strategies = ((Strategy(args.strategy),) if args.strategy
                   else tuple(Strategy))

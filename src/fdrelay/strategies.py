@@ -3,17 +3,18 @@
 At the energy optimum the rate constraints are active, so the transmit
 powers collapse to closed forms in the slot durations and the frame energy
 splits into one cost per slot plus the idle draw.  ``DESCRIPTIONS`` maps each
-strategy to its slots; a :class:`Slot` holds the closed-form powers of the
-nodes transmitting in it, their ``(node, p_max)`` budgets, its active power
-(PA draw plus static and dynamic circuit power under the scenario's
-accounting) and its rate constraints, read off the ``caps_*`` capacity maps.
-The frame energy at given or closed-form powers (``energy_*_at``,
-``energy_*``), the solver's slot costs, the feasibility window and the
-oracle's grid all derive from it.  One definition of each closed form
-serves a float duration, in pure ``math`` for the solver, and an array of
-durations, bit for bit the same numbers, for the oracle.  The single-slot
-strategy is one slot like any other: its closed form picks the larger of
-two relay-power cases, and the description reports which case binds.
+strategy to its slots, and each :class:`Slot` states only the physics: the
+closed-form powers of its transmitting nodes, its static and dynamic
+circuit power under the scenario's accounting, and its rate constraints,
+which the ``caps_*`` capacity maps read off.  ``Slot.active`` adds the PA
+draw of each node to the circuit power.  The frame energy at given or
+closed-form powers (``energy_*_at``, ``energy_*``), the solver's slot costs,
+the feasibility window and the oracle's grid all derive from it.  Each
+closed form has one body that serves a float duration, in pure ``math``
+for the solver, and an array of durations, bit for bit the same numbers,
+for the oracle.  The single-slot strategy is one slot like any other: its
+closed form picks the larger of two relay-power cases, and the description
+reports which case binds.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ _LOAD_LIMIT = 500.0
 
 
 def _pow2(x: float) -> float:
-    """2**x with overflow mapped to +inf (infeasible spectral load)."""
-    if x > _LOAD_LIMIT:
+    """2**x, with overflow or NaN mapped to +inf (unmeetable load)."""
+    if not x <= _LOAD_LIMIT:
         return math.inf
     return 2.0 ** x
 
@@ -75,15 +76,24 @@ def _load(s: Scenario, rate: float, t):
     return rate * s.frame_t / (s.bandwidth_w * t) if rate else 0.0 * t
 
 
-def _array_exps(s: Scenario, t: np.ndarray, *rates: float):
-    """Where a spectral load overflows over the durations ``t``, and the
-    exponential 2**load of each rate there, with NaN where any overflows.
+def _exps(s: Scenario, t, *rates: float):
+    """``(over, exps)``: where a spectral load of the ``rates`` overflows
+    within duration ``t``, and 2**load of each rate.
 
-    Each element goes through the float :func:`_pow2`: numpy's array power
-    differs from it by one ULP on some exponents.  NaN runs through the
-    closed-form arithmetic without a warning, where inf would meet
-    inf - inf or 0 * inf.
+    A float ``t`` gives a bool and Python floats, through which a closed
+    form computes (float arithmetic never raises on inf or NaN) before
+    :func:`_inf_where` replaces its result.  An array gives a mask and
+    arrays with NaN at overflows, which never warns where inf would meet
+    inf - inf.  Each element goes through the float :func:`_pow2`, since
+    numpy's array power is one ULP off it on some exponents.
     """
+    if isinstance(t, float):
+        # A plain loop is the cheapest on the solver's path; _pow2 gives
+        # +inf, never NaN, so one membership test finds an overflow.
+        exps = []
+        for rate in rates:
+            exps.append(_pow2(_load(s, rate, t)))
+        return math.inf in exps, exps
     exps = [np.fromiter(map(_pow2, _load(s, rate, t).tolist()), float,
                         t.size) for rate in rates]
     over = ~np.isfinite(exps[0])
@@ -92,8 +102,10 @@ def _array_exps(s: Scenario, t: np.ndarray, *rates: float):
     return over, [np.where(over, math.nan, e) for e in exps]
 
 
-def _inf_where(over: np.ndarray, powers: tuple) -> tuple:
-    """Power arrays with +inf wherever a spectral load overflowed."""
+def _inf_where(over, powers: tuple) -> tuple:
+    """The powers with +inf wherever :func:`_exps` found an overflow."""
+    if isinstance(over, bool):
+        return (math.inf,) * len(powers) if over else powers
     return tuple(np.where(over, math.inf, p) for p in powers)
 
 
@@ -109,22 +121,35 @@ class Slot:
     to the float calls element for element and bit for bit (the oracle's
     path).  A spectral load past ``_LOAD_LIMIT`` gives +inf powers; where
     the single-slot form raises :class:`~fdrelay.model.InfeasibleError` for
-    a float, the array holds NaN.  ``active(s, *powers)`` and
-    ``rates(s, t, *powers)`` accept ndarray powers; ``rates`` yields one
-    ``(name, capacity, demand)`` triple per rate constraint.  ``demand(s)``
-    is the traffic the slot carries; a slot with none stays closed.
+    a float, the array holds NaN.  ``circuit(s)`` is the slot's
+    ``(static, dynamic)`` circuit power under the scenario's accounting;
+    the PA draw is not part of it.  ``rates(s, t, *powers)`` accepts
+    ndarray powers and yields one ``(name, capacity, demand)`` triple per
+    rate constraint.  ``demand(s)`` is the traffic the slot carries; a slot
+    with none stays closed.
     """
 
     fields: tuple[str, ...]
     nodes: tuple[str, ...]
     demand: Callable[[Scenario], float]
     powers: Callable[..., tuple]
-    active: Callable[..., float]
+    circuit: Callable[[Scenario], tuple[float, float]]
     rates: Callable[..., tuple]
 
     def budgets(self, s: Scenario) -> tuple[tuple[str, float], ...]:
         """(node, p_max) of each transmit power."""
         return tuple((node, getattr(s.pa, node).p_max) for node in self.nodes)
+
+    def active(self, s: Scenario, *powers):
+        """Power the slot draws at the given transmit powers: the PA draw of
+        each node, summed in slot order, then the static and the dynamic
+        circuit power.  ndarray powers give the broadcast array."""
+        static, dynamic = self.circuit(s)
+        pa = s.pa
+        draw = pa_consumption(getattr(pa, self.nodes[0]), powers[0])
+        for node, p in zip(self.nodes[1:], powers[1:], strict=True):
+            draw = draw + pa_consumption(getattr(pa, node), p)
+        return draw + static + dynamic
 
     def cost(self, s: Scenario, t: float) -> float:
         """Energy above the idle draw that the slot spends over duration t."""
@@ -214,31 +239,23 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
     mode.
     """
     demand = attrgetter(rate)
-    src_pa = attrgetter(f"pa.{src}")
     # (src->relay gain, relay->dst gain, dst noise) of s.channels
     links = attrgetter(f"g_{src}r", f"g_r{dst}", f"sigma2_{dst}")
 
     def powers(s: Scenario, t):
-        if isinstance(t, float):
-            over, e = None, _pow2(_load(s, demand(s), t))
-            if not math.isfinite(e):
-                return math.inf, math.inf
-        else:
-            over, (e,) = _array_exps(s, t, demand(s))
+        over, (e,) = _exps(s, t, demand(s))
         x = e - 1.0
         ch = s.channels
         g_up, g_down, sigma2 = links(ch)
-        p = (ch.sigma2_r / g_up * x
-             + sigma2 * ch.gs_r / (g_up * g_down) * x * x,
-             sigma2 / g_down * x)
-        return p if over is None else _inf_where(over, p)
+        return _inf_where(over, (
+            ch.sigma2_r / g_up * x
+            + sigma2 * ch.gs_r / (g_up * g_down) * x * x,
+            sigma2 / g_down * x))
 
-    def active(s: Scenario, p_src, p_r):
+    def circuit(s: Scenario):
         c = s.circuit
-        statics = c.a.p_base + 2.0 * c.r.p_base + c.b.p_base
-        eps4 = c.a.epsilon + 2.0 * c.r.epsilon + c.b.epsilon
-        return (pa_consumption(src_pa(s), p_src)
-                + pa_consumption(s.pa.r, p_r) + statics + eps4 * demand(s))
+        return (c.a.p_base + 2.0 * c.r.p_base + c.b.p_base,
+                (c.a.epsilon + 2.0 * c.r.epsilon + c.b.epsilon) * demand(s))
 
     def rates(s: Scenario, t: float, p_src, p_r):
         # The relay's own forwarding signal leaks into its receiver, so its
@@ -251,7 +268,7 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
         return (f"c_{src}r", c_up, demand(s)), (f"c_r{dst}", c_down, demand(s))
 
     return Slot(fields=(f"p_{src}", relay_field), nodes=(src, "r"),
-                demand=demand, powers=powers, active=active, rates=rates)
+                demand=demand, powers=powers, circuit=circuit, rates=rates)
 
 
 _FD2TS_SLOTS = (_fd2ts_slot("a", "b", "r_fl", "p_r_fwd"),
@@ -312,8 +329,8 @@ def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r):
     return c_ar, c_br, c_ra, c_rb
 
 
-def _powers_1ts_cases(s: Scenario, t1):
-    """Candidate power triples for both relay-power cases.
+def _relay_cases(s: Scenario, t1):
+    """Candidate (p_a, p_b, p_r) for both relay-power cases, case I first.
 
     Closing both uplink equalities expresses p_a and p_b as multiples of
     the relay's received interference-plus-noise level; closing one of the
@@ -321,19 +338,15 @@ def _powers_1ts_cases(s: Scenario, t1):
     In asymptotic mode the shared factor (2^lfl + 2^lrl - 1)/(2^lfl + 2^lrl)
     is dropped and 2^l - 1 becomes 2^l, matching the high-load forms.
 
-    A 1-D array of durations gives arrays in every field, NaN wherever
+    A 1-D array of durations gives arrays in every power, NaN wherever
     the float form raises :class:`InfeasibleError`.
     """
     ch = s.channels
     arrays = not isinstance(t1, float)
-    if arrays:
-        _, (e_fl, e_rl) = _array_exps(s, t1, s.r_fl, s.r_rl)
-    else:
-        e_fl = _pow2(_load(s, s.r_fl, t1))
-        e_rl = _pow2(_load(s, s.r_rl, t1))
-        if not (math.isfinite(e_fl) and math.isfinite(e_rl)):
-            raise InfeasibleError("spectral load overflows any finite power",
-                                  cause="power_budget")
+    over, (e_fl, e_rl) = _exps(s, t1, s.r_fl, s.r_rl)
+    if not arrays and over:  # an array carries NaN instead
+        raise InfeasibleError("spectral load overflows any finite power",
+                              cause="power_budget")
     total = e_fl + e_rl
     if s.asymptotic_1ts:
         factor = 1.0
@@ -368,11 +381,14 @@ def _powers_1ts_cases(s: Scenario, t1):
         d = p_r * ch.gs_r + ch.sigma2_r
         return factor * e_fl * d / ch.g_ar, factor * e_rl * d / ch.g_br
 
-    pa1, pb1 = end_powers(p_r_rl)
-    pa2, pb2 = end_powers(p_r_fl)
-    case1 = PowerAssignment1TS(pa1, pb1, p_r_rl, RelayCase.CASE_I)
-    case2 = PowerAssignment1TS(pa2, pb2, p_r_fl, RelayCase.CASE_II)
-    return case1, case2
+    return end_powers(p_r_rl) + (p_r_rl,), end_powers(p_r_fl) + (p_r_fl,)
+
+
+def _powers_1ts_cases(s: Scenario, t1):
+    """Both relay-power candidates as assignments, case I first."""
+    case1, case2 = _relay_cases(s, t1)
+    return (PowerAssignment1TS(*case1, RelayCase.CASE_I),
+            PowerAssignment1TS(*case2, RelayCase.CASE_II))
 
 
 def powers_1ts(s: Scenario, t1: float) -> PowerAssignment1TS:
@@ -381,37 +397,32 @@ def powers_1ts(s: Scenario, t1: float) -> PowerAssignment1TS:
     return case1 if case1.p_r >= case2.p_r else case2
 
 
-def _active_1ts(s: Scenario, p_a, p_b, p_r):
+def _circuit_1ts(s: Scenario):
     """All six chains (three tx, three rx) are live for the whole slot, so
     the static circuit cost is twice the per-node sum.  The printed
     accounting charges dynamic circuit power as eps*(r_fl + 2*r_rl);
     first-principles accounting charges every chain at its actual rate, with
     the relay forwarding at max(r_fl, r_rl)."""
     c = s.circuit
-    statics = 2.0 * s.p_base_total
     if s.circuit_accounting is CircuitAccounting.PRINTED:
         dynamic = c.a.epsilon * (s.r_fl + 2.0 * s.r_rl)
     else:
         both = s.r_fl + s.r_rl
         dynamic = (c.a.epsilon * both + c.b.epsilon * both
                    + c.r.epsilon * (both + max(s.r_fl, s.r_rl)))
-    return (pa_consumption(s.pa.a, p_a) + pa_consumption(s.pa.b, p_b)
-            + pa_consumption(s.pa.r, p_r) + statics + dynamic)
+    return 2.0 * s.p_base_total, dynamic
 
 
 def _powers_1ts_triple(s: Scenario, t):
     """(p_a, p_b, p_r) of :func:`powers_1ts`; a 1-D array of durations
     gives arrays, NaN wherever either relay case raises."""
+    case1, case2 = _relay_cases(s, t)
+    first = case1[2] >= case2[2]
     if isinstance(t, float):
-        pw = powers_1ts(s, t)
-        return pw.p_a, pw.p_b, pw.p_r
-    case1, case2 = _powers_1ts_cases(s, t)
-    raised = np.isnan(case1.p_r) | np.isnan(case2.p_r)
-    first = case1.p_r >= case2.p_r
+        return case1 if first else case2
+    raised = np.isnan(case1[2]) | np.isnan(case2[2])
     return tuple(np.where(raised, math.nan, np.where(first, p1, p2))
-                 for p1, p2 in ((case1.p_a, case2.p_a),
-                                (case1.p_b, case2.p_b),
-                                (case1.p_r, case2.p_r)))
+                 for p1, p2 in zip(case1, case2))
 
 
 def _rates_1ts(s: Scenario, t: float, p_a, p_b, p_r):
@@ -441,99 +452,83 @@ def energy_1ts(s: Scenario, t1: float) -> float:
 # access with structured binning); the relay broadcasts in slot 2.
 # ---------------------------------------------------------------------------
 
-def caps_hd(s: Scenario, t1: float, t2: float, p_a, p_b, p_r):
-    """Link capacities (C_ar, C_br, C_ra, C_rb) in bit/s; ndarray-friendly."""
-    ch = s.channels
-    w1 = t1 / s.frame_t * s.bandwidth_w
-    w2 = t2 / s.frame_t * s.bandwidth_w
-    sa = p_a * ch.g_ar
-    sb = p_b * ch.g_br
-    c_ar = w1 * np.log2(sa / (sa + sb) + sa / ch.sigma2_r)
-    c_br = w1 * np.log2(sb / (sa + sb) + sb / ch.sigma2_r)
-    c_ra = w2 * np.log2(1.0 + p_r * ch.g_ra / ch.sigma2_a)
-    c_rb = w2 * np.log2(1.0 + p_r * ch.g_rb / ch.sigma2_b)
-    return c_ar, c_br, c_ra, c_rb
-
-
 def _powers_hd_access(s: Scenario, t):
     """(p_a, p_b) closing both multiple-access equalities of slot 1."""
     ch = s.channels
-    if isinstance(t, float):
-        over = None
-        l1 = _pow2(_load(s, s.r_fl, t))
-        l2 = _pow2(_load(s, s.r_rl, t))
-        if not (math.isfinite(l1) and math.isfinite(l2)):
-            return math.inf, math.inf
-    else:
-        over, (l1, l2) = _array_exps(s, t, s.r_fl, s.r_rl)
-    p = ((l1 - l1 / (l1 + l2)) * ch.sigma2_r / ch.g_ar,
-         (l2 - l2 / (l1 + l2)) * ch.sigma2_r / ch.g_br)
-    return p if over is None else _inf_where(over, p)
+    over, (l1, l2) = _exps(s, t, s.r_fl, s.r_rl)
+    return _inf_where(over, ((l1 - l1 / (l1 + l2)) * ch.sigma2_r / ch.g_ar,
+                             (l2 - l2 / (l1 + l2)) * ch.sigma2_r / ch.g_br))
 
 
 def _powers_hd_broadcast(s: Scenario, t):
     """(p_r,) of slot 2: the weaker broadcast link sets the relay power."""
     ch = s.channels
-    if isinstance(t, float):
-        over = None
-        l3 = _pow2(_load(s, s.r_fl, t))
-        l4 = _pow2(_load(s, s.r_rl, t))
-        if not (math.isfinite(l3) and math.isfinite(l4)):
-            return (math.inf,)
-    else:
-        over, (l3, l4) = _array_exps(s, t, s.r_fl, s.r_rl)
+    over, (l3, l4) = _exps(s, t, s.r_fl, s.r_rl)
     fwd = (l3 - 1.0) * ch.sigma2_b / ch.g_rb
     rev = (l4 - 1.0) * ch.sigma2_a / ch.g_ra
-    if over is None:
-        return (max(fwd, rev),)
-    return _inf_where(over, (np.maximum(fwd, rev),))
+    # max keeps a float duration's power a Python float
+    p_r = max(fwd, rev) if isinstance(t, float) else np.maximum(fwd, rev)
+    return _inf_where(over, (p_r,))
 
 
 # Printed accounting charges dynamic circuit power eps*(r_fl + r_rl) in
 # slot 1 and eps*max(r_fl, r_rl) in slot 2; first-principles accounting
 # additionally charges the relay's slot-1 reception and the end nodes'
-# slot-2 reception.
+# slot-2 reception.  Each slot runs one chain per node.
 
-def _active_hd_access(s: Scenario, p_a, p_b):
+def _circuit_hd_access(s: Scenario):
     c = s.circuit
     if s.circuit_accounting is CircuitAccounting.PRINTED:
         dyn = c.a.epsilon * (s.r_fl + s.r_rl)
     else:
         dyn = (c.a.epsilon * s.r_fl + c.b.epsilon * s.r_rl
                + c.r.epsilon * (s.r_fl + s.r_rl))
-    return (pa_consumption(s.pa.a, p_a) + pa_consumption(s.pa.b, p_b)
-            + s.p_base_total + dyn)
+    return s.p_base_total, dyn
 
 
-def _active_hd_broadcast(s: Scenario, p_r):
+def _circuit_hd_broadcast(s: Scenario):
     c = s.circuit
     if s.circuit_accounting is CircuitAccounting.PRINTED:
         dyn = c.a.epsilon * max(s.r_fl, s.r_rl)
     else:
         dyn = (c.r.epsilon * max(s.r_fl, s.r_rl)
                + c.a.epsilon * s.r_rl + c.b.epsilon * s.r_fl)
-    return pa_consumption(s.pa.r, p_r) + s.p_base_total + dyn
+    return s.p_base_total, dyn
 
 
 def _rates_hd_access(s: Scenario, t: float, p_a, p_b):
-    c_ar, c_br, _, _ = caps_hd(s, t, s.frame_t, p_a, p_b, 0.0)
-    return ("c_ar", c_ar, s.r_fl), ("c_br", c_br, s.r_rl)
+    ch = s.channels
+    w = t / s.frame_t * s.bandwidth_w
+    sa = p_a * ch.g_ar
+    sb = p_b * ch.g_br
+    return (("c_ar", w * np.log2(sa / (sa + sb) + sa / ch.sigma2_r), s.r_fl),
+            ("c_br", w * np.log2(sb / (sa + sb) + sb / ch.sigma2_r), s.r_rl))
 
 
 def _rates_hd_broadcast(s: Scenario, t: float, p_r):
-    # Dummy end-node powers: only the broadcast capacities are read.
-    _, _, c_ra, c_rb = caps_hd(s, s.frame_t, t, 1.0, 1.0, p_r)
-    return ("c_ra", c_ra, s.r_rl), ("c_rb", c_rb, s.r_fl)
+    ch = s.channels
+    w = t / s.frame_t * s.bandwidth_w
+    return (("c_ra", w * np.log2(1.0 + p_r * ch.g_ra / ch.sigma2_a), s.r_rl),
+            ("c_rb", w * np.log2(1.0 + p_r * ch.g_rb / ch.sigma2_b), s.r_fl))
 
 
 _HD2TS_SLOTS = (
     Slot(fields=("p_a", "p_b"), nodes=("a", "b"), demand=_total_demand,
-         powers=_powers_hd_access, active=_active_hd_access,
+         powers=_powers_hd_access, circuit=_circuit_hd_access,
          rates=_rates_hd_access),
     Slot(fields=("p_r_fwd",), nodes=("r",), demand=_total_demand,
-         powers=_powers_hd_broadcast, active=_active_hd_broadcast,
+         powers=_powers_hd_broadcast, circuit=_circuit_hd_broadcast,
          rates=_rates_hd_broadcast),
 )
+
+
+def caps_hd(s: Scenario, t1: float, t2: float, p_a, p_b, p_r):
+    """Link capacities (C_ar, C_br, C_ra, C_rb) in bit/s, read off the two
+    slots' rate constraints; ndarray-friendly."""
+    access, broadcast = _HD2TS_SLOTS
+    (_, c_ar, _), (_, c_br, _) = access.rates(s, t1, p_a, p_b)
+    (_, c_ra, _), (_, c_rb, _) = broadcast.rates(s, t2, p_r)
+    return c_ar, c_br, c_ra, c_rb
 
 
 def powers_hd(s: Scenario, t1: float, t2: float) -> tuple[float, float, float]:
@@ -557,7 +552,7 @@ DESCRIPTIONS: dict[Strategy, Description] = {
     Strategy.FD1TS: Description(
         slots=(Slot(fields=("p_a", "p_b", "p_r_fwd"), nodes=("a", "b", "r"),
                     demand=_total_demand, powers=_powers_1ts_triple,
-                    active=_active_1ts, rates=_rates_1ts),),
+                    circuit=_circuit_1ts, rates=_rates_1ts),),
         # Both uplinks close; one relay power serves both broadcast links.
         binding=(("c_ar",), ("c_br",), ("c_ra", "c_rb")),
         active_case=lambda s, t: powers_1ts(s, t).active_case),

@@ -209,6 +209,34 @@ class TestCli:
         assert err.startswith("config error: --scenarios:")
         assert out == ""
 
+    def test_verify_negative_seed_is_a_seed_error(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a scenario")
+        monkeypatch.setattr("fdrelay.oracle.random_params", no_draw)
+        code, out, err = self.run("verify", "--seed", "-1")
+        assert code == EXIT_CONFIG
+        assert err == "config error: --seed: must be non-negative, got -1\n"
+        assert out == ""
+
+    def test_sweep_ignores_the_configured_strategy(self, tmp_path):
+        cfg = tmp_path / "fd2ts.cfg"
+        cfg.write_text("strategy = fd2ts\n")
+        code, out, _ = self.run("sweep", "--config", str(cfg), "--axis",
+                                "cancellation", "--from", "40", "--to", "40",
+                                "--step", "1")
+        assert code == EXIT_OK
+        header, *rows = out.splitlines()
+        column = header.split(",").index("strategy")
+        assert [row.split(",")[column] for row in rows] == [
+            s.value for s in Strategy]
+
+    def test_sweep_strategy_help_names_the_default(self, capsys):
+        assert self.run("sweep", "--help")[0] == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("--strategy {fd1ts,fd2ts,hd2ts} sweep only this strategy "
+                "(default: all three)") in help_text
+        assert "configured strategy" not in help_text
+
     def test_sweep_emits_csv(self):
         code, out, _ = self.run("sweep", "--axis", "cancellation",
                                 "--from", "20", "--to", "30", "--step", "5",
