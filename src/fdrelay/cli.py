@@ -238,7 +238,8 @@ def cli_main(argv: list[str] | None = None, out=None, err=None) -> int:
         err.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except InfeasibleError as exc:
-        err.write(f"infeasible: {exc}\n")
+        err.write(f"infeasible: {exc} (cause={exc.cause}, "
+                  f"node={exc.binding_node})\n")
         return EXIT_INFEASIBLE
 
 

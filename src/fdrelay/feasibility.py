@@ -7,6 +7,12 @@ slot's minimum duration is one bisection on it.  A duration at which the
 powers raise :class:`~fdrelay.model.InfeasibleError` (too weak a
 self-cancellation) fails the predicate.  Infeasibility is reported, never
 clamped.
+
+Before the bisection, a short safeguarded secant on the slot's log
+power-to-budget ratio narrows the window to a checked bracket: one end
+fails the predicate, the other passes it.  By monotonicity those two ends
+decide every midpoint outside the bracket, so the bisection calls the
+predicate only inside it and returns the bracket it would return alone.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ _FLOOR_FRACTION = 1e-6
 # Bisection control (absolute tolerance is relative to the frame length).
 _BISECT_TOL_FRACTION = 1e-9
 _BISECT_MAX_ITERS = 200
+# Probes of the secant that seeds the bisection; past them the bisection
+# finishes alone.  No slot of the benchmark pools needs more than 12.
+_SEED_MAX_PROBES = 16
 
 
 @dataclass(frozen=True)
@@ -66,19 +75,77 @@ def t_floor(s: Scenario) -> float:
 
 
 def _bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float,
-                     tol: float) -> tuple[float, float]:
+                     tol: float, checked: tuple[float, float]
+                     ) -> tuple[float, float]:
     """Final bracket (lo, hi) of the smallest t with pred(t) true, given
     pred monotone in t, pred(lo) false and pred(hi) true; the bracket keeps
-    that invariant and is at most ``tol`` wide."""
+    that invariant and is at most ``tol`` wide.
+
+    ``checked`` is a bracket (a, b) with lo <= a < b <= hi, pred(a) false
+    and pred(b) true.  A midpoint at or below a is then false and one at or
+    above b true, so pred is called only strictly between them, and the
+    result is that of the plain bisection, ``checked = (lo, hi)``.
+    """
+    a, b = checked
     for _ in range(_BISECT_MAX_ITERS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if pred(mid):
+        if mid >= b or (mid > a and pred(mid)):
             hi = mid
         else:
             lo = mid
     return lo, hi
+
+
+def _seed_bracket(probe: Callable[[float], tuple[bool, float]],
+                  a: float, ga: float, b: float, gb: float,
+                  tol: float) -> tuple[float, float]:
+    """Narrow a checked bracket (a, b) of a slot's minimum duration to at
+    most ``tol``, or as far as ``_SEED_MAX_PROBES`` probes take it.
+
+    ``probe(t)`` gives the budget predicate at t and g, the log of the
+    largest power-to-budget ratio, which falls with t and is close to
+    linear in 1/t once the spectral load is high.  Each step is a secant on
+    g in 1/t between the bracket's ends, safeguarded in the spirit of
+    Brent: the end kept twice in a row has its value scaled down
+    (Anderson-Bjorck), a step that would land within tol/2 of the end it
+    just moved goes tol/2 past it instead, and the step is the geometric
+    midpoint wherever a value is infinite or the secant would leave the
+    bracket.  Every probed point is checked, so the result is a checked
+    bracket.
+    """
+    last = None
+    for _ in range(_SEED_MAX_PROBES):
+        if b - a <= tol:
+            break
+        t = math.nan
+        if math.isfinite(ga) and math.isfinite(gb) and ga > gb:
+            t = 1.0 / (1.0 / a - (1.0 / a - 1.0 / b) * ga / (ga - gb))
+            if last is True:
+                t = min(t, b - 0.5 * tol)
+            elif last is False:
+                t = max(t, a + 0.5 * tol)
+        if not a < t < b:
+            t = math.sqrt(a * b)
+        ok, g = probe(t)
+        if ok:
+            if last is True:
+                ga *= _kept_scale(g, gb)
+            b, gb = t, g
+        else:
+            if last is False:
+                gb *= _kept_scale(g, ga)
+            a, ga = t, g
+        last = ok
+    return a, b
+
+
+def _kept_scale(g_new: float, g_old: float) -> float:
+    """Anderson-Bjorck factor for the value at the bracket end a secant
+    step kept again: 1 - g_new/g_old when that is positive, else 1/2."""
+    m = 1.0 - g_new / g_old if g_old else 0.0
+    return m if m > 0 else 0.5
 
 
 def _slot_tmin(s: Scenario, slot: Slot, floor: float,
@@ -98,22 +165,33 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
         return [(node, p / cap) for node, p, cap
                 in zip(slot.nodes, slot.powers(s, t), caps) if not p <= cap]
 
-    def within(t: float) -> bool:
+    def probe(t: float) -> tuple[bool, float]:
+        """Whether every power is within its budget at t, and the log of
+        the largest power-to-budget ratio (+inf where the powers raise)."""
         try:
-            return all(map(operator.le, slot.powers(s, t), caps))
+            powers = slot.powers(s, t)
         except InfeasibleError:
-            return False
+            return False, math.inf
+        ratio = max(map(operator.truediv, powers, caps))
+        return (all(map(operator.le, powers, caps)),
+                math.log(ratio) if ratio > 0 else -math.inf)
 
-    if within(floor):
+    def within(t: float) -> bool:
+        return probe(t)[0]
+
+    ok, g_floor = probe(floor)
+    if ok:
         return floor, None
-    if not within(s.frame_t):
+    ok, g_frame = probe(s.frame_t)
+    if not ok:
         nodes = over(s.frame_t)
         node = (max(nodes, key=operator.itemgetter(1)) if furthest
                 else nodes[0])[0]
         raise InfeasibleError(f"node {node} exceeds its power budget even at "
                               f"the full frame", binding_node=node)
-    lo, hi = _bisect_monotone(within, floor, s.frame_t,
-                              _BISECT_TOL_FRACTION * s.frame_t)
+    tol = _BISECT_TOL_FRACTION * s.frame_t
+    checked = _seed_bracket(probe, floor, g_floor, s.frame_t, g_frame, tol)
+    lo, hi = _bisect_monotone(within, floor, s.frame_t, tol, checked)
     try:
         return hi, over(lo)[0][0]
     except InfeasibleError as err:

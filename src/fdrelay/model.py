@@ -285,10 +285,13 @@ def pa_consumption(pa: PaModel, p):
     arr = np.asarray(p, dtype=float)
     hi = pa.p_max * (1.0 + _P_BUDGET_SLACK)
     lo = -pa.p_max * _P_BUDGET_SLACK
-    if np.any(arr < lo) or np.any(arr > hi) or not np.all(np.isfinite(arr)):
+    # NaN fails both comparisons and an infinity one of them, so this one
+    # range test also rejects every non-finite power; the initial values
+    # let an empty array pass.
+    if not (arr.min(initial=lo) >= lo and arr.max(initial=hi) <= hi):
         raise ValueError(
             f"transmit power outside [0, {pa.p_max:.6g}] W budget")
-    arr = np.clip(arr, 0.0, pa.p_max)
+    arr = np.minimum(np.maximum(arr, 0.0), pa.p_max)
     if pa.kind is PaKind.TPA:
         out = np.sqrt(arr * pa.p_max) / pa.eta_max
     else:

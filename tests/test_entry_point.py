@@ -32,6 +32,26 @@ def test_infeasible_config_exits_1(tmp_path):
     assert proc.stdout == ""
 
 
+def test_infeasible_names_cause_and_node(tmp_path):
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text("alpha_db = 20\nr_fl_mbps = 100\nr_rl_mbps = 100\n"
+                   "strategy = fd1ts\n")
+    proc = _run("solve", "--config", str(cfg))
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert proc.stderr.rstrip("\n").endswith("(cause=cancellation, node=a)")
+
+
+def test_frame_budget_infeasible_names_its_node(tmp_path):
+    # The frame-budget message itself names no node; the CLI appends it.
+    cfg = tmp_path / "busy.cfg"
+    cfg.write_text("r_fl_mbps = 110\nr_rl_mbps = 110\nstrategy = hd2ts\n")
+    proc = _run("solve", "--config", str(cfg))
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert proc.stderr == ("infeasible: minimum slot durations exceed the "
+                           "frame budget (cause=power_budget, node=a)\n")
+    assert proc.stdout == ""
+
+
 def test_missing_config_exits_2(tmp_path):
     proc = _run("solve", "--config", str(tmp_path / "missing.cfg"))
     assert proc.returncode == EXIT_CONFIG
