@@ -10,7 +10,8 @@ baseline.
 """
 
 from .config import ConfigError, ScenarioParams, parse_config, parse_params
-from .feasibility import FeasibleWindow, tmin_1ts, tmin_2ts, tmin_hd
+# bench/workloads.py imports tmin_1ts, tmin_2ts and tmin_hd from here.
+from .feasibility import FeasibleWindow, tmin_1ts, tmin_2ts, tmin_for, tmin_hd
 from .model import (
     ChannelSet,
     CircuitAccounting,
@@ -39,22 +40,7 @@ from .oracle import (
     verify_necessary_conditions,
 )
 from .solver import minimize_unimodal_1d, solve
-from .strategies import (
-    PowerAssignment1TS,
-    PowerAssignment2TS,
-    caps_1ts,
-    caps_2ts,
-    caps_hd,
-    energy_1ts,
-    energy_1ts_at,
-    energy_2ts,
-    energy_2ts_at,
-    energy_hd,
-    energy_hd_at,
-    powers_1ts,
-    powers_2ts,
-    powers_hd,
-)
+from .strategies import DESCRIPTIONS, Description, Slot
 from .sweep import Axis, AxisKind, SweepRow, SweepSpec, emit_csv, run_sweep
 
 __version__ = "0.1.0"

@@ -127,7 +127,8 @@ def _seed_bracket(probe: Callable[[float], tuple[bool, float]],
             elif last is False:
                 t = max(t, a + 0.5 * tol)
         if not a < t < b:
-            t = math.sqrt(a * b)
+            # sqrt(a * b) underflows to 0 on frames below about 2e-159 s.
+            t = math.sqrt(a) * math.sqrt(b)
         ok, g = probe(t)
         if ok:
             if last is True:

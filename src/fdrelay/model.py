@@ -9,6 +9,7 @@ configuration boundary, never inside the math.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Generic, TypeVar
@@ -209,8 +210,9 @@ class Scenario:
     def __post_init__(self):
         if not self.bandwidth_w > 0:
             raise ValueError("bandwidth_w must be positive")
-        if not self.frame_t > 0:
-            raise ValueError("frame_t must be positive")
+        # A subnormal frame's slot floor, a millionth of it, can round to 0 s.
+        if not self.frame_t >= sys.float_info.min:
+            raise ValueError(f"frame_t must be at least {sys.float_info.min} s")
         if self.r_fl < 0 or self.r_rl < 0:
             raise ValueError("rate demands must be non-negative")
         if not self.r_fl + self.r_rl > 0:

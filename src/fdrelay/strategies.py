@@ -384,17 +384,12 @@ def _relay_cases(s: Scenario, t1):
     return end_powers(p_r_rl) + (p_r_rl,), end_powers(p_r_fl) + (p_r_fl,)
 
 
-def _powers_1ts_cases(s: Scenario, t1):
-    """Both relay-power candidates as assignments, case I first."""
-    case1, case2 = _relay_cases(s, t1)
-    return (PowerAssignment1TS(*case1, RelayCase.CASE_I),
-            PowerAssignment1TS(*case2, RelayCase.CASE_II))
-
-
 def powers_1ts(s: Scenario, t1: float) -> PowerAssignment1TS:
     """Optimal powers: the larger of the two relay-power candidates wins."""
-    case1, case2 = _powers_1ts_cases(s, t1)
-    return case1 if case1.p_r >= case2.p_r else case2
+    case1, case2 = _relay_cases(s, t1)
+    if case1[2] >= case2[2]:
+        return PowerAssignment1TS(*case1, RelayCase.CASE_I)
+    return PowerAssignment1TS(*case2, RelayCase.CASE_II)
 
 
 def _circuit_1ts(s: Scenario):

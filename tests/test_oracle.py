@@ -214,6 +214,26 @@ class TestVerify:
                 report = verify(s, solve(s))
                 assert report.ok, report
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_schedule_that_misses_a_demand_fails(self, params, strategy):
+        """Twice the solved p_a leaves e_total and the grid gap as they
+        are.  For fd1ts and hd2ts it crowds b's uplink, which then misses
+        its demand; fd2ts sends a and b in different slots and meets every
+        demand.  The report keeps every slack either way."""
+        s = replace(params, strategy=strategy).build()
+        sched = solve(s)
+        report = verify(s, replace(sched, p_a=2 * sched.p_a))
+        slacks = report.active_constraints
+        assert set(slacks) == {"c_ar", "c_br", "c_ra", "c_rb"}
+        assert report.relative_gap <= 0.01
+        assert report.convexity_violations == 0
+        if strategy is Strategy.FD2TS:
+            assert min(slacks.values()) >= 0.0
+            assert report.ok
+        else:
+            assert slacks["c_br"] < -1e-4
+            assert not report.ok
+
 
 class TestRandomGeneration:
     def test_deterministic(self):

@@ -8,7 +8,9 @@ from fdrelay.config import ScenarioParams
 from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, RelayCase, Strategy
 from fdrelay.strategies import (
     DESCRIPTIONS,
+    PowerAssignment1TS,
     PowerAssignment2TS,
+    _relay_cases,
     caps_1ts,
     caps_2ts,
     caps_hd,
@@ -23,6 +25,12 @@ from fdrelay.strategies import (
 )
 
 from conftest import random_scenario_params
+
+
+def relay_case_assignments(s, t1):
+    """Both fd1ts relay-power candidates as assignments, case I first."""
+    return tuple(PowerAssignment1TS(*powers, case)
+                 for powers, case in zip(_relay_cases(s, t1), RelayCase))
 
 
 def loads(s, t_fl, t_rl):
@@ -304,10 +312,8 @@ class TestEnergy1TS:
         assert energy_1ts(s_idle, t1) == pytest.approx(energy_1ts(s_none, t1))
 
     def test_symmetric_cases_degenerate(self, make_scenario):
-        from fdrelay.strategies import _powers_1ts_cases
-
         s = make_scenario(strategy=Strategy.FD1TS, gs=1e-16)
-        case1, case2 = _powers_1ts_cases(s, 0.007)
+        case1, case2 = relay_case_assignments(s, 0.007)
         assert case1.p_r == pytest.approx(case2.p_r)
         assert energy_1ts_at(s, 0.007, case1) == pytest.approx(
             energy_1ts_at(s, 0.007, case2))
@@ -477,7 +483,6 @@ class TestSlotDescriptions:
     def test_1ts_energy_is_the_worse_case_energy(self, pa_kind, accounting):
         """Pricing the larger relay-power case alone gives the max over both
         cases exactly: that case has every power at least as large."""
-        from fdrelay.strategies import _powers_1ts_cases
         rng = np.random.default_rng(41)
         checked = 0
         while checked < 40:
@@ -485,7 +490,7 @@ class TestSlotDescriptions:
             s = replace(p, accounting=accounting).build()
             t = float(rng.uniform(0.2, 1.0)) * s.frame_t
             try:
-                cases = _powers_1ts_cases(s, t)
+                cases = relay_case_assignments(s, t)
                 expected = max(energy_1ts_at(s, t, c) for c in cases)
             except (InfeasibleError, ValueError):
                 continue
