@@ -1,11 +1,15 @@
 """Independent brute-force validation of solver output and model structure.
 
 The grid oracle never trusts the closed-form power expressions: at every
-gridded duration it sweeps per-node power boxes from the closed-form point
-up to each budget, keeps only assignments whose capacities actually meet
-the demands, and takes the cheapest survivor.  A correct solver must never
-be worse than the grid; the closed-form point must never be worse than any
-rate-feasible grid point at the same durations.
+gridded duration it checks the capacities of the closed-form point (the
+anchor) from scratch.  An anchor that meets every demand is its duration's
+cheapest rate-feasible point, because each point of the power box above it
+is at least as high in every power and the PA draw never falls as a power
+grows.  Where an anchor misses a demand, the oracle sweeps per-node power
+boxes from the anchor up to each budget, keeps only assignments whose
+capacities meet the demands, and takes the cheapest survivor.  A correct
+solver must never be worse than the grid; the closed-form point must never
+be worse than any rate-feasible grid point at the same durations.
 
 Both the grid and the scenario convexity probe run in array passes.  Each
 slot's closed-form powers are priced over a whole duration array in one
@@ -17,10 +21,11 @@ a point-by-point run.  Where the single-slot form raises
 :class:`~fdrelay.model.InfeasibleError` for a float, its array holds NaN:
 the grid drops that duration, as it drops a duration whose anchor is
 infinite or over budget, and the probe calls the float form at the first
-such point, which raises the error.  The grid evaluates the power boxes of
-many durations in one pass, at most ``_CHUNK_ELEMENTS`` grid points at a
-time so that the single-slot strategy's 3-D boxes add no resident memory;
-the probe prices all of its points with one ``Description.energy_at`` call.
+such point, which raises the error.  The grid checks the anchors of all
+durations in one pass and sweeps the boxes of the durations left, at most
+``_CHUNK_ELEMENTS`` grid points at a time so that the single-slot
+strategy's 3-D boxes add no resident memory; the probe prices all of its
+points with one ``Description.energy_at`` call.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ __all__ = ["OracleReport", "grid_search", "verify_necessary_conditions",
 # closed-form anchor meets them with equality up to float rounding.
 _RATE_SLACK = 1e-9
 
-# Grid points one array pass of the oracle evaluates at most; a fixed cap
-# keeps the single-slot strategy's 3-D power boxes from adding resident
+# Grid points one box-search pass of the oracle evaluates at most; a fixed
+# cap keeps the single-slot strategy's 3-D power boxes from adding resident
 # memory as the grid grows.
 _CHUNK_ELEMENTS = 2 ** 14
 
@@ -124,9 +129,13 @@ def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
 
     One ``slot.powers`` call prices the anchors of every duration.  An
     anchor that is not finite (NaN where the single-slot form raises) or
-    over its budget leaves its duration off the grid.  The boxes,
-    capacities and active powers of the remaining durations go through one
-    array pass, ``_CHUNK_ELEMENTS`` grid points at a time.
+    over its budget leaves its duration off the grid.  The capacities of
+    the remaining anchors are checked from scratch in one pass, and an
+    anchor that meets every demand is its duration's answer: it is the
+    box's first point, every other point is at least as high in each
+    power, and ``Slot.active`` never falls as a power grows.  Only the
+    durations whose anchor misses a demand go through the box search,
+    ``_CHUNK_ELEMENTS`` grid points at a time.
     """
     caps = np.array([cap for _, cap in slot.budgets(s)])
     n_w = caps.size
@@ -135,10 +144,18 @@ def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
     anchors = np.column_stack(slot.powers(s, t_axis))
     rows = np.flatnonzero((np.isfinite(anchors)
                            & (anchors <= caps * (1.0 + 1e-9))).all(axis=1))
+    anchors = np.minimum(anchors[rows], caps)
+    met = np.ones(rows.size, dtype=bool)
+    for _, capacity, demand in slot.rates(s, t_axis[rows], *anchors.T):
+        met &= capacity >= demand * (1.0 - _RATE_SLACK)
+    done = rows[met]
+    best[done] = slot.active(s, *anchors[met].T)
+    best_powers[done] = anchors[met]
+    rows, anchors = rows[~met], anchors[~met]
     if not rows.size:
         return best, best_powers
-    boxes = _power_boxes(np.minimum(anchors[rows], caps), np.broadcast_to(
-        caps, (rows.size, n_w)), n_p)
+    boxes = _power_boxes(anchors, np.broadcast_to(caps, (rows.size, n_w)),
+                         n_p)
     per_row = n_p ** n_w
     step = max(1, _CHUNK_ELEMENTS // per_row)
     for lo in range(0, rows.size, step):
@@ -167,10 +184,11 @@ def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
 def grid_search(s: Scenario, n_t: int = 50, n_p: int = 20):
     """Exhaustive feasible minimum over duration and power grids.
 
-    Power boxes are anchored at the closed-form point so the sweep can
-    confirm, not assume, that equality-active powers dominate.  Every slot
-    shares one duration axis.  Raises :class:`InfeasibleError` when no grid
-    point is feasible.
+    At each duration the closed-form powers are checked against the
+    demands from scratch; a power box above them is searched only where
+    they miss a demand, since no box point draws less than a feasible
+    anchor.  Every slot shares one duration axis.  Raises
+    :class:`InfeasibleError` when no grid point is feasible.
 
     Returns (best_energy, best_point) with best_point a plain dict of the
     slot durations (t1, t2) and the schedule's power fields.
@@ -301,9 +319,11 @@ def _probe_points(domain, n_samples: int, h: float | None, seed: int,
 
 def _count_violations(f: np.ndarray, h: float, rel_tol: float) -> int:
     """Samples whose second difference falls below ``-rel_tol * |f(x)|``,
-    given one row (f(x), f(x + h e), f(x - h e)) per sample."""
+    given one row (f(x), f(x + h e), f(x - h e)) per sample.  Dividing by
+    ``h`` twice keeps the step of a frame shorter than 1e-154 s from
+    squaring to zero."""
     f0, fp, fm = f[:, 0], f[:, 1], f[:, 2]
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    d2 = (fp - 2.0 * f0 + fm) / h / h
     return int(np.count_nonzero(d2 < -rel_tol * np.abs(f0)))
 
 

@@ -4,6 +4,8 @@ default frame."""
 
 import io
 import math
+import re
+import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -48,3 +50,29 @@ def test_short_frame_scales_the_default_schedule(strategy, frame_t_ms):
     assert math.isclose(got.ee, want.ee, rel_tol=1e-12)
     assert math.isclose(got.t1 / short.frame_t, want.t1 / 10e-3,
                         rel_tol=1e-12)
+
+
+def _oracle_violations(cfg, strategy):
+    """``solve --oracle`` with numpy warnings as errors: exit code and the
+    reported convexity violation count."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main(["solve", "--config", str(cfg), "--strategy",
+                         strategy, "--oracle"], out, err)
+    count = re.search(r"convexity violations (\d+)", out.getvalue())
+    assert count, err.getvalue()
+    return code, int(count.group(1))
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+@pytest.mark.parametrize("frame_t_ms", ["1e-200", "1e-300"])
+def test_short_frame_oracle_probe_runs_clean(tmp_path, strategy, frame_t_ms):
+    """The convexity probe's step squared underflows below a 1e-154 s
+    frame; the probe must neither divide by zero nor change its count."""
+    cfg = tmp_path / "frame.cfg"
+    cfg.write_text("frame_t_ms = 10\n")
+    want = _oracle_violations(cfg, strategy)
+    cfg.write_text(f"frame_t_ms = {frame_t_ms}\n")
+    assert _oracle_violations(cfg, strategy) == want
+    assert want[0] == EXIT_OK

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fdrelay import oracle
 from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import t_floor, tmin_for
 from fdrelay.model import InfeasibleError, PaKind, Strategy
@@ -25,6 +26,7 @@ from fdrelay.oracle import (
     convexity_probe,
     random_feasible_scenarios,
 )
+from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS
 
 PAIRS = [(strategy, pa) for strategy in Strategy for pa in PaKind]
@@ -155,6 +157,69 @@ class TestSlotBestParity:
                 return (first,) + anchor[1:]
 
             _assert_same(s, replace(slot, powers=powers), t_axis, 8)
+
+
+def _scaled_below(slot, t_axis, at, factor=1.0 - 1e-6):
+    """``slot`` with every closed-form power scaled by ``factor`` at the
+    durations ``t_axis[at]``: those anchors sit just below their demands."""
+    low = t_axis[at]
+
+    def powers(s, t, _slot=slot):
+        scale = np.where(np.isin(t, low), factor, 1.0)
+        anchor = _slot.powers(s, t)
+        if np.ndim(t) == 0:
+            return tuple(float(p * scale) for p in anchor)
+        return tuple(p * scale for p in anchor)
+
+    return replace(slot, powers=powers)
+
+
+def _box_wins(s, slot, t_axis, n_p):
+    """Durations whose winning powers lie above their in-budget anchor in
+    at least one power: the box search, not the anchor, priced them."""
+    _, powers = _slot_best(s, slot, t_axis, n_p)
+    caps = np.array([cap for _, cap in slot.budgets(s)])
+    anchors = np.minimum(np.column_stack(slot.powers(s, t_axis)), caps)
+    return int(np.count_nonzero((powers > anchors).any(axis=1)))
+
+
+class TestAnchorMissesDemand:
+    """Anchors a hair below their demands send their durations through the
+    box search, which must still equal the per-duration search."""
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    @pytest.mark.parametrize("every", [3, 1])
+    def test_box_search_where_anchors_miss(self, strategy, pa_kind, every):
+        s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
+        t_axis = _full_axis(s, 40)
+        for slot in DESCRIPTIONS[strategy].slots:
+            assert _box_wins(s, slot, t_axis, 7) == 0
+            missing = _scaled_below(slot, t_axis, slice(None, None, every))
+            _assert_same(s, missing, t_axis, 7)
+            assert _box_wins(s, missing, t_axis, 7) > 0
+
+    @pytest.mark.parametrize("every", [3, 1])
+    def test_fd1ts_box_over_the_chunk_cap(self, every):
+        s = ScenarioParams(strategy=Strategy.FD1TS).build()
+        t_axis = _full_axis(s, 12)
+        missing = _scaled_below(DESCRIPTIONS[Strategy.FD1TS].slots[0],
+                                t_axis, slice(None, None, every))
+        assert 30 ** 3 > _CHUNK_ELEMENTS
+        _assert_same(s, missing, t_axis, 30)
+        assert _box_wins(s, missing, t_axis, 30) > 0
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_default_scenarios_build_no_box(self, strategy, pa_kind,
+                                            monkeypatch):
+        """Every in-budget anchor of the default scenarios meets its
+        demands, so neither ``verify`` nor ``grid_search`` builds a box."""
+        def no_box(*args):
+            raise AssertionError("power box built")
+
+        monkeypatch.setattr(oracle, "_power_boxes", no_box)
+        s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
+        assert oracle.verify(s, solve(s)).ok
+        oracle.grid_search(s)
 
 
 def test_power_boxes_match_linspace_per_entry():

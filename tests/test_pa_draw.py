@@ -4,7 +4,9 @@
 ``np.minimum``/``np.maximum``.  The body it replaced, with its separate
 finiteness test and ``np.clip``, is kept here as the reference: every
 draw must equal it by ``repr`` (floats) and ``tobytes()`` (arrays), and
-every rejected power must raise the same ``ValueError``.
+every rejected power must raise the same ``ValueError``.  The draw, and
+so each slot's active power, must also never fall as a power grows: the
+oracle's grid relies on it.
 """
 
 import math
@@ -12,7 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from fdrelay.model import PaKind, PaModel, pa_consumption
+from fdrelay.config import ScenarioParams
+from fdrelay.model import PaKind, PaModel, Strategy, pa_consumption
+from fdrelay.strategies import DESCRIPTIONS
 
 _SLACK = 1e-9
 
@@ -116,3 +120,25 @@ def test_negative_zero_draws_the_same_value(pa):
     assert pa_consumption(pa, -0.0) == _reference(pa, -0.0)
     arr = np.full(17, -0.0)
     assert np.array_equal(pa_consumption(pa, arr), _reference(pa, arr))
+
+
+@pytest.mark.parametrize("pa", PAS, ids=repr)
+def test_draw_never_falls_as_the_power_grows(pa, rng):
+    """The oracle prices a box's anchor in place of the whole box only
+    because a higher power never draws less."""
+    draw = pa_consumption(pa, np.sort(_inside(pa, rng)))
+    assert (np.diff(draw) >= 0).all()
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("pa_kind", list(PaKind))
+def test_slot_active_never_falls_along_a_power_axis(strategy, pa_kind, rng):
+    s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
+    for slot in DESCRIPTIONS[strategy].slots:
+        axes = [np.sort(np.concatenate([[0.0, cap],
+                                        rng.uniform(0.0, cap, 9)]))
+                for _, cap in slot.budgets(s)]
+        active = slot.active(s, *np.ix_(*axes))
+        assert active.shape == tuple(axis.size for axis in axes)
+        for w in range(len(axes)):
+            assert (np.diff(active, axis=w) >= 0).all()
