@@ -22,10 +22,8 @@ a point-by-point run.  Where the single-slot form raises
 the grid drops that duration, as it drops a duration whose anchor is
 infinite or over budget, and the probe calls the float form at the first
 such point, which raises the error.  The grid checks the anchors of all
-durations in one pass and sweeps the boxes of the durations left, at most
-``_CHUNK_ELEMENTS`` grid points at a time so that the single-slot
-strategy's 3-D boxes add no resident memory; the probe prices all of its
-points with one ``Description.energy_at`` call.
+durations in one pass and sweeps the box of each duration left on its own;
+the probe prices all of its points with one ``Description.energy_at`` call.
 """
 
 from __future__ import annotations
@@ -55,10 +53,8 @@ __all__ = ["OracleReport", "grid_search", "verify_necessary_conditions",
 # closed-form anchor meets them with equality up to float rounding.
 _RATE_SLACK = 1e-9
 
-# Grid points one box-search pass of the oracle evaluates at most; a fixed
-# cap keeps the single-slot strategy's 3-D power boxes from adding resident
-# memory as the grid grows.
-_CHUNK_ELEMENTS = 2 ** 14
+# Relative tolerance of the convexity probe's second differences.
+_CONVEXITY_REL_TOL = 1e-6
 
 # The grid and probe sizes of a :func:`verify` pass: duration and power
 # points per axis, and convexity-probe samples.
@@ -89,23 +85,8 @@ class OracleReport:
                         for v in self.active_constraints.values()))
 
 
-def _power_boxes(lo: np.ndarray, hi: np.ndarray, n_p: int) -> np.ndarray:
-    """``np.linspace(lo[i], hi[i], n_p)`` for every entry i, bit for bit.
-
-    One ``np.linspace`` call over all entries switches every entry to its
-    zero-step formula once one entry's step is zero (an anchor on its
-    budget), so the zero-step entries get a call of their own.
-    """
-    boxes = np.empty(lo.shape + (n_p,))
-    flat = (hi - lo) / (n_p - 1) == 0
-    for part in (flat, ~flat):
-        if part.any():
-            boxes[part] = np.linspace(lo[part], hi[part], n_p, axis=-1)
-    return boxes
-
-
 def _duration_axis(lo: float, hi: float, n_t: int,
-                   extras: tuple[float, ...] = ()) -> np.ndarray:
+                   extras: tuple[float, ...]) -> np.ndarray:
     """Regular duration grid plus any exact boundary points worth probing.
 
     The extras cover feasibility windows narrower than the grid spacing,
@@ -116,6 +97,14 @@ def _duration_axis(lo: float, hi: float, n_t: int,
     if keep:
         pts = np.unique(np.concatenate([pts, np.asarray(keep)]))
     return pts
+
+
+def _meets(s: Scenario, slot: Slot, t, *powers):
+    """Where every rate of ``slot`` at ``t`` and ``powers`` is met."""
+    met = True
+    for _, capacity, demand in slot.rates(s, t, *powers):
+        met = met & (capacity >= demand * (1.0 - _RATE_SLACK))
+    return met
 
 
 def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
@@ -133,52 +122,38 @@ def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
     the remaining anchors are checked from scratch in one pass, and an
     anchor that meets every demand is its duration's answer: it is the
     box's first point, every other point is at least as high in each
-    power, and ``Slot.active`` never falls as a power grows.  Only the
-    durations whose anchor misses a demand go through the box search,
-    ``_CHUNK_ELEMENTS`` grid points at a time.
+    power, and ``Slot.active`` never falls as a power grows.  Each
+    duration whose anchor misses a demand has its own box searched by
+    :func:`_box_best`.
     """
     caps = np.array([cap for _, cap in slot.budgets(s)])
-    n_w = caps.size
     best = np.full(t_axis.size, math.inf)
-    best_powers = np.full((t_axis.size, n_w), math.nan)
+    best_powers = np.full((t_axis.size, caps.size), math.nan)
     anchors = np.column_stack(slot.powers(s, t_axis))
     rows = np.flatnonzero((np.isfinite(anchors)
                            & (anchors <= caps * (1.0 + 1e-9))).all(axis=1))
     anchors = np.minimum(anchors[rows], caps)
-    met = np.ones(rows.size, dtype=bool)
-    for _, capacity, demand in slot.rates(s, t_axis[rows], *anchors.T):
-        met &= capacity >= demand * (1.0 - _RATE_SLACK)
-    done = rows[met]
-    best[done] = slot.active(s, *anchors[met].T)
-    best_powers[done] = anchors[met]
-    rows, anchors = rows[~met], anchors[~met]
-    if not rows.size:
-        return best, best_powers
-    boxes = _power_boxes(anchors, np.broadcast_to(caps, (rows.size, n_w)),
-                         n_p)
-    per_row = n_p ** n_w
-    step = max(1, _CHUNK_ELEMENTS // per_row)
-    for lo in range(0, rows.size, step):
-        box = boxes[lo:lo + step]
-        n = box.shape[0]
-        t = t_axis[rows[lo:lo + step]].reshape((n,) + (1,) * n_w)
-        # One open-mesh axis per power after the leading duration axis.
-        grid = [box[:, w].reshape((n,) + (1,) * w + (n_p,)
-                                  + (1,) * (n_w - 1 - w))
-                for w in range(n_w)]
-        feas = True
-        for _, capacity, demand in slot.rates(s, t, *grid):
-            feas = feas & (capacity >= demand * (1.0 - _RATE_SLACK))
-        active = np.where(feas, slot.active(s, *grid),
-                          math.inf).reshape(n, per_row)
-        k = np.argmin(active, axis=1)
-        won = active[np.arange(n), k]
-        hit = np.flatnonzero(np.isfinite(won))
-        i = rows[lo + hit]
-        best[i] = won[hit]
-        j = np.column_stack(np.unravel_index(k[hit], (n_p,) * n_w))
-        best_powers[i] = box[hit[:, None], np.arange(n_w), j]
+    met = _meets(s, slot, t_axis[rows], *anchors.T)
+    best[rows[met]] = slot.active(s, *anchors[met].T)
+    best_powers[rows[met]] = anchors[met]
+    for i, lo in zip(rows[~met], anchors[~met]):
+        best[i], best_powers[i] = _box_best(s, slot, t_axis[i], lo, caps, n_p)
     return best, best_powers
+
+
+def _box_best(s: Scenario, slot: Slot, t, anchor: np.ndarray,
+              caps: np.ndarray, n_p: int):
+    """Cheapest rate-feasible active power of ``slot`` at duration ``t`` on
+    the box of ``n_p`` points per power from ``anchor`` up to ``caps``, and
+    the powers that reach it; (inf, NaN) where no box point is feasible."""
+    boxes = [np.linspace(lo, cap, n_p) for lo, cap in zip(anchor, caps)]
+    grid = np.ix_(*boxes)
+    active = np.where(_meets(s, slot, t, *grid), slot.active(s, *grid),
+                      math.inf)
+    k = np.unravel_index(int(np.argmin(active)), active.shape)
+    if not math.isfinite(active[k]):
+        return math.inf, math.nan
+    return active[k], [box[j] for box, j in zip(boxes, k)]
 
 
 def grid_search(s: Scenario, n_t: int = 50, n_p: int = 20):
@@ -317,19 +292,18 @@ def _probe_points(domain, n_samples: int, h: float | None, seed: int,
     return h, np.array(points).reshape(n_samples, 3, 2)
 
 
-def _count_violations(f: np.ndarray, h: float, rel_tol: float) -> int:
-    """Samples whose second difference falls below ``-rel_tol * |f(x)|``,
-    given one row (f(x), f(x + h e), f(x - h e)) per sample.  Dividing by
-    ``h`` twice keeps the step of a frame shorter than 1e-154 s from
-    squaring to zero."""
+def _count_violations(f: np.ndarray, h: float) -> int:
+    """Samples whose second difference falls below
+    ``-_CONVEXITY_REL_TOL * |f(x)|``, given one row (f(x), f(x + h e),
+    f(x - h e)) per sample.  Dividing by ``h`` twice keeps the step of a
+    frame shorter than 1e-154 s from squaring to zero."""
     f0, fp, fm = f[:, 0], f[:, 1], f[:, 2]
     d2 = (fp - 2.0 * f0 + fm) / h / h
-    return int(np.count_nonzero(d2 < -rel_tol * np.abs(f0)))
+    return int(np.count_nonzero(d2 < -_CONVEXITY_REL_TOL * np.abs(f0)))
 
 
 def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
-                    rel_tol: float = 1e-6, seed: int = 0,
-                    sum_cap: float | None = None) -> int:
+                    seed: int = 0, sum_cap: float | None = None) -> int:
     """Count negative central second differences of ``f`` over ``domain``.
 
     ``domain`` is (lo, hi) for a scalar function or a pair of such
@@ -337,11 +311,11 @@ def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
     ``sum_cap`` optionally restricts 2-D sampling to x + y <= sum_cap.
     ``f`` is called once per point: at each sample x and at x +/- h along
     the probe direction.  Returns the number of samples where
-    (f(x+h) - 2 f(x) + f(x-h)) / h**2 falls below ``-rel_tol * |f(x)|``.
+    (f(x+h) - 2 f(x) + f(x-h)) / h**2 falls below 1e-6 times -|f(x)|.
     """
     h, points = _probe_points(domain, n_samples, h, seed, sum_cap)
     values = [[f(*x) for x in triple] for triple in points.tolist()]
-    return _count_violations(np.array(values, dtype=float), h, rel_tol)
+    return _count_violations(np.array(values, dtype=float), h)
 
 
 def verify(s: Scenario, sched: Schedule) -> OracleReport:
@@ -393,7 +367,7 @@ def _probe_closed_form(s: Scenario, domain, n_samples: int) -> int:
             slot.powers(s, float(t[raised.argmax()]))
         powers.append(p)
     energy = desc.energy_at(s, durations, powers)
-    return _count_violations(energy.reshape(-1, 3), h, 1e-6)
+    return _count_violations(energy.reshape(-1, 3), h)
 
 
 def random_params(rng: np.random.Generator, strategy: Strategy,

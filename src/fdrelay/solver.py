@@ -117,7 +117,7 @@ def solve(s: Scenario) -> Schedule:
     desc = DESCRIPTIONS[s.strategy]
     window = tmin_for(s)
     if not window.feasible:
-        raise InfeasibleError(window.detail or "scenario infeasible",
+        raise InfeasibleError(window.detail,
                               binding_node=next(
                                   (b for b in window.binding_node if b), None),
                               cause=window.cause)

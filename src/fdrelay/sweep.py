@@ -19,6 +19,10 @@ from .solver import solve
 __all__ = ["AxisKind", "Axis", "SweepSpec", "SweepRow", "run_sweep",
            "emit_csv"]
 
+# Values one axis may hold at most: a finer step is refused before any
+# value is built.
+_MAX_AXIS_VALUES = 10 ** 6
+
 
 class AxisKind(str, Enum):
     """Sweepable scenario dimensions."""
@@ -45,9 +49,13 @@ class Axis:
             raise ValueError("axis bounds and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
+        steps = (stop - start) / step + 1e-9
+        if steps < 0:
             raise ValueError("empty axis range")
+        n = math.floor(steps) + 1 if steps < math.inf else math.inf
+        if n > _MAX_AXIS_VALUES:
+            raise ValueError(f"axis range needs {n:,} values, more than "
+                             f"{_MAX_AXIS_VALUES:,}")
         return cls(kind, tuple(start + i * step for i in range(n)))
 
 

@@ -1,9 +1,9 @@
 """The oracle's array passes against the per-point code they replace.
 
-The grid's per-slot box search and the scenario convexity probe evaluate
-many durations in one numpy pass.  Both must give exactly the numbers of
-the one-duration-at-a-time and one-point-at-a-time code: the same best
-active powers and powers, and the same violation counts.
+The grid's per-slot anchor check and the scenario convexity probe
+evaluate many durations in one numpy pass.  Both must give exactly the
+numbers of the one-duration-at-a-time and one-point-at-a-time code: the
+same best active powers and powers, and the same violation counts.
 """
 
 import math
@@ -18,8 +18,6 @@ from fdrelay.feasibility import t_floor, tmin_for
 from fdrelay.model import InfeasibleError, PaKind, Strategy
 from fdrelay.oracle import (
     _RATE_SLACK,
-    _CHUNK_ELEMENTS,
-    _power_boxes,
     _probe_closed_form,
     _probe_points,
     _slot_best,
@@ -130,9 +128,8 @@ class TestSlotBestParity:
                 "in budget"} <= _anchor_kinds(s, slot, t_axis)
         _assert_same(s, slot, t_axis, 9)
 
-    def test_fd1ts_box_over_the_chunk_cap(self):
+    def test_fd1ts_large_box(self):
         s = ScenarioParams(strategy=Strategy.FD1TS).build()
-        assert 30 ** 3 > _CHUNK_ELEMENTS
         _assert_same(s, DESCRIPTIONS[Strategy.FD1TS].slots[0],
                      _full_axis(s, 12), 30)
 
@@ -199,12 +196,11 @@ class TestAnchorMissesDemand:
             assert _box_wins(s, missing, t_axis, 7) > 0
 
     @pytest.mark.parametrize("every", [3, 1])
-    def test_fd1ts_box_over_the_chunk_cap(self, every):
+    def test_fd1ts_large_box(self, every):
         s = ScenarioParams(strategy=Strategy.FD1TS).build()
         t_axis = _full_axis(s, 12)
         missing = _scaled_below(DESCRIPTIONS[Strategy.FD1TS].slots[0],
                                 t_axis, slice(None, None, every))
-        assert 30 ** 3 > _CHUNK_ELEMENTS
         _assert_same(s, missing, t_axis, 30)
         assert _box_wins(s, missing, t_axis, 30) > 0
 
@@ -216,20 +212,46 @@ class TestAnchorMissesDemand:
         def no_box(*args):
             raise AssertionError("power box built")
 
-        monkeypatch.setattr(oracle, "_power_boxes", no_box)
+        monkeypatch.setattr(oracle, "_box_best", no_box)
         s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
         assert oracle.verify(s, solve(s)).ok
         oracle.grid_search(s)
 
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_zero_step_box_beside_open_ones(self, strategy, pa_kind,
+                                            monkeypatch):
+        """An anchor on its first budget, with its other powers a hair
+        low, sends its duration to the box search with a zero-step box in
+        one power and open boxes in the rest."""
+        s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
+        t_axis = _full_axis(s, 30)
+        pinned = t_axis[20]
+        searched = []
+        box_best = oracle._box_best
 
-def test_power_boxes_match_linspace_per_entry():
-    rng = np.random.default_rng(8)
-    lo = rng.uniform(0.0, 20.0, (6, 3))
-    hi = lo + rng.uniform(0.0, 20.0, lo.shape)
-    hi[1, 2], hi[4, 0] = lo[1, 2], lo[4, 0]  # zero-step boxes
-    boxes = _power_boxes(lo, hi, 7)
-    for i in np.ndindex(lo.shape):
-        assert boxes[i].tobytes() == np.linspace(lo[i], hi[i], 7).tobytes()
+        def spy(s_, slot_, t, *args):
+            searched.append(t)
+            return box_best(s_, slot_, t, *args)
+
+        monkeypatch.setattr(oracle, "_box_best", spy)
+        for slot in DESCRIPTIONS[strategy].slots:
+            if len(slot.fields) < 2:
+                continue
+            cap = slot.budgets(s)[0][1]
+
+            def powers(s_, t, _slot=slot, _cap=cap):
+                anchor = _slot.powers(s_, t)
+                at = t == pinned
+                pinned_anchor = (np.where(at, _cap * (1.0 + 5e-10), anchor[0]),
+                                 *(np.where(at, p * (1.0 - 1e-6), p)
+                                   for p in anchor[1:]))
+                if np.ndim(t) == 0:
+                    return tuple(float(p) for p in pinned_anchor)
+                return pinned_anchor
+
+            searched.clear()
+            _assert_same(s, replace(slot, powers=powers), t_axis, 8)
+            assert searched == [pinned]
 
 
 def _probe_cases(strategy, pa_kind):

@@ -27,6 +27,11 @@ class TestAxis:
         axis = Axis.from_range(AxisKind.TOTAL_RATE_MBPS, 65.0, 65.0, 5.0)
         assert axis.values == (65.0,)
 
+    def test_rejects_a_count_over_the_cap(self):
+        # 0 to 1e6 in steps of 1 is one value more than an axis may hold.
+        with pytest.raises(ValueError, match="1,000,001 values"):
+            Axis.from_range(AxisKind.CANCELLATION_DB, 0.0, 1e6, 1.0)
+
     @pytest.mark.parametrize("bounds", [
         (20.0, math.inf, 1.0), (-math.inf, 20.0, 1.0), (20.0, 30.0, math.inf),
         (math.nan, 30.0, 1.0), (20.0, 30.0, math.nan),
@@ -308,6 +313,9 @@ class TestCli:
           "--step", "5"), ("total-rate", "-5", "non-negative")),
         (("--axis", "cancellation", "--from", "20", "--to", "30",
           "--step", "0"), ("cancellation", "step must be positive")),
+        # A subnormal step: the value count overflows to infinity.
+        (("--axis", "cancellation", "--from", "20", "--to", "80",
+          "--step", "5e-324"), ("cancellation", "needs inf values")),
     ])
     def test_unbuildable_axis_value_is_config_error(self, axis_args, names):
         code, out, err = self.run("sweep", *axis_args)
