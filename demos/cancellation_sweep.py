@@ -29,7 +29,7 @@ print(f"wrote {len(rows)} rows to {csv_path}\n")
 print(f"{'alpha [dB]':>10s} {'fd1ts':>12s} {'fd2ts':>12s} {'hd2ts':>12s}")
 by_alpha = {}
 for row in rows:
-    by_alpha.setdefault(row.axis1, {})[row.strategy.value] = row.ee
+    by_alpha.setdefault(row.axis1, {})[row.strategy.value] = row.schedule.ee
 for alpha in sorted(by_alpha):
     ee = by_alpha[alpha]
     print(f"{alpha:10.0f} {ee['fd1ts']:12.5e} {ee['fd2ts']:12.5e} "

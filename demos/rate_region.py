@@ -28,7 +28,8 @@ for rate in sorted(by_rate):
     cells = []
     for name in ("fd1ts", "fd2ts", "hd2ts"):
         row = by_rate[rate][name]
-        cells.append(f"{row.ee:12.4e}" if row.feasible else f"{'-':>12s}")
+        cells.append(f"{row.schedule.ee:12.4e}" if row.feasible
+                     else f"{'-':>12s}")
     print(f"{rate:12.0f} " + " ".join(cells))
 
 

@@ -20,7 +20,7 @@ rows = run_sweep(spec)
 
 by_ratio = {}
 for row in rows:
-    by_ratio.setdefault(row.axis1, {})[row.strategy.value] = row.ee
+    by_ratio.setdefault(row.axis1, {})[row.strategy.value] = row.schedule.ee
 
 print(f"{'fl:rl':>6s} {'fd1ts':>12s} {'fd2ts':>12s} {'hd2ts':>12s}")
 for ratio in sorted(by_ratio):

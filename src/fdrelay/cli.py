@@ -77,10 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_params(args: argparse.Namespace) -> tuple[ScenarioParams, Scenario]:
-    """The configured parameters with the overrides applied, and the
-    scenario they build; parameters that build no scenario are a
-    configuration error."""
+def _load_params(args: argparse.Namespace) -> ScenarioParams:
+    """The configured parameters with the overrides applied."""
     if args.config == "defaults":
         params = ScenarioParams()
     else:
@@ -96,8 +94,7 @@ def _load_params(args: argparse.Namespace) -> tuple[ScenarioParams, Scenario]:
     if args.accounting:
         params = replace(params,
                          accounting=CircuitAccounting(args.accounting))
-    with unbuildable_is_config_error():
-        return params, params.build()
+    return params
 
 
 def _dbm(p_w: float) -> float:
@@ -105,7 +102,9 @@ def _dbm(p_w: float) -> float:
 
 
 def _run_solve(args: argparse.Namespace, out, err) -> int:
-    params, scenario = _load_params(args)
+    params = _load_params(args)
+    with unbuildable_is_config_error():
+        scenario = params.build()
     schedule = solve(scenario)
     out.write(f"strategy        {params.strategy.value}  "
               f"(pa={params.pa.value}, accounting={params.accounting.value})\n")
@@ -137,22 +136,15 @@ def _run_solve(args: argparse.Namespace, out, err) -> int:
     return EXIT_OK
 
 
-def _axis_from_args(params: ScenarioParams, kind_value: str, start, stop,
-                    step) -> Axis:
-    """The swept axis, each of its values checked to build a scenario from
-    the base parameters before anything is solved."""
+def _axis_from_args(kind_value: str, start, stop, step) -> Axis:
+    """The swept axis of one --axis/--from/--to/--step group."""
     if start is None or stop is None or step is None:
         raise ConfigError("axis range needs --from/--to/--step values")
     kind = AxisKind(kind_value)
     try:
-        axis = Axis.from_range(kind, start, stop, step)
+        return Axis.from_range(kind, start, stop, step)
     except ValueError as err:
         raise ConfigError(f"axis {kind.value}: {err}") from err
-    for value in axis.values:
-        with unbuildable_is_config_error(
-                f"axis {kind.value} value {value:g} builds no scenario"):
-            apply_axis(params, kind, value).build()
-    return axis
 
 
 def _run_sweep(args: argparse.Namespace, out, err) -> int:
@@ -161,16 +153,26 @@ def _run_sweep(args: argparse.Namespace, out, err) -> int:
         raise ConfigError("--from2/--to2/--step2 need --axis2")
     if args.axis2 == args.axis:
         raise ConfigError(f"--axis2 {args.axis2} repeats --axis")
-    params, _ = _load_params(args)
-    axis1 = _axis_from_args(params, args.axis, args.start, args.stop,
-                            args.step)
-    axis2 = None
+    params = _load_params(args)
+    axes = [_axis_from_args(args.axis, args.start, args.stop, args.step)]
     if args.axis2:
-        axis2 = _axis_from_args(params, args.axis2, *range2)
+        axes.append(_axis_from_args(args.axis2, *range2))
     strategies = ((Strategy(args.strategy),) if args.strategy
-                  else (Strategy.FD1TS, Strategy.FD2TS, Strategy.HD2TS))
-    spec = SweepSpec(base=params, axis1=axis1, axis2=axis2,
-                     strategies=strategies)
+                  else tuple(Strategy))
+    try:
+        spec = SweepSpec(params, *axes, strategies=strategies)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # Only a sweep within the cap builds its base and each axis value, all
+    # before anything is solved.
+    with unbuildable_is_config_error():
+        params.build()
+    for axis in axes:
+        for value in axis.values:
+            with unbuildable_is_config_error(
+                    f"axis {axis.kind.value} value {value:g} builds no "
+                    "scenario"):
+                apply_axis(params, axis.kind, value).build()
     rows = run_sweep(spec)
     emit_csv(rows, out)
     return EXIT_OK

@@ -126,6 +126,15 @@ class PaModel:
             raise ValueError(f"u must be >= 0, got {self.u}")
 
 
+def _check_non_negative(obj, *names: str) -> None:
+    """Raise ValueError naming the first field of ``obj`` that is not >= 0;
+    NaN fails the test too."""
+    for name in names:
+        value = getattr(obj, name)
+        if not value >= 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class NodeCircuit:
     """Static, idle and rate-proportional circuit power of one node."""
@@ -135,8 +144,7 @@ class NodeCircuit:
     epsilon: float  # W per bit/s, dynamic signal-processing coefficient
 
     def __post_init__(self):
-        if self.p_base < 0 or self.p_idle < 0 or self.epsilon < 0:
-            raise ValueError("circuit powers must be non-negative")
+        _check_non_negative(self, "p_base", "p_idle", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -164,9 +172,7 @@ class ChannelSet:
         for name in ("g_ar", "g_br", "g_ra", "g_rb"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("gs_a", "gs_b", "gs_r"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        _check_non_negative(self, "gs_a", "gs_b", "gs_r")
         for name in ("sigma2_a", "sigma2_b", "sigma2_r"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -213,8 +219,7 @@ class Scenario:
         # A subnormal frame's slot floor, a millionth of it, can round to 0 s.
         if not self.frame_t >= sys.float_info.min:
             raise ValueError(f"frame_t must be at least {sys.float_info.min} s")
-        if self.r_fl < 0 or self.r_rl < 0:
-            raise ValueError("rate demands must be non-negative")
+        _check_non_negative(self, "r_fl", "r_rl")
         if not self.r_fl + self.r_rl > 0:
             raise ValueError("at least one rate demand must be positive")
 
@@ -273,8 +278,8 @@ def residual_self_gain(d_self_m: float, alpha_db: float) -> float:
     The pre-cancellation coupling is taken from the reference path-loss law
     at the transmit/receive antenna separation ``d_self_m``.
     """
-    if alpha_db < 0:
-        raise ValueError("cancellation amount must be non-negative")
+    if not alpha_db >= 0:
+        raise ValueError(f"alpha_db must be non-negative, got {alpha_db}")
     return pathloss_gain(d_self_m) / db_to_linear(alpha_db)
 
 

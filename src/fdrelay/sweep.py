@@ -1,8 +1,8 @@
 """Parameter-sweep engine and CSV emission.
 
 A sweep re-solves the scenario across one or two parameter axes and a set
-of strategies, under the base parameters' PA kind.  Infeasible points are recorded, not fatal, so a
-sweep always yields one row per grid point.
+of strategies, under the base parameters' PA kind.  Infeasible points are
+recorded, not fatal, so a sweep always yields one row per grid point.
 """
 
 from __future__ import annotations
@@ -13,15 +13,15 @@ from enum import Enum
 from typing import IO, Iterable, Sequence
 
 from .config import ScenarioParams
-from .model import InfeasibleError, PaKind, Strategy
+from .model import InfeasibleError, PaKind, Schedule, Strategy
 from .solver import solve
 
 __all__ = ["AxisKind", "Axis", "SweepSpec", "SweepRow", "run_sweep",
            "emit_csv"]
 
-# Values one axis may hold at most: a finer step is refused before any
-# value is built.
-_MAX_AXIS_VALUES = 10 ** 6
+# Rows one sweep may hold at most, so also the values of one axis: a finer
+# step or a larger grid is refused before any value is built.
+_MAX_SWEEP_ROWS = 10 ** 6
 
 
 class AxisKind(str, Enum):
@@ -53,9 +53,9 @@ class Axis:
         if steps < 0:
             raise ValueError("empty axis range")
         n = math.floor(steps) + 1 if steps < math.inf else math.inf
-        if n > _MAX_AXIS_VALUES:
+        if n > _MAX_SWEEP_ROWS:
             raise ValueError(f"axis range needs {n:,} values, more than "
-                             f"{_MAX_AXIS_VALUES:,}")
+                             f"{_MAX_SWEEP_ROWS:,}")
         return cls(kind, tuple(start + i * step for i in range(n)))
 
 
@@ -69,24 +69,28 @@ class SweepSpec:
     strategies: tuple[Strategy, ...] = (Strategy.FD1TS, Strategy.FD2TS,
                                         Strategy.HD2TS)
 
+    def __post_init__(self):
+        n = (len(self.axis1.values) * len(self.strategies)
+             * (len(self.axis2.values) if self.axis2 is not None else 1))
+        if n > _MAX_SWEEP_ROWS:
+            raise ValueError(f"sweep needs {n:,} rows, more than "
+                             f"{_MAX_SWEEP_ROWS:,}")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SweepRow:
-    """One solved (or infeasible) sweep point."""
+    """One sweep point: the schedule ``solve`` returned, or None where the
+    point is infeasible."""
 
     axis1: float
     axis2: float | None
     strategy: Strategy
     pa_kind: PaKind
-    feasible: bool
-    ee: float | None = None
-    e_total: float | None = None
-    t1: float | None = None
-    t2: float | None = None
-    p_a: float | None = None
-    p_b: float | None = None
-    p_r_fwd: float | None = None
-    p_r_rev: float | None = None
+    schedule: Schedule | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.schedule is not None
 
 
 def apply_axis(params: ScenarioParams, kind: AxisKind,
@@ -114,22 +118,21 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 base = apply_axis(base, spec.axis2.kind, v2)
             for strategy in spec.strategies:
                 try:
-                    sched = solve(replace(base, strategy=strategy).build())
+                    schedule = solve(replace(base, strategy=strategy).build())
                 except InfeasibleError:
-                    rows.append(SweepRow(axis1=v1, axis2=v2,
-                                         strategy=strategy, pa_kind=pa_kind,
-                                         feasible=False))
-                    continue
-                rows.append(SweepRow(
-                    axis1=v1, axis2=v2, strategy=strategy, pa_kind=pa_kind,
-                    feasible=True, ee=sched.ee, e_total=sched.e_total,
-                    t1=sched.t1, t2=sched.t2, p_a=sched.p_a, p_b=sched.p_b,
-                    p_r_fwd=sched.p_r_fwd, p_r_rev=sched.p_r_rev))
+                    schedule = None
+                rows.append(SweepRow(v1, v2, strategy, pa_kind, schedule))
     return rows
 
 
-_CSV_HEADER = ("axis1,axis2,strategy,pa,feasible,ee_bit_per_joule,"
-               "e_total_j,t1_s,t2_s,p_a_w,p_b_w,p_r_fwd_w,p_r_rev_w")
+# Each schedule column of the CSV and the Schedule field it holds; an
+# infeasible row leaves them empty.
+_SCHEDULE_COLUMNS = (
+    ("ee_bit_per_joule", "ee"), ("e_total_j", "e_total"), ("t1_s", "t1"),
+    ("t2_s", "t2"), ("p_a_w", "p_a"), ("p_b_w", "p_b"),
+    ("p_r_fwd_w", "p_r_fwd"), ("p_r_rev_w", "p_r_rev"))
+_CSV_HEADER = ",".join(["axis1", "axis2", "strategy", "pa", "feasible"]
+                       + [column for column, _ in _SCHEDULE_COLUMNS])
 
 
 def _fmt(x: float | None) -> str:
@@ -145,19 +148,8 @@ def emit_csv(rows: Iterable[SweepRow], sink: IO[str]) -> None:
         raise ValueError("no rows to emit")
     sink.write(_CSV_HEADER + "\n")
     for r in rows:
-        fields = [
-            _fmt(r.axis1),
-            _fmt(r.axis2),
-            r.strategy.value,
-            r.pa_kind.value,
-            "true" if r.feasible else "false",
-            _fmt(r.ee),
-            _fmt(r.e_total),
-            _fmt(r.t1),
-            _fmt(r.t2),
-            _fmt(r.p_a),
-            _fmt(r.p_b),
-            _fmt(r.p_r_fwd),
-            _fmt(r.p_r_rev),
-        ]
+        fields = [_fmt(r.axis1), _fmt(r.axis2), r.strategy.value,
+                  r.pa_kind.value, "true" if r.feasible else "false"]
+        fields += [_fmt(getattr(r.schedule, name)) if r.feasible else ""
+                   for _, name in _SCHEDULE_COLUMNS]
         sink.write(",".join(fields) + "\n")

@@ -125,6 +125,28 @@ class TestParsing:
             parse_config(f"{key} = 1e5\n")
 
 
+class TestBuildRejectsNan:
+    """A NaN fails every ``>= 0`` check on the way to the scenario, and the
+    error names the model field it reached."""
+
+    @pytest.mark.parametrize("key, field", [
+        ("alpha_db", "alpha_db"),
+        ("self_iso_a_db", "gs_a"),
+        ("self_iso_r_db", "gs_r"),
+        ("self_iso_b_db", "gs_b"),
+        ("p_base_a_mw", "p_base"),
+        ("p_idle_r_mw", "p_idle"),
+        ("epsilon_mw_per_gbps", "epsilon"),
+        ("r_fl_mbps", "r_fl"),
+        ("r_rl_mbps", "r_rl"),
+    ])
+    def test_nan_names_the_field(self, key, field):
+        params = replace(ScenarioParams(), **{key: float("nan")})
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be non-negative, got nan$"):
+            params.build()
+
+
 class TestDerivedHelpers:
     def test_with_total_rate_preserves_ratio(self):
         p = ScenarioParams(r_fl_mbps=40.0, r_rl_mbps=10.0)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
+from fdrelay.config import ScenarioParams
 from fdrelay.model import PaKind, Strategy
 from fdrelay.oracle import random_feasible_scenarios, verify
 from fdrelay.solver import solve
@@ -50,7 +51,16 @@ class TestRunSweep:
         assert len(rows) == 1
         direct = solve(replace(params, alpha_db=60.0,
                                strategy=Strategy.FD1TS).build())
-        assert rows[0].ee == pytest.approx(direct.ee)
+        assert rows[0].schedule.ee == pytest.approx(direct.ee)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_rows_hold_the_schedule_solve_returns(self, params, strategy):
+        axis = Axis(AxisKind.CANCELLATION_DB, (40.0, 60.0))
+        rows = run_sweep(SweepSpec(base=params, axis1=axis,
+                                   strategies=(strategy,)))
+        assert [row.schedule for row in rows] == [
+            solve(replace(params, alpha_db=alpha, strategy=strategy).build())
+            for alpha in axis.values]
 
     def test_row_consistency(self, params):
         base = replace(params, r_fl_mbps=30.0, r_rl_mbps=30.0)
@@ -62,7 +72,8 @@ class TestRunSweep:
         total_bits = base.total_rate_mbps * 1e6 * frame
         for row in rows:
             assert row.feasible
-            assert row.ee * row.e_total == pytest.approx(total_bits, rel=1e-9)
+            assert row.schedule.ee * row.schedule.e_total == pytest.approx(
+                total_bits, rel=1e-9)
 
     def test_infeasible_points_flagged_not_fatal(self, params):
         base = replace(params, alpha_db=20.0, strategy=Strategy.FD1TS)
@@ -72,7 +83,7 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert rows[0].feasible
         assert not rows[1].feasible
-        assert rows[1].ee is None
+        assert rows[1].schedule is None
 
     def test_two_axes(self, params):
         spec = SweepSpec(base=params,
@@ -84,6 +95,23 @@ class TestRunSweep:
         assert {(r.axis1, r.axis2) for r in rows} == {
             (1.0, 0.3), (1.0, 0.4), (3.0, 0.3), (3.0, 0.4)}
 
+    def test_rejects_a_sweep_over_the_cap(self, params):
+        # 1,000 x 334 values over all three strategies is 1,002,000 rows;
+        # each axis alone is far under the cap.
+        axis1 = Axis.from_range(AxisKind.CANCELLATION_DB, 0.0, 999.0, 1.0)
+        axis2 = Axis.from_range(AxisKind.TRAFFIC_RATIO, 1.0, 334.0, 1.0)
+        with pytest.raises(ValueError, match="1,002,000 rows"):
+            SweepSpec(base=params, axis1=axis1, axis2=axis2)
+        # One strategy over the same grid is 334,000 rows, within the cap.
+        SweepSpec(base=params, axis1=axis1, axis2=axis2,
+                  strategies=(Strategy.FD1TS,))
+
+    def test_caps_a_single_axis_over_all_strategies(self, params):
+        axis = Axis(AxisKind.CANCELLATION_DB, (60.0,) * 333_334)
+        with pytest.raises(ValueError, match="1,000,002 rows"):
+            SweepSpec(base=params, axis1=axis)
+        SweepSpec(base=params, axis1=Axis(axis.kind, axis.values[1:]))
+
 
 class TestCsv:
     def test_header_plus_rows(self, params):
@@ -94,7 +122,9 @@ class TestCsv:
         emit_csv(run_sweep(spec), buf)
         lines = buf.getvalue().splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("axis1,axis2,strategy,pa,feasible")
+        assert lines[0] == ("axis1,axis2,strategy,pa,feasible,"
+                            "ee_bit_per_joule,e_total_j,t1_s,t2_s,p_a_w,"
+                            "p_b_w,p_r_fwd_w,p_r_rev_w")
         assert ",fd1ts,etpa,true," in lines[1]
 
     def test_scientific_notation_digits(self, params):
@@ -324,6 +354,25 @@ class TestCli:
         for name in names:
             assert name in err
         assert out == ""
+
+    def test_sweep_over_the_cap_builds_no_scenario(self, monkeypatch):
+        """Two 10,000-value axes are refused before any value is built."""
+        calls = []
+        build = ScenarioParams.build
+
+        def counting_build(params):
+            calls.append(params)
+            return build(params)
+        monkeypatch.setattr(ScenarioParams, "build", counting_build)
+        code, out, err = self.run(
+            "sweep", "--axis", "cancellation", "--from", "0", "--to", "9999",
+            "--step", "1", "--axis2", "total-rate", "--from2", "1",
+            "--to2", "10000", "--step2", "1")
+        assert code == EXIT_CONFIG
+        assert err == ("config error: sweep needs 300,000,000 rows, more "
+                       "than 1,000,000\n")
+        assert out == ""
+        assert calls == []
 
     def test_unbuildable_second_axis_value_is_config_error(self):
         code, out, err = self.run(

@@ -18,7 +18,7 @@ def cancellation_curves():
     curves = {s: {} for s in Strategy}
     for row in run_sweep(spec):
         assert row.feasible
-        curves[row.strategy][row.axis1] = row.ee
+        curves[row.strategy][row.axis1] = row.schedule.ee
     return curves
 
 
@@ -51,7 +51,7 @@ class TestTrafficImbalanceShape:
         curves = {Strategy.FD1TS: [], Strategy.FD2TS: []}
         for row in run_sweep(spec):
             assert row.feasible
-            curves[row.strategy].append(row.ee)
+            curves[row.strategy].append(row.schedule.ee)
 
         def spread(values):
             return (max(values) - min(values)) / max(values)
@@ -67,7 +67,7 @@ class TestTrafficImbalanceShape:
         by_strategy = {s: [] for s in Strategy}
         for row in run_sweep(spec):
             assert row.feasible
-            by_strategy[row.strategy].append((row.axis1, row.ee))
+            by_strategy[row.strategy].append((row.axis1, row.schedule.ee))
         for rows in by_strategy.values():
             ee = [v for _, v in sorted(rows)]
             assert all(b > a for a, b in zip(ee, ee[1:]))
