@@ -113,12 +113,20 @@ class ScenarioParams:
         sigma2 = noise_power(self.n0_dbm_per_hz, w)
         ant = db_to_linear(self.ant_gain_db)
         residual = residual_self_gain(self.d_self_cm / 100.0, self.alpha_db)
+
+        def isolation(name: str) -> float:
+            iso = db_to_linear(getattr(self, name))
+            if iso == 0.0:  # -inf dB, or low enough to underflow
+                raise ValueError(f"{name} of {getattr(self, name)} dB "
+                                 f"underflows to a linear isolation of 0")
+            return iso
+
         channels = ChannelSet.reciprocal(
             g_ar=pathloss_gain(self.d_ar_m) * ant,
             g_br=pathloss_gain(self.d_rb_m) * ant,
-            gs_a=residual / db_to_linear(self.self_iso_a_db),
-            gs_b=residual / db_to_linear(self.self_iso_b_db),
-            gs_r=residual / db_to_linear(self.self_iso_r_db),
+            gs_a=residual / isolation("self_iso_a_db"),
+            gs_b=residual / isolation("self_iso_b_db"),
+            gs_r=residual / isolation("self_iso_r_db"),
             sigma2=sigma2)
         kappa = db_to_linear(self.kappa_db)
 

@@ -116,23 +116,27 @@ class PaModel:
     u: float = 0.0082
 
     def __post_init__(self):
-        if not self.p_max > 0:
-            raise ValueError(f"p_max must be positive, got {self.p_max}")
+        if not 0 < self.p_max < math.inf:
+            raise ValueError(f"p_max must be positive and finite, "
+                             f"got {self.p_max}")
         if not 0 < self.eta_max <= 1:
             raise ValueError(f"eta_max must be in (0, 1], got {self.eta_max}")
-        if not self.kappa >= 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if not self.u >= 0:
-            raise ValueError(f"u must be >= 0, got {self.u}")
+        if not 1 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be >= 1 and finite, "
+                             f"got {self.kappa}")
+        if not 0 <= self.u < math.inf:
+            raise ValueError(f"u must be >= 0 and finite, got {self.u}")
 
 
-def _check_non_negative(obj, *names: str) -> None:
-    """Raise ValueError naming the first field of ``obj`` that is not >= 0;
-    NaN fails the test too."""
+def _check_non_negative(obj, *names: str, finite: bool = False) -> None:
+    """Raise ValueError naming the first field of ``obj`` that is not >= 0
+    (NaN fails the test too) or, with ``finite``, is +inf."""
     for name in names:
         value = getattr(obj, name)
         if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+        if finite and value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ class NodeCircuit:
     epsilon: float  # W per bit/s, dynamic signal-processing coefficient
 
     def __post_init__(self):
-        _check_non_negative(self, "p_base", "p_idle", "epsilon")
+        _check_non_negative(self, "p_base", "p_idle", "epsilon", finite=True)
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,29 @@ capacities meet the demands, and takes the cheapest survivor.  A correct
 solver must never be worse than the grid; the closed-form point must never
 be worse than any rate-feasible grid point at the same durations.
 
-Both the grid and the scenario convexity probe run in array passes.  Each
-slot's closed-form powers are priced over a whole duration array in one
-``Slot.powers`` call: the anchors of every grid duration, then every probe
-point.  The array powers equal the float calls bit for bit (the exponentials
-go through the float power one element at a time, because numpy's array
-``2.0 ** x`` is one ULP off on some inputs), so the reports equal those of
-a point-by-point run.  Where the single-slot form raises
-:class:`~fdrelay.model.InfeasibleError` for a float, its array holds NaN:
-the grid drops that duration, as it drops a duration whose anchor is
-infinite or over budget, and the probe calls the float form at the first
-such point, which raises the error.  The grid checks the anchors of all
-durations in one pass and sweeps the box of each duration left on its own;
-the probe prices all of its points with one ``Description.energy_at`` call.
+Both the grid and the convexity probe run in array passes.  Each slot's
+closed-form powers are priced over a whole duration array in one
+``Slot.powers`` call.  The array powers equal the float calls bit for bit
+(the exponentials go through the float power one element at a time,
+because numpy's array ``2.0 ** x`` is one ULP off on some inputs), so the
+reports equal those of a point-by-point run.  Where the single-slot form
+raises :class:`~fdrelay.model.InfeasibleError` for a float, its array holds
+NaN: the grid drops that duration, as it drops a duration whose anchor is
+infinite or over budget.  The grid checks the anchors of all durations in
+one pass and sweeps the box of each duration left on its own.
+:func:`convexity_probe` calls its function once, on one array per
+coordinate holding every probe point, and refuses a value that is not
+finite; :func:`verify` hands it the scenario's ``Description.energy``.
+The rate constraints come grouped by the power that closes them
+(``Slot.rates``), and :func:`verify_necessary_conditions` reads each
+group's slacks from that one statement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -102,8 +106,9 @@ def _duration_axis(lo: float, hi: float, n_t: int,
 def _meets(s: Scenario, slot: Slot, t, *powers):
     """Where every rate of ``slot`` at ``t`` and ``powers`` is met."""
     met = True
-    for _, capacity, demand in slot.rates(s, t, *powers):
-        met = met & (capacity >= demand * (1.0 - _RATE_SLACK))
+    for group in slot.rates(s, t, *powers):
+        for _, capacity, demand in group:
+            met = met & (capacity >= demand * (1.0 - _RATE_SLACK))
     return met
 
 
@@ -217,31 +222,27 @@ def verify_necessary_conditions(s: Scenario, sched: Schedule,
                                 tol: float = 1e-9) -> dict[str, float]:
     """Relative rate-constraint slacks at a solved schedule.
 
-    Every power closes at least one of the rate constraints it serves: for
-    the two-slot FD strategy all four constraints must be active; for the
-    single-slot and HD strategies both uplinks must be active while the
-    smaller broadcast slack vanishes.  A link with no demand has no slack
-    and is left out.  Returns the named slacks; raises ``ValueError`` naming
-    the first violated pattern.
+    Every power closes the rate constraints of its group in ``Slot.rates``:
+    the smallest slack of each group must vanish.  So all four constraints
+    of the two-slot FD strategy are active, and in the single-slot and HD
+    strategies both uplinks and the smaller broadcast slack.  A link with
+    no demand has no slack and is left out.  Returns the named slacks;
+    raises ``ValueError`` naming the first group that is not active.
     """
-    desc = DESCRIPTIONS[s.strategy]
     slacks = {}
-    for slot, t in zip(desc.slots, (sched.t1, sched.t2)):
+    for slot, t in zip(DESCRIPTIONS[s.strategy].slots, (sched.t1, sched.t2)):
         powers = (getattr(sched, name) for name in slot.fields)
-        for name, capacity, demand in slot.rates(s, t, *powers):
-            if demand > 0:
-                slacks[name] = (capacity - demand) / demand
-    for group in desc.binding:
-        present = [slacks[name] for name in group if name in slacks]
-        if not present:
-            continue
-        lo = min(present)
-        if abs(lo) > tol:
-            if len(group) == 1:
-                raise ValueError(f"constraint {group[0]} not active: "
-                                 f"relative slack {lo:.3e}")
-            raise ValueError(f"constraints {'/'.join(group)} not properly "
-                             f"active: min slack {lo:.3e}")
+        for group in slot.rates(s, t, *powers):
+            own = {name: (capacity - demand) / demand
+                   for name, capacity, demand in group if demand > 0}
+            slacks.update(own)
+            if own and abs(lo := min(own.values())) > tol:
+                names = [name for name, _, _ in group]
+                if len(names) == 1:
+                    raise ValueError(f"constraint {names[0]} not active: "
+                                     f"relative slack {lo:.3e}")
+                raise ValueError(f"constraints {'/'.join(names)} not "
+                                 f"properly active: min slack {lo:.3e}")
     return slacks
 
 
@@ -292,16 +293,6 @@ def _probe_points(domain, n_samples: int, h: float | None, seed: int,
     return h, np.array(points).reshape(n_samples, 3, 2)
 
 
-def _count_violations(f: np.ndarray, h: float) -> int:
-    """Samples whose second difference falls below
-    ``-_CONVEXITY_REL_TOL * |f(x)|``, given one row (f(x), f(x + h e),
-    f(x - h e)) per sample.  Dividing by ``h`` twice keeps the step of a
-    frame shorter than 1e-154 s from squaring to zero."""
-    f0, fp, fm = f[:, 0], f[:, 1], f[:, 2]
-    d2 = (fp - 2.0 * f0 + fm) / h / h
-    return int(np.count_nonzero(d2 < -_CONVEXITY_REL_TOL * np.abs(f0)))
-
-
 def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
                     seed: int = 0, sum_cap: float | None = None) -> int:
     """Count negative central second differences of ``f`` over ``domain``.
@@ -309,13 +300,24 @@ def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
     ``domain`` is (lo, hi) for a scalar function or a pair of such
     intervals for a two-variable one (probed along random directions).
     ``sum_cap`` optionally restricts 2-D sampling to x + y <= sum_cap.
-    ``f`` is called once per point: at each sample x and at x +/- h along
-    the probe direction.  Returns the number of samples where
+    ``f`` is called once, with one ndarray per coordinate that holds every
+    sample x and its neighbours x +/- h along the probe direction, and
+    returns the array of values; a value that is not finite raises
+    ``ValueError``.  Returns the number of samples where
     (f(x+h) - 2 f(x) + f(x-h)) / h**2 falls below 1e-6 times -|f(x)|.
     """
     h, points = _probe_points(domain, n_samples, h, seed, sum_cap)
-    values = [[f(*x) for x in triple] for triple in points.tolist()]
-    return _count_violations(np.array(values, dtype=float), h)
+    coords = points.reshape(-1, points.shape[-1]).T
+    values = np.asarray(f(*coords), dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        x = coords[:, bad.argmax()].tolist()
+        raise ValueError(f"probed function is not finite at {x}")
+    f0, fp, fm = values.reshape(-1, 3).T
+    # Dividing by h twice keeps the step of a frame shorter than 1e-154 s
+    # from squaring to zero.
+    d2 = (fp - 2.0 * f0 + fm) / h / h
+    return int(np.count_nonzero(d2 < -_CONVEXITY_REL_TOL * np.abs(f0)))
 
 
 def verify(s: Scenario, sched: Schedule) -> OracleReport:
@@ -343,31 +345,9 @@ def _probe_scenario_energy(s: Scenario, window: FeasibleWindow,
         # Only quasi-convex there; second differences are not a valid probe.
         return 0
     spans = window.spans(s.frame_t)
-    return _probe_closed_form(s, spans[0] if len(spans) == 1 else spans,
-                              n_samples)
-
-
-def _probe_closed_form(s: Scenario, domain, n_samples: int) -> int:
-    """``convexity_probe`` of the closed-form frame energy over ``domain``,
-    priced in one pass: the same points and the same count.
-
-    One ``slot.powers`` call per slot prices every probe point, and
-    ``Description.energy_at`` sums them.  Where the single-slot form raises
-    :class:`InfeasibleError` at a point, its array holds NaN; the float
-    form is then called at the first such point and raises the error.
-    """
-    desc = DESCRIPTIONS[s.strategy]
-    h, points = _probe_points(domain, n_samples, None, 0, s.frame_t)
-    durations = points.reshape(-1, points.shape[-1]).T
-    powers = []
-    for slot, t in zip(desc.slots, durations):
-        p = slot.powers(s, t)
-        raised = np.isnan(p).any(axis=0)
-        if raised.any():
-            slot.powers(s, float(t[raised.argmax()]))
-        powers.append(p)
-    energy = desc.energy_at(s, durations, powers)
-    return _count_violations(energy.reshape(-1, 3), h)
+    return convexity_probe(partial(desc.energy, s),
+                           spans[0] if len(spans) == 1 else spans,
+                           n_samples, sum_cap=s.frame_t)
 
 
 def random_params(rng: np.random.Generator, strategy: Strategy,

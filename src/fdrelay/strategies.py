@@ -5,16 +5,16 @@ powers collapse to closed forms in the slot durations and the frame energy
 splits into one cost per slot plus the idle draw.  ``DESCRIPTIONS`` maps each
 strategy to its slots, and each :class:`Slot` states only the physics: the
 closed-form powers of its transmitting nodes, its static and dynamic
-circuit power under the scenario's accounting, and its rate constraints,
-which the ``caps_*`` capacity maps read off.  ``Slot.active`` adds the PA
-draw of each node to the circuit power.  The frame energy at given or
-closed-form powers (``energy_*_at``, ``energy_*``), the solver's slot costs,
-the feasibility window and the oracle's grid all derive from it.  Each
-closed form has one body that serves a float duration, in pure ``math``
-for the solver, and an array of durations, bit for bit the same numbers,
-for the oracle.  The single-slot strategy is one slot like any other: its
-closed form picks the larger of two relay-power cases, and the description
-reports which case binds.
+circuit power under the scenario's accounting, and its rate constraints
+grouped by the power that closes them, which the ``caps_*`` capacity maps
+read off.  ``Slot.active`` adds the PA draw of each node to the circuit
+power.  The frame energy at given or closed-form powers (``energy_*_at``,
+``energy_*``), the solver's slot costs, the feasibility window and the
+oracle's grid all derive from it.  Each closed form has one body that
+serves a float duration, in pure ``math`` for the solver, and an array of
+durations, bit for bit the same numbers, for the oracle.  The single-slot
+strategy is one slot like any other: its closed form picks the larger of
+two relay-power cases, and the description reports which case binds.
 """
 
 from __future__ import annotations
@@ -124,9 +124,11 @@ class Slot:
     a float, the array holds NaN.  ``circuit(s)`` is the slot's
     ``(static, dynamic)`` circuit power under the scenario's accounting;
     the PA draw is not part of it.  ``rates(s, t, *powers)`` accepts
-    ndarray powers and yields one ``(name, capacity, demand)`` triple per
-    rate constraint.  ``demand(s)`` is the traffic the slot carries; a slot
-    with none stays closed.
+    ndarray powers and returns one group per power, in ``fields`` order:
+    the ``(name, capacity, demand)`` triples of the rate constraints that
+    power closes, one of which is tight at the closed-form powers.
+    ``demand(s)`` is the traffic the slot carries; a slot with none stays
+    closed.
     """
 
     fields: tuple[str, ...]
@@ -162,10 +164,9 @@ def _no_case(s: Scenario, *durations: float) -> None:
 
 @dataclass(frozen=True)
 class Description:
-    """A strategy as its slots and binding constraints.
+    """A strategy as its slots; each slot's ``rates`` groups its rate
+    constraints by the power that closes them.
 
-    ``binding`` groups the rate constraints by the power that closes them:
-    at the optimum the smallest relative slack of every group vanishes.
     ``convex_under_tpa`` is False where the closed-form energy is only
     quasi-convex under TPA, so second differences do not probe it.
     ``active_case(s, *durations)`` names the relay case that binds at the
@@ -173,7 +174,6 @@ class Description:
     """
 
     slots: tuple[Slot, ...]
-    binding: tuple[tuple[str, ...], ...]
     convex_under_tpa: bool = True
     active_case: Callable[..., RelayCase | None] = _no_case
 
@@ -265,7 +265,8 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
         w = t / s.frame_t * s.bandwidth_w
         c_up = w * np.log2(1.0 + p_src * g_up / (p_r * ch.gs_r + ch.sigma2_r))
         c_down = w * np.log2(1.0 + p_r * g_down / sigma2)
-        return (f"c_{src}r", c_up, demand(s)), (f"c_r{dst}", c_down, demand(s))
+        return (((f"c_{src}r", c_up, demand(s)),),
+                ((f"c_r{dst}", c_down, demand(s)),))
 
     return Slot(fields=(f"p_{src}", relay_field), nodes=(src, "r"),
                 demand=demand, powers=powers, circuit=circuit, rates=rates)
@@ -280,8 +281,8 @@ def caps_2ts(s: Scenario, t1: float, t2: float, pw: PowerAssignment2TS):
     slots' rate constraints.  Power fields may be ndarrays; the outputs then
     broadcast."""
     fwd, rev = _FD2TS_SLOTS
-    (_, c_ar, _), (_, c_rb, _) = fwd.rates(s, t1, pw.p_a, pw.p_r_fwd)
-    (_, c_br, _), (_, c_ra, _) = rev.rates(s, t2, pw.p_b, pw.p_r_rev)
+    ((_, c_ar, _),), ((_, c_rb, _),) = fwd.rates(s, t1, pw.p_a, pw.p_r_fwd)
+    ((_, c_br, _),), ((_, c_ra, _),) = rev.rates(s, t2, pw.p_b, pw.p_r_rev)
     return c_ar, c_rb, c_br, c_ra
 
 
@@ -309,6 +310,17 @@ def energy_2ts(s: Scenario, t1: float, t2: float) -> float:
 # a structured combination both end nodes can strip their own data from.
 # ---------------------------------------------------------------------------
 
+def _binned_uplinks(s: Scenario, w, p_a, p_b, noise):
+    """(C_ar, C_br) in bit/s over bandwidth ``w`` in the structured-binning
+    multiple-access form, with ``noise`` the relay's interference plus
+    noise.  Accepts ndarray powers."""
+    ch = s.channels
+    sa = p_a * ch.g_ar
+    sb = p_b * ch.g_br
+    return (w * np.log2(sa / (sa + sb) + sa / noise),
+            w * np.log2(sb / (sa + sb) + sb / noise))
+
+
 def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r):
     """Link capacities (C_ar, C_br, C_ra, C_rb) in bit/s.
 
@@ -319,11 +331,7 @@ def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r):
     """
     ch = s.channels
     w1 = t1 / s.frame_t * s.bandwidth_w
-    sa = p_a * ch.g_ar
-    sb = p_b * ch.g_br
-    den_r = p_r * ch.gs_r + ch.sigma2_r
-    c_ar = w1 * np.log2(sa / (sa + sb) + sa / den_r)
-    c_br = w1 * np.log2(sb / (sa + sb) + sb / den_r)
+    c_ar, c_br = _binned_uplinks(s, w1, p_a, p_b, p_r * ch.gs_r + ch.sigma2_r)
     c_ra = w1 * np.log2(1.0 + p_r * ch.g_ra / (p_a * ch.gs_a + ch.sigma2_a))
     c_rb = w1 * np.log2(1.0 + p_r * ch.g_rb / (p_b * ch.gs_b + ch.sigma2_b))
     return c_ar, c_br, c_ra, c_rb
@@ -422,8 +430,9 @@ def _powers_1ts_triple(s: Scenario, t):
 
 def _rates_1ts(s: Scenario, t: float, p_a, p_b, p_r):
     c_ar, c_br, c_ra, c_rb = caps_1ts(s, t, p_a, p_b, p_r)
-    return (("c_ar", c_ar, s.r_fl), ("c_br", c_br, s.r_rl),
-            ("c_ra", c_ra, s.r_rl), ("c_rb", c_rb, s.r_fl))
+    # One relay power serves both broadcast links.
+    return ((("c_ar", c_ar, s.r_fl),), (("c_br", c_br, s.r_rl),),
+            (("c_ra", c_ra, s.r_rl), ("c_rb", c_rb, s.r_fl)))
 
 
 def energy_1ts_at(s: Scenario, t1: float, pw: PowerAssignment1TS) -> float:
@@ -492,19 +501,17 @@ def _circuit_hd_broadcast(s: Scenario):
 
 
 def _rates_hd_access(s: Scenario, t: float, p_a, p_b):
-    ch = s.channels
-    w = t / s.frame_t * s.bandwidth_w
-    sa = p_a * ch.g_ar
-    sb = p_b * ch.g_br
-    return (("c_ar", w * np.log2(sa / (sa + sb) + sa / ch.sigma2_r), s.r_fl),
-            ("c_br", w * np.log2(sb / (sa + sb) + sb / ch.sigma2_r), s.r_rl))
+    c_ar, c_br = _binned_uplinks(s, t / s.frame_t * s.bandwidth_w, p_a, p_b,
+                                 s.channels.sigma2_r)
+    return (("c_ar", c_ar, s.r_fl),), (("c_br", c_br, s.r_rl),)
 
 
 def _rates_hd_broadcast(s: Scenario, t: float, p_r):
     ch = s.channels
     w = t / s.frame_t * s.bandwidth_w
-    return (("c_ra", w * np.log2(1.0 + p_r * ch.g_ra / ch.sigma2_a), s.r_rl),
-            ("c_rb", w * np.log2(1.0 + p_r * ch.g_rb / ch.sigma2_b), s.r_fl))
+    c_ra = w * np.log2(1.0 + p_r * ch.g_ra / ch.sigma2_a)
+    c_rb = w * np.log2(1.0 + p_r * ch.g_rb / ch.sigma2_b)
+    return ((("c_ra", c_ra, s.r_rl), ("c_rb", c_rb, s.r_fl)),)
 
 
 _HD2TS_SLOTS = (
@@ -521,8 +528,8 @@ def caps_hd(s: Scenario, t1: float, t2: float, p_a, p_b, p_r):
     """Link capacities (C_ar, C_br, C_ra, C_rb) in bit/s, read off the two
     slots' rate constraints; ndarray-friendly."""
     access, broadcast = _HD2TS_SLOTS
-    (_, c_ar, _), (_, c_br, _) = access.rates(s, t1, p_a, p_b)
-    (_, c_ra, _), (_, c_rb, _) = broadcast.rates(s, t2, p_r)
+    ((_, c_ar, _),), ((_, c_br, _),) = access.rates(s, t1, p_a, p_b)
+    [((_, c_ra, _), (_, c_rb, _))] = broadcast.rates(s, t2, p_r)
     return c_ar, c_br, c_ra, c_rb
 
 
@@ -548,14 +555,7 @@ DESCRIPTIONS: dict[Strategy, Description] = {
         slots=(Slot(fields=("p_a", "p_b", "p_r_fwd"), nodes=("a", "b", "r"),
                     demand=_total_demand, powers=_powers_1ts_triple,
                     circuit=_circuit_1ts, rates=_rates_1ts),),
-        # Both uplinks close; one relay power serves both broadcast links.
-        binding=(("c_ar",), ("c_br",), ("c_ra", "c_rb")),
         active_case=lambda s, t: powers_1ts(s, t).active_case),
-    Strategy.FD2TS: Description(
-        slots=_FD2TS_SLOTS,
-        binding=(("c_ar",), ("c_rb",), ("c_br",), ("c_ra",))),
-    Strategy.HD2TS: Description(
-        slots=_HD2TS_SLOTS,
-        binding=(("c_ar",), ("c_br",), ("c_ra", "c_rb")),
-        convex_under_tpa=False),
+    Strategy.FD2TS: Description(slots=_FD2TS_SLOTS),
+    Strategy.HD2TS: Description(slots=_HD2TS_SLOTS, convex_under_tpa=False),
 }

@@ -1,3 +1,4 @@
+import math
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -5,13 +6,16 @@ import pytest
 from fdrelay.config import ConfigError, ScenarioParams, parse_config, parse_params
 from fdrelay.model import (
     CircuitAccounting,
+    InfeasibleError,
     PaKind,
+    Schedule,
     Strategy,
     db_to_linear,
     noise_power,
     pathloss_gain,
     residual_self_gain,
 )
+from fdrelay.solver import solve
 
 
 class TestDefaults:
@@ -145,6 +149,55 @@ class TestBuildRejectsNan:
         with pytest.raises(ValueError,
                            match=f"^{field} must be non-negative, got nan$"):
             params.build()
+
+
+FLOAT_KEYS = [f.name for f in fields(ScenarioParams)
+              if type(f.default) is float]
+
+# What a ValueError may name for each float key: the key itself, or the model
+# quantity the key sets first on the way to the scenario.
+_NAMES = {
+    "bandwidth_mhz": ("bandwidth",),
+    "frame_t_ms": ("frame_t",),
+    "n0_dbm_per_hz": ("sigma2_a",),
+    "d_ar_m": ("distance", "g_ar"),
+    "d_rb_m": ("distance", "g_br"),
+    "d_self_cm": ("distance",),
+    "alpha_db": ("alpha_db",),
+    "ant_gain_db": ("g_ar",),
+    "self_iso_a_db": ("self_iso_a_db",),
+    "self_iso_r_db": ("self_iso_r_db",),
+    "self_iso_b_db": ("self_iso_b_db",),
+    "eta_max": ("eta_max",),
+    "kappa_db": ("kappa",),
+    "etpa_u": ("u",),
+    **{f"p_max_{n}_dbm": ("p_max",) for n in "arb"},
+    **{f"p_base_{n}_mw": ("p_base",) for n in "arb"},
+    **{f"p_idle_{n}_mw": ("p_idle",) for n in "arb"},
+    "epsilon_mw_per_gbps": ("epsilon",),
+    "r_fl_mbps": ("r_fl",),
+    "r_rl_mbps": ("r_rl",),
+}
+
+
+class TestBuildRejectsInfinity:
+    """An infinite parameter solves, is infeasible, or ends in a ValueError
+    that names the field; never another error or a RuntimeWarning."""
+
+    def test_every_float_key_is_covered(self):
+        assert sorted(_NAMES) == sorted(FLOAT_KEYS)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_infinity_solves_or_names_the_field(self, key, value, strategy):
+        params = replace(ScenarioParams(strategy=strategy), **{key: value})
+        try:
+            assert isinstance(solve(params.build()), Schedule)
+        except InfeasibleError:
+            pass
+        except ValueError as err:
+            assert str(err).split()[0] in _NAMES[key], str(err)
 
 
 class TestDerivedHelpers:

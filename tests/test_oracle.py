@@ -192,7 +192,15 @@ class TestConvexityProbe:
 
         convexity_probe(f, ((0.0, 1.0), (0.0, 1.0)), n_samples=50,
                         sum_cap=1.0, h=0.01)
-        assert all(x + y <= 1.0 for x, y in calls)
+        assert len(calls) == 1
+        assert all((x + y <= 1.0).all() for x, y in calls)
+
+    def test_non_finite_value_is_refused(self):
+        with pytest.raises(ValueError, match="not finite"):
+            convexity_probe(lambda t: t * math.nan, (0.0, 1.0), n_samples=50)
+        with pytest.raises(ValueError, match="not finite"):
+            convexity_probe(lambda x, y: np.where(x > 0.5, math.inf, x * y),
+                            ((0.0, 1.0), (0.0, 1.0)), n_samples=50)
 
 
 class TestVerify:

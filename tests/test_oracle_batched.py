@@ -8,6 +8,7 @@ same best active powers and powers, and the same violation counts.
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import t_floor, tmin_for
 from fdrelay.model import InfeasibleError, PaKind, Strategy
 from fdrelay.oracle import (
+    _CONVEXITY_REL_TOL,
     _RATE_SLACK,
-    _probe_closed_form,
     _probe_points,
+    _probe_scenario_energy,
     _slot_best,
     convexity_probe,
     random_feasible_scenarios,
@@ -52,8 +54,9 @@ def _slot_best_per_duration(s, slot, t_axis, n_p):
             continue
         grid = np.ix_(*boxes)
         feas = True
-        for _, capacity, demand in slot.rates(s, t, *grid):
-            feas = feas & (capacity >= demand * (1.0 - _RATE_SLACK))
+        for group in slot.rates(s, t, *grid):
+            for _, capacity, demand in group:
+                feas = feas & (capacity >= demand * (1.0 - _RATE_SLACK))
         if not np.any(feas):
             continue
         active = np.where(feas, slot.active(s, *grid), math.inf)
@@ -290,6 +293,18 @@ def _probe_points_per_draw(domain, n_samples, h, seed, sum_cap):
     return h, points
 
 
+def _probe_count_per_point(s, domain, n_samples):
+    """The scenario probe pricing one point at a time through the float
+    ``Description.energy``: the reference for the array probe's count."""
+    desc = DESCRIPTIONS[s.strategy]
+    h, points = _probe_points(domain, n_samples, None, 0, s.frame_t)
+    values = [[desc.energy(s, *x) for x in triple]
+              for triple in points.tolist()]
+    f0, fp, fm = np.array(values).T
+    d2 = (fp - 2.0 * f0 + fm) / h / h
+    return int(np.count_nonzero(d2 < -_CONVEXITY_REL_TOL * np.abs(f0)))
+
+
 class TestProbeParity:
     @pytest.mark.parametrize("domain, sum_cap, h", [
         ((0.001, 0.0093), None, None),
@@ -315,36 +330,40 @@ class TestProbeParity:
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_same_count_as_convexity_probe(self, strategy, pa_kind):
         desc = DESCRIPTIONS[strategy]
+        probed = pa_kind is PaKind.ETPA or desc.convex_under_tpa
         counts = []
         for s in _probe_cases(strategy, pa_kind):
             domain = _domain(s)
-            expected = convexity_probe(lambda *t: desc.energy(s, *t), domain,
-                                       n_samples=50, sum_cap=s.frame_t)
+            expected = _probe_count_per_point(s, domain, 50)
             counts.append(expected)
-            assert _probe_closed_form(s, domain, 50) == expected
+            assert convexity_probe(partial(desc.energy, s), domain,
+                                   n_samples=50, sum_cap=s.frame_t) == expected
+            # verify's probe is this one, where the pair is probed at all.
+            assert _probe_scenario_energy(s, tmin_for(s), 50) == (
+                expected if probed else 0)
         if pa_kind is PaKind.TPA:
             # The low-load TPA objective is not convex: the probe sees it.
             assert counts[-1] > 0
 
     @pytest.mark.parametrize("pa_kind", list(PaKind))
     def test_raising_point_raises_its_error(self, pa_kind):
-        """Where the float single-slot form raises at a probe point, the
-        batched probe raises that error too, never reading the NaN.  The
-        reference prices the points one at a time in draw order, as the
-        probe did before its powers went to arrays."""
+        """A probe whose domain reaches where the float single-slot form
+        raises never returns a count: the array powers hold NaN there, and
+        the PA draw's range check refuses them and the over-budget powers
+        around them.  The reference prices the points one at a time in
+        draw order."""
         s = ScenarioParams(strategy=Strategy.FD1TS, pa=pa_kind,
                            alpha_db=30.0).with_total_rate(65.0).build()
-        slot, = DESCRIPTIONS[Strategy.FD1TS].slots
+        desc = DESCRIPTIONS[Strategy.FD1TS]
+        slot, = desc.slots
         domain = (t_floor(s), s.frame_t)
         _, points = _probe_points(domain, 50, None, 0, s.frame_t)
-        with pytest.raises(InfeasibleError) as want:
+        with pytest.raises(InfeasibleError):
             for t in points.ravel().tolist():
                 slot.powers(s, t)
-        with pytest.raises(InfeasibleError) as got:
-            _probe_closed_form(s, domain, 50)
-        assert str(got.value) == str(want.value)
-        assert (got.value.cause, got.value.binding_node) == (
-            want.value.cause, want.value.binding_node)
+        with pytest.raises(ValueError, match="transmit power outside"):
+            convexity_probe(partial(desc.energy, s), domain, n_samples=50,
+                            sum_cap=s.frame_t)
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_energy_at_on_arrays_equals_scalar_calls(self, strategy,
