@@ -2,10 +2,10 @@
 """Audit the closed-form solver against the brute-force oracle.
 
 Draws random feasible scenarios for every strategy and amplifier model,
-solves each, and sweeps the oracle's duration/power grids over the same
-instances.  The solver must never lose to the grid, the rate constraints
-must be active at each optimum, and the energy objectives must show no
-concavity along the way.  A deliberately concave function closes the demo
+solves each, and prices the oracle's duration grid, at the closed-form
+powers, over the same instances.  The solver must never lose to the grid,
+the rate constraints must be active at each optimum, and the energy
+objectives must show no concavity along the way.  A deliberately concave function closes the demo
 as the probe's negative control.
 """
 
@@ -26,7 +26,7 @@ for strategy in Strategy:
                                               N_PER_COMBO)
         for i, scenario in enumerate(scenarios):
             schedule = solve(scenario)
-            grid_best, _ = grid_search(scenario, n_t=40, n_p=12)
+            grid_best, _ = grid_search(scenario, n_t=40)
             gap = (schedule.e_total - grid_best) / grid_best
             worst_gap = max(worst_gap, gap)
             slacks = verify_necessary_conditions(scenario, schedule)

@@ -127,7 +127,8 @@ def _run_solve(args: argparse.Namespace, out, err) -> int:
         report = verify(scenario, schedule)
         out.write(f"oracle          grid best {report.grid_best_energy:.9e} J, "
                   f"gap {report.relative_gap:+.3e}, "
-                  f"convexity violations {report.convexity_violations}\n")
+                  f"convexity violations {report.convexity_violations}, "
+                  f"anchor misses {report.anchor_misses}\n")
         for name, slack in report.active_constraints.items():
             out.write(f"  slack {name}   {slack:+.3e}\n")
         if not report.ok:
@@ -208,7 +209,8 @@ def _run_verify(args: argparse.Namespace, out, err) -> int:
             out.write(
                 f"{pair} #{i}: {status} "
                 f"gap={report.relative_gap:+.3e} "
-                f"convexity_violations={report.convexity_violations}\n")
+                f"convexity_violations={report.convexity_violations} "
+                f"anchor_misses={report.anchor_misses}\n")
     # The worst gap is the solver's largest excess over the grid best.
     for pair, pair_gaps in gaps.items():
         out.write(f"{pair} summary: n={len(pair_gaps)} "

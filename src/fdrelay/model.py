@@ -139,6 +139,15 @@ def _check_non_negative(obj, *names: str, finite: bool = False) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_positive_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first field of ``obj`` that is not > 0
+    and finite (NaN fails the test too)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NodeCircuit:
     """Static, idle and rate-proportional circuit power of one node."""
@@ -173,13 +182,9 @@ class ChannelSet:
     sigma2_r: float
 
     def __post_init__(self):
-        for name in ("g_ar", "g_br", "g_ra", "g_rb"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        _check_positive_finite(self, "g_ar", "g_br", "g_ra", "g_rb")
         _check_non_negative(self, "gs_a", "gs_b", "gs_r")
-        for name in ("sigma2_a", "sigma2_b", "sigma2_r"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        _check_positive_finite(self, "sigma2_a", "sigma2_b", "sigma2_r")
 
     @classmethod
     def reciprocal(cls, g_ar: float, g_br: float, gs_a: float, gs_b: float,
@@ -263,8 +268,8 @@ def db_to_linear(x_db: float) -> float:
 
 def noise_power(n0_dbm_per_hz: float, w: float) -> float:
     """Total noise power in W over bandwidth ``w`` from a dBm/Hz density."""
-    if not w > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < w < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {w}")
     return 10.0 ** ((n0_dbm_per_hz - 30.0) / 10.0) * w
 
 

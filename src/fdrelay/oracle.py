@@ -2,14 +2,14 @@
 
 The grid oracle never trusts the closed-form power expressions: at every
 gridded duration it checks the capacities of the closed-form point (the
-anchor) from scratch.  An anchor that meets every demand is its duration's
-cheapest rate-feasible point, because each point of the power box above it
-is at least as high in every power and the PA draw never falls as a power
-grows.  Where an anchor misses a demand, the oracle sweeps per-node power
-boxes from the anchor up to each budget, keeps only assignments whose
-capacities meet the demands, and takes the cheapest survivor.  A correct
-solver must never be worse than the grid; the closed-form point must never
-be worse than any rate-feasible grid point at the same durations.
+anchor) from scratch.  At the optimum every rate constraint is active, so
+the closed forms are the least powers that meet the demands (the fixed
+point of a standard interference map; Yates, IEEE JSAC 1995).  An anchor
+that meets every demand is therefore its duration's cheapest rate-feasible
+point, because the PA draw never falls as a power grows.  An anchor within
+its budget that misses a demand is a wrong closed form: :func:`verify`
+counts it in ``OracleReport.anchor_misses`` and fails.  A correct solver
+must never be worse than the grid.
 
 Both the grid and the convexity probe run in array passes.  Each slot's
 closed-form powers are priced over a whole duration array in one
@@ -19,8 +19,8 @@ because numpy's array ``2.0 ** x`` is one ULP off on some inputs), so the
 reports equal those of a point-by-point run.  Where the single-slot form
 raises :class:`~fdrelay.model.InfeasibleError` for a float, its array holds
 NaN: the grid drops that duration, as it drops a duration whose anchor is
-infinite or over budget.  The grid checks the anchors of all durations in
-one pass and sweeps the box of each duration left on its own.
+infinite, over budget or short of a demand.  The grid checks the anchors of
+all durations in one pass.
 :func:`convexity_probe` calls its function once, on one array per
 coordinate holding every probe point, and refuses a value that is not
 finite; :func:`verify` hands it the scenario's ``Description.energy``.
@@ -60,10 +60,9 @@ _RATE_SLACK = 1e-9
 # Relative tolerance of the convexity probe's second differences.
 _CONVEXITY_REL_TOL = 1e-6
 
-# The grid and probe sizes of a :func:`verify` pass: duration and power
-# points per axis, and convexity-probe samples.
+# The grid and probe sizes of a :func:`verify` pass: duration points per
+# slot, and convexity-probe samples.
 _VERIFY_N_T = 40
-_VERIFY_N_P = 12
 _VERIFY_PROBE_SAMPLES = 50
 
 # Draws :func:`random_feasible_scenarios` makes at most.
@@ -74,17 +73,21 @@ _MAX_ATTEMPTS = 4000
 class OracleReport:
     """Outcome of one oracle pass over a solved scenario.  ``ok`` needs
     every demand met too: each relative slack in ``active_constraints``,
-    one per rate constraint with a demand, at least ``-_RATE_SLACK``."""
+    one per rate constraint with a demand, at least ``-_RATE_SLACK``.  It
+    also needs every in-budget closed-form anchor of the grid to meet its
+    demands: ``anchor_misses`` counts those that do not."""
 
     grid_best_energy: float
     solver_energy: float
     relative_gap: float
     active_constraints: dict[str, float] = field(default_factory=dict)
     convexity_violations: int = 0
+    anchor_misses: int = 0
 
     @property
     def ok(self) -> bool:
         return (self.relative_gap <= 0.01 and self.convexity_violations == 0
+                and self.anchor_misses == 0
                 and all(v >= -_RATE_SLACK
                         for v in self.active_constraints.values()))
 
@@ -112,73 +115,47 @@ def _meets(s: Scenario, slot: Slot, t, *powers):
     return met
 
 
-def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray, n_p: int):
-    """Cheapest rate-feasible active power of one slot at each duration.
-
-    At every duration each transmitting node's power sweeps a box from the
-    closed-form point up to its budget; only assignments whose capacities
-    meet the demands survive.  Returns the best active power per duration
-    (inf where nothing survives) and the powers that reach it, one row per
-    duration (NaN where nothing survives).
+def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray):
+    """Each duration's cheapest rate-feasible active power of one slot
+    (inf off the grid), and how many in-budget anchors miss a demand.
 
     One ``slot.powers`` call prices the anchors of every duration.  An
     anchor that is not finite (NaN where the single-slot form raises) or
-    over its budget leaves its duration off the grid.  The capacities of
-    the remaining anchors are checked from scratch in one pass, and an
-    anchor that meets every demand is its duration's answer: it is the
-    box's first point, every other point is at least as high in each
-    power, and ``Slot.active`` never falls as a power grows.  Each
-    duration whose anchor misses a demand has its own box searched by
-    :func:`_box_best`.
+    over its budget leaves the grid; one within 1e-9 of its budget is
+    clipped onto it.  One pass checks the capacities of the rest from
+    scratch.  An anchor that misses a demand leaves the grid too, and is a
+    miss unless it was clipped: a clip on the budget edge shows no wrong
+    closed form.
     """
     caps = np.array([cap for _, cap in slot.budgets(s)])
     best = np.full(t_axis.size, math.inf)
-    best_powers = np.full((t_axis.size, caps.size), math.nan)
     anchors = np.column_stack(slot.powers(s, t_axis))
     rows = np.flatnonzero((np.isfinite(anchors)
                            & (anchors <= caps * (1.0 + 1e-9))).all(axis=1))
-    anchors = np.minimum(anchors[rows], caps)
-    met = _meets(s, slot, t_axis[rows], *anchors.T)
-    best[rows[met]] = slot.active(s, *anchors[met].T)
-    best_powers[rows[met]] = anchors[met]
-    for i, lo in zip(rows[~met], anchors[~met]):
-        best[i], best_powers[i] = _box_best(s, slot, t_axis[i], lo, caps, n_p)
-    return best, best_powers
+    anchors = anchors[rows]
+    clipped = np.minimum(anchors, caps)
+    met = _meets(s, slot, t_axis[rows], *clipped.T)
+    best[rows[met]] = slot.active(s, *clipped[met].T)
+    return best, int(np.count_nonzero(~met & (anchors <= caps).all(axis=1)))
 
 
-def _box_best(s: Scenario, slot: Slot, t, anchor: np.ndarray,
-              caps: np.ndarray, n_p: int):
-    """Cheapest rate-feasible active power of ``slot`` at duration ``t`` on
-    the box of ``n_p`` points per power from ``anchor`` up to ``caps``, and
-    the powers that reach it; (inf, NaN) where no box point is feasible."""
-    boxes = [np.linspace(lo, cap, n_p) for lo, cap in zip(anchor, caps)]
-    grid = np.ix_(*boxes)
-    active = np.where(_meets(s, slot, t, *grid), slot.active(s, *grid),
-                      math.inf)
-    k = np.unravel_index(int(np.argmin(active)), active.shape)
-    if not math.isfinite(active[k]):
-        return math.inf, math.nan
-    return active[k], [box[j] for box, j in zip(boxes, k)]
-
-
-def grid_search(s: Scenario, n_t: int = 50, n_p: int = 20):
-    """Exhaustive feasible minimum over duration and power grids.
-
-    At each duration the closed-form powers are checked against the
-    demands from scratch; a power box above them is searched only where
-    they miss a demand, since no box point draws less than a feasible
-    anchor.  Every slot shares one duration axis.  Raises
-    :class:`InfeasibleError` when no grid point is feasible.
+def grid_search(s: Scenario, n_t: int = 50):
+    """Exhaustive feasible minimum over a duration grid shared by every
+    slot, each duration priced at its closed-form powers.
 
     Returns (best_energy, best_point) with best_point a plain dict of the
-    slot durations (t1, t2) and the schedule's power fields.
+    slot durations (t1, t2); best_energy is inf only where anchors that
+    miss a demand left the grid empty.  Raises :class:`InfeasibleError`
+    when the grid is empty otherwise.
     """
-    return _grid_search(s, tmin_for(s), n_t, n_p)
+    energy, point, _ = _grid_search(s, tmin_for(s), n_t)
+    return energy, point
 
 
-def _grid_search(s: Scenario, window: FeasibleWindow, n_t: int, n_p: int):
-    """:func:`grid_search` given the scenario's feasibility window."""
-    if n_t < 2 or n_p < 2:
+def _grid_search(s: Scenario, window: FeasibleWindow, n_t: int):
+    """:func:`grid_search` given the scenario's feasibility window; also
+    returns the number of anchors that miss a demand, over all slots."""
+    if n_t < 2:
         raise ValueError("need at least two grid points per axis")
     slots = DESCRIPTIONS[s.strategy].slots
     floor = t_floor(s)
@@ -186,21 +163,25 @@ def _grid_search(s: Scenario, window: FeasibleWindow, n_t: int, n_p: int):
               if window.feasible else ())
     t_axis = _duration_axis(floor, s.frame_t - (len(slots) - 1) * floor,
                             n_t, extras)
-    return _best_combination(s, slots, t_axis, [
-        _slot_best(s, slot, t_axis, n_p) for slot in slots])
+    per_slot = [_slot_best(s, slot, t_axis) for slot in slots]
+    misses = sum(m for _, m in per_slot)
+    energy, point = _best_combination(s, t_axis, [b for b, _ in per_slot])
+    if not (math.isfinite(energy) or misses):
+        raise InfeasibleError("no feasible point on the oracle grid")
+    return energy, point, misses
 
 
-def _best_combination(s: Scenario, slots: tuple[Slot, ...],
-                      t_axis: np.ndarray, per_slot):
+def _best_combination(s: Scenario, t_axis: np.ndarray, per_slot):
     """Cheapest frame over every tuple of slot durations that fits it.
 
     The frame energy at duration indices (i, j, ...) is the sum of each
     slot's best active power times its duration plus the idle draw of the
     rest, evaluated for all tuples at once by broadcasting one axis per slot.
+    Returns the energy (inf where no tuple is feasible) and its durations.
     """
-    n = len(slots)
+    n = len(per_slot)
     energy, idle, busy = 0.0, s.frame_t, 0.0
-    for k, (active, _) in enumerate(per_slot):
+    for k, active in enumerate(per_slot):
         shape = [1] * n
         shape[k] = t_axis.size
         t = t_axis.reshape(shape)
@@ -210,12 +191,8 @@ def _best_combination(s: Scenario, slots: tuple[Slot, ...],
     energy = np.where(busy > s.frame_t, math.inf,
                       energy + s.p_idle_total * idle)
     idx = np.unravel_index(int(np.argmin(energy)), energy.shape)
-    if not math.isfinite(energy[idx]):
-        raise InfeasibleError("no feasible point on the oracle grid")
-    point = {f"t{k + 1}": float(t_axis[i]) for k, i in enumerate(idx)}
-    for slot, (_, powers), i in zip(slots, per_slot, idx):
-        point.update(zip(slot.fields, powers[i].tolist()))
-    return float(energy[idx]), point
+    return float(energy[idx]), {f"t{k + 1}": float(t_axis[i])
+                                for k, i in enumerate(idx)}
 
 
 def verify_necessary_conditions(s: Scenario, sched: Schedule,
@@ -321,9 +298,11 @@ def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
 
 
 def verify(s: Scenario, sched: Schedule) -> OracleReport:
-    """Full oracle pass: grid dominance, constraint slacks, convexity."""
+    """Full oracle pass: grid dominance, anchor misses, constraint slacks,
+    convexity.  Where missing anchors leave the grid empty, the grid best
+    is inf and the gap NaN."""
     window = tmin_for(s)
-    grid_best, _ = _grid_search(s, window, _VERIFY_N_T, _VERIFY_N_P)
+    grid_best, _, misses = _grid_search(s, window, _VERIFY_N_T)
     slacks = verify_necessary_conditions(s, sched, tol=math.inf)
     gap = (sched.e_total - grid_best) / grid_best
     violations = _probe_scenario_energy(s, window, _VERIFY_PROBE_SAMPLES)
@@ -331,7 +310,8 @@ def verify(s: Scenario, sched: Schedule) -> OracleReport:
                         solver_energy=sched.e_total,
                         relative_gap=float(gap),
                         active_constraints={k: float(v) for k, v in slacks.items()},
-                        convexity_violations=violations)
+                        convexity_violations=violations,
+                        anchor_misses=misses)
 
 
 def _probe_scenario_energy(s: Scenario, window: FeasibleWindow,

@@ -28,7 +28,6 @@ from fdrelay.sweep import Axis, AxisKind, SweepSpec, emit_csv, run_sweep
 
 SCENARIOS_PER_COMBO = 50
 GRID_NT = 50
-GRID_NP = 20
 PROBE_SAMPLES = 1000
 
 
@@ -57,7 +56,7 @@ def test_criterion_1_oracle_dominance(corpus):
     worst = -math.inf
     for (strategy, pa_kind), pairs in corpus.items():
         for scenario, schedule in pairs:
-            best, _ = grid_search(scenario, n_t=GRID_NT, n_p=GRID_NP)
+            best, _ = grid_search(scenario, n_t=GRID_NT)
             gap = (schedule.e_total - best) / best
             worst = max(worst, gap)
             assert schedule.e_total <= best * 1.01, (

@@ -199,6 +199,19 @@ class TestBuildRejectsInfinity:
         except ValueError as err:
             assert str(err).split()[0] in _NAMES[key], str(err)
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("key, field", [("ant_gain_db", "g_ar"),
+                                            ("n0_dbm_per_hz", "sigma2_a"),
+                                            ("bandwidth_mhz", "bandwidth")])
+    def test_infinite_gain_or_noise_names_the_channel(self, key, field,
+                                                      strategy):
+        """An infinite link gain, noise density or bandwidth is refused
+        when the channels are built, before any solve can misread it."""
+        params = replace(ScenarioParams(strategy=strategy), **{key: math.inf})
+        with pytest.raises(ValueError, match=f"^{field} must be positive and "
+                                             "finite, got inf$"):
+            params.build()
+
 
 class TestDerivedHelpers:
     def test_with_total_rate_preserves_ratio(self):

@@ -140,12 +140,12 @@ class TestConstructors:
                   gs_a=0.0, gs_b=0.0, gs_r=0.0,
                   sigma2_a=1e-14, sigma2_b=1e-14, sigma2_r=1e-14)
         ChannelSet(**ok)  # zero self-interference is legal
-        for key in ("g_ar", "g_br", "g_ra", "g_rb"):
-            with pytest.raises(ValueError):
-                ChannelSet(**{**ok, key: 0.0})
-        for key in ("sigma2_a", "sigma2_b", "sigma2_r"):
-            with pytest.raises(ValueError):
-                ChannelSet(**{**ok, key: 0.0})
+        for key in ("g_ar", "g_br", "g_ra", "g_rb",
+                    "sigma2_a", "sigma2_b", "sigma2_r"):
+            for bad in (0.0, -1e-12, math.inf, math.nan):
+                with pytest.raises(ValueError,
+                                   match=f"^{key} must be positive and finite"):
+                    ChannelSet(**{**ok, key: bad})
         with pytest.raises(ValueError):
             ChannelSet(**{**ok, "gs_r": -1e-18})
 

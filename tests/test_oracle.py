@@ -39,7 +39,7 @@ class TestGridSearch:
     def test_solver_never_worse_than_grid(self, params, strategy):
         s = replace(params, strategy=strategy).build()
         sched = solve(s)
-        best, point = grid_search(s, n_t=40, n_p=12)
+        best, point = grid_search(s, n_t=40)
         assert sched.e_total <= best * 1.01
         assert point["t1"] > 0
 
@@ -81,7 +81,7 @@ class TestGridSearch:
         s = replace(params, strategy=Strategy.FD1TS, alpha_db=20.0,
                     r_fl_mbps=100.0, r_rl_mbps=100.0).build()
         with pytest.raises(InfeasibleError):
-            grid_search(s, n_t=20, n_p=5)
+            grid_search(s, n_t=20)
 
     def test_feasibility_agreement(self):
         """Grid emptiness agrees with the feasibility module on a corpus."""
@@ -96,7 +96,7 @@ class TestGridSearch:
             s = p.build()
             feasible = tmin_for(s).feasible
             try:
-                grid_search(s, n_t=30, n_p=4)
+                grid_search(s, n_t=30)
                 grid_feasible = True
             except InfeasibleError:
                 grid_feasible = False
@@ -111,24 +111,29 @@ class TestGridSearch:
         s = replace(params, strategy=strategy).build()
         desc = DESCRIPTIONS[strategy]
         t_axis = np.linspace(t_floor(s), s.frame_t - t_floor(s), 15)
-        per_slot = [_slot_best(s, slot, t_axis, 6) for slot in desc.slots]
+        per_slot = [_slot_best(s, slot, t_axis)[0] for slot in desc.slots]
+        # The grid prices each duration at its anchor, clipped onto the
+        # budgets.
+        anchors = [np.minimum(np.column_stack(slot.powers(s, t_axis)),
+                              [cap for _, cap in slot.budgets(s)])
+                   for slot in desc.slots]
         best = math.inf
         for idx in itertools.product(range(t_axis.size),
                                      repeat=len(desc.slots)):
             durations = [t_axis[i] for i in idx]
-            powers = [per_slot[k][1][i] for k, i in enumerate(idx)]
-            if sum(durations) > s.frame_t or any(np.isnan(p).any()
-                                                 for p in powers):
+            powers = [anchors[k][i] for k, i in enumerate(idx)]
+            if sum(durations) > s.frame_t or any(
+                    per_slot[k][i] == math.inf for k, i in enumerate(idx)):
                 continue
             best = min(best, desc.energy_at(s, durations, powers))
-        energy, point = _best_combination(s, desc.slots, t_axis, per_slot)
+        energy, point = _best_combination(s, t_axis, per_slot)
         assert energy == best
         assert point["t1"] in t_axis
 
     def test_rejects_degenerate_grid(self, params):
         s = params.build()
         with pytest.raises(ValueError):
-            grid_search(s, n_t=1, n_p=5)
+            grid_search(s, n_t=1)
 
 
 class TestNecessaryConditions:

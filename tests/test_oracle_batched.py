@@ -3,7 +3,9 @@
 The grid's per-slot anchor check and the scenario convexity probe
 evaluate many durations in one numpy pass.  Both must give exactly the
 numbers of the one-duration-at-a-time and one-point-at-a-time code: the
-same best active powers and powers, and the same violation counts.
+same best active powers and anchor misses, and the same violation counts.
+Closed forms scaled a hair low stand in for a wrong closed form, which
+``verify`` must fail.
 """
 
 import math
@@ -32,38 +34,30 @@ from fdrelay.strategies import DESCRIPTIONS
 PAIRS = [(strategy, pa) for strategy in Strategy for pa in PaKind]
 
 
-def _power_box(anchor, cap, n_p):
-    if not math.isfinite(anchor) or anchor > cap * (1.0 + 1e-9):
-        return None
-    return np.linspace(min(anchor, cap), cap, n_p)
-
-
-def _slot_best_per_duration(s, slot, t_axis, n_p):
-    """The box search one duration at a time, as the oracle ran it before
-    its array passes: the reference the batched search must equal."""
-    budgets = slot.budgets(s)
+def _slot_best_per_duration(s, slot, t_axis):
+    """The grid's anchor check one float duration at a time: the reference
+    the one-pass check must equal.  Returns each duration's active power
+    (inf off the grid) and the number of in-budget anchors that miss a
+    demand."""
+    caps = [cap for _, cap in slot.budgets(s)]
     best = np.full(t_axis.size, math.inf)
-    best_powers = [None] * t_axis.size
+    misses = 0
     for i, t in enumerate(t_axis):
         try:
             anchor = slot.powers(s, t)
         except InfeasibleError:
             continue
-        boxes = [_power_box(p, cap, n_p) for p, (_, cap) in zip(anchor, budgets)]
-        if any(box is None for box in boxes):
+        if not all(math.isfinite(p) and p <= cap * (1.0 + 1e-9)
+                   for p, cap in zip(anchor, caps)):
             continue
-        grid = np.ix_(*boxes)
-        feas = True
-        for group in slot.rates(s, t, *grid):
-            for _, capacity, demand in group:
-                feas = feas & (capacity >= demand * (1.0 - _RATE_SLACK))
-        if not np.any(feas):
-            continue
-        active = np.where(feas, slot.active(s, *grid), math.inf)
-        k = np.unravel_index(int(np.argmin(active)), active.shape)
-        best[i] = active[k]
-        best_powers[i] = tuple(float(box[j]) for box, j in zip(boxes, k))
-    return best, best_powers
+        clipped = [min(p, cap) for p, cap in zip(anchor, caps)]
+        if all(capacity >= demand * (1.0 - _RATE_SLACK)
+               for group in slot.rates(s, t, *clipped)
+               for _, capacity, demand in group):
+            best[i] = slot.active(s, *clipped)
+        elif all(p <= cap for p, cap in zip(anchor, caps)):
+            misses += 1
+    return best, misses
 
 
 def _anchor_kinds(s, slot, t_axis):
@@ -85,17 +79,15 @@ def _anchor_kinds(s, slot, t_axis):
     return kinds
 
 
-def _assert_same(s, slot, t_axis, n_p):
-    """The batched search equals the per-duration one; its powers hold one
-    row per duration, NaN where the reference has None."""
-    best, powers = _slot_best(s, slot, t_axis, n_p)
-    ref_best, ref_powers = _slot_best_per_duration(s, slot, t_axis, n_p)
+def _assert_same(s, slot, t_axis, priced=True):
+    """The one-pass check equals the per-duration one; with ``priced``, at
+    least one duration stays on the grid.  Returns the miss count."""
+    best, misses = _slot_best(s, slot, t_axis)
+    ref_best, ref_misses = _slot_best_per_duration(s, slot, t_axis)
     assert best.tobytes() == ref_best.tobytes()
-    assert powers.shape == (t_axis.size, len(slot.fields))
-    rows = [None if np.isnan(row).all() else tuple(row.tolist())
-            for row in powers]
-    assert repr(rows) == repr(ref_powers)
-    assert any(p is not None for p in rows)
+    assert misses == ref_misses
+    assert np.isfinite(best).any() or not priced
+    return misses
 
 
 def _full_axis(s, n_t):
@@ -104,11 +96,13 @@ def _full_axis(s, n_t):
 
 
 class TestSlotBestParity:
+    """The real closed forms: every in-budget anchor meets its demands."""
+
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_seeded_scenarios(self, strategy, pa_kind):
         for s in random_feasible_scenarios(11, strategy, pa_kind, 3):
             for slot in DESCRIPTIONS[strategy].slots:
-                _assert_same(s, slot, _full_axis(s, 40), 12)
+                assert _assert_same(s, slot, _full_axis(s, 40)) == 0
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_anchors_infinite_and_over_budget(self, strategy, pa_kind):
@@ -119,7 +113,7 @@ class TestSlotBestParity:
             assert "over budget" in kinds and "in budget" in kinds
             if strategy is not Strategy.FD1TS:
                 assert "infinite" in kinds
-            _assert_same(s, slot, t_axis, 7)
+            assert _assert_same(s, slot, t_axis) == 0
 
     @pytest.mark.parametrize("pa_kind", list(PaKind))
     def test_fd1ts_weak_cancellation_raises(self, pa_kind):
@@ -129,17 +123,17 @@ class TestSlotBestParity:
         t_axis = _full_axis(s, 40)
         assert {"raises:cancellation", "raises:power_budget", "over budget",
                 "in budget"} <= _anchor_kinds(s, slot, t_axis)
-        _assert_same(s, slot, t_axis, 9)
+        assert _assert_same(s, slot, t_axis) == 0
 
-    def test_fd1ts_large_box(self):
+    def test_fd1ts_short_axis(self):
         s = ScenarioParams(strategy=Strategy.FD1TS).build()
-        _assert_same(s, DESCRIPTIONS[Strategy.FD1TS].slots[0],
-                     _full_axis(s, 12), 30)
+        assert _assert_same(s, DESCRIPTIONS[Strategy.FD1TS].slots[0],
+                            _full_axis(s, 12)) == 0
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_anchor_on_its_budget(self, strategy):
-        """An anchor within the budget slack makes a zero-step box, which
-        must not change the boxes of the other durations."""
+        """An anchor within the budget slack is clipped onto its budget,
+        which must not change the prices of the other durations."""
         s = ScenarioParams(strategy=strategy).build()
         t_axis = _full_axis(s, 30)
         pinned = t_axis[20]
@@ -148,7 +142,7 @@ class TestSlotBestParity:
 
             def powers(s_, t, _slot=slot, _cap=cap):
                 # A float for the per-duration reference, an array for
-                # the batched search: pin the first power at ``pinned``.
+                # the one-pass check: pin the first power at ``pinned``.
                 anchor = _slot.powers(s_, t)
                 first = np.where(t == pinned, _cap * (1.0 + 5e-10),
                                  anchor[0])
@@ -156,7 +150,7 @@ class TestSlotBestParity:
                     first = float(first)
                 return (first,) + anchor[1:]
 
-            _assert_same(s, replace(slot, powers=powers), t_axis, 8)
+            assert _assert_same(s, replace(slot, powers=powers), t_axis) == 0
 
 
 def _scaled_below(slot, t_axis, at, factor=1.0 - 1e-6):
@@ -174,69 +168,113 @@ def _scaled_below(slot, t_axis, at, factor=1.0 - 1e-6):
     return replace(slot, powers=powers)
 
 
-def _box_wins(s, slot, t_axis, n_p):
-    """Durations whose winning powers lie above their in-budget anchor in
-    at least one power: the box search, not the anchor, priced them."""
-    _, powers = _slot_best(s, slot, t_axis, n_p)
-    caps = np.array([cap for _, cap in slot.budgets(s)])
-    anchors = np.minimum(np.column_stack(slot.powers(s, t_axis)), caps)
-    return int(np.count_nonzero((powers > anchors).any(axis=1)))
+def _in_budget(s, slot, t_axis):
+    """How many durations of ``t_axis`` have a finite anchor within its
+    budgets, with no clip."""
+    caps = [cap for _, cap in slot.budgets(s)]
+    count = 0
+    for t in t_axis:
+        try:
+            anchor = slot.powers(s, t)
+        except InfeasibleError:
+            continue
+        count += all(math.isfinite(p) and p <= cap
+                     for p, cap in zip(anchor, caps))
+    return count
+
+
+def _verify_axis(s):
+    """The duration axis of :func:`verify`'s grid."""
+    floor = t_floor(s)
+    n_slots = len(DESCRIPTIONS[s.strategy].slots)
+    extras = tuple(x for span in tmin_for(s).spans(s.frame_t) for x in span)
+    return oracle._duration_axis(floor, s.frame_t - (n_slots - 1) * floor,
+                                 oracle._VERIFY_N_T, extras)
 
 
 class TestAnchorMissesDemand:
-    """Anchors a hair below their demands send their durations through the
-    box search, which must still equal the per-duration search."""
+    """Anchors a hair below their demands are a wrong closed form: each one
+    within its budgets is a miss, and a miss fails ``verify``."""
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     @pytest.mark.parametrize("every", [3, 1])
-    def test_box_search_where_anchors_miss(self, strategy, pa_kind, every):
+    def test_verify_fails_where_anchors_miss(self, strategy, pa_kind, every,
+                                             monkeypatch):
+        """The closed forms are wrong in ``verify``'s view only: the solve
+        and the window read the real ones."""
+        s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
+        sched = solve(s)
+        t_axis = _verify_axis(s)
+        at = slice(None, None, every)
+        desc = DESCRIPTIONS[strategy]
+        missing = replace(desc, slots=tuple(
+            _scaled_below(slot, t_axis, at) for slot in desc.slots))
+        monkeypatch.setattr(oracle, "DESCRIPTIONS",
+                            {**DESCRIPTIONS, strategy: missing})
+        report = oracle.verify(s, sched)
+        expected = sum(_in_budget(s, slot, t_axis[at])
+                       for slot in missing.slots)
+        assert expected > 0
+        assert report.anchor_misses == expected
+        assert not report.ok
+        if every == 1:
+            # No anchor is left to price: the grid is empty.
+            assert report.grid_best_energy == math.inf
+            assert math.isnan(report.relative_gap)
+        else:
+            assert report.relative_gap <= 0.01
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    @pytest.mark.parametrize("every", [3, 1])
+    def test_one_pass_counts_the_misses(self, strategy, pa_kind, every):
         s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
         t_axis = _full_axis(s, 40)
+        at = slice(None, None, every)
         for slot in DESCRIPTIONS[strategy].slots:
-            assert _box_wins(s, slot, t_axis, 7) == 0
-            missing = _scaled_below(slot, t_axis, slice(None, None, every))
-            _assert_same(s, missing, t_axis, 7)
-            assert _box_wins(s, missing, t_axis, 7) > 0
+            missing = _scaled_below(slot, t_axis, at)
+            misses = _assert_same(s, missing, t_axis, priced=every != 1)
+            assert misses == _in_budget(s, missing, t_axis[at]) > 0
 
     @pytest.mark.parametrize("every", [3, 1])
-    def test_fd1ts_large_box(self, every):
+    def test_fd1ts_short_axis(self, every):
         s = ScenarioParams(strategy=Strategy.FD1TS).build()
         t_axis = _full_axis(s, 12)
+        at = slice(None, None, every)
         missing = _scaled_below(DESCRIPTIONS[Strategy.FD1TS].slots[0],
-                                t_axis, slice(None, None, every))
-        _assert_same(s, missing, t_axis, 30)
-        assert _box_wins(s, missing, t_axis, 30) > 0
+                                t_axis, at)
+        misses = _assert_same(s, missing, t_axis, priced=every != 1)
+        assert misses == _in_budget(s, missing, t_axis[at]) > 0
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
-    def test_default_scenarios_build_no_box(self, strategy, pa_kind,
-                                            monkeypatch):
+    def test_default_scenarios_have_no_anchor_misses(self, strategy,
+                                                     pa_kind):
         """Every in-budget anchor of the default scenarios meets its
-        demands, so neither ``verify`` nor ``grid_search`` builds a box."""
-        def no_box(*args):
-            raise AssertionError("power box built")
-
-        monkeypatch.setattr(oracle, "_box_best", no_box)
+        demands, on ``verify``'s grid and on ``grid_search``'s."""
         s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
-        assert oracle.verify(s, solve(s)).ok
-        oracle.grid_search(s)
+        report = oracle.verify(s, solve(s))
+        assert report.ok and report.anchor_misses == 0
+        assert oracle._grid_search(s, tmin_for(s), 50)[2] == 0
+
+    @pytest.mark.parametrize("pa_kind", list(PaKind))
+    def test_asymptotic_fd1ts_overspends_without_a_miss(self, pa_kind):
+        """The asymptotic fd1ts closed form is loose on purpose: each of
+        its anchors meets the demands with room to spare, so none is a
+        miss."""
+        s = ScenarioParams(strategy=Strategy.FD1TS, pa=pa_kind,
+                           asymptotic_1ts=True).build()
+        report = oracle.verify(s, solve(s))
+        assert report.ok and report.anchor_misses == 0
+        assert min(report.active_constraints.values()) > 1e-6
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
-    def test_zero_step_box_beside_open_ones(self, strategy, pa_kind,
-                                            monkeypatch):
-        """An anchor on its first budget, with its other powers a hair
-        low, sends its duration to the box search with a zero-step box in
-        one power and open boxes in the rest."""
+    def test_clipped_anchor_beside_low_ones_is_not_a_miss(self, strategy,
+                                                          pa_kind):
+        """An anchor just over its first budget, with its other powers a
+        hair low, misses a demand after the clip: its duration leaves the
+        grid, but a clip on the budget edge shows no wrong closed form."""
         s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
         t_axis = _full_axis(s, 30)
         pinned = t_axis[20]
-        searched = []
-        box_best = oracle._box_best
-
-        def spy(s_, slot_, t, *args):
-            searched.append(t)
-            return box_best(s_, slot_, t, *args)
-
-        monkeypatch.setattr(oracle, "_box_best", spy)
         for slot in DESCRIPTIONS[strategy].slots:
             if len(slot.fields) < 2:
                 continue
@@ -252,9 +290,10 @@ class TestAnchorMissesDemand:
                     return tuple(float(p) for p in pinned_anchor)
                 return pinned_anchor
 
-            searched.clear()
-            _assert_same(s, replace(slot, powers=powers), t_axis, 8)
-            assert searched == [pinned]
+            clipped = replace(slot, powers=powers)
+            assert math.isfinite(_slot_best(s, slot, t_axis)[0][20])
+            assert _assert_same(s, clipped, t_axis) == 0
+            assert _slot_best(s, clipped, t_axis)[0][20] == math.inf
 
 
 def _probe_cases(strategy, pa_kind):

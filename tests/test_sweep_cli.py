@@ -1,16 +1,33 @@
 import io
 import math
+import re
 import statistics
 from dataclasses import replace
 
 import pytest
 
+from fdrelay import oracle
 from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
 from fdrelay.config import ScenarioParams
 from fdrelay.model import PaKind, Strategy
 from fdrelay.oracle import random_feasible_scenarios, verify
 from fdrelay.solver import solve
+from fdrelay.strategies import DESCRIPTIONS
 from fdrelay.sweep import Axis, AxisKind, SweepSpec, emit_csv, run_sweep
+
+
+def _low_closed_forms(monkeypatch, strategy, factor=1.0 - 1e-6):
+    """Scale every closed-form power of ``strategy`` by ``factor`` in the
+    oracle's view only: each in-budget anchor then misses a demand."""
+    desc = DESCRIPTIONS[strategy]
+
+    def scaled(slot):
+        def powers(s, t, _slot=slot):
+            return tuple(p * factor for p in _slot.powers(s, t))
+        return replace(slot, powers=powers)
+
+    monkeypatch.setattr(oracle, "DESCRIPTIONS", {**DESCRIPTIONS, strategy: replace(
+        desc, slots=tuple(scaled(slot) for slot in desc.slots))})
 
 
 class TestAxis:
@@ -180,6 +197,17 @@ class TestCli:
         assert code == EXIT_OK
         assert "oracle" in out
 
+    def test_solve_oracle_line_shows_anchor_misses(self, monkeypatch):
+        code, out, _ = self.run("solve", "--strategy", "fd2ts", "--oracle")
+        assert code == EXIT_OK
+        assert "convexity violations 0, anchor misses 0\n" in out
+        _low_closed_forms(monkeypatch, Strategy.FD2TS)
+        code, out, err = self.run("solve", "--strategy", "fd2ts", "--oracle")
+        assert code == EXIT_INFEASIBLE
+        assert re.search(r"convexity violations 0, anchor misses [1-9]\d*\n",
+                         out)
+        assert err == "oracle check FAILED\n"
+
     def test_solve_infeasible_names_cancellation(self, tmp_path):
         cfg = tmp_path / "weak.cfg"
         cfg.write_text("alpha_db=20\nr_fl_mbps=100\nr_rl_mbps=100\n"
@@ -308,6 +336,19 @@ class TestCli:
                                 "--seed", "11")
         assert code == EXIT_OK
         assert "all verifications passed" in out
+
+    def test_verify_lines_show_anchor_misses(self, monkeypatch):
+        args = ("verify", "--scenarios", "2", "--strategy", "hd2ts",
+                "--pa", "tpa", "--seed", "11")
+        code, out, _ = self.run(*args)
+        assert code == EXIT_OK
+        assert out.count(" convexity_violations=0 anchor_misses=0\n") == 2
+        _low_closed_forms(monkeypatch, Strategy.HD2TS)
+        code, out, err = self.run(*args)
+        assert code == EXIT_INFEASIBLE
+        assert len(re.findall(r"^hd2ts/tpa #\d: FAIL .* "
+                              r"anchor_misses=[1-9]\d*$", out, re.M)) == 2
+        assert err == "2 verification failure(s)\n"
 
     def test_verify_prints_gap_summary_per_pair(self):
         code, out, _ = self.run("verify", "--scenarios", "4",
