@@ -108,14 +108,29 @@ class ScenarioParams:
         return self.r_fl_mbps + self.r_rl_mbps
 
     def build(self) -> Scenario:
-        """Convert to SI and assemble the scenario value object."""
+        """Convert to SI and assemble the scenario value object.
+
+        A value out of its range raises a ValueError.  So does a dB or dBm
+        value whose linear value overflows a float, and its error names the
+        key; a distance too short for the path-loss law names the
+        distance."""
+
+        def linear(name: str, convert, *args) -> float:
+            try:
+                return convert(*args)
+            except OverflowError:
+                raise ValueError(f"{name} of {getattr(self, name)} is too "
+                                 f"large: its linear value overflows a float"
+                                 ) from None
+
         w = self.bandwidth_mhz * 1e6
-        sigma2 = noise_power(self.n0_dbm_per_hz, w)
-        ant = db_to_linear(self.ant_gain_db)
-        residual = residual_self_gain(self.d_self_cm / 100.0, self.alpha_db)
+        sigma2 = linear("n0_dbm_per_hz", noise_power, self.n0_dbm_per_hz, w)
+        ant = linear("ant_gain_db", db_to_linear, self.ant_gain_db)
+        residual = linear("alpha_db", residual_self_gain,
+                          self.d_self_cm / 100.0, self.alpha_db)
 
         def isolation(name: str) -> float:
-            iso = db_to_linear(getattr(self, name))
+            iso = linear(name, db_to_linear, getattr(self, name))
             if iso == 0.0:  # -inf dB, or low enough to underflow
                 raise ValueError(f"{name} of {getattr(self, name)} dB "
                                  f"underflows to a linear isolation of 0")
@@ -128,11 +143,13 @@ class ScenarioParams:
             gs_b=residual / isolation("self_iso_b_db"),
             gs_r=residual / isolation("self_iso_r_db"),
             sigma2=sigma2)
-        kappa = db_to_linear(self.kappa_db)
+        kappa = linear("kappa_db", db_to_linear, self.kappa_db)
 
-        def pa_for(p_max_dbm: float) -> PaModel:
-            return PaModel(kind=self.pa, p_max=db_to_linear(p_max_dbm - 30.0),
-                           eta_max=self.eta_max, kappa=kappa, u=self.etpa_u)
+        def pa_for(node: str) -> PaModel:
+            name = f"p_max_{node}_dbm"
+            p_max = linear(name, db_to_linear, getattr(self, name) - 30.0)
+            return PaModel(kind=self.pa, p_max=p_max, eta_max=self.eta_max,
+                           kappa=kappa, u=self.etpa_u)
 
         eps = self.epsilon_mw_per_gbps * 1e-3 / 1e9
 
@@ -146,8 +163,7 @@ class ScenarioParams:
             r_fl=self.r_fl_mbps * 1e6,
             r_rl=self.r_rl_mbps * 1e6,
             strategy=self.strategy,
-            pa=PerNode(a=pa_for(self.p_max_a_dbm), r=pa_for(self.p_max_r_dbm),
-                       b=pa_for(self.p_max_b_dbm)),
+            pa=PerNode(a=pa_for("a"), r=pa_for("r"), b=pa_for("b")),
             circuit=PerNode(
                 a=circuit_for(self.p_base_a_mw, self.p_idle_a_mw),
                 r=circuit_for(self.p_base_r_mw, self.p_idle_r_mw),
@@ -228,9 +244,10 @@ def parse_params(text: str) -> ScenarioParams:
 @contextmanager
 def unbuildable_is_config_error(context: str = "invalid scenario"):
     """Turn parameters that build no scenario into a ConfigError that starts
-    with ``context``.  A value out of its range raises ValueError; one that
-    overflows in the unit conversions (say ``alpha_db = 1e5``) raises an
-    ArithmeticError."""
+    with ``context``.  A value out of its range raises ValueError, and so
+    does one that overflows in the unit conversions (say ``alpha_db = 1e5``,
+    whose error names ``alpha_db``); an ArithmeticError from any other
+    arithmetic is caught too."""
     try:
         yield
     except (ValueError, ArithmeticError) as err:

@@ -278,7 +278,11 @@ def pathloss_gain(d_m: float) -> float:
     if not d_m > 0:
         raise ValueError("distance must be positive")
     loss_db = _PL_CONST_DB + _PL_SLOPE_DB * math.log10(d_m)
-    return 10.0 ** (-loss_db / 10.0)
+    try:
+        return 10.0 ** (-loss_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"distance of {d_m} m is too short for the path-loss "
+                         f"law: its gain overflows a float") from None
 
 
 def residual_self_gain(d_self_m: float, alpha_db: float) -> float:
@@ -295,8 +299,10 @@ def residual_self_gain(d_self_m: float, alpha_db: float) -> float:
 def pa_consumption(pa: PaModel, p):
     """Power drawn by the amplifier to emit average transmit power ``p``.
 
-    Accepts a scalar or an ndarray of powers; rejects anything outside the
-    [0, p_max] budget.
+    One body serves floats and arrays.  ``p`` is anything
+    ``np.asarray(p, dtype=float)`` accepts: a 0-d input (a Python or numpy
+    number, or a 0-d array) gives a Python float, and any other gives an
+    ndarray of its shape.  Rejects any power outside the [0, p_max] budget.
     """
     arr = np.asarray(p, dtype=float)
     hi = pa.p_max * (1.0 + _P_BUDGET_SLACK)
@@ -307,13 +313,13 @@ def pa_consumption(pa: PaModel, p):
     if not (arr.min(initial=lo) >= lo and arr.max(initial=hi) <= hi):
         raise ValueError(
             f"transmit power outside [0, {pa.p_max:.6g}] W budget")
-    arr = np.minimum(np.maximum(arr, 0.0), pa.p_max)
+    clipped = arr.clip(0.0, pa.p_max)
     if pa.kind is PaKind.TPA:
-        out = np.sqrt(arr * pa.p_max) / pa.eta_max
+        out = np.sqrt(clipped * pa.p_max) / pa.eta_max
     else:
         uk = pa.u * pa.kappa
-        out = (arr + uk * pa.p_max) / ((1.0 + uk) * pa.eta_max)
-    return float(out) if np.ndim(p) == 0 else out
+        out = (clipped + uk * pa.p_max) / ((1.0 + uk) * pa.eta_max)
+    return float(out) if arr.ndim == 0 else out
 
 
 def ee_from_energy(r_fl: float, r_rl: float, frame_t: float, e_total: float) -> float:

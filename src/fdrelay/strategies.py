@@ -195,7 +195,7 @@ class Description:
             energy += slot.active(s, *p) * t
             idle -= t
         total = energy + s.p_idle_total * idle
-        return float(total) if np.ndim(total) == 0 else total
+        return total if isinstance(total, np.ndarray) else float(total)
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,31 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", ["alpha_db", "kappa_db", "p_max_a_dbm"])
     def test_overflowing_value_is_config_error(self, key):
-        with pytest.raises(ConfigError, match="invalid scenario"):
+        with pytest.raises(ConfigError, match=f"invalid scenario: {key} of "):
             parse_config(f"{key} = 1e5\n")
+
+
+@pytest.mark.parametrize("key", [
+    "n0_dbm_per_hz", "alpha_db", "ant_gain_db", "self_iso_a_db",
+    "self_iso_r_db", "self_iso_b_db", "kappa_db", "p_max_a_dbm",
+    "p_max_r_dbm", "p_max_b_dbm"])
+def test_overflowing_db_value_names_its_key(key):
+    """4000 dB is past a float's range (about 3083 dB), so its linear value
+    overflows; the error names the key and the value."""
+    params = replace(ScenarioParams(), **{key: 4000.0})
+    with pytest.raises(ValueError, match=(
+            f"^{key} of 4000.0 is too large: its linear value overflows a "
+            f"float$")):
+        params.build()
+
+
+@pytest.mark.parametrize("key, metres", [
+    ("d_ar_m", 1e-300), ("d_rb_m", 1e-300), ("d_self_cm", 1e-302)])
+def test_overflowing_path_loss_names_the_distance(key, metres):
+    params = replace(ScenarioParams(), **{key: 1e-300})
+    with pytest.raises(ValueError, match=(
+            f"^distance of {metres} m is too short for the path-loss law")):
+        params.build()
 
 
 class TestBuildRejectsNan:

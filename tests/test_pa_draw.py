@@ -1,12 +1,13 @@
 """The PA draw against the body it replaced.
 
-``pa_consumption`` checks the budget with one range test and clips with
-``np.minimum``/``np.maximum``.  The body it replaced, with its separate
-finiteness test and ``np.clip``, is kept here as the reference: every
-draw must equal it by ``repr`` (floats) and ``tobytes()`` (arrays), and
-every rejected power must raise the same ``ValueError``.  The draw, and
-so each slot's active power, must also never fall as a power grows: the
-oracle's grid relies on it.
+``pa_consumption`` checks the budget with one range test, clips with the
+array's own ``clip`` and reads the rank of the array it converted.  The
+body it replaced, with its separate finiteness test, ``np.clip`` and
+``np.ndim`` of the input, is kept here as the reference: every draw must
+equal it by ``repr`` (floats) and ``tobytes()`` (arrays), for every kind
+of input ``np.asarray`` takes, and every rejected power must raise the
+same ``ValueError``.  The draw, and so each slot's active power, must also
+never fall as a power grows: the oracle's grid relies on it.
 """
 
 import math
@@ -86,6 +87,31 @@ def test_array_draws_equal_the_reference(pa, rng):
             assert got.tobytes() == want.tobytes()
 
 
+def _inputs(pa: PaModel) -> list:
+    """One power in every form the draw accepts, 0-d and not."""
+    half, whole = 0.5 * pa.p_max, int(pa.p_max)
+    return [whole, 0, np.float64(half), np.asarray(half), np.asarray(whole),
+            [half], [0.0, half, pa.p_max], [[half, 0.0], [pa.p_max, whole]],
+            [[[half]]], np.asarray([half], dtype=np.float32)]
+
+
+@pytest.mark.parametrize("pa", PAS, ids=repr)
+def test_every_input_form_gives_the_reference(pa):
+    """A 0-d input gives a Python float and any other an ndarray of its
+    shape: the rank read from the converted array is the input's rank."""
+    for p in _inputs(pa):
+        got = pa_consumption(pa, p)
+        want = _reference(pa, p)
+        if np.ndim(p) == 0:
+            assert type(got) is float, p
+            assert repr(got) == repr(want), p
+        else:
+            assert isinstance(got, np.ndarray), p
+            assert got.shape == np.shape(p) == want.shape, p
+            assert got.dtype == want.dtype == np.float64, p
+            assert got.tobytes() == want.tobytes(), p
+
+
 @pytest.mark.parametrize("pa", PAS, ids=repr)
 def test_out_of_budget_raises_as_the_reference(pa, rng):
     inside = _inside(pa, rng)
@@ -113,13 +139,13 @@ def test_empty_array_gives_empty_array(pa):
 
 @pytest.mark.parametrize("pa", PAS, ids=repr)
 def test_negative_zero_draws_the_same_value(pa):
-    # np.clip keeps the sign of -0.0 and np.maximum may drop it, depending
-    # on the platform and the array length, so a TPA draw at -0.0 may be
-    # either zero; it is the same number, and every caller adds it to a
-    # positive circuit power.
-    assert pa_consumption(pa, -0.0) == _reference(pa, -0.0)
-    arr = np.full(17, -0.0)
-    assert np.array_equal(pa_consumption(pa, arr), _reference(pa, arr))
+    # The draw clips as the reference does, so even the sign of a zero
+    # draw at -0.0 is the reference's, at every array length.
+    assert repr(pa_consumption(pa, -0.0)) == repr(_reference(pa, -0.0))
+    for n in (1, 2, 7, 17, 64):
+        arr = np.full(n, -0.0)
+        assert pa_consumption(pa, arr).tobytes() == \
+            _reference(pa, arr).tobytes()
 
 
 @pytest.mark.parametrize("pa", PAS, ids=repr)

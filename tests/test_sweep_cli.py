@@ -432,6 +432,20 @@ class TestCli:
         assert err.startswith("config error: invalid scenario")
         assert out == ""
 
+    @pytest.mark.parametrize("line, key", [
+        ("alpha_db = 1e5", "alpha_db"), ("ant_gain_db = 4000", "ant_gain_db"),
+        ("n0_dbm_per_hz = 4000", "n0_dbm_per_hz"),
+        ("p_max_r_dbm = 4000", "p_max_r_dbm")])
+    def test_overflowing_config_value_names_its_key(self, tmp_path, line,
+                                                    key):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = self.run("solve", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: invalid scenario: {key} of ")
+        assert err.count("\n") == 1 and "overflows a float" in err
+        assert out == ""
+
     def test_repeated_sweep_axis_is_config_error(self):
         code, out, err = self.run(
             "sweep", "--axis", "cancellation", "--from", "40", "--to", "41",
