@@ -26,7 +26,7 @@ for strategy in Strategy:
                                               N_PER_COMBO)
         for i, scenario in enumerate(scenarios):
             schedule = solve(scenario)
-            grid_best, _ = grid_search(scenario, n_t=40)
+            grid_best, _ = grid_search(scenario)
             gap = (schedule.e_total - grid_best) / grid_best
             worst_gap = max(worst_gap, gap)
             slacks = verify_necessary_conditions(scenario, schedule)

@@ -9,7 +9,7 @@ design with only the relay full duplex, and a two-slot half-duplex
 baseline.
 """
 
-from .config import ConfigError, ScenarioParams, parse_config, parse_params
+from .config import ConfigError, ScenarioParams, parse_params
 # bench/workloads.py imports tmin_1ts, tmin_2ts and tmin_hd from here.
 from .feasibility import FeasibleWindow, tmin_1ts, tmin_2ts, tmin_for, tmin_hd
 from .model import (

@@ -2,8 +2,10 @@
 
 All dB/dBm/distance handling lives here; the model layer only ever sees SI
 quantities.  ``ScenarioParams`` holds the raw radio-planning parameters and
-knows how to build a :class:`~fdrelay.model.Scenario`; ``parse_config``
-reads the text format described below.
+knows how to build a :class:`~fdrelay.model.Scenario`; ``parse_params``
+reads the text format described below.  The CLI builds the parameters
+inside ``unbuildable_is_config_error()``, so that a value that builds no
+scenario ends in a :class:`ConfigError` too.
 
 Format: one ``key=value`` per line, ``#`` starts a comment, blank lines are
 ignored.  Unknown keys, unparsable values and invariant violations are
@@ -50,7 +52,7 @@ from .model import (
     residual_self_gain,
 )
 
-__all__ = ["ConfigError", "ScenarioParams", "parse_params", "parse_config",
+__all__ = ["ConfigError", "ScenarioParams", "parse_params",
            "unbuildable_is_config_error"]
 
 
@@ -174,15 +176,25 @@ class ScenarioParams:
         )
 
     def with_total_rate(self, total_mbps: float) -> "ScenarioParams":
-        """Scale both demands, preserving the traffic ratio."""
+        """Scale both demands, preserving the traffic ratio.  A total that
+        is negative or not finite, or a base with no traffic to scale,
+        raises ValueError."""
+        if not 0.0 <= total_mbps < math.inf:
+            raise ValueError(f"total rate must be finite and non-negative, "
+                             f"got {total_mbps}")
+        if not self.total_rate_mbps > 0:
+            raise ValueError(f"cannot scale to a total rate of {total_mbps}: "
+                             f"the base has no traffic (r_fl_mbps = "
+                             f"{self.r_fl_mbps}, r_rl_mbps = {self.r_rl_mbps})")
         share_fl = self.r_fl_mbps / self.total_rate_mbps
         return replace(self, r_fl_mbps=total_mbps * share_fl,
                        r_rl_mbps=total_mbps * (1.0 - share_fl))
 
     def with_traffic_ratio(self, ratio: float) -> "ScenarioParams":
         """Redistribute the fixed total so that r_fl / r_rl = ratio."""
-        if not ratio >= 0:
-            raise ValueError(f"traffic ratio must be non-negative, got {ratio}")
+        if not 0.0 <= ratio < math.inf:
+            raise ValueError(
+                f"traffic ratio must be finite and non-negative, got {ratio}")
         total = self.total_rate_mbps
         return replace(self, r_fl_mbps=total * ratio / (1.0 + ratio),
                        r_rl_mbps=total / (1.0 + ratio))
@@ -190,9 +202,6 @@ class ScenarioParams:
 
 # Every field is a config key, parsed by the type of its default.
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioParams)}
-
-# Accepted spellings that normalize onto canonical keys.
-_ALIASES = {"frame_t_s": ("frame_t_ms", 1e3)}
 
 
 def _parse_bool(value: str) -> bool:
@@ -215,9 +224,6 @@ def parse_params(text: str) -> ScenarioParams:
         if "=" not in line:
             raise ConfigError(f"expected key=value, got {line!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        scale = 1.0
-        if key in _ALIASES:
-            key, scale = _ALIASES[key]
         if key in seen:
             raise ConfigError(
                 f"duplicate key {key!r} (first set on line {seen[key]})",
@@ -232,7 +238,7 @@ def parse_params(text: str) -> ScenarioParams:
             elif isinstance(default, Enum):
                 updates[key] = type(default)(value.lower())
             else:
-                number = float(value) * scale
+                number = float(value)
                 if not math.isfinite(number):
                     raise ValueError(f"{value!r} is not a finite number")
                 updates[key] = number
@@ -252,10 +258,3 @@ def unbuildable_is_config_error(context: str = "invalid scenario"):
         yield
     except (ValueError, ArithmeticError) as err:
         raise ConfigError(f"{context}: {err}") from err
-
-
-def parse_config(text: str) -> Scenario:
-    """Parse configuration text and build the scenario it describes."""
-    params = parse_params(text)
-    with unbuildable_is_config_error():
-        return params.build()

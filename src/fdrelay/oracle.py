@@ -61,9 +61,10 @@ _RATE_SLACK = 1e-9
 _CONVEXITY_REL_TOL = 1e-6
 
 # The grid and probe sizes of a :func:`verify` pass: duration points per
-# slot, and convexity-probe samples.
+# slot, and convexity-probe samples; and the grid size of :func:`grid_search`.
 _VERIFY_N_T = 40
 _VERIFY_PROBE_SAMPLES = 50
+_GRID_N_T = 50
 
 # Draws :func:`random_feasible_scenarios` makes at most.
 _MAX_ATTEMPTS = 4000
@@ -139,24 +140,24 @@ def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray):
     return best, int(np.count_nonzero(~met & (anchors <= caps).all(axis=1)))
 
 
-def grid_search(s: Scenario, n_t: int = 50):
+def grid_search(s: Scenario):
     """Exhaustive feasible minimum over a duration grid shared by every
-    slot, each duration priced at its closed-form powers.
+    slot, 50 durations plus the window's edges, each duration priced at its
+    closed-form powers.
 
     Returns (best_energy, best_point) with best_point a plain dict of the
     slot durations (t1, t2); best_energy is inf only where anchors that
     miss a demand left the grid empty.  Raises :class:`InfeasibleError`
     when the grid is empty otherwise.
     """
-    energy, point, _ = _grid_search(s, tmin_for(s), n_t)
+    energy, point, _ = _grid_search(s, tmin_for(s), _GRID_N_T)
     return energy, point
 
 
 def _grid_search(s: Scenario, window: FeasibleWindow, n_t: int):
-    """:func:`grid_search` given the scenario's feasibility window; also
-    returns the number of anchors that miss a demand, over all slots."""
-    if n_t < 2:
-        raise ValueError("need at least two grid points per axis")
+    """:func:`grid_search` at ``n_t`` regular durations per slot, given the
+    scenario's feasibility window; also returns the number of anchors that
+    miss a demand, over all slots."""
     slots = DESCRIPTIONS[s.strategy].slots
     floor = t_floor(s)
     extras = (tuple(x for span in window.spans(s.frame_t) for x in span)
@@ -223,38 +224,42 @@ def verify_necessary_conditions(s: Scenario, sched: Schedule,
     return slacks
 
 
-def _probe_points(domain, n_samples: int, h: float | None, seed: int,
-                  sum_cap: float | None):
-    """The probe's step ``h`` and its sample points in draw order.
+def _probe_points(domain, n_samples: int, sum_cap: float | None):
+    """The probe's step ``h``, 2% of the domain's narrowest side, and its
+    sample points in draw order.
 
     The points come as an array of shape (n_samples, 3, dim): per sample
     the rows x, x + h e and x - h e, with e = 1 on a scalar domain (dim 1)
     and a random unit direction on a pair of intervals (dim 2).
 
     The draws are those of single ``Generator.uniform`` calls on
-    ``default_rng(seed)``, taken from blocks of ``3 * n_samples`` doubles:
-    ``lo + (hi - lo) * u`` is the value ``Generator.uniform(lo, hi)`` gives
-    for the double ``u``.  A 2-D sample takes two doubles for x and, unless
-    ``sum_cap`` rejects x, a third for the direction's angle.
+    ``default_rng(0)``: ``lo + (hi - lo) * u`` is the value
+    ``Generator.uniform(lo, hi)`` gives for the double ``u``.  A 2-D probe
+    takes its doubles from blocks of ``3 * n_samples``: two for each x and,
+    unless ``sum_cap`` rejects x, a third for the direction's angle.  A
+    reversed domain raises ``ValueError``, and so does a ``sum_cap`` that
+    rejects even the lowest x, before anything is drawn.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     two_d = hasattr(domain[0], "__len__")
-    if h is None:
-        widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
-                  if two_d else [domain[1] - domain[0]])
-        h = 0.02 * min(widths)
+    widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
+              if two_d else [domain[1] - domain[0]])
+    h = 0.02 * min(widths)
     ranges = ([(lo + h, hi - h) for lo, hi in domain] if two_d
               else [(domain[0] + h, domain[1] - h)])
     if any(not lo <= hi for lo, hi in ranges):
         raise ValueError(f"probe step {h} leaves no room in {domain}")
-    u = rng.random(3 * n_samples)
     if not two_d:
         lo, hi = ranges[0]
-        x = (lo + (hi - lo) * u[:n_samples])[:, None]
+        x = (lo + (hi - lo) * rng.random(n_samples))[:, None]
         return h, np.stack([x, x + h, x - h], axis=1)
     (lo0, hi0), (lo1, hi1) = ranges
+    if sum_cap is not None and lo0 + lo1 + 2.0 * h > sum_cap:
+        raise ValueError(f"sum_cap {sum_cap} rejects every sample of "
+                         f"{domain}: the lowest gives x + y + 2h = "
+                         f"{lo0 + lo1 + 2.0 * h}")
     # Six coordinates per sample, flat: numpy reads a flat list fastest.
-    stream, pos, points = u.tolist(), 0, []
+    stream, pos, points = rng.random(3 * n_samples).tolist(), 0, []
     while len(points) < 6 * n_samples:
         if pos + 3 > len(stream):
             stream += rng.random(3 * n_samples).tolist()
@@ -270,20 +275,23 @@ def _probe_points(domain, n_samples: int, h: float | None, seed: int,
     return h, np.array(points).reshape(n_samples, 3, 2)
 
 
-def convexity_probe(f, domain, n_samples: int = 200, h: float | None = None,
-                    seed: int = 0, sum_cap: float | None = None) -> int:
+def convexity_probe(f, domain, n_samples: int = 200,
+                    sum_cap: float | None = None) -> int:
     """Count negative central second differences of ``f`` over ``domain``.
 
     ``domain`` is (lo, hi) for a scalar function or a pair of such
     intervals for a two-variable one (probed along random directions).
-    ``sum_cap`` optionally restricts 2-D sampling to x + y <= sum_cap.
+    The step h is 2% of the domain's narrowest side, and the samples are
+    drawn from seed 0, so a probe is the same on every call.
+    ``sum_cap`` optionally restricts 2-D sampling to x + y + 2h <= sum_cap;
+    a cap that no sample can meet raises ``ValueError``.
     ``f`` is called once, with one ndarray per coordinate that holds every
     sample x and its neighbours x +/- h along the probe direction, and
     returns the array of values; a value that is not finite raises
     ``ValueError``.  Returns the number of samples where
     (f(x+h) - 2 f(x) + f(x-h)) / h**2 falls below 1e-6 times -|f(x)|.
     """
-    h, points = _probe_points(domain, n_samples, h, seed, sum_cap)
+    h, points = _probe_points(domain, n_samples, sum_cap)
     coords = points.reshape(-1, points.shape[-1]).T
     values = np.asarray(f(*coords), dtype=float)
     bad = ~np.isfinite(values)

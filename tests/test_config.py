@@ -3,7 +3,10 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from fdrelay.config import ConfigError, ScenarioParams, parse_config, parse_params
+import fdrelay
+from fdrelay import config
+from fdrelay.config import (ConfigError, ScenarioParams, parse_params,
+                            unbuildable_is_config_error)
 from fdrelay.model import (
     CircuitAccounting,
     InfeasibleError,
@@ -16,6 +19,13 @@ from fdrelay.model import (
     residual_self_gain,
 )
 from fdrelay.solver import solve
+
+
+def build_config(text):
+    """Parse and build as the CLI does."""
+    params = parse_params(text)
+    with unbuildable_is_config_error():
+        return params.build()
 
 
 class TestDefaults:
@@ -79,12 +89,14 @@ class TestParsing:
         assert params.accounting is CircuitAccounting.FIRST_PRINCIPLES
         assert params.asymptotic_1ts is True
 
-    def test_frame_alias_in_seconds(self):
-        assert parse_params("frame_t_s=0.02").frame_t_ms == pytest.approx(20.0)
+    def test_frame_in_seconds_is_an_unknown_key(self):
+        with pytest.raises(ConfigError,
+                           match="^line 2: unknown key 'frame_t_s'$"):
+            parse_params("alpha_db=40\nframe_t_s=0.02\n")
 
     def test_zero_frame_rejected_with_invariant(self):
         with pytest.raises(ConfigError, match="frame_t"):
-            parse_config("frame_t_s=0\n")
+            build_config("frame_t_ms=0\n")
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 3"):
@@ -97,7 +109,7 @@ class TestParsing:
     @pytest.mark.parametrize("text, line, key", [
         ("alpha_db = nan\n", 1, "alpha_db"),
         ("r_fl_mbps=40\nd_ar_m = inf\n", 2, "d_ar_m"),
-        ("frame_t_s = -inf\n", 1, "frame_t_ms"),
+        ("frame_t_ms = -inf\n", 1, "frame_t_ms"),
     ])
     def test_non_finite_value_names_key_and_line(self, text, line, key):
         with pytest.raises(ConfigError, match=f"line {line}: .*'{key}'"):
@@ -110,8 +122,6 @@ class TestParsing:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_params("alpha_db=40\nalpha_db=50\n")
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_params("frame_t_ms=10\nframe_t_s=0.01\n")
 
     def test_bad_enum_value(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -126,7 +136,7 @@ class TestParsing:
     @pytest.mark.parametrize("key", ["alpha_db", "kappa_db", "p_max_a_dbm"])
     def test_overflowing_value_is_config_error(self, key):
         with pytest.raises(ConfigError, match=f"invalid scenario: {key} of "):
-            parse_config(f"{key} = 1e5\n")
+            build_config(f"{key} = 1e5\n")
 
 
 @pytest.mark.parametrize("key", [
@@ -258,10 +268,37 @@ class TestDerivedHelpers:
         q = ScenarioParams(r_fl_mbps=30.0, r_rl_mbps=30.0).with_traffic_ratio(0.0)
         assert (q.r_fl_mbps, q.r_rl_mbps) == (0.0, 60.0)
 
-    def test_parse_config_returns_scenario(self):
-        s = parse_config("r_fl_mbps=20\nr_rl_mbps=10\nstrategy=hd2ts\n")
+    def test_parsed_params_build_the_scenario(self):
+        s = build_config("r_fl_mbps=20\nr_rl_mbps=10\nstrategy=hd2ts\n")
         assert s.r_fl == pytest.approx(20e6)
         assert s.strategy is Strategy.HD2TS
+
+    def test_parse_config_is_gone(self):
+        """Text builds a scenario one way: ``parse_params`` then ``build``
+        inside ``unbuildable_is_config_error``, as the CLI does."""
+        assert not hasattr(fdrelay, "parse_config")
+        assert not hasattr(config, "parse_config")
+        assert "parse_config" not in config.__all__
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: ScenarioParams(r_fl_mbps=0.0, r_rl_mbps=0.0)
+         .with_total_rate(10.0), "^cannot scale to a total rate of 10.0: "
+         r"the base has no traffic \(r_fl_mbps = 0.0, r_rl_mbps = 0.0\)$"),
+        (lambda: ScenarioParams().with_total_rate(-5.0),
+         "^total rate must be finite and non-negative, got -5.0$"),
+        (lambda: ScenarioParams().with_total_rate(math.nan),
+         "^total rate must be finite and non-negative, got nan$"),
+        (lambda: ScenarioParams(r_fl_mbps=0.0).with_total_rate(math.inf),
+         "^total rate must be finite and non-negative, got inf$"),
+        (lambda: ScenarioParams().with_traffic_ratio(math.inf),
+         "^traffic ratio must be finite and non-negative, got inf$"),
+    ], ids=["no-traffic", "negative-total", "nan-total", "inf-total",
+            "inf-ratio"])
+    def test_rate_helpers_name_their_argument(self, call, match):
+        """Each refusal names the argument and value at fault, not an
+        arithmetic error or a demand derived from them."""
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_params_are_slotted_and_frozen(self):
         """No per-instance ``__dict__``; replace, the derived helpers and

@@ -11,7 +11,8 @@ from dataclasses import fields, replace
 import pytest
 
 from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
-from fdrelay.config import ConfigError, ScenarioParams, parse_config
+from fdrelay.config import (ConfigError, ScenarioParams, parse_params,
+                            unbuildable_is_config_error)
 from fdrelay.model import Strategy
 from fdrelay.solver import solve
 
@@ -35,8 +36,10 @@ def test_edge_values_end_in_an_exit_code(tmp_path, strategy):
 
 @pytest.mark.parametrize("frame_t_ms", [1e-320, 1e-310])
 def test_subnormal_frame_is_a_config_error(frame_t_ms):
+    params = parse_params(f"frame_t_ms = {frame_t_ms!r}\n")
     with pytest.raises(ConfigError, match="frame_t"):
-        parse_config(f"frame_t_ms = {frame_t_ms!r}\n")
+        with unbuildable_is_config_error():
+            params.build()
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))

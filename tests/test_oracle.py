@@ -39,7 +39,7 @@ class TestGridSearch:
     def test_solver_never_worse_than_grid(self, params, strategy):
         s = replace(params, strategy=strategy).build()
         sched = solve(s)
-        best, point = grid_search(s, n_t=40)
+        best, point = grid_search(s)
         assert sched.e_total <= best * 1.01
         assert point["t1"] > 0
 
@@ -81,7 +81,7 @@ class TestGridSearch:
         s = replace(params, strategy=Strategy.FD1TS, alpha_db=20.0,
                     r_fl_mbps=100.0, r_rl_mbps=100.0).build()
         with pytest.raises(InfeasibleError):
-            grid_search(s, n_t=20)
+            grid_search(s)
 
     def test_feasibility_agreement(self):
         """Grid emptiness agrees with the feasibility module on a corpus."""
@@ -96,7 +96,7 @@ class TestGridSearch:
             s = p.build()
             feasible = tmin_for(s).feasible
             try:
-                grid_search(s, n_t=30)
+                grid_search(s)
                 grid_feasible = True
             except InfeasibleError:
                 grid_feasible = False
@@ -129,11 +129,6 @@ class TestGridSearch:
         energy, point = _best_combination(s, t_axis, per_slot)
         assert energy == best
         assert point["t1"] in t_axis
-
-    def test_rejects_degenerate_grid(self, params):
-        s = params.build()
-        with pytest.raises(ValueError):
-            grid_search(s, n_t=1)
 
 
 class TestNecessaryConditions:
@@ -196,9 +191,18 @@ class TestConvexityProbe:
             return x * x + y * y
 
         convexity_probe(f, ((0.0, 1.0), (0.0, 1.0)), n_samples=50,
-                        sum_cap=1.0, h=0.01)
+                        sum_cap=1.0)
         assert len(calls) == 1
         assert all((x + y <= 1.0).all() for x, y in calls)
+
+    def test_sum_cap_that_no_sample_meets_is_refused(self):
+        """With a step of 2% of 1, the lowest sample of the box has
+        x + y + 2h = 0.08, so a cap of 0.05 rejects every draw: the probe
+        refuses it before drawing, where it once drew without end."""
+        with pytest.raises(ValueError,
+                           match=r"^sum_cap 0\.05 rejects every sample"):
+            convexity_probe(lambda x, y: x + y, ((0.0, 1.0), (0.0, 1.0)),
+                            n_samples=10, sum_cap=0.05)
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError, match="not finite"):

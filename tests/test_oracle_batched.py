@@ -307,15 +307,15 @@ def _domain(s):
     return spans[0] if len(spans) == 1 else spans
 
 
-def _probe_points_per_draw(domain, n_samples, h, seed, sum_cap):
-    """The probe's sampler drawing one ``Generator.uniform`` at a time, as
-    it ran before it drew in blocks: the reference for its points."""
-    rng = np.random.default_rng(seed)
+def _probe_points_per_draw(domain, n_samples, sum_cap):
+    """The probe's sampler drawing one ``Generator.uniform`` at a time from
+    seed 0, with a step of 2% of the narrowest side, as it ran before it
+    drew in blocks: the reference for its points."""
+    rng = np.random.default_rng(0)
     two_d = hasattr(domain[0], "__len__")
-    if h is None:
-        widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
-                  if two_d else [domain[1] - domain[0]])
-        h = 0.02 * min(widths)
+    widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
+              if two_d else [domain[1] - domain[0]])
+    h = 0.02 * min(widths)
     points = []
     while len(points) < n_samples:
         if two_d:
@@ -336,7 +336,7 @@ def _probe_count_per_point(s, domain, n_samples):
     """The scenario probe pricing one point at a time through the float
     ``Description.energy``: the reference for the array probe's count."""
     desc = DESCRIPTIONS[s.strategy]
-    h, points = _probe_points(domain, n_samples, None, 0, s.frame_t)
+    h, points = _probe_points(domain, n_samples, s.frame_t)
     values = [[desc.energy(s, *x) for x in triple]
               for triple in points.tolist()]
     f0, fp, fm = np.array(values).T
@@ -345,26 +345,26 @@ def _probe_count_per_point(s, domain, n_samples):
 
 
 class TestProbeParity:
-    @pytest.mark.parametrize("domain, sum_cap, h", [
-        ((0.001, 0.0093), None, None),
-        (((0.002, 0.009), (0.0015, 0.0085)), 0.01, None),
-        (((0.0, 1.0), (0.0, 1.0)), 1.0, 0.01),
-        (((0.0, 1.0), (0.0, 1.0)), None, None)])
-    def test_probe_points_equal_per_draw_sampler(self, domain, sum_cap, h):
-        for seed in range(4):
-            want = _probe_points_per_draw(domain, 300, h, seed, sum_cap)
-            got = _probe_points(domain, 300, h, seed, sum_cap)
-            ref = np.array(want[1])
-            assert got[0] == want[0]
-            assert got[1].dtype == ref.dtype and got[1].shape == ref.shape
-            assert got[1].tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("domain, sum_cap", [
+        ((0.001, 0.0093), None),
+        (((0.002, 0.009), (0.0015, 0.0085)), 0.01),
+        (((0.0, 1.0), (0.0, 1.0)), 1.0),
+        (((0.0, 1.0), (0.0, 1.0)), None)])
+    def test_probe_points_equal_per_draw_sampler(self, domain, sum_cap):
+        want = _probe_points_per_draw(domain, 300, sum_cap)
+        got = _probe_points(domain, 300, sum_cap)
+        ref = np.array(want[1])
+        assert got[0] == want[0]
+        assert got[1].dtype == ref.dtype and got[1].shape == ref.shape
+        assert got[1].tobytes() == ref.tobytes()
 
-    def test_probe_step_wider_than_domain_is_rejected(self):
-        with pytest.raises(ValueError):
-            convexity_probe(lambda t: t * t, (0.0, 1.0), h=0.6)
-        with pytest.raises(ValueError):
-            convexity_probe(lambda x, y: x * y, ((0.0, 1.0), (0.0, 2.0)),
-                            h=0.6)
+    def test_reversed_domain_is_rejected(self):
+        """A reversed side makes the step negative, and the sampling box
+        empty."""
+        with pytest.raises(ValueError, match="leaves no room"):
+            convexity_probe(lambda t: t * t, (1.0, 0.0))
+        with pytest.raises(ValueError, match="leaves no room"):
+            convexity_probe(lambda x, y: x * y, ((0.0, 1.0), (2.0, 0.0)))
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_same_count_as_convexity_probe(self, strategy, pa_kind):
@@ -396,7 +396,7 @@ class TestProbeParity:
         desc = DESCRIPTIONS[Strategy.FD1TS]
         slot, = desc.slots
         domain = (t_floor(s), s.frame_t)
-        _, points = _probe_points(domain, 50, None, 0, s.frame_t)
+        _, points = _probe_points(domain, 50, s.frame_t)
         with pytest.raises(InfeasibleError):
             for t in points.ravel().tolist():
                 slot.powers(s, t)

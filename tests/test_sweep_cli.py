@@ -223,6 +223,15 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "line 1" in err
 
+    def test_frame_in_seconds_is_a_config_error(self, tmp_path):
+        """The config format has one frame key, ``frame_t_ms``."""
+        cfg = tmp_path / "seconds.cfg"
+        cfg.write_text("frame_t_s = 0.01\n")
+        code, out, err = self.run("solve", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert err == "config error: line 1: unknown key 'frame_t_s'\n"
+        assert out == ""
+
     @pytest.mark.parametrize("line, strategy", [
         ("alpha_db = nan", "fd1ts"),
         ("alpha_db = nan", "fd2ts"),
