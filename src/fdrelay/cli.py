@@ -1,13 +1,15 @@
 """Command-line interface: solve one scenario, sweep an axis, or verify.
 
 Exit codes: 0 success, 1 infeasible scenario / failed verification,
-2 configuration error.
+2 configuration error, and from the console entry 141 when the reader of
+stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import statistics
 import sys
 from dataclasses import replace
@@ -26,6 +28,8 @@ __all__ = ["main", "cli_main"]
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_CONFIG = 2
+# 128 + SIGPIPE: the status a shell reports for a writer that SIGPIPE ended.
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -248,4 +252,18 @@ def cli_main(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(cli_main())
+    """Console entry: :func:`cli_main` on the process's own streams.
+
+    A reader that closes stdout early (``fdrelay sweep ... | head -1``)
+    ends the run with ``EXIT_BROKEN_PIPE`` and no traceback.
+    """
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; with the pipe gone that
+        # flush would fail too, so stdout writes to the null device now.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)

@@ -44,7 +44,7 @@ _BISECT_MAX_ITERS = 200
 _SEED_MAX_PROBES = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibleWindow:
     """Per-slot minimum durations, or the reason none exist.
 

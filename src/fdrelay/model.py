@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Generic, TypeVar
+from typing import TYPE_CHECKING, Generic, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .feasibility import FeasibleWindow
 
 __all__ = [
     "PaKind",
@@ -247,7 +250,9 @@ class Schedule:
 
     ``t2`` is zero for the single-slot strategy.  For FD1TS and HD2TS the
     relay transmits a single signal, held in ``p_r_fwd``; ``p_r_rev`` is
-    zero there.
+    zero there.  ``window`` is the feasibility window the solver searched
+    in, which :func:`~fdrelay.oracle.verify` reuses; it is None for a
+    schedule built by hand, and ``repr``, equality and hashing leave it out.
     """
 
     t1: float
@@ -259,6 +264,8 @@ class Schedule:
     e_total: float
     ee: float
     active_case: RelayCase | None = None
+    window: FeasibleWindow | None = field(default=None, repr=False,
+                                          compare=False)
 
 
 def db_to_linear(x_db: float) -> float:

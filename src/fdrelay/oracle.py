@@ -69,6 +69,11 @@ _GRID_N_T = 50
 # Draws :func:`random_feasible_scenarios` makes at most.
 _MAX_ATTEMPTS = 4000
 
+# Samples a 2-D probe may reject for its ``sum_cap`` before it refuses the
+# cap.  A :func:`verify` probe accepts about 46% of its draws, so its 50
+# samples reject about 60.
+_PROBE_MAX_REJECTS = 100_000
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -235,10 +240,11 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
     The draws are those of single ``Generator.uniform`` calls on
     ``default_rng(0)``: ``lo + (hi - lo) * u`` is the value
     ``Generator.uniform(lo, hi)`` gives for the double ``u``.  A 2-D probe
-    takes its doubles from blocks of ``3 * n_samples``: two for each x and,
-    unless ``sum_cap`` rejects x, a third for the direction's angle.  A
+    takes its doubles in order from one stream: two for each x and, unless
+    ``sum_cap`` rejects x, a third for the direction's angle.  A
     reversed domain raises ``ValueError``, and so does a ``sum_cap`` that
-    rejects even the lowest x, before anything is drawn.
+    rejects even the lowest x, before anything is drawn, or one that
+    rejects more than ``_PROBE_MAX_REJECTS`` draws.
     """
     rng = np.random.default_rng(0)
     two_d = hasattr(domain[0], "__len__")
@@ -258,21 +264,37 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
         raise ValueError(f"sum_cap {sum_cap} rejects every sample of "
                          f"{domain}: the lowest gives x + y + 2h = "
                          f"{lo0 + lo1 + 2.0 * h}")
-    # Six coordinates per sample, flat: numpy reads a flat list fastest.
-    stream, pos, points = rng.random(3 * n_samples).tolist(), 0, []
-    while len(points) < 6 * n_samples:
-        if pos + 3 > len(stream):
-            stream += rng.random(3 * n_samples).tolist()
-        x0 = lo0 + (hi0 - lo0) * stream[pos]
-        x1 = lo1 + (hi1 - lo1) * stream[pos + 1]
-        if sum_cap is not None and x0 + x1 + 2.0 * h > sum_cap:
-            pos += 2
+    # The candidate x at stream position p is (u[p], u[p + 1]) scaled onto
+    # the box, so every candidate's verdict is one array pass; only the
+    # walk that decides which positions start a candidate is a loop.
+    u = np.empty(0)
+    starts, pos, rejects = [], 0, 0
+    while len(starts) < n_samples:
+        if pos + 3 > u.size:
+            # The first block holds 3 * n_samples doubles; each refill
+            # doubles the stream, which draws the same doubles in order.
+            u = np.concatenate([u, rng.random(max(u.size, 3 * n_samples))])
+            x0, x1 = lo0 + (hi0 - lo0) * u, lo1 + (hi1 - lo1) * u
+            kept = ([True] * (u.size - 1) if sum_cap is None else
+                    (~(x0[:-1] + x1[1:] + 2.0 * h > sum_cap)).tolist())
+        if kept[pos]:
+            starts.append(pos)
+            pos += 3
             continue
-        theta = 2.0 * math.pi * stream[pos + 2]
-        e0, e1 = h * math.cos(theta), h * math.sin(theta)
-        points += (x0, x1, x0 + e0, x1 + e1, x0 - e0, x1 - e1)
-        pos += 3
-    return h, np.array(points).reshape(n_samples, 3, 2)
+        pos += 2
+        rejects += 1
+        if rejects > _PROBE_MAX_REJECTS:
+            raise ValueError(
+                f"sum_cap {sum_cap} rejected {rejects} draws of {domain} "
+                f"and kept {len(starts)} of {n_samples} samples")
+    at = np.array(starts)
+    x0, x1 = x0[at], x1[at + 1]
+    theta = (2.0 * math.pi * u[at + 2]).tolist()
+    # math's cos and sin, which numpy's array forms may differ from.
+    e0 = h * np.array(list(map(math.cos, theta)))
+    e1 = h * np.array(list(map(math.sin, theta)))
+    return h, np.stack([x0, x1, x0 + e0, x1 + e1, x0 - e0, x1 - e1],
+                       axis=1).reshape(n_samples, 3, 2)
 
 
 def convexity_probe(f, domain, n_samples: int = 200,
@@ -284,7 +306,8 @@ def convexity_probe(f, domain, n_samples: int = 200,
     The step h is 2% of the domain's narrowest side, and the samples are
     drawn from seed 0, so a probe is the same on every call.
     ``sum_cap`` optionally restricts 2-D sampling to x + y + 2h <= sum_cap;
-    a cap that no sample can meet raises ``ValueError``.
+    a cap that no sample can meet, or that rejects more than 100,000
+    draws, raises ``ValueError``.
     ``f`` is called once, with one ndarray per coordinate that holds every
     sample x and its neighbours x +/- h along the probe direction, and
     returns the array of values; a value that is not finite raises
@@ -308,8 +331,14 @@ def convexity_probe(f, domain, n_samples: int = 200,
 def verify(s: Scenario, sched: Schedule) -> OracleReport:
     """Full oracle pass: grid dominance, anchor misses, constraint slacks,
     convexity.  Where missing anchors leave the grid empty, the grid best
-    is inf and the gap NaN."""
-    window = tmin_for(s)
+    is inf and the gap NaN.
+
+    The grid and the probe read the scenario's feasibility window: the one
+    :func:`~fdrelay.solver.solve` attached to ``sched``, or, for a schedule
+    that carries none (one built by hand), :func:`tmin_for`'s.  A schedule
+    solved for another scenario carries that scenario's window, so check it
+    against ``s`` with ``replace(sched, window=None)``."""
+    window = sched.window if sched.window is not None else tmin_for(s)
     grid_best, _, misses = _grid_search(s, window, _VERIFY_N_T)
     slacks = verify_necessary_conditions(s, sched, tol=math.inf)
     gap = (sched.e_total - grid_best) / grid_best

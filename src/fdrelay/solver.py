@@ -18,7 +18,6 @@ to the end.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, Generator
 
 from .feasibility import FeasibleWindow, tmin_for
@@ -112,7 +111,11 @@ def solve(s: Scenario) -> Schedule:
     the sum of the per-slot costs plus the idle draw of the whole frame, so
     each slot duration is searched on its own, on that slot's cost, above
     the slot's minimum duration (:func:`tmin_for`), until its bracket is
-    at most ``DURATION_TOL`` of the frame wide.
+    at most ``DURATION_TOL`` of the frame wide.  Each search runs on the
+    slot's cost bound to the scenario (``Slot.bound_cost``), which reads
+    the scenario's constants once per solve.  The schedule carries the
+    feasibility window it was searched in, for
+    :func:`~fdrelay.oracle.verify` to reuse.
     """
     desc = DESCRIPTIONS[s.strategy]
     window = tmin_for(s)
@@ -121,7 +124,7 @@ def solve(s: Scenario) -> Schedule:
                               binding_node=next(
                                   (b for b in window.binding_node if b), None),
                               cause=window.cause)
-    costs = [partial(slot.cost, s) for slot in desc.slots]
+    costs = [slot.bound_cost(s) for slot in desc.slots]
     durations = _solve_separable(costs, window, s)
     powers = [slot.powers(s, t) for slot, t in zip(desc.slots, durations)]
     fields = dict.fromkeys(("t1", "t2", "p_a", "p_b", "p_r_fwd", "p_r_rev"),
@@ -131,7 +134,8 @@ def solve(s: Scenario) -> Schedule:
         fields.update(zip(slot.fields, p))
     e = desc.energy_at(s, durations, powers)
     return Schedule(e_total=e, ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e),
-                    active_case=desc.active_case(s, *durations), **fields)
+                    active_case=desc.active_case(s, *durations),
+                    window=window, **fields)
 
 
 def _solve_separable(costs: list[Callable[[float], float]],

@@ -8,19 +8,22 @@ closed-form powers of its transmitting nodes, its static and dynamic
 circuit power under the scenario's accounting, and its rate constraints
 grouped by the power that closes them, which the ``caps_*`` capacity maps
 read off.  ``Slot.active`` adds the PA draw of each node to the circuit
-power.  The frame energy at given or closed-form powers (``energy_*_at``,
-``energy_*``), the solver's slot costs, the feasibility window and the
-oracle's grid all derive from it.  Each closed form has one body that
-serves a float duration, in pure ``math`` for the solver, and an array of
-durations, bit for bit the same numbers, for the oracle.  The single-slot
-strategy is one slot like any other: its closed form picks the larger of
-two relay-power cases, and the description reports which case binds.
+power, and ``Slot.bound_cost`` binds a slot's cost to a scenario, as a
+function of the duration alone.  The frame energy at given or closed-form
+powers (``energy_*_at``, ``energy_*``), the solver's slot costs, the
+feasibility window and the oracle's grid all derive from it.  Each closed
+form has one body that serves a float duration, in pure ``math`` for the
+solver, and an array of durations, bit for bit the same numbers, for the
+oracle.  The single-slot strategy is one slot like any other: its closed
+form picks the larger of two relay-power cases, and the description
+reports which case binds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable
 
@@ -84,8 +87,9 @@ def _exps(s: Scenario, t, *rates: float):
     form computes (float arithmetic never raises on inf or NaN) before
     :func:`_inf_where` replaces its result.  An array gives a mask and
     arrays with NaN at overflows, which never warns where inf would meet
-    inf - inf.  Each element goes through the float :func:`_pow2`, since
-    numpy's array power is one ULP off it on some exponents.
+    inf - inf.  Each element goes through the builtin ``pow(2.0, x)``, the
+    same C ``pow`` as :func:`_pow2`, since numpy's array power is one ULP
+    off it on some exponents.
     """
     if isinstance(t, float):
         # A plain loop is the cheapest on the solver's path; _pow2 gives
@@ -94,12 +98,15 @@ def _exps(s: Scenario, t, *rates: float):
         for rate in rates:
             exps.append(_pow2(_load(s, rate, t)))
         return math.inf in exps, exps
-    exps = [np.fromiter(map(_pow2, _load(s, rate, t).tolist()), float,
-                        t.size) for rate in rates]
-    over = ~np.isfinite(exps[0])
-    for e in exps[1:]:
-        over |= ~np.isfinite(e)
-    return over, [np.where(over, math.nan, e) for e in exps]
+    loads = [_load(s, rate, t) for rate in rates]
+    # Where _pow2 gives inf (NaN, or past the limit); those loads go in as
+    # 0 so that the builtin pow, the C pow of 2.0 ** x, never overflows.
+    over = ~(loads[0] <= _LOAD_LIMIT)
+    for load in loads[1:]:
+        over |= ~(load <= _LOAD_LIMIT)
+    return over, [np.where(over, math.nan, np.fromiter(
+        map(pow, repeat(2.0), np.where(over, 0.0, load).tolist()), float,
+        t.size)) for load in loads]
 
 
 def _inf_where(over, powers: tuple) -> tuple:
@@ -142,20 +149,41 @@ class Slot:
         """(node, p_max) of each transmit power."""
         return tuple((node, getattr(s.pa, node).p_max) for node in self.nodes)
 
+    def _bound_active(self, s: Scenario) -> Callable[..., float]:
+        """:meth:`active` as a function of the transmit powers alone, with
+        the scenario's circuit power and PA models read once."""
+        static, dynamic = self.circuit(s)
+        first, *rest = [getattr(s.pa, node) for node in self.nodes]
+
+        def active(*powers):
+            draw = pa_consumption(first, powers[0])
+            for pa, p in zip(rest, powers[1:], strict=True):
+                draw = draw + pa_consumption(pa, p)
+            return draw + static + dynamic
+
+        return active
+
     def active(self, s: Scenario, *powers):
         """Power the slot draws at the given transmit powers: the PA draw of
         each node, summed in slot order, then the static and the dynamic
         circuit power.  ndarray powers give the broadcast array."""
-        static, dynamic = self.circuit(s)
-        pa = s.pa
-        draw = pa_consumption(getattr(pa, self.nodes[0]), powers[0])
-        for node, p in zip(self.nodes[1:], powers[1:], strict=True):
-            draw = draw + pa_consumption(getattr(pa, node), p)
-        return draw + static + dynamic
+        return self._bound_active(s)(*powers)
+
+    def bound_cost(self, s: Scenario) -> Callable[[float], float]:
+        """:meth:`cost` as a function of the duration alone.  The scenario's
+        circuit power, idle draw and PA models are read once, here, so a
+        search that evaluates the cost many times pays for them once."""
+        active, powers = self._bound_active(s), self.powers
+        idle = s.p_idle_total
+
+        def cost(t: float) -> float:
+            return (active(*powers(s, t)) - idle) * t
+
+        return cost
 
     def cost(self, s: Scenario, t: float) -> float:
         """Energy above the idle draw that the slot spends over duration t."""
-        return (self.active(s, *self.powers(s, t)) - s.p_idle_total) * t
+        return self.bound_cost(s)(t)
 
 
 def _no_case(s: Scenario, *durations: float) -> None:

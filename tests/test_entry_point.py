@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK
+import pytest
+
+from fdrelay.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -57,3 +59,21 @@ def test_missing_config_exits_2(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("config error: cannot read")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--oracle"),
+    ("sweep", "--axis", "cancellation", "--from", "20", "--to", "21",
+     "--step", "1", "--axis2", "traffic-ratio", "--from2", "1", "--to2",
+     "2", "--step2", "1")], ids=["solve", "sweep"])
+def test_reader_that_closes_early_ends_without_traceback(argv, tmp_path):
+    """As in ``fdrelay sweep ... | head -1``: the reader has closed stdout
+    before the first write, so every write meets a broken pipe."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "fdrelay", *argv],
+                                env=env, stdout=subprocess.PIPE, stderr=err)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+        err.seek(0)
+        assert err.read() == ""

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fdrelay import oracle
 from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import t_floor, tmin_for
 from fdrelay.model import InfeasibleError, PaKind, Strategy
@@ -203,6 +204,18 @@ class TestConvexityProbe:
                            match=r"^sum_cap 0\.05 rejects every sample"):
             convexity_probe(lambda x, y: x + y, ((0.0, 1.0), (0.0, 1.0)),
                             n_samples=10, sum_cap=0.05)
+
+    @pytest.mark.parametrize("cap", [0.08, 0.0800001, 0.081])
+    def test_sum_cap_that_almost_no_sample_meets_is_refused(self, cap):
+        """A cap at or just above the lowest sample's 0.08 accepts a draw
+        with probability 0 or about 5e-7: the probe refuses it once it has
+        rejected ``_PROBE_MAX_REJECTS`` draws, where it once drew for
+        hours."""
+        with pytest.raises(ValueError) as err:
+            convexity_probe(lambda x, y: x + y, ((0.0, 1.0), (0.0, 1.0)),
+                            n_samples=10, sum_cap=cap)
+        assert str(err.value).startswith(
+            f"sum_cap {cap} rejected {oracle._PROBE_MAX_REJECTS + 1} draws")
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError, match="not finite"):
