@@ -74,6 +74,25 @@ _MAX_ATTEMPTS = 4000
 # samples reject about 60.
 _PROBE_MAX_REJECTS = 100_000
 
+# The probe's doubles: the first ones ``default_rng(0).random`` draws, read
+# only.  A longer draw of one seed starts with every shorter one, so
+# :func:`_seed0_doubles` extends this by drawing a stream twice as long, and
+# what a caller reads never depends on earlier calls.  The reject cap
+# bounds its growth: a 50-sample probe that reaches the cap reads about
+# 300,000 doubles (2.4 MiB).
+_SEED0 = np.empty(0)
+
+
+def _seed0_doubles(n: int) -> np.ndarray:
+    """The first ``n`` doubles of ``default_rng(0).random``, as a read-only
+    view of one stream drawn once per process and extended by doubling."""
+    global _SEED0
+    if n > _SEED0.size:
+        u = np.random.default_rng(0).random(max(n, 2 * _SEED0.size))
+        u.flags.writeable = False
+        _SEED0 = u
+    return _SEED0[:n]
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -239,14 +258,14 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
 
     The draws are those of single ``Generator.uniform`` calls on
     ``default_rng(0)``: ``lo + (hi - lo) * u`` is the value
-    ``Generator.uniform(lo, hi)`` gives for the double ``u``.  A 2-D probe
-    takes its doubles in order from one stream: two for each x and, unless
-    ``sum_cap`` rejects x, a third for the direction's angle.  A
-    reversed domain raises ``ValueError``, and so does a ``sum_cap`` that
-    rejects even the lowest x, before anything is drawn, or one that
-    rejects more than ``_PROBE_MAX_REJECTS`` draws.
+    ``Generator.uniform(lo, hi)`` gives for the double ``u``, read from
+    :func:`_seed0_doubles`.  A 2-D probe takes its doubles in order from
+    one stream: two for each x and, unless ``sum_cap`` rejects x, a third
+    for the direction's angle.  A reversed domain raises ``ValueError``,
+    and so does a ``sum_cap`` that rejects even the lowest x, before
+    anything is drawn, or one that rejects more than
+    ``_PROBE_MAX_REJECTS`` draws.
     """
-    rng = np.random.default_rng(0)
     two_d = hasattr(domain[0], "__len__")
     widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
               if two_d else [domain[1] - domain[0]])
@@ -257,7 +276,7 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
         raise ValueError(f"probe step {h} leaves no room in {domain}")
     if not two_d:
         lo, hi = ranges[0]
-        x = (lo + (hi - lo) * rng.random(n_samples))[:, None]
+        x = (lo + (hi - lo) * _seed0_doubles(n_samples))[:, None]
         return h, np.stack([x, x + h, x - h], axis=1)
     (lo0, hi0), (lo1, hi1) = ranges
     if sum_cap is not None and lo0 + lo1 + 2.0 * h > sum_cap:
@@ -272,8 +291,8 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
     while len(starts) < n_samples:
         if pos + 3 > u.size:
             # The first block holds 3 * n_samples doubles; each refill
-            # doubles the stream, which draws the same doubles in order.
-            u = np.concatenate([u, rng.random(max(u.size, 3 * n_samples))])
+            # doubles it.
+            u = _seed0_doubles(max(2 * u.size, 3 * n_samples))
             x0, x1 = lo0 + (hi0 - lo0) * u, lo1 + (hi1 - lo1) * u
             kept = ([True] * (u.size - 1) if sum_cap is None else
                     (~(x0[:-1] + x1[1:] + 2.0 * h > sum_cap)).tolist())

@@ -197,12 +197,17 @@ class Description:
 
     ``convex_under_tpa`` is False where the closed-form energy is only
     quasi-convex under TPA, so second differences do not probe it.
+    ``reads_self_interference`` is False where no slot reads the residual
+    self-interference gains (``gs_a``, ``gs_b``, ``gs_r``), so the
+    cancellation settings leave the problem unchanged; a sweep solves such
+    a strategy once per distinct problem (:func:`~fdrelay.sweep.run_sweep`).
     ``active_case(s, *durations)`` names the relay case that binds at the
     closed-form powers, for the strategy that has one.
     """
 
     slots: tuple[Slot, ...]
     convex_under_tpa: bool = True
+    reads_self_interference: bool = True
     active_case: Callable[..., RelayCase | None] = _no_case
 
     def energy(self, s: Scenario, *durations: float) -> float:
@@ -585,5 +590,6 @@ DESCRIPTIONS: dict[Strategy, Description] = {
                     circuit=_circuit_1ts, rates=_rates_1ts),),
         active_case=lambda s, t: powers_1ts(s, t).active_case),
     Strategy.FD2TS: Description(slots=_FD2TS_SLOTS),
-    Strategy.HD2TS: Description(slots=_HD2TS_SLOTS, convex_under_tpa=False),
+    Strategy.HD2TS: Description(slots=_HD2TS_SLOTS, convex_under_tpa=False,
+                                reads_self_interference=False),
 }

@@ -3,6 +3,13 @@
 A sweep re-solves the scenario across one or two parameter axes and a set
 of strategies, under the base parameters' PA kind.  Infeasible points are
 recorded, not fatal, so a sweep always yields one row per grid point.
+
+Each grid point's scenario is built once and handed to every strategy.  A
+strategy whose slots never read the residual self-interference gains (the
+half-duplex baseline, see ``Description.reads_self_interference``) poses
+the same problem at every cancellation value, so one sweep solves each of
+its distinct problems once and shares the schedule between those rows.
+Nothing is kept from one sweep to the next.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from enum import Enum
 from typing import IO, Iterable, Sequence
 
 from .config import ScenarioParams
-from .model import InfeasibleError, PaKind, Schedule, Strategy
+from .model import InfeasibleError, PaKind, Scenario, Schedule, Strategy
 from .solver import solve
+from .strategies import DESCRIPTIONS
 
 __all__ = ["AxisKind", "Axis", "SweepSpec", "SweepRow", "run_sweep",
            "emit_csv"]
@@ -105,22 +113,42 @@ def apply_axis(params: ScenarioParams, kind: AxisKind,
     return replace(params, eta_max=value)
 
 
+def _solve_or_none(s: Scenario) -> Schedule | None:
+    try:
+        return solve(s)
+    except InfeasibleError:
+        return None
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Solve every sweep point; infeasible points yield flagged rows."""
+    """Solve every sweep point; infeasible points yield flagged rows.
+
+    A strategy that never reads the residual self-interference gains is
+    solved once per distinct problem of this call: its rows are keyed by
+    the scenario with those gains set to 0, and rows with one key share one
+    schedule (or None).  Full-duplex rows are solved one by one.
+    """
     pa_kind = spec.base.pa
     axis2_values: Sequence[float | None] = (
         spec.axis2.values if spec.axis2 is not None else (None,))
     rows: list[SweepRow] = []
+    shared: dict[Scenario, Schedule | None] = {}
     for v1 in spec.axis1.values:
         for v2 in axis2_values:
             base = apply_axis(spec.base, spec.axis1.kind, v1)
             if spec.axis2 is not None:
                 base = apply_axis(base, spec.axis2.kind, v2)
+            built = base.build()
             for strategy in spec.strategies:
-                try:
-                    schedule = solve(replace(base, strategy=strategy).build())
-                except InfeasibleError:
-                    schedule = None
+                s = replace(built, strategy=strategy)
+                if DESCRIPTIONS[strategy].reads_self_interference:
+                    schedule = _solve_or_none(s)
+                else:
+                    key = replace(s, channels=replace(
+                        s.channels, gs_a=0.0, gs_b=0.0, gs_r=0.0))
+                    if key not in shared:
+                        shared[key] = _solve_or_none(s)
+                    schedule = shared[key]
                 rows.append(SweepRow(v1, v2, strategy, pa_kind, schedule))
     return rows
 

@@ -35,8 +35,13 @@ class TestCancellationSweepShape:
         assert all(b <= a for a, b in zip(gaps, gaps[1:])), gaps
 
     def test_hd_constant_in_alpha(self, cancellation_curves):
-        ee = list(cancellation_curves[Strategy.HD2TS].values())
-        assert (max(ee) - min(ee)) / min(ee) < 1e-12
+        """hd2ts never hears itself: solved on its own at each cancellation
+        value of the sweep, it gives the same schedule bit for bit.  The
+        sweep's rows share one solve, so they cannot show this."""
+        params = replace(ScenarioParams(), strategy=Strategy.HD2TS)
+        schedules = {repr(solve(replace(params, alpha_db=a).build()))
+                     for a in cancellation_curves[Strategy.HD2TS]}
+        assert len(schedules) == 1
 
 
 class TestTrafficImbalanceShape:
