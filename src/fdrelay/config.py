@@ -48,6 +48,7 @@ from .model import (
     Strategy,
     db_to_linear,
     noise_power,
+    pa_draw,
     pathloss_gain,
     residual_self_gain,
 )
@@ -115,7 +116,8 @@ class ScenarioParams:
         A value out of its range raises a ValueError.  So does a dB or dBm
         value whose linear value overflows a float, and its error names the
         key; a distance too short for the path-loss law names the
-        distance."""
+        distance.  So does an amplifier whose draw at 0 W or at its p_max
+        is not finite, naming every key its draw reads."""
 
         def linear(name: str, convert, *args) -> float:
             try:
@@ -150,8 +152,16 @@ class ScenarioParams:
         def pa_for(node: str) -> PaModel:
             name = f"p_max_{node}_dbm"
             p_max = linear(name, db_to_linear, getattr(self, name) - 30.0)
-            return PaModel(kind=self.pa, p_max=p_max, eta_max=self.eta_max,
-                           kappa=kappa, u=self.etpa_u)
+            pa = PaModel(kind=self.pa, p_max=p_max, eta_max=self.eta_max,
+                         kappa=kappa, u=self.etpa_u)
+            try:
+                pa_draw(pa)
+            except ValueError as err:
+                keys = (name, "eta_max") + (("kappa_db", "etpa_u")
+                                            if pa.kind is PaKind.ETPA else ())
+                raise ValueError(f"node {node}: {err}, from " + ", ".join(
+                    f"{key} = {getattr(self, key)}" for key in keys)) from None
+            return pa
 
         eps = self.epsilon_mw_per_gbps * 1e-3 / 1e9
 

@@ -152,7 +152,8 @@ def _kept_scale(g_new: float, g_old: float) -> float:
 def _slot_tmin(s: Scenario, slot: Slot, floor: float,
                furthest: bool) -> tuple[float, str | None]:
     """Minimum duration at which every power of the slot is within its
-    budget, and the node that binds there.
+    budget, and the node that binds there.  The slot's closed form is bound
+    to the scenario once, and every probe evaluates the bound function.
 
     The binder is the first node, in slot order, still over budget just
     below the minimum.  When even the full frame is over budget this raises
@@ -160,17 +161,18 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
     order, or with ``furthest`` the node furthest over its budget.
     """
     caps = [cap for _, cap in slot.budgets(s)]
+    bound = slot.bind(s)
 
     def over(t: float) -> list[tuple[str, float]]:
         """(node, p / cap) of each node over budget at t, in slot order."""
         return [(node, p / cap) for node, p, cap
-                in zip(slot.nodes, slot.powers(s, t), caps) if not p <= cap]
+                in zip(slot.nodes, bound(t), caps) if not p <= cap]
 
     def probe(t: float) -> tuple[bool, float]:
         """Whether every power is within its budget at t, and the log of
         the largest power-to-budget ratio (+inf where the powers raise)."""
         try:
-            powers = slot.powers(s, t)
+            powers = bound(t)
         except InfeasibleError:
             return False, math.inf
         ratio = max(map(operator.truediv, powers, caps))

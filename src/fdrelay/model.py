@@ -3,7 +3,9 @@
 Everything downstream (capacity formulas, energy objectives, solvers) is built
 on the value objects defined here.  All quantities are SI internally: watts,
 hertz, seconds, bit/s.  Conversions from dB / dBm / distance happen at the
-configuration boundary, never inside the math.
+configuration boundary, never inside the math.  The PA draw binds to its
+amplifier once (:func:`pa_draw`), so a search that draws many times reads
+the amplifier's constants once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Generic, TypeVar
+from typing import TYPE_CHECKING, Callable, Generic, TypeVar
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "noise_power",
     "pathloss_gain",
     "residual_self_gain",
+    "pa_draw",
     "pa_consumption",
     "ee_from_energy",
 ]
@@ -303,30 +306,64 @@ def residual_self_gain(d_self_m: float, alpha_db: float) -> float:
     return pathloss_gain(d_self_m) / db_to_linear(alpha_db)
 
 
+def pa_draw(pa: PaModel) -> Callable:
+    """The amplifier's draw as a function of the transmit power alone.
+
+    The budget range, ``p_max``, ``eta_max`` and the ETPA curve's
+    constants are read once, here, so a caller that draws many times pays
+    for them once.  The returned function is :func:`pa_consumption` bound
+    to ``pa``: one numpy body serves floats and arrays.  Raises ValueError
+    for an amplifier whose draw at 0 W or at ``p_max`` overflows a float
+    (say ``eta_max = 1e-308``); the draw never falls as the power grows, so
+    every draw within the budget is then finite.
+    """
+    p_max, eta_max = pa.p_max, pa.eta_max
+    hi = p_max * (1.0 + _P_BUDGET_SLACK)
+    lo = -p_max * _P_BUDGET_SLACK
+    tpa = pa.kind is PaKind.TPA
+    uk = pa.u * pa.kappa
+    bias = uk * p_max
+    scale = (1.0 + uk) * eta_max
+    # The body below at 0 and at p_max, in float arithmetic, which gives
+    # the same IEEE results without numpy's overflow warnings.
+    ends = ((0.0, math.sqrt(p_max * p_max) / eta_max) if tpa
+            else (bias / scale, (p_max + bias) / scale))
+    if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
+        raise ValueError(f"the {pa.kind.value} draw is not finite at 0 W or "
+                         f"at p_max = {p_max:.6g} W")
+    asarray, sqrt = np.asarray, np.sqrt
+    least, most = np.minimum.reduce, np.maximum.reduce
+
+    def draw(p):
+        arr = asarray(p, dtype=float)
+        # NaN fails both comparisons and an infinity one of them, so this
+        # one range test also rejects every non-finite power; the initial
+        # values let an empty array pass.
+        if not (least(arr, axis=None, initial=lo) >= lo
+                and most(arr, axis=None, initial=hi) <= hi):
+            raise ValueError(
+                f"transmit power outside [0, {p_max:.6g}] W budget")
+        # clip, not np.maximum: it keeps the sign of a -0.0 power.
+        clipped = arr.clip(0.0, p_max)
+        if tpa:
+            out = sqrt(clipped * p_max) / eta_max
+        else:
+            out = (clipped + bias) / scale
+        return float(out) if arr.ndim == 0 else out
+
+    return draw
+
+
 def pa_consumption(pa: PaModel, p):
     """Power drawn by the amplifier to emit average transmit power ``p``.
 
-    One body serves floats and arrays.  ``p`` is anything
+    One body serves floats and arrays (:func:`pa_draw`).  ``p`` is anything
     ``np.asarray(p, dtype=float)`` accepts: a 0-d input (a Python or numpy
     number, or a 0-d array) gives a Python float, and any other gives an
-    ndarray of its shape.  Rejects any power outside the [0, p_max] budget.
+    ndarray of its shape.  Rejects any power outside the [0, p_max] budget,
+    and any amplifier whose draw overflows a float.
     """
-    arr = np.asarray(p, dtype=float)
-    hi = pa.p_max * (1.0 + _P_BUDGET_SLACK)
-    lo = -pa.p_max * _P_BUDGET_SLACK
-    # NaN fails both comparisons and an infinity one of them, so this one
-    # range test also rejects every non-finite power; the initial values
-    # let an empty array pass.
-    if not (arr.min(initial=lo) >= lo and arr.max(initial=hi) <= hi):
-        raise ValueError(
-            f"transmit power outside [0, {pa.p_max:.6g}] W budget")
-    clipped = arr.clip(0.0, pa.p_max)
-    if pa.kind is PaKind.TPA:
-        out = np.sqrt(clipped * pa.p_max) / pa.eta_max
-    else:
-        uk = pa.u * pa.kappa
-        out = (clipped + uk * pa.p_max) / ((1.0 + uk) * pa.eta_max)
-    return float(out) if arr.ndim == 0 else out
+    return pa_draw(pa)(p)
 
 
 def ee_from_energy(r_fl: float, r_rl: float, frame_t: float, e_total: float) -> float:

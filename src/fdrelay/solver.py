@@ -22,7 +22,7 @@ from typing import Callable, Generator
 
 from .feasibility import FeasibleWindow, tmin_for
 from .model import InfeasibleError, Scenario, Schedule, ee_from_energy
-from .strategies import DESCRIPTIONS
+from .strategies import DESCRIPTIONS, frame_energy
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # these names on this module, so they stay importable from it.
 from .feasibility import tmin_1ts, tmin_2ts, tmin_hd  # noqa: F401
@@ -111,9 +111,11 @@ def solve(s: Scenario) -> Schedule:
     the sum of the per-slot costs plus the idle draw of the whole frame, so
     each slot duration is searched on its own, on that slot's cost, above
     the slot's minimum duration (:func:`tmin_for`), until its bracket is
-    at most ``DURATION_TOL`` of the frame wide.  Each search runs on the
-    slot's cost bound to the scenario (``Slot.bound_cost``), which reads
-    the scenario's constants once per solve.  The schedule carries the
+    at most ``DURATION_TOL`` of the frame wide.  Each slot's closed form
+    and active power are bound to the scenario once per solve
+    (``Slot.bind``, ``Slot._bound_active``); each search runs on the slot
+    cost they compose (``Slot.bound_cost``), and the final powers and
+    energy come from the same bound functions.  The schedule carries the
     feasibility window it was searched in, for
     :func:`~fdrelay.oracle.verify` to reuse.
     """
@@ -124,15 +126,17 @@ def solve(s: Scenario) -> Schedule:
                               binding_node=next(
                                   (b for b in window.binding_node if b), None),
                               cause=window.cause)
-    costs = [slot.bound_cost(s) for slot in desc.slots]
+    bound = [(slot.bind(s), slot._bound_active(s)) for slot in desc.slots]
+    costs = [slot.bound_cost(s, *fns) for slot, fns in zip(desc.slots, bound)]
     durations = _solve_separable(costs, window, s)
-    powers = [slot.powers(s, t) for slot, t in zip(desc.slots, durations)]
+    powers = [fn(t) for (fn, _), t in zip(bound, durations)]
     fields = dict.fromkeys(("t1", "t2", "p_a", "p_b", "p_r_fwd", "p_r_rev"),
                            0.0)
     fields.update(zip(("t1", "t2"), durations))
     for slot, p in zip(desc.slots, powers):
         fields.update(zip(slot.fields, p))
-    e = desc.energy_at(s, durations, powers)
+    e = frame_energy(s, durations, [
+        active(*p) for (_, active), p in zip(bound, powers)])
     return Schedule(e_total=e, ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e),
                     active_case=desc.active_case(s, *durations),
                     window=window, **fields)

@@ -8,14 +8,20 @@ closed-form powers of its transmitting nodes, its static and dynamic
 circuit power under the scenario's accounting, and its rate constraints
 grouped by the power that closes them, which the ``caps_*`` capacity maps
 read off.  ``Slot.active`` adds the PA draw of each node to the circuit
-power, and ``Slot.bound_cost`` binds a slot's cost to a scenario, as a
-function of the duration alone.  The frame energy at given or closed-form
-powers (``energy_*_at``, ``energy_*``), the solver's slot costs, the
-feasibility window and the oracle's grid all derive from it.  Each closed
-form has one body that serves a float duration, in pure ``math`` for the
-solver, and an array of durations, bit for bit the same numbers, for the
-oracle.  The single-slot strategy is one slot like any other: its closed
-form picks the larger of two relay-power cases, and the description
+power.  The frame energy at given or closed-form powers (``energy_*_at``,
+``energy_*``), the solver's slot costs, the feasibility window and the
+oracle's grid all derive from it.
+
+Each closed form is stated once, as a binder: ``Slot.bind(s)`` reads the
+scenario's channel gains, demands, frame and bandwidth once and returns the
+powers as a function of the duration alone.  ``Slot.bound_cost`` composes
+it with the slot's active power, whose PA draws are bound to their
+amplifiers (:func:`~fdrelay.model.pa_draw`), so a search that evaluates a
+slot's cost many times does only arithmetic on bound values.  Each bound
+closed form has one body that serves a float duration, in pure ``math``
+for the solver, and an array of durations, bit for bit the same numbers,
+for the oracle.  The single-slot strategy is one slot like any other: its
+closed form picks the larger of two relay-power cases, and the description
 reports which case binds.
 """
 
@@ -35,8 +41,11 @@ from .model import (
     RelayCase,
     Scenario,
     Strategy,
-    pa_consumption,
+    pa_draw,
 )
+# Unused here, but the benchmark's span tracer (bench/tracing.py) patches
+# this name on this module, so it stays importable from it.
+from .model import pa_consumption  # noqa: F401
 
 __all__ = [
     "Slot",
@@ -63,54 +72,50 @@ __all__ = [
 _LOAD_LIMIT = 500.0
 
 
-def _pow2(x: float) -> float:
-    """2**x, with overflow or NaN mapped to +inf (unmeetable load)."""
-    if not x <= _LOAD_LIMIT:
-        return math.inf
-    return 2.0 ** x
+def _bound_exps(s: Scenario, *rates: float) -> Callable:
+    """``exps(t)`` giving ``(over, exps)``: where a spectral load of the
+    ``rates`` overflows within duration ``t``, and 2**load of each rate.
 
-
-def _load(s: Scenario, rate: float, t):
-    """Spectral load in bit/s/Hz of ``rate`` sent within duration ``t``,
-    a float or an ndarray of durations.
-
-    Zero traffic is zero load, also in a closed (zero-length) slot.
+    The load of ``rate`` within ``t`` is ``rate * frame / (bandwidth * t)``
+    bit/s/Hz, with ``rate * frame`` read once, here; zero traffic is zero
+    load, also in a closed (zero-length) slot.  A float ``t`` gives a bool
+    and Python floats, through which a closed form computes (float
+    arithmetic never raises on inf or NaN) before :func:`_inf_where`
+    replaces its result; a load past ``_LOAD_LIMIT``, or NaN, gives +inf.
+    An array gives a mask and arrays with NaN at overflows, which never
+    warns where inf would meet inf - inf.  Each element goes through the
+    builtin ``pow(2.0, x)``, the same C ``pow`` as the float's ``2.0 ** x``,
+    since numpy's array power is one ULP off it on some exponents.
     """
-    return rate * s.frame_t / (s.bandwidth_w * t) if rate else 0.0 * t
+    w = s.bandwidth_w
+    bits = [(rate, rate * s.frame_t) for rate in rates]
 
+    def exps(t):
+        if isinstance(t, float):
+            # A plain loop is the cheapest on the solver's path; an
+            # overflow gives +inf, never NaN, so one membership test finds
+            # it.
+            out = []
+            for rate, b in bits:
+                x = b / (w * t) if rate else 0.0 * t
+                out.append(2.0 ** x if x <= _LOAD_LIMIT else math.inf)
+            return math.inf in out, out
+        loads = [b / (w * t) if rate else 0.0 * t for rate, b in bits]
+        # Where the float gives inf (NaN, or past the limit); those loads go
+        # in as 0 so that the builtin pow never overflows.
+        over = ~(loads[0] <= _LOAD_LIMIT)
+        for load in loads[1:]:
+            over |= ~(load <= _LOAD_LIMIT)
+        return over, [np.where(over, math.nan, np.fromiter(
+            map(pow, repeat(2.0), np.where(over, 0.0, load).tolist()), float,
+            t.size)) for load in loads]
 
-def _exps(s: Scenario, t, *rates: float):
-    """``(over, exps)``: where a spectral load of the ``rates`` overflows
-    within duration ``t``, and 2**load of each rate.
-
-    A float ``t`` gives a bool and Python floats, through which a closed
-    form computes (float arithmetic never raises on inf or NaN) before
-    :func:`_inf_where` replaces its result.  An array gives a mask and
-    arrays with NaN at overflows, which never warns where inf would meet
-    inf - inf.  Each element goes through the builtin ``pow(2.0, x)``, the
-    same C ``pow`` as :func:`_pow2`, since numpy's array power is one ULP
-    off it on some exponents.
-    """
-    if isinstance(t, float):
-        # A plain loop is the cheapest on the solver's path; _pow2 gives
-        # +inf, never NaN, so one membership test finds an overflow.
-        exps = []
-        for rate in rates:
-            exps.append(_pow2(_load(s, rate, t)))
-        return math.inf in exps, exps
-    loads = [_load(s, rate, t) for rate in rates]
-    # Where _pow2 gives inf (NaN, or past the limit); those loads go in as
-    # 0 so that the builtin pow, the C pow of 2.0 ** x, never overflows.
-    over = ~(loads[0] <= _LOAD_LIMIT)
-    for load in loads[1:]:
-        over |= ~(load <= _LOAD_LIMIT)
-    return over, [np.where(over, math.nan, np.fromiter(
-        map(pow, repeat(2.0), np.where(over, 0.0, load).tolist()), float,
-        t.size)) for load in loads]
+    return exps
 
 
 def _inf_where(over, powers: tuple) -> tuple:
-    """The powers with +inf wherever :func:`_exps` found an overflow."""
+    """The powers with +inf wherever :func:`_bound_exps` found an
+    overflow."""
     if isinstance(over, bool):
         return (math.inf,) * len(powers) if over else powers
     return tuple(np.where(over, math.inf, p) for p in powers)
@@ -122,28 +127,34 @@ class Slot:
 
     ``fields`` names the :class:`~fdrelay.model.Schedule` field of each
     transmit power and ``nodes`` the node that emits it, both in the order
-    ``powers(s, t)`` returns them.  ``powers`` takes a float duration and
-    returns Python floats computed with ``math`` alone (the solver's path),
-    or a 1-D ndarray of durations and returns one array per power, equal
-    to the float calls element for element and bit for bit (the oracle's
-    path).  A spectral load past ``_LOAD_LIMIT`` gives +inf powers; where
-    the single-slot form raises :class:`~fdrelay.model.InfeasibleError` for
-    a float, the array holds NaN.  ``circuit(s)`` is the slot's
-    ``(static, dynamic)`` circuit power under the scenario's accounting;
-    the PA draw is not part of it.  ``rates(s, t, *powers)`` accepts
-    ndarray powers and returns one group per power, in ``fields`` order:
-    the ``(name, capacity, demand)`` triples of the rate constraints that
-    power closes, one of which is tight at the closed-form powers.
-    ``demand(s)`` is the traffic the slot carries; a slot with none stays
-    closed.
+    the closed form returns them.  ``bind(s)`` is the closed form bound to
+    a scenario: it reads the scenario's constants once and returns
+    ``powers(t)``, which takes a float duration and returns Python floats
+    computed with ``math`` alone (the solver's path), or a 1-D ndarray of
+    durations and returns one array per power, equal to the float calls
+    element for element and bit for bit (the oracle's path).  A spectral
+    load past ``_LOAD_LIMIT`` gives +inf powers; where the single-slot form
+    raises :class:`~fdrelay.model.InfeasibleError` for a float, the array
+    holds NaN.  ``circuit(s)`` is the slot's ``(static, dynamic)`` circuit
+    power under the scenario's accounting; the PA draw is not part of it.
+    ``rates(s, t, *powers)`` accepts ndarray powers and returns one group
+    per power, in ``fields`` order: the ``(name, capacity, demand)``
+    triples of the rate constraints that power closes, one of which is
+    tight at the closed-form powers.  ``demand(s)`` is the traffic the slot
+    carries; a slot with none stays closed.
     """
 
     fields: tuple[str, ...]
     nodes: tuple[str, ...]
     demand: Callable[[Scenario], float]
-    powers: Callable[..., tuple]
+    bind: Callable[[Scenario], Callable[..., tuple]]
     circuit: Callable[[Scenario], tuple[float, float]]
     rates: Callable[..., tuple]
+
+    def powers(self, s: Scenario, t):
+        """The closed-form powers at duration ``t``, for one-off callers;
+        a caller that evaluates many durations binds once (``bind``)."""
+        return self.bind(s)(t)
 
     def budgets(self, s: Scenario) -> tuple[tuple[str, float], ...]:
         """(node, p_max) of each transmit power."""
@@ -151,14 +162,15 @@ class Slot:
 
     def _bound_active(self, s: Scenario) -> Callable[..., float]:
         """:meth:`active` as a function of the transmit powers alone, with
-        the scenario's circuit power and PA models read once."""
+        the scenario's circuit power read once and one PA draw bound to
+        each node's amplifier."""
         static, dynamic = self.circuit(s)
-        first, *rest = [getattr(s.pa, node) for node in self.nodes]
+        first, *rest = [pa_draw(getattr(s.pa, node)) for node in self.nodes]
 
         def active(*powers):
-            draw = pa_consumption(first, powers[0])
-            for pa, p in zip(rest, powers[1:], strict=True):
-                draw = draw + pa_consumption(pa, p)
+            draw = first(powers[0])
+            for node_draw, p in zip(rest, powers[1:], strict=True):
+                draw = draw + node_draw(p)
             return draw + static + dynamic
 
         return active
@@ -169,21 +181,23 @@ class Slot:
         circuit power.  ndarray powers give the broadcast array."""
         return self._bound_active(s)(*powers)
 
-    def bound_cost(self, s: Scenario) -> Callable[[float], float]:
-        """:meth:`cost` as a function of the duration alone.  The scenario's
-        circuit power, idle draw and PA models are read once, here, so a
-        search that evaluates the cost many times pays for them once."""
-        active, powers = self._bound_active(s), self.powers
+    def bound_cost(self, s: Scenario, powers: Callable[..., tuple],
+                   active: Callable[..., float]) -> Callable[[float], float]:
+        """:meth:`cost` as a function of the duration alone, composed of the
+        slot's closed form and active power bound to ``s`` (``bind(s)`` and
+        ``_bound_active(s)``).  With the idle draw read here too, a search
+        that evaluates the cost many times does only arithmetic on bound
+        values."""
         idle = s.p_idle_total
 
         def cost(t: float) -> float:
-            return (active(*powers(s, t)) - idle) * t
+            return (active(*powers(t)) - idle) * t
 
         return cost
 
     def cost(self, s: Scenario, t: float) -> float:
         """Energy above the idle draw that the slot spends over duration t."""
-        return self.bound_cost(s)(t)
+        return self.bound_cost(s, self.bind(s), self._bound_active(s))(t)
 
 
 def _no_case(s: Scenario, *durations: float) -> None:
@@ -223,12 +237,21 @@ class Description:
         then an ndarray of that shape, elementwise equal to the scalar
         calls.  Scalar arguments give a Python float.
         """
-        energy, idle = 0.0, s.frame_t
-        for slot, t, p in zip(self.slots, durations, powers):
-            energy += slot.active(s, *p) * t
-            idle -= t
-        total = energy + s.p_idle_total * idle
-        return total if isinstance(total, np.ndarray) else float(total)
+        return frame_energy(s, durations, [
+            slot.active(s, *p) for slot, p in zip(self.slots, powers)])
+
+
+def frame_energy(s: Scenario, durations, actives):
+    """Frame energy from each slot's active power (``actives``) over its
+    duration, plus the idle draw over the rest of the frame; the body of
+    :meth:`Description.energy_at`, for a caller that has bound each slot's
+    active power already."""
+    energy, idle = 0.0, s.frame_t
+    for active, t in zip(actives, durations):
+        energy += active * t
+        idle -= t
+    total = energy + s.p_idle_total * idle
+    return total if isinstance(total, np.ndarray) else float(total)
 
 
 @dataclass(frozen=True)
@@ -275,15 +298,21 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
     # (src->relay gain, relay->dst gain, dst noise) of s.channels
     links = attrgetter(f"g_{src}r", f"g_r{dst}", f"sigma2_{dst}")
 
-    def powers(s: Scenario, t):
-        over, (e,) = _exps(s, t, demand(s))
-        x = e - 1.0
+    def bind(s: Scenario):
+        exps = _bound_exps(s, demand(s))
         ch = s.channels
         g_up, g_down, sigma2 = links(ch)
-        return _inf_where(over, (
-            ch.sigma2_r / g_up * x
-            + sigma2 * ch.gs_r / (g_up * g_down) * x * x,
-            sigma2 / g_down * x))
+        src_lin = ch.sigma2_r / g_up
+        src_quad = sigma2 * ch.gs_r / (g_up * g_down)
+        relay_lin = sigma2 / g_down
+
+        def powers(t):
+            over, (e,) = exps(t)
+            x = e - 1.0
+            return _inf_where(over, (src_lin * x + src_quad * x * x,
+                                     relay_lin * x))
+
+        return powers
 
     def circuit(s: Scenario):
         c = s.circuit
@@ -302,7 +331,7 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
                 ((f"c_r{dst}", c_down, demand(s)),))
 
     return Slot(fields=(f"p_{src}", relay_field), nodes=(src, "r"),
-                demand=demand, powers=powers, circuit=circuit, rates=rates)
+                demand=demand, bind=bind, circuit=circuit, rates=rates)
 
 
 _FD2TS_SLOTS = (_fd2ts_slot("a", "b", "r_fl", "p_r_fwd"),
@@ -370,8 +399,9 @@ def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r):
     return c_ar, c_br, c_ra, c_rb
 
 
-def _relay_cases(s: Scenario, t1):
-    """Candidate (p_a, p_b, p_r) for both relay-power cases, case I first.
+def _bound_relay_cases(s: Scenario) -> Callable:
+    """``cases(t1)``: candidate (p_a, p_b, p_r) for both relay-power cases,
+    case I first, with the scenario's constants read once.
 
     Closing both uplink equalities expresses p_a and p_b as multiples of
     the relay's received interference-plus-noise level; closing one of the
@@ -383,46 +413,66 @@ def _relay_cases(s: Scenario, t1):
     the float form raises :class:`InfeasibleError`.
     """
     ch = s.channels
-    arrays = not isinstance(t1, float)
-    over, (e_fl, e_rl) = _exps(s, t1, s.r_fl, s.r_rl)
-    if not arrays and over:  # an array carries NaN instead
-        raise InfeasibleError("spectral load overflows any finite power",
-                              cause="power_budget")
-    total = e_fl + e_rl
-    if s.asymptotic_1ts:
-        factor = 1.0
-        down_a = e_rl  # reverse-link broadcast multiplier
-        down_b = e_fl  # forward-link broadcast multiplier
-    else:
-        factor = (total - 1.0) / total
-        down_a = e_rl - 1.0
-        down_b = e_fl - 1.0
+    exps = _bound_exps(s, s.r_fl, s.r_rl)
+    asymptotic = s.asymptotic_1ts
+    gs_r, sigma2_r, g_ar, g_br = ch.gs_r, ch.sigma2_r, ch.g_ar, ch.g_br
 
-    def relay_power(down: float, up: float, gs_self: float, g_up: float,
-                    g_down: float, sigma2_self: float, side: str) -> float:
-        num = down * (factor * up * gs_self * ch.sigma2_r + g_up * sigma2_self)
-        den = g_down * g_up - down * factor * up * gs_self * ch.gs_r
-        if arrays:  # NaN where the float form raises
-            return num / np.where(den > 0, den, math.nan)
-        if den <= 0:
-            raise InfeasibleError(
-                f"self-cancellation too weak to close the {side} broadcast "
-                f"link at this spectral load",
-                binding_node=side, cause="cancellation")
-        return num / den
+    def bound_relay_power(gs_self: float, g_up: float, g_down: float,
+                          sigma2_self: float, side: str) -> Callable:
+        """p_r(down, up, factor) closing the broadcast link to ``side``."""
+        up_noise = g_up * sigma2_self
+        link = g_down * g_up
+
+        def relay_power(down, up, factor, arrays: bool):
+            num = down * (factor * up * gs_self * sigma2_r + up_noise)
+            den = link - down * factor * up * gs_self * gs_r
+            if arrays:  # NaN where the float form raises
+                return num / np.where(den > 0, den, math.nan)
+            if den <= 0:
+                raise InfeasibleError(
+                    f"self-cancellation too weak to close the {side} "
+                    f"broadcast link at this spectral load",
+                    binding_node=side, cause="cancellation")
+            return num / den
+
+        return relay_power
 
     # Case I: reverse-link broadcast (r -> a) holds with equality.
-    p_r_rl = relay_power(down_a, e_fl, ch.gs_a, ch.g_ar, ch.g_ra,
-                         ch.sigma2_a, "a")
+    power_rl = bound_relay_power(ch.gs_a, g_ar, ch.g_ra, ch.sigma2_a, "a")
     # Case II: forward-link broadcast (r -> b) holds with equality.
-    p_r_fl = relay_power(down_b, e_rl, ch.gs_b, ch.g_br, ch.g_rb,
-                         ch.sigma2_b, "b")
+    power_fl = bound_relay_power(ch.gs_b, g_br, ch.g_rb, ch.sigma2_b, "b")
 
-    def end_powers(p_r: float) -> tuple[float, float]:
-        d = p_r * ch.gs_r + ch.sigma2_r
-        return factor * e_fl * d / ch.g_ar, factor * e_rl * d / ch.g_br
+    def cases(t1):
+        arrays = not isinstance(t1, float)
+        over, (e_fl, e_rl) = exps(t1)
+        if not arrays and over:  # an array carries NaN instead
+            raise InfeasibleError("spectral load overflows any finite power",
+                                  cause="power_budget")
+        total = e_fl + e_rl
+        if asymptotic:
+            factor = 1.0
+            down_a = e_rl  # reverse-link broadcast multiplier
+            down_b = e_fl  # forward-link broadcast multiplier
+        else:
+            factor = (total - 1.0) / total
+            down_a = e_rl - 1.0
+            down_b = e_fl - 1.0
+        p_r_rl = power_rl(down_a, e_fl, factor, arrays)
+        p_r_fl = power_fl(down_b, e_rl, factor, arrays)
 
-    return end_powers(p_r_rl) + (p_r_rl,), end_powers(p_r_fl) + (p_r_fl,)
+        def end_powers(p_r: float) -> tuple[float, float]:
+            d = p_r * gs_r + sigma2_r
+            return factor * e_fl * d / g_ar, factor * e_rl * d / g_br
+
+        return end_powers(p_r_rl) + (p_r_rl,), end_powers(p_r_fl) + (p_r_fl,)
+
+    return cases
+
+
+def _relay_cases(s: Scenario, t1):
+    """Both relay-power candidates at one duration
+    (:func:`_bound_relay_cases`)."""
+    return _bound_relay_cases(s)(t1)
 
 
 def powers_1ts(s: Scenario, t1: float) -> PowerAssignment1TS:
@@ -449,16 +499,22 @@ def _circuit_1ts(s: Scenario):
     return 2.0 * s.p_base_total, dynamic
 
 
-def _powers_1ts_triple(s: Scenario, t):
-    """(p_a, p_b, p_r) of :func:`powers_1ts`; a 1-D array of durations
-    gives arrays, NaN wherever either relay case raises."""
-    case1, case2 = _relay_cases(s, t)
-    first = case1[2] >= case2[2]
-    if isinstance(t, float):
-        return case1 if first else case2
-    raised = np.isnan(case1[2]) | np.isnan(case2[2])
-    return tuple(np.where(raised, math.nan, np.where(first, p1, p2))
-                 for p1, p2 in zip(case1, case2))
+def _bind_1ts(s: Scenario):
+    """(p_a, p_b, p_r) of :func:`powers_1ts` as a function of the duration;
+    a 1-D array of durations gives arrays, NaN wherever either relay case
+    raises."""
+    cases = _bound_relay_cases(s)
+
+    def powers(t):
+        case1, case2 = cases(t)
+        first = case1[2] >= case2[2]
+        if isinstance(t, float):
+            return case1 if first else case2
+        raised = np.isnan(case1[2]) | np.isnan(case2[2])
+        return tuple(np.where(raised, math.nan, np.where(first, p1, p2))
+                     for p1, p2 in zip(case1, case2))
+
+    return powers
 
 
 def _rates_1ts(s: Scenario, t: float, p_a, p_b, p_r):
@@ -489,23 +545,35 @@ def energy_1ts(s: Scenario, t1: float) -> float:
 # access with structured binning); the relay broadcasts in slot 2.
 # ---------------------------------------------------------------------------
 
-def _powers_hd_access(s: Scenario, t):
+def _bind_hd_access(s: Scenario):
     """(p_a, p_b) closing both multiple-access equalities of slot 1."""
+    exps = _bound_exps(s, s.r_fl, s.r_rl)
     ch = s.channels
-    over, (l1, l2) = _exps(s, t, s.r_fl, s.r_rl)
-    return _inf_where(over, ((l1 - l1 / (l1 + l2)) * ch.sigma2_r / ch.g_ar,
-                             (l2 - l2 / (l1 + l2)) * ch.sigma2_r / ch.g_br))
+    sigma2_r, g_ar, g_br = ch.sigma2_r, ch.g_ar, ch.g_br
+
+    def powers(t):
+        over, (l1, l2) = exps(t)
+        return _inf_where(over, ((l1 - l1 / (l1 + l2)) * sigma2_r / g_ar,
+                                 (l2 - l2 / (l1 + l2)) * sigma2_r / g_br))
+
+    return powers
 
 
-def _powers_hd_broadcast(s: Scenario, t):
+def _bind_hd_broadcast(s: Scenario):
     """(p_r,) of slot 2: the weaker broadcast link sets the relay power."""
+    exps = _bound_exps(s, s.r_fl, s.r_rl)
     ch = s.channels
-    over, (l3, l4) = _exps(s, t, s.r_fl, s.r_rl)
-    fwd = (l3 - 1.0) * ch.sigma2_b / ch.g_rb
-    rev = (l4 - 1.0) * ch.sigma2_a / ch.g_ra
-    # max keeps a float duration's power a Python float
-    p_r = max(fwd, rev) if isinstance(t, float) else np.maximum(fwd, rev)
-    return _inf_where(over, (p_r,))
+    sigma2_b, g_rb, sigma2_a, g_ra = ch.sigma2_b, ch.g_rb, ch.sigma2_a, ch.g_ra
+
+    def powers(t):
+        over, (l3, l4) = exps(t)
+        fwd = (l3 - 1.0) * sigma2_b / g_rb
+        rev = (l4 - 1.0) * sigma2_a / g_ra
+        # max keeps a float duration's power a Python float
+        p_r = max(fwd, rev) if isinstance(t, float) else np.maximum(fwd, rev)
+        return _inf_where(over, (p_r,))
+
+    return powers
 
 
 # Printed accounting charges dynamic circuit power eps*(r_fl + r_rl) in
@@ -549,10 +617,10 @@ def _rates_hd_broadcast(s: Scenario, t: float, p_r):
 
 _HD2TS_SLOTS = (
     Slot(fields=("p_a", "p_b"), nodes=("a", "b"), demand=_total_demand,
-         powers=_powers_hd_access, circuit=_circuit_hd_access,
+         bind=_bind_hd_access, circuit=_circuit_hd_access,
          rates=_rates_hd_access),
     Slot(fields=("p_r_fwd",), nodes=("r",), demand=_total_demand,
-         powers=_powers_hd_broadcast, circuit=_circuit_hd_broadcast,
+         bind=_bind_hd_broadcast, circuit=_circuit_hd_broadcast,
          rates=_rates_hd_broadcast),
 )
 
@@ -568,7 +636,8 @@ def caps_hd(s: Scenario, t1: float, t2: float, p_a, p_b, p_r):
 
 def powers_hd(s: Scenario, t1: float, t2: float) -> tuple[float, float, float]:
     """Closed-form powers (p_a, p_b, p_r) activating the HD constraints."""
-    return _powers_hd_access(s, t1) + _powers_hd_broadcast(s, t2)
+    access, broadcast = _HD2TS_SLOTS
+    return access.powers(s, t1) + broadcast.powers(s, t2)
 
 
 def energy_hd_at(s: Scenario, t1: float, t2: float, p_a: float, p_b: float,
@@ -586,7 +655,7 @@ def energy_hd(s: Scenario, t1: float, t2: float) -> float:
 DESCRIPTIONS: dict[Strategy, Description] = {
     Strategy.FD1TS: Description(
         slots=(Slot(fields=("p_a", "p_b", "p_r_fwd"), nodes=("a", "b", "r"),
-                    demand=_total_demand, powers=_powers_1ts_triple,
+                    demand=_total_demand, bind=_bind_1ts,
                     circuit=_circuit_1ts, rates=_rates_1ts),),
         active_case=lambda s, t: powers_1ts(s, t).active_case),
     Strategy.FD2TS: Description(slots=_FD2TS_SLOTS),

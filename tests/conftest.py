@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -66,3 +69,9 @@ def random_scenario_params(rng, strategy, pa_kind=PaKind.ETPA):
         strategy=strategy,
         pa=pa_kind,
     )
+
+
+def with_powers(slot, powers):
+    """``slot`` with its closed form replaced by ``powers(s, t)``: the
+    binder a slot states, for a test that substitutes a form per call."""
+    return replace(slot, bind=lambda s: partial(powers, s))

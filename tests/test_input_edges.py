@@ -79,3 +79,41 @@ def test_short_frame_oracle_probe_runs_clean(tmp_path, strategy, frame_t_ms):
     cfg.write_text(f"frame_t_ms = {frame_t_ms}\n")
     assert _oracle_violations(cfg, strategy) == want
     assert want[0] == EXIT_OK
+
+
+# Amplifiers whose draw overflows a float at p_max (and at 0 W for the
+# ETPA bias), each with a key its error must name.
+OVERFLOWING_DRAWS = [("eta_max = 1e-308\n", "eta_max"),
+                     ("pa = tpa\neta_max = 1e-308\n", "eta_max"),
+                     ("etpa_u = 1e300\nkappa_db = 100\n", "etpa_u")]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("text, key", OVERFLOWING_DRAWS)
+def test_overflowing_pa_draw_is_a_config_error(strategy, text, key):
+    params = replace(parse_params(text), strategy=strategy)
+    with pytest.raises(ConfigError, match=f"{key} = "):
+        with unbuildable_is_config_error():
+            params.build()
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+@pytest.mark.parametrize("text, key", OVERFLOWING_DRAWS)
+def test_overflowing_pa_draw_exits_as_a_config_error(tmp_path, strategy,
+                                                     text, key):
+    cfg = tmp_path / "draw.cfg"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_main(["solve", "--config", str(cfg), "--strategy", strategy],
+                    out, err)
+    assert code == EXIT_CONFIG
+    assert f"{key} = " in err.getvalue()
+
+
+def test_sweep_to_an_overflowing_efficiency_exits_as_a_config_error():
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_main(["sweep", "--axis", "pa-efficiency", "--from", "1e-320",
+                     "--to", "1e-320", "--step", "1"], out, err)
+    assert code == EXIT_CONFIG
+    assert "eta_max = 1e-320" in err.getvalue()
+    assert out.getvalue() == ""

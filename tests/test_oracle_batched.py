@@ -31,6 +31,8 @@ from fdrelay.oracle import (
 from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS
 
+from conftest import with_powers
+
 PAIRS = [(strategy, pa) for strategy in Strategy for pa in PaKind]
 
 
@@ -150,7 +152,7 @@ class TestSlotBestParity:
                     first = float(first)
                 return (first,) + anchor[1:]
 
-            assert _assert_same(s, replace(slot, powers=powers), t_axis) == 0
+            assert _assert_same(s, with_powers(slot, powers), t_axis) == 0
 
 
 def _scaled_below(slot, t_axis, at, factor=1.0 - 1e-6):
@@ -165,7 +167,7 @@ def _scaled_below(slot, t_axis, at, factor=1.0 - 1e-6):
             return tuple(float(p * scale) for p in anchor)
         return tuple(p * scale for p in anchor)
 
-    return replace(slot, powers=powers)
+    return with_powers(slot, powers)
 
 
 def _in_budget(s, slot, t_axis):
@@ -290,7 +292,7 @@ class TestAnchorMissesDemand:
                     return tuple(float(p) for p in pinned_anchor)
                 return pinned_anchor
 
-            clipped = replace(slot, powers=powers)
+            clipped = with_powers(slot, powers)
             assert math.isfinite(_slot_best(s, slot, t_axis)[0][20])
             assert _assert_same(s, clipped, t_axis) == 0
             assert _slot_best(s, clipped, t_axis)[0][20] == math.inf

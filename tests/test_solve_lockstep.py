@@ -143,8 +143,8 @@ def test_default_two_slot_solve_evaluations(strategy, monkeypatch):
     calls = []
     bound_cost = Slot.bound_cost
 
-    def counted_bound_cost(self, s):
-        cost = bound_cost(self, s)
+    def counted_bound_cost(self, s, *bound):
+        cost = bound_cost(self, s, *bound)
 
         def counted(t):
             calls.append(t)

@@ -15,6 +15,8 @@ from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS
 from fdrelay.sweep import Axis, AxisKind, SweepSpec, emit_csv, run_sweep
 
+from conftest import with_powers
+
 
 def _low_closed_forms(monkeypatch, strategy, factor=1.0 - 1e-6):
     """Scale every closed-form power of ``strategy`` by ``factor`` in the
@@ -24,7 +26,7 @@ def _low_closed_forms(monkeypatch, strategy, factor=1.0 - 1e-6):
     def scaled(slot):
         def powers(s, t, _slot=slot):
             return tuple(p * factor for p in _slot.powers(s, t))
-        return replace(slot, powers=powers)
+        return with_powers(slot, powers)
 
     monkeypatch.setattr(oracle, "DESCRIPTIONS", {**DESCRIPTIONS, strategy: replace(
         desc, slots=tuple(scaled(slot) for slot in desc.slots))})

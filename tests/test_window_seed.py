@@ -9,7 +9,6 @@ checks the windows themselves.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -18,6 +17,8 @@ from fdrelay.feasibility import (_BISECT_TOL_FRACTION, _bisect_monotone,
                                  _seed_bracket, t_floor, tmin_for, tmin_slots)
 from fdrelay.model import Strategy
 from fdrelay.strategies import DESCRIPTIONS
+
+from conftest import with_powers
 
 
 def _plain_bisect(pred, lo, hi, tol):
@@ -125,7 +126,7 @@ def _counted(slots):
             return fn(*args)
         return powers
 
-    return calls, tuple(replace(slot, powers=wrap(slot.powers))
+    return calls, tuple(with_powers(slot, wrap(slot.powers))
                         for slot in slots)
 
 
