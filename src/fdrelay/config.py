@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
+from .feasibility import t_floor
 from .model import (
     ChannelSet,
     CircuitAccounting,
@@ -48,10 +49,11 @@ from .model import (
     Strategy,
     db_to_linear,
     noise_power,
-    pa_draw,
+    pa_draw_range,
     pathloss_gain,
     residual_self_gain,
 )
+from .strategies import peak_power
 
 __all__ = ["ConfigError", "ScenarioParams", "parse_params",
            "unbuildable_is_config_error"]
@@ -117,7 +119,13 @@ class ScenarioParams:
         value whose linear value overflows a float, and its error names the
         key; a distance too short for the path-loss law names the
         distance.  So does an amplifier whose draw at 0 W or at its p_max
-        is not finite, naming every key its draw reads."""
+        is not finite, naming every key its draw reads; so does a
+        bandwidth that times the shortest slot (``t_floor``) underflows to
+        0, naming ``bandwidth_mhz`` and ``frame_t_ms``; and so does a frame
+        whose energy at full budget is not finite: ``frame_t_ms`` times
+        the most a slot of any strategy draws (``peak_power``) plus the
+        idle draw, naming the keys that set it.  All of these are float
+        arithmetic, so the checks build no array."""
 
         def linear(name: str, convert, *args) -> float:
             try:
@@ -155,7 +163,7 @@ class ScenarioParams:
             pa = PaModel(kind=self.pa, p_max=p_max, eta_max=self.eta_max,
                          kappa=kappa, u=self.etpa_u)
             try:
-                pa_draw(pa)
+                pa_draw_range(pa)
             except ValueError as err:
                 keys = (name, "eta_max") + (("kappa_db", "etpa_u")
                                             if pa.kind is PaKind.ETPA else ())
@@ -169,7 +177,7 @@ class ScenarioParams:
             return NodeCircuit(p_base=base_mw * 1e-3, p_idle=idle_mw * 1e-3,
                                epsilon=eps)
 
-        return Scenario(
+        s = Scenario(
             bandwidth_w=w,
             frame_t=self.frame_t_ms * 1e-3,
             r_fl=self.r_fl_mbps * 1e6,
@@ -184,6 +192,21 @@ class ScenarioParams:
             asymptotic_1ts=self.asymptotic_1ts,
             circuit_accounting=self.accounting,
         )
+        if not s.bandwidth_w * t_floor(s) > 0.0:
+            raise ValueError(
+                f"bandwidth_mhz = {self.bandwidth_mhz} times the shortest "
+                f"slot, a millionth of frame_t_ms = {self.frame_t_ms}, "
+                f"underflows to 0")
+        peak = peak_power(s) + s.p_idle_total
+        if not math.isfinite(s.frame_t * peak):
+            raise ValueError(
+                f"the frame energy at full budget overflows a float: "
+                f"frame_t_ms = {self.frame_t_ms} times {peak:.6g} W, the "
+                f"most a slot draws with every amplifier at p_max (from "
+                f"eta_max, kappa_db, etpa_u and p_max_*_dbm) plus its "
+                f"circuit power (p_base_*_mw, epsilon_mw_per_gbps and the "
+                f"rates) and the idle draw (p_idle_*_mw)")
+        return s
 
     def with_total_rate(self, total_mbps: float) -> "ScenarioParams":
         """Scale both demands, preserving the traffic ratio.  A total that

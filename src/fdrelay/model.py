@@ -3,9 +3,10 @@
 Everything downstream (capacity formulas, energy objectives, solvers) is built
 on the value objects defined here.  All quantities are SI internally: watts,
 hertz, seconds, bit/s.  Conversions from dB / dBm / distance happen at the
-configuration boundary, never inside the math.  The PA draw binds to its
-amplifier once (:func:`pa_draw`), so a search that draws many times reads
-the amplifier's constants once.
+configuration boundary, never inside the math.  The PA draw binds to the
+amplifiers of a slot's nodes once (:func:`pa_draw`), so a search that draws
+many times reads their constants once and prices every node of the slot in
+one numpy pass.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "noise_power",
     "pathloss_gain",
     "residual_self_gain",
+    "pa_draw_range",
     "pa_draw",
     "pa_consumption",
     "ee_from_energy",
@@ -215,7 +217,12 @@ class PerNode(Generic[_T]):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete problem instance to schedule."""
+    """One complete problem instance to schedule.
+
+    Every node's amplifier is of one kind (``pa.a.kind``), since a slot
+    prices all its nodes' draws through one curve (:func:`pa_draw`); a
+    scenario that mixes TPA and ETPA amplifiers raises ValueError.
+    """
 
     bandwidth_w: float  # Hz
     frame_t: float  # s
@@ -232,11 +239,18 @@ class Scenario:
         if not self.bandwidth_w > 0:
             raise ValueError("bandwidth_w must be positive")
         # A subnormal frame's slot floor, a millionth of it, can round to 0 s.
-        if not self.frame_t >= sys.float_info.min:
-            raise ValueError(f"frame_t must be at least {sys.float_info.min} s")
-        _check_non_negative(self, "r_fl", "r_rl")
+        if not sys.float_info.min <= self.frame_t < math.inf:
+            raise ValueError(f"frame_t must be finite and at least "
+                             f"{sys.float_info.min} s, got {self.frame_t}")
+        _check_non_negative(self, "r_fl", "r_rl", finite=True)
         if not self.r_fl + self.r_rl > 0:
             raise ValueError("at least one rate demand must be positive")
+        pa = self.pa
+        if not (pa.a.kind is pa.r.kind is pa.b.kind):
+            raise ValueError(
+                f"every amplifier must be of one kind, got a: "
+                f"{pa.a.kind.value}, r: {pa.r.kind.value}, b: "
+                f"{pa.b.kind.value}")
 
     @property
     def p_idle_total(self) -> float:
@@ -306,58 +320,105 @@ def residual_self_gain(d_self_m: float, alpha_db: float) -> float:
     return pathloss_gain(d_self_m) / db_to_linear(alpha_db)
 
 
-def pa_draw(pa: PaModel) -> Callable:
-    """The amplifier's draw as a function of the transmit power alone.
-
-    The budget range, ``p_max``, ``eta_max`` and the ETPA curve's
-    constants are read once, here, so a caller that draws many times pays
-    for them once.  The returned function is :func:`pa_consumption` bound
-    to ``pa``: one numpy body serves floats and arrays.  Raises ValueError
-    for an amplifier whose draw at 0 W or at ``p_max`` overflows a float
-    (say ``eta_max = 1e-308``); the draw never falls as the power grows, so
-    every draw within the budget is then finite.
-    """
+def pa_draw_range(pa: PaModel) -> tuple[float, float]:
+    """The amplifier's draw at 0 W and at ``p_max``: the least and the most
+    it draws within its budget, since the draw never falls as the power
+    grows.  Computed in float arithmetic, which gives the IEEE results of
+    :func:`pa_draw`'s numpy body without its overflow warnings and without
+    building an array.  Raises ValueError when either overflows a float
+    (say ``eta_max = 1e-308``); every draw within the budget is then
+    finite."""
     p_max, eta_max = pa.p_max, pa.eta_max
-    hi = p_max * (1.0 + _P_BUDGET_SLACK)
-    lo = -p_max * _P_BUDGET_SLACK
-    tpa = pa.kind is PaKind.TPA
-    uk = pa.u * pa.kappa
-    bias = uk * p_max
-    scale = (1.0 + uk) * eta_max
-    # The body below at 0 and at p_max, in float arithmetic, which gives
-    # the same IEEE results without numpy's overflow warnings.
-    ends = ((0.0, math.sqrt(p_max * p_max) / eta_max) if tpa
-            else (bias / scale, (p_max + bias) / scale))
+    if pa.kind is PaKind.TPA:
+        ends = (0.0, math.sqrt(p_max * p_max) / eta_max)
+    else:
+        uk = pa.u * pa.kappa
+        bias, scale = uk * p_max, (1.0 + uk) * eta_max
+        ends = (bias / scale, (p_max + bias) / scale)
     if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
         raise ValueError(f"the {pa.kind.value} draw is not finite at 0 W or "
                          f"at p_max = {p_max:.6g} W")
-    asarray, sqrt = np.asarray, np.sqrt
-    least, most = np.minimum.reduce, np.maximum.reduce
+    return ends
 
-    def draw(p):
-        arr = asarray(p, dtype=float)
+
+def pa_draw(*pas: PaModel) -> Callable:
+    """The summed draw of one or more amplifiers of one kind, as a function
+    of their transmit powers alone: ``draw(*powers)``, one power per
+    amplifier, in argument order.
+
+    The budget range, ``p_max``, ``eta_max`` and the ETPA curve's
+    constants of every amplifier are read once, here, into per-amplifier
+    arrays, so a caller that draws many times pays for them once, and each
+    call prices every amplifier in one numpy pass: one range check, one
+    clip and one curve.  Float powers go into one 1-D array, and the draw
+    is a Python float; powers of one shape stack into one array, and powers
+    of different shapes are broadcast first, which gives the broadcast
+    array.  The amplifiers' draws are added left to right in argument
+    order, so the sum is, bit for bit, that of one :func:`pa_consumption`
+    call per amplifier.  A power outside its amplifier's budget, NaN and
+    +-inf included, raises a ValueError naming the ``p_max`` of the first
+    such amplifier; so does a count of powers that is not one per
+    amplifier.  Raises ValueError for amplifiers of more than one kind,
+    and for an amplifier whose draw overflows a float
+    (:func:`pa_draw_range`).
+    """
+    kind = pas[0].kind
+    if any(pa.kind is not kind for pa in pas):
+        raise ValueError("pa_draw binds amplifiers of one kind, got "
+                         + ", ".join(pa.kind.value for pa in pas))
+    for pa in pas:
+        pa_draw_range(pa)
+    n = len(pas)
+    budgets = [pa.p_max for pa in pas]
+    uk = [pa.u * pa.kappa for pa in pas]
+    lo, hi, p_max, eta_max, bias, scale = np.array([
+        [-p * _P_BUDGET_SLACK for p in budgets],
+        [p * (1.0 + _P_BUDGET_SLACK) for p in budgets],
+        budgets,
+        [pa.eta_max for pa in pas],
+        [k * p for k, p in zip(uk, budgets)],
+        [(1.0 + k) * pa.eta_max for k, pa in zip(uk, pas)]])
+    tpa = kind is PaKind.TPA
+    asarray, minimum, sqrt, inf = np.asarray, np.minimum, np.sqrt, math.inf
+
+    def draw(*powers):
+        if len(powers) != n:
+            raise ValueError(f"expected {n} transmit power(s), one per "
+                             f"amplifier, got {len(powers)}")
+        try:
+            arr = asarray(powers, dtype=float)
+        except ValueError:  # powers of different shapes
+            arr = np.stack(np.broadcast_arrays(
+                *[asarray(p, dtype=float) for p in powers]))
+        # The amplifier axis goes last, against the per-amplifier arrays.
+        arr = arr.T
         # NaN fails both comparisons and an infinity one of them, so this
-        # one range test also rejects every non-finite power; the initial
-        # values let an empty array pass.
-        if not (least(arr, axis=None, initial=lo) >= lo
-                and most(arr, axis=None, initial=hi) <= hi):
-            raise ValueError(
-                f"transmit power outside [0, {p_max:.6g}] W budget")
-        # clip, not np.maximum: it keeps the sign of a -0.0 power.
-        clipped = arr.clip(0.0, p_max)
+        # one range test also rejects every non-finite power.
+        inside = (arr >= lo) & (arr <= hi)
+        if not inside.all():
+            first = int(np.argmin(inside.reshape(-1, n).all(axis=0)))
+            raise ValueError(f"transmit power outside "
+                             f"[0, {budgets[first]:.6g}] W budget")
+        # A clip with array bounds gives +0.0 at a -0.0 power; minimum and
+        # a clip with scalar bounds both keep its sign.
+        clipped = minimum(arr, p_max).clip(0.0, inf)
         if tpa:
             out = sqrt(clipped * p_max) / eta_max
         else:
             out = (clipped + bias) / scale
-        return float(out) if arr.ndim == 0 else out
+        # Back to one row per amplifier: Python floats for a 1-D array of
+        # float powers, arrays otherwise.
+        total, *rest = out.tolist() if out.ndim == 1 else out.T
+        for part in rest:
+            total = total + part
+        return total
 
     return draw
 
 
 def pa_consumption(pa: PaModel, p):
-    """Power drawn by the amplifier to emit average transmit power ``p``.
-
-    One body serves floats and arrays (:func:`pa_draw`).  ``p`` is anything
+    """Power drawn by the amplifier to emit average transmit power ``p``:
+    :func:`pa_draw` of the one amplifier.  ``p`` is anything
     ``np.asarray(p, dtype=float)`` accepts: a 0-d input (a Python or numpy
     number, or a 0-d array) gives a Python float, and any other gives an
     ndarray of its shape.  Rejects any power outside the [0, p_max] budget,

@@ -15,14 +15,16 @@ oracle's grid all derive from it.
 Each closed form is stated once, as a binder: ``Slot.bind(s)`` reads the
 scenario's channel gains, demands, frame and bandwidth once and returns the
 powers as a function of the duration alone.  ``Slot.bound_cost`` composes
-it with the slot's active power, whose PA draws are bound to their
-amplifiers (:func:`~fdrelay.model.pa_draw`), so a search that evaluates a
-slot's cost many times does only arithmetic on bound values.  Each bound
-closed form has one body that serves a float duration, in pure ``math``
-for the solver, and an array of durations, bit for bit the same numbers,
-for the oracle.  The single-slot strategy is one slot like any other: its
-closed form picks the larger of two relay-power cases, and the description
-reports which case binds.
+it with the slot's active power, whose PA draw is bound once to the
+amplifiers of all the slot's nodes (:func:`~fdrelay.model.pa_draw`), so a
+search that evaluates a slot's cost many times does only arithmetic on
+bound values, and prices the PA draw of every node in one numpy pass.
+Each scenario has amplifiers of one kind, so one curve serves the whole
+slot.  Each bound closed form has one body that serves a float duration,
+in pure ``math`` for the solver, and an array of durations, bit for bit
+the same numbers, for the oracle.  The single-slot strategy is one slot
+like any other: its closed form picks the larger of two relay-power cases,
+and the description reports which case binds.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .model import (
     Scenario,
     Strategy,
     pa_draw,
+    pa_draw_range,
 )
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # this name on this module, so it stays importable from it.
@@ -65,6 +68,7 @@ __all__ = [
     "powers_hd",
     "energy_hd",
     "energy_hd_at",
+    "peak_power",
 ]
 
 # 2**x overflows double precision near x ~ 1024; anything past this is an
@@ -163,15 +167,14 @@ class Slot:
     def _bound_active(self, s: Scenario) -> Callable[..., float]:
         """:meth:`active` as a function of the transmit powers alone, with
         the scenario's circuit power read once and one PA draw bound to
-        each node's amplifier."""
+        the amplifiers of all the slot's nodes, in slot order, which
+        prices every node in one numpy pass (:func:`~fdrelay.model.pa_draw`).
+        """
         static, dynamic = self.circuit(s)
-        first, *rest = [pa_draw(getattr(s.pa, node)) for node in self.nodes]
+        draw = pa_draw(*[getattr(s.pa, node) for node in self.nodes])
 
         def active(*powers):
-            draw = first(powers[0])
-            for node_draw, p in zip(rest, powers[1:], strict=True):
-                draw = draw + node_draw(p)
-            return draw + static + dynamic
+            return draw(*powers) + static + dynamic
 
         return active
 
@@ -252,6 +255,26 @@ def frame_energy(s: Scenario, durations, actives):
         idle -= t
     total = energy + s.p_idle_total * idle
     return total if isinstance(total, np.ndarray) else float(total)
+
+
+def peak_power(s: Scenario) -> float:
+    """The most power a slot of any strategy can draw in ``s``: the PA
+    draws of the slot's nodes, every amplifier at its ``p_max``, summed in
+    slot order, plus the slot's static and dynamic circuit power.  In float
+    arithmetic (:func:`~fdrelay.model.pa_draw_range`), so that a build can
+    check it cheaply; every strategy counts, since a sweep hands one built
+    scenario to each."""
+    top = {node: pa_draw_range(getattr(s.pa, node))[1]
+           for node in ("a", "r", "b")}
+    peak = 0.0
+    for desc in DESCRIPTIONS.values():
+        for slot in desc.slots:
+            draw = 0.0
+            for node in slot.nodes:
+                draw += top[node]
+            static, dynamic = slot.circuit(s)
+            peak = max(peak, draw + static + dynamic)
+    return peak
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
-from .config import ScenarioParams
+from .config import ScenarioParams, unbuildable_is_config_error
 from .model import InfeasibleError, PaKind, Scenario, Schedule, Strategy
 from .solver import solve
 from .strategies import DESCRIPTIONS
@@ -123,6 +123,12 @@ def _solve_or_none(s: Scenario) -> Schedule | None:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Solve every sweep point; infeasible points yield flagged rows.
 
+    A grid point whose parameters build no scenario raises
+    :class:`~fdrelay.config.ConfigError` naming its axis values: the
+    values of two axes can build none together although each builds one
+    alone (say a low PA efficiency and a high total rate, whose frame
+    energy at full budget overflows only together).
+
     A strategy that never reads the residual self-interference gains is
     solved once per distinct problem of this call: its rows are keyed by
     the scenario with those gains set to 0, and rows with one key share one
@@ -136,9 +142,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for v1 in spec.axis1.values:
         for v2 in axis2_values:
             base = apply_axis(spec.base, spec.axis1.kind, v1)
+            point = f"{spec.axis1.kind.value} {v1:g}"
             if spec.axis2 is not None:
                 base = apply_axis(base, spec.axis2.kind, v2)
-            built = base.build()
+                point += f", {spec.axis2.kind.value} {v2:g}"
+            with unbuildable_is_config_error(
+                    f"sweep point {point} builds no scenario"):
+                built = base.build()
             for strategy in spec.strategies:
                 s = replace(built, strategy=strategy)
                 if DESCRIPTIONS[strategy].reads_self_interference:

@@ -1,11 +1,11 @@
-"""Each slot and each amplifier is bound to its scenario once per solve.
+"""Each slot and its amplifiers are bound to their scenario once per solve.
 
-A slot's closed form (``Slot.bind``) and each node's PA draw
-(``model.pa_draw``) read the scenario's constants when they are bound, so
-a solve binds each a fixed number of times, however many slot-cost
-evaluations its search makes.  A bound draw, reused, is the same function
-as ``pa_consumption``: every draw equals it bit for bit and every rejected
-power raises the same error.
+A slot's closed form (``Slot.bind``) and the PA draw of the slot's nodes
+(``model.pa_draw``, one bind per slot) read the scenario's constants when
+they are bound, so a solve binds each a fixed number of times, however many
+slot-cost evaluations its search makes.  A bound draw, reused, is the same
+function as ``pa_consumption``: every draw equals it bit for bit and every
+rejected power raises the same error.
 """
 
 from dataclasses import replace
@@ -53,9 +53,9 @@ def _counted_solve(monkeypatch, s):
             return counted_powers
         return counted
 
-    def counted_draw(pa):
+    def counted_draw(*pas):
         counts["draw"] += 1
-        return pa_draw(pa)
+        return pa_draw(*pas)
 
     desc = DESCRIPTIONS[s.strategy]
     monkeypatch.setitem(DESCRIPTIONS, s.strategy, replace(desc, slots=tuple(
@@ -84,8 +84,8 @@ def test_binds_do_not_grow_with_the_evaluations(monkeypatch, strategy, pa,
         evaluations.append(counts["powers"])
     slots = DESCRIPTIONS[strategy].slots
     # The window binds each slot once and the solve once more; the solve
-    # binds one draw per node of each slot.
-    assert binds == {(2 * len(slots), sum(len(slot.nodes) for slot in slots))}
+    # binds one draw per slot, for all of the slot's nodes.
+    assert binds == {(2 * len(slots), len(slots))}
     assert max(evaluations) > evaluations[0], evaluations
 
 

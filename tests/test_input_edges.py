@@ -5,6 +5,7 @@ default frame."""
 import io
 import math
 import re
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -15,6 +16,7 @@ from fdrelay.config import (ConfigError, ScenarioParams, parse_params,
                             unbuildable_is_config_error)
 from fdrelay.model import Strategy
 from fdrelay.solver import solve
+from fdrelay.strategies import peak_power
 
 FLOAT_KEYS = [f.name for f in fields(ScenarioParams)
               if isinstance(f.default, float)]
@@ -117,3 +119,78 @@ def test_sweep_to_an_overflowing_efficiency_exits_as_a_config_error():
     assert code == EXIT_CONFIG
     assert "eta_max = 1e-320" in err.getvalue()
     assert out.getvalue() == ""
+
+
+# Bandwidth times the shortest slot, a millionth of the frame, underflows
+# to 0: each pair, each way round.
+UNDERFLOWING_LOADS = [("1e-300", "1e-300"), ("1e-300", "1e-150"),
+                      ("1e-150", "1e-300")]
+
+
+def _cli(argv, text, tmp_path):
+    """Exit code and stderr of one CLI call on the config ``text``."""
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_main(argv + ["--config", str(cfg)], out, err)
+    return code, err.getvalue()
+
+
+SWEEP = ["sweep", "--axis", "cancellation", "--from", "20", "--to", "21",
+         "--step", "1"]
+
+
+@pytest.mark.parametrize("bandwidth, frame", UNDERFLOWING_LOADS)
+def test_underflowing_load_is_a_config_error(tmp_path, bandwidth, frame):
+    text = f"bandwidth_mhz = {bandwidth}\nframe_t_ms = {frame}\n"
+    with pytest.raises(ConfigError, match=f"bandwidth_mhz = {bandwidth}.*"
+                                          f"frame_t_ms = {frame}"):
+        with unbuildable_is_config_error():
+            parse_params(text).build()
+    for strategy in Strategy:
+        code, err = _cli(["solve", "--strategy", strategy.value], text,
+                         tmp_path)
+        assert code == EXIT_CONFIG and "bandwidth_mhz" in err, err
+    code, err = _cli(SWEEP, text, tmp_path)
+    assert code == EXIT_CONFIG and "bandwidth_mhz" in err, err
+
+
+# A 1e300 ms frame whose energy at full budget overflows a float, each with
+# the key its error must name.
+OVERFLOWING_FRAMES = ([("eta_max", "1e-300"), ("epsilon_mw_per_gbps", "1e300")]
+                      + [(f"p_{kind}_{node}_mw", "1e300")
+                         for kind in ("base", "idle") for node in "arb"])
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("key, value", OVERFLOWING_FRAMES)
+def test_overflowing_frame_energy_is_a_config_error(tmp_path, strategy, key,
+                                                    value):
+    text = f"frame_t_ms = 1e300\n{key} = {value}\n"
+    family = re.sub("_[arb]_", "_*_", key)
+    params = replace(parse_params(text), strategy=strategy)
+    with pytest.raises(ConfigError, match="frame energy") as err:
+        with unbuildable_is_config_error():
+            params.build()
+    assert "frame_t_ms = 1e+300" in str(err.value)
+    assert family in str(err.value)
+    code, err = _cli(["solve", "--strategy", strategy.value], text, tmp_path)
+    assert code == EXIT_CONFIG and "frame energy" in err, err
+    code, err = _cli(SWEEP + ["--strategy", strategy.value], text, tmp_path)
+    assert code == EXIT_CONFIG and "frame energy" in err, err
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("pa", ["tpa", "etpa"])
+def test_frame_energy_just_inside_a_float_solves(strategy, pa):
+    """A frame whose energy at full budget is just under the largest float
+    builds, and every strategy solves it to a finite energy; a frame 1%
+    longer is refused."""
+    params = parse_params(f"eta_max = 1e-300\npa = {pa}\n")
+    params = replace(params, strategy=strategy)
+    s = params.build()
+    limit_ms = sys.float_info.max / (peak_power(s) + s.p_idle_total) * 1e3
+    sched = solve(replace(params, frame_t_ms=0.999 * limit_ms).build())
+    assert math.isfinite(sched.e_total) and sched.ee > 0
+    with pytest.raises(ValueError, match="frame energy"):
+        replace(params, frame_t_ms=1.01 * limit_ms).build()

@@ -8,16 +8,26 @@ equal it by ``repr`` (floats) and ``tobytes()`` (arrays), for every kind
 of input ``np.asarray`` takes, and every rejected power must raise the
 same ``ValueError``.  The draw, and so each slot's active power, must also
 never fall as a power grows: the oracle's grid relies on it.
+
+A slot draws all its nodes' amplifiers in one pass (``pa_draw(*pas)``).
+That draw must equal one ``pa_consumption`` call per amplifier, added left
+to right, bit for bit, and must reject a power as the first rejecting call
+would.
 """
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fdrelay.config import ScenarioParams
-from fdrelay.model import PaKind, PaModel, Strategy, pa_consumption
+from fdrelay.model import (PaKind, PaModel, Strategy, pa_consumption,
+                           pa_draw)
 from fdrelay.strategies import DESCRIPTIONS
+
+from test_powers_arrays import _assert_same
 
 _SLACK = 1e-9
 
@@ -168,3 +178,108 @@ def test_slot_active_never_falls_along_a_power_axis(strategy, pa_kind, rng):
         assert active.shape == tuple(axis.size for axis in axes)
         for w in range(len(axes)):
             assert (np.diff(active, axis=w) >= 0).all()
+
+
+# Amplifier sets of one kind, as a slot binds them: one, two and three
+# nodes, each with its own p_max, so that an error names one of them.
+SLOT_PAS = [tuple(PaModel(kind, p_max, 0.35) for p_max in p_maxes)
+            for kind in PaKind
+            for p_maxes in [(5.0,), (39.810717055349734, 5.0),
+                            (0.19952623149688797, 39.810717055349734, 5.0)]]
+
+
+def _per_node(pas, powers):
+    """The slot draw as one ``pa_consumption`` call per amplifier, added
+    left to right."""
+    total = pa_consumption(pas[0], powers[0])
+    for pa, p in zip(pas[1:], powers[1:], strict=True):
+        total = total + pa_consumption(pa, p)
+    return total
+
+
+@pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
+def test_slot_draw_equals_the_per_node_sum(pas, rng):
+    draw = pa_draw(*pas)
+    insides = [_inside(pa, rng) for pa in pas]
+    for powers in zip(*[x.tolist() for x in insides]):
+        got = draw(*powers)
+        assert type(got) is float
+        _assert_same(got, _per_node(pas, powers))
+    # One array per node, then every input form, the same form for each.
+    _assert_same(draw(*insides), _per_node(pas, insides))
+    for forms in zip(*[_inputs(pa) for pa in pas]):
+        _assert_same(draw(*forms), _per_node(pas, forms))
+    # Floats beside arrays broadcast as the per-node sum does.
+    mixed = (insides[0],) + tuple(pa.p_max / 3 for pa in pas[1:])
+    _assert_same(draw(*mixed), _per_node(pas, mixed))
+
+
+@pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
+def test_slot_draw_broadcasts_a_mesh_as_the_per_node_sum(pas, rng):
+    """The oracle's open mesh: one axis per node, each of its own shape."""
+    axes = [np.sort(_inside(pa, rng)[:9]) for pa in pas]
+    mesh = np.ix_(*axes)
+    got = pa_draw(*pas)(*mesh)
+    assert got.shape == tuple(axis.size for axis in axes)
+    _assert_same(got, _per_node(pas, mesh))
+    # A column against a row, and a 0-d array against both.
+    if len(pas) > 1:
+        shapes = [(-1, 1), (1, -1), ()][:len(pas)]
+        powers = [np.asarray(axis if shape else axis[3]).reshape(shape)
+                  for axis, shape in zip(axes, shapes)]
+        _assert_same(pa_draw(*pas)(*powers), _per_node(pas, powers))
+
+
+@pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
+def test_slot_draw_at_negative_zero_and_budget_edges(pas):
+    """-0.0 in every position, beside every budget edge of the others,
+    keeps the sign the per-node sum gives, for floats and arrays."""
+    draw = pa_draw(*pas)
+    values = [[-0.0] + _edges(pa) for pa in pas]
+    for powers in itertools.product(*values):
+        _assert_same(draw(*powers), _per_node(pas, powers))
+    for k in range(len(pas)):
+        arrays = [np.full(7, -0.0) if j == k else np.array(_edges(pa))
+                  for j, pa in enumerate(pas)]
+        _assert_same(draw(*arrays), _per_node(pas, arrays))
+    zeros = [np.full(17, -0.0)] * len(pas)
+    _assert_same(draw(*zeros), _per_node(pas, zeros))
+
+
+@pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
+def test_slot_draw_names_the_first_node_out_of_budget(pas, rng):
+    """A power out of its budget raises the error of the first per-node
+    call that rejects one: the p_max of the first such node in slot
+    order, whatever a later node holds."""
+    draw = pa_draw(*pas)
+    for first in range(len(pas)):
+        for later in range(first, len(pas)):
+            for bad in _outside(pas[later]):
+                powers = [pa.p_max / 2 for pa in pas]
+                powers[first] = _outside(pas[first])[1]
+                powers[later] = bad
+                with pytest.raises(ValueError) as want:
+                    _per_node(pas, powers)
+                assert f"{pas[first].p_max:.6g}]" in str(want.value)
+                with pytest.raises(ValueError) as got:
+                    draw(*powers)
+                assert str(got.value) == str(want.value)
+                arrays = [np.append(_inside(pa, rng), p)
+                          for pa, p in zip(pas, powers)]
+                with pytest.raises(ValueError) as got:
+                    draw(*arrays)
+                assert str(got.value) == str(want.value)
+
+
+def test_slot_draw_takes_one_kind():
+    tpa, etpa = (PaModel(kind, 5.0, 0.35) for kind in PaKind)
+    with pytest.raises(ValueError, match="of one kind, got tpa, etpa"):
+        pa_draw(tpa, etpa)
+
+
+def test_scenario_with_mixed_amplifiers_is_refused():
+    s = ScenarioParams(pa=PaKind.ETPA).build()
+    tpa = PaModel(PaKind.TPA, s.pa.r.p_max, s.pa.r.eta_max)
+    with pytest.raises(ValueError,
+                       match="of one kind, got a: etpa, r: tpa, b: etpa"):
+        replace(s, pa=replace(s.pa, r=tpa))

@@ -435,6 +435,22 @@ class TestCli:
         assert "axis pa-efficiency value 0 builds no scenario" in err
         assert out == ""
 
+    def test_axis_values_that_overflow_only_together_are_config_error(
+            self, tmp_path):
+        """Each axis value builds alone; together the frame energy at full
+        budget overflows a float, which the sweep reports as a config
+        error naming the point."""
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("frame_t_ms = 5.5e8\nepsilon_mw_per_gbps = 1e300\n")
+        axes = ("--axis", "pa-efficiency", "--from", "1e-300", "--to",
+                "1e-300", "--step", "1", "--axis2", "total-rate", "--from2",
+                "1.3e8", "--to2", "1.3e8", "--step2", "1")
+        code, out, err = self.run("sweep", "--config", str(cfg), *axes)
+        assert code == EXIT_CONFIG
+        assert ("sweep point pa-efficiency 1e-300, total-rate 1.3e+08 builds "
+                "no scenario: the frame energy at full budget") in err, err
+        assert out == ""
+
     def test_overflowing_config_value_is_config_error(self, tmp_path):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("alpha_db = 1e5\n")
