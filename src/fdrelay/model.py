@@ -4,9 +4,10 @@ Everything downstream (capacity formulas, energy objectives, solvers) is built
 on the value objects defined here.  All quantities are SI internally: watts,
 hertz, seconds, bit/s.  Conversions from dB / dBm / distance happen at the
 configuration boundary, never inside the math.  The PA draw binds to the
-amplifiers of a slot's nodes once (:func:`pa_draw`), so a search that draws
-many times reads their constants once and prices every node of the slot in
-one numpy pass.
+amplifiers of a frame's nodes once (:func:`pa_draw`), so a search that draws
+many times reads their constants once and prices every node of every slot
+in one numpy pass; it returns each amplifier's draw, and the caller adds a
+slot's nodes left to right.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ class PerNode(Generic[_T]):
 class Scenario:
     """One complete problem instance to schedule.
 
-    Every node's amplifier is of one kind (``pa.a.kind``), since a slot
+    Every node's amplifier is of one kind (``pa.a.kind``), since a frame
     prices all its nodes' draws through one curve (:func:`pa_draw`); a
     scenario that mixes TPA and ETPA amplifiers raises ValueError.
     """
@@ -342,24 +343,27 @@ def pa_draw_range(pa: PaModel) -> tuple[float, float]:
 
 
 def pa_draw(*pas: PaModel) -> Callable:
-    """The summed draw of one or more amplifiers of one kind, as a function
-    of their transmit powers alone: ``draw(*powers)``, one power per
-    amplifier, in argument order.
+    """The draw of each of one or more amplifiers of one kind, as a
+    function of their transmit powers alone: ``draw(*powers)``, one power
+    per amplifier, in argument order.
 
     The budget range, ``p_max``, ``eta_max`` and the ETPA curve's
     constants of every amplifier are read once, here, into per-amplifier
     arrays, so a caller that draws many times pays for them once, and each
     call prices every amplifier in one numpy pass: one range check, one
-    clip and one curve.  Float powers go into one 1-D array, and the draw
-    is a Python float; powers of one shape stack into one array, and powers
-    of different shapes are broadcast first, which gives the broadcast
-    array.  The amplifiers' draws are added left to right in argument
-    order, so the sum is, bit for bit, that of one :func:`pa_consumption`
+    clip and one curve.  A caller may bind the amplifiers of a whole frame,
+    several slots' nodes in slot order, and one amplifier may appear more
+    than once.  Float powers go into one 1-D array, and the draw is a list
+    of Python floats, one per amplifier; powers of one shape stack into one
+    array, and powers of different shapes are broadcast first, which gives
+    one row per amplifier, of the broadcast shape.  The draws are not
+    summed: a caller adds a slot's rows left to right in argument order,
+    and the sum is then, bit for bit, that of one :func:`pa_consumption`
     call per amplifier.  A power outside its amplifier's budget, NaN and
     +-inf included, raises a ValueError naming the ``p_max`` of the first
-    such amplifier; so does a count of powers that is not one per
-    amplifier.  Raises ValueError for amplifiers of more than one kind,
-    and for an amplifier whose draw overflows a float
+    such amplifier in argument order; so does a count of powers that is
+    not one per amplifier.  Raises ValueError for amplifiers of more than
+    one kind, and for an amplifier whose draw overflows a float
     (:func:`pa_draw_range`).
     """
     kind = pas[0].kind
@@ -380,6 +384,7 @@ def pa_draw(*pas: PaModel) -> Callable:
         [(1.0 + k) * pa.eta_max for k, pa in zip(uk, pas)]])
     tpa = kind is PaKind.TPA
     asarray, minimum, sqrt, inf = np.asarray, np.minimum, np.sqrt, math.inf
+    count_nonzero = np.count_nonzero
 
     def draw(*powers):
         if len(powers) != n:
@@ -394,8 +399,9 @@ def pa_draw(*pas: PaModel) -> Callable:
         arr = arr.T
         # NaN fails both comparisons and an infinity one of them, so this
         # one range test also rejects every non-finite power.
+        # (count_nonzero skips the Python-level wrapper of ndarray.all.)
         inside = (arr >= lo) & (arr <= hi)
-        if not inside.all():
+        if count_nonzero(inside) != inside.size:
             first = int(np.argmin(inside.reshape(-1, n).all(axis=0)))
             raise ValueError(f"transmit power outside "
                              f"[0, {budgets[first]:.6g}] W budget")
@@ -408,23 +414,21 @@ def pa_draw(*pas: PaModel) -> Callable:
             out = (clipped + bias) / scale
         # Back to one row per amplifier: Python floats for a 1-D array of
         # float powers, arrays otherwise.
-        total, *rest = out.tolist() if out.ndim == 1 else out.T
-        for part in rest:
-            total = total + part
-        return total
+        return out.tolist() if out.ndim == 1 else out.T
 
     return draw
 
 
 def pa_consumption(pa: PaModel, p):
     """Power drawn by the amplifier to emit average transmit power ``p``:
-    :func:`pa_draw` of the one amplifier.  ``p`` is anything
-    ``np.asarray(p, dtype=float)`` accepts: a 0-d input (a Python or numpy
-    number, or a 0-d array) gives a Python float, and any other gives an
-    ndarray of its shape.  Rejects any power outside the [0, p_max] budget,
-    and any amplifier whose draw overflows a float.
+    the one element of :func:`pa_draw` of the one amplifier.  ``p`` is
+    anything ``np.asarray(p, dtype=float)`` accepts: a 0-d input (a Python
+    or numpy number, or a 0-d array) gives a Python float, and any other
+    gives an ndarray of its shape.  A -0.0 power draws what the curve gives
+    at -0.0, sign and all.  Rejects any power outside the [0, p_max]
+    budget, and any amplifier whose draw overflows a float.
     """
-    return pa_draw(pa)(p)
+    return pa_draw(pa)(p)[0]
 
 
 def ee_from_energy(r_fl: float, r_rl: float, frame_t: float, e_total: float) -> float:

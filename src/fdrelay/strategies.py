@@ -14,15 +14,15 @@ oracle's grid all derive from it.
 
 Each closed form is stated once, as a binder: ``Slot.bind(s)`` reads the
 scenario's channel gains, demands, frame and bandwidth once and returns the
-powers as a function of the duration alone.  ``Slot.bound_cost`` composes
-it with the slot's active power, whose PA draw is bound once to the
-amplifiers of all the slot's nodes (:func:`~fdrelay.model.pa_draw`), so a
-search that evaluates a slot's cost many times does only arithmetic on
-bound values, and prices the PA draw of every node in one numpy pass.
-Each scenario has amplifiers of one kind, so one curve serves the whole
-slot.  Each bound closed form has one body that serves a float duration,
-in pure ``math`` for the solver, and an array of durations, bit for bit
-the same numbers, for the oracle.  The single-slot strategy is one slot
+powers as a function of the duration alone.  ``Description.bind_frame``
+binds every slot's closed form and circuit power, and one PA draw over the
+amplifiers of every slot's nodes (:func:`~fdrelay.model.pa_draw`), so a
+search that prices the frame many times does only arithmetic on bound
+values, and prices the PA draw of every node of every slot in one numpy
+pass.  Each scenario has amplifiers of one kind, so one curve serves the
+whole frame.  Each bound closed form has one body that serves a float
+duration, in pure ``math`` for the solver, and an array of durations, bit
+for bit the same numbers, for the oracle.  The single-slot strategy is one slot
 like any other: its closed form picks the larger of two relay-power cases,
 and the description reports which case binds.
 """
@@ -164,43 +164,24 @@ class Slot:
         """(node, p_max) of each transmit power."""
         return tuple((node, getattr(s.pa, node).p_max) for node in self.nodes)
 
-    def _bound_active(self, s: Scenario) -> Callable[..., float]:
-        """:meth:`active` as a function of the transmit powers alone, with
-        the scenario's circuit power read once and one PA draw bound to
-        the amplifiers of all the slot's nodes, in slot order, which
-        prices every node in one numpy pass (:func:`~fdrelay.model.pa_draw`).
-        """
-        static, dynamic = self.circuit(s)
-        draw = pa_draw(*[getattr(s.pa, node) for node in self.nodes])
-
-        def active(*powers):
-            return draw(*powers) + static + dynamic
-
-        return active
-
     def active(self, s: Scenario, *powers):
         """Power the slot draws at the given transmit powers: the PA draw of
-        each node, summed in slot order, then the static and the dynamic
-        circuit power.  ndarray powers give the broadcast array."""
-        return self._bound_active(s)(*powers)
-
-    def bound_cost(self, s: Scenario, powers: Callable[..., tuple],
-                   active: Callable[..., float]) -> Callable[[float], float]:
-        """:meth:`cost` as a function of the duration alone, composed of the
-        slot's closed form and active power bound to ``s`` (``bind(s)`` and
-        ``_bound_active(s)``).  With the idle draw read here too, a search
-        that evaluates the cost many times does only arithmetic on bound
-        values."""
-        idle = s.p_idle_total
-
-        def cost(t: float) -> float:
-            return (active(*powers(t)) - idle) * t
-
-        return cost
+        each node, in one pass over the slot's amplifiers
+        (:func:`~fdrelay.model.pa_draw`) and summed in slot order, then the
+        static and the dynamic circuit power.  ndarray powers give the
+        broadcast array."""
+        static, dynamic = self.circuit(s)
+        draws = pa_draw(*[getattr(s.pa, node) for node in self.nodes])(*powers)
+        total = draws[0]
+        for part in draws[1:]:
+            total = total + part
+        return total + static + dynamic
 
     def cost(self, s: Scenario, t: float) -> float:
-        """Energy above the idle draw that the slot spends over duration t."""
-        return self.bound_cost(s, self.bind(s), self._bound_active(s))(t)
+        """Energy above the idle draw that the slot spends over duration t,
+        for one-off callers; the solver prices every slot of a frame at
+        once (:meth:`Description.bind_frame`), bit for bit the same."""
+        return (self.active(s, *self.powers(s, t)) - s.p_idle_total) * t
 
 
 def _no_case(s: Scenario, *durations: float) -> None:
@@ -226,6 +207,57 @@ class Description:
     convex_under_tpa: bool = True
     reads_self_interference: bool = True
     active_case: Callable[..., RelayCase | None] = _no_case
+
+    def bind_frame(self, s: Scenario) -> Callable[..., tuple]:
+        """The frame priced at one duration per slot, bound to ``s``:
+        ``price(*durations)`` gives ``(powers, actives, costs)``, each
+        slot's closed-form powers, its active power and its cost, the
+        energy above the idle draw it spends over its duration.
+
+        Each slot's closed form and circuit power and the idle draw are
+        read here, once, and one PA draw is bound to the amplifiers of
+        every slot's nodes, in slot order (the relay of fd2ts twice), so a
+        search that prices the frame many times does only arithmetic on
+        bound values and one numpy pass per frame point.  Each slot's draws
+        are added left to right, then its static and its dynamic circuit
+        power, and ``(active - idle) * t`` is its cost: bit for bit
+        :meth:`Slot.active` and :meth:`Slot.cost`.  A slot that is closed,
+        or whose duration is already fixed, is priced at that duration in
+        the same pass.  A power outside its budget raises the ValueError
+        that pricing the slots one after another would raise first: it
+        names the ``p_max`` of the first such node in slot order.
+        """
+        slots = self.slots
+        binds = [slot.bind(s) for slot in slots]
+        draw = pa_draw(*[getattr(s.pa, node)
+                         for slot in slots for node in slot.nodes])
+        # Per slot: the index of its first node's draw, the indices of the
+        # rest, and its static and dynamic circuit power.
+        layout, first = [], 0
+        for slot in slots:
+            end = first + len(slot.nodes)
+            layout.append((first, range(first + 1, end), *slot.circuit(s)))
+            first = end
+        idle = s.p_idle_total
+
+        def price(*durations):
+            powers, flat = [], []
+            for bind, t in zip(binds, durations):
+                slot_powers = bind(t)
+                powers.append(slot_powers)
+                flat += slot_powers
+            draws = draw(*flat)
+            actives, costs = [], []
+            for (first, rest, static, dynamic), t in zip(layout, durations):
+                total = draws[first]
+                for k in rest:
+                    total = total + draws[k]
+                active = total + static + dynamic
+                actives.append(active)
+                costs.append((active - idle) * t)
+            return powers, actives, costs
+
+        return price
 
     def energy(self, s: Scenario, *durations: float) -> float:
         """Frame energy at each slot's closed-form powers."""

@@ -1,11 +1,11 @@
 """Each slot and its amplifiers are bound to their scenario once per solve.
 
-A slot's closed form (``Slot.bind``) and the PA draw of the slot's nodes
-(``model.pa_draw``, one bind per slot) read the scenario's constants when
-they are bound, so a solve binds each a fixed number of times, however many
-slot-cost evaluations its search makes.  A bound draw, reused, is the same
-function as ``pa_consumption``: every draw equals it bit for bit and every
-rejected power raises the same error.
+A slot's closed form (``Slot.bind``) and the PA draw of the frame's nodes
+(``model.pa_draw``, one bind per solve, for every node of every slot) read
+the scenario's constants when they are bound, so a solve binds each a fixed
+number of times, however many slot-cost evaluations its search makes.  A
+bound draw, reused, is the same function as ``pa_consumption``: every draw
+equals it bit for bit and every rejected power raises the same error.
 """
 
 from dataclasses import replace
@@ -84,8 +84,8 @@ def test_binds_do_not_grow_with_the_evaluations(monkeypatch, strategy, pa,
         evaluations.append(counts["powers"])
     slots = DESCRIPTIONS[strategy].slots
     # The window binds each slot once and the solve once more; the solve
-    # binds one draw per slot, for all of the slot's nodes.
-    assert binds == {(2 * len(slots), len(slots))}
+    # binds one draw, for every node of every slot (Description.bind_frame).
+    assert binds == {(2 * len(slots), 1)}
     assert max(evaluations) > evaluations[0], evaluations
 
 
@@ -94,11 +94,12 @@ def test_one_bound_draw_equals_every_draw(pa, rng):
     draw = pa_draw(pa)
     inside = _inside(pa, rng)
     for p in inside.tolist() + [-0.0]:
-        assert type(draw(p)) is float
-        assert repr(draw(p)) == repr(pa_consumption(pa, p)), p
+        (got,) = draw(p)
+        assert type(got) is float
+        assert repr(got) == repr(pa_consumption(pa, p)), p
     for p in (inside, inside.reshape(2, -1), inside[:1], np.array([]),
               np.full(7, -0.0), *_inputs(pa)):
-        got, want = draw(p), pa_consumption(pa, p)
+        (got,), want = draw(p), pa_consumption(pa, p)
         if np.ndim(p) == 0:
             assert type(got) is float and repr(got) == repr(want), p
         else:
@@ -132,7 +133,7 @@ def test_bind_refuses_exactly_the_draws_that_overflow(pa):
     with np.errstate(over="ignore", invalid="ignore"):
         ends = _reference(pa, [0.0, pa.p_max])
     if np.isfinite(ends).all():
-        assert pa_draw(pa)(pa.p_max) == ends[1]
+        assert pa_draw(pa)(pa.p_max) == [ends[1]]
     else:
         with pytest.raises(ValueError, match="draw is not finite"):
             pa_draw(pa)

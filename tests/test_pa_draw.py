@@ -9,9 +9,12 @@ of input ``np.asarray`` takes, and every rejected power must raise the
 same ``ValueError``.  The draw, and so each slot's active power, must also
 never fall as a power grows: the oracle's grid relies on it.
 
-A slot draws all its nodes' amplifiers in one pass (``pa_draw(*pas)``).
-That draw must equal one ``pa_consumption`` call per amplifier, added left
-to right, bit for bit, and must reject a power as the first rejecting call
+A frame draws all its nodes' amplifiers in one pass (``pa_draw(*pas)``),
+one amplifier per node of each slot, in slot order, an amplifier perhaps
+more than once.  Each amplifier's draw must equal its own
+``pa_consumption`` call, by ``repr`` or ``tobytes()``; a slot's draws,
+added left to right, must equal one call per amplifier added the same way,
+bit for bit; and the draw must reject a power as the first rejecting call
 would.
 """
 
@@ -180,12 +183,15 @@ def test_slot_active_never_falls_along_a_power_axis(strategy, pa_kind, rng):
             assert (np.diff(active, axis=w) >= 0).all()
 
 
-# Amplifier sets of one kind, as a slot binds them: one, two and three
-# nodes, each with its own p_max, so that an error names one of them.
+# Amplifier sets of one kind, as a frame binds them: one, two and three
+# nodes, each with its own p_max, so that an error names one of them, and
+# four, the relay's amplifier twice, as fd2ts binds its two slots.
 SLOT_PAS = [tuple(PaModel(kind, p_max, 0.35) for p_max in p_maxes)
             for kind in PaKind
             for p_maxes in [(5.0,), (39.810717055349734, 5.0),
-                            (0.19952623149688797, 39.810717055349734, 5.0)]]
+                            (0.19952623149688797, 39.810717055349734, 5.0),
+                            (39.810717055349734, 5.0, 0.19952623149688797,
+                             5.0)]]
 
 
 def _per_node(pas, powers):
@@ -197,21 +203,47 @@ def _per_node(pas, powers):
     return total
 
 
+def _added(draws):
+    """Each amplifier's draw, added left to right, as a slot adds its
+    nodes' draws."""
+    total = draws[0]
+    for part in draws[1:]:
+        total = total + part
+    return total
+
+
+def _assert_rows(pas, powers):
+    """Each amplifier's draw equals its own ``pa_consumption`` call: by
+    ``repr`` for 0-d powers, which give a list of Python floats, and by
+    ``tobytes()`` of the broadcast shape otherwise.  Returns the draws."""
+    draws = pa_draw(*pas)(*powers)
+    assert len(draws) == len(pas)
+    shape = np.broadcast_shapes(*[np.shape(p) for p in powers])
+    if shape == ():
+        assert isinstance(draws, list)
+        for got, pa, p in zip(draws, pas, powers):
+            _assert_same(got, pa_consumption(pa, p))
+        return draws
+    for got, pa, p in zip(draws, pas, powers):
+        want = np.broadcast_to(pa_consumption(pa, p), shape)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+    return draws
+
+
 @pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
 def test_slot_draw_equals_the_per_node_sum(pas, rng):
-    draw = pa_draw(*pas)
     insides = [_inside(pa, rng) for pa in pas]
     for powers in zip(*[x.tolist() for x in insides]):
-        got = draw(*powers)
+        got = _added(_assert_rows(pas, powers))
         assert type(got) is float
         _assert_same(got, _per_node(pas, powers))
     # One array per node, then every input form, the same form for each.
-    _assert_same(draw(*insides), _per_node(pas, insides))
+    _assert_same(_added(_assert_rows(pas, insides)), _per_node(pas, insides))
     for forms in zip(*[_inputs(pa) for pa in pas]):
-        _assert_same(draw(*forms), _per_node(pas, forms))
+        _assert_same(_added(_assert_rows(pas, forms)), _per_node(pas, forms))
     # Floats beside arrays broadcast as the per-node sum does.
     mixed = (insides[0],) + tuple(pa.p_max / 3 for pa in pas[1:])
-    _assert_same(draw(*mixed), _per_node(pas, mixed))
+    _assert_same(_added(_assert_rows(pas, mixed)), _per_node(pas, mixed))
 
 
 @pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
@@ -219,31 +251,33 @@ def test_slot_draw_broadcasts_a_mesh_as_the_per_node_sum(pas, rng):
     """The oracle's open mesh: one axis per node, each of its own shape."""
     axes = [np.sort(_inside(pa, rng)[:9]) for pa in pas]
     mesh = np.ix_(*axes)
-    got = pa_draw(*pas)(*mesh)
+    got = _added(_assert_rows(pas, mesh))
     assert got.shape == tuple(axis.size for axis in axes)
     _assert_same(got, _per_node(pas, mesh))
-    # A column against a row, and a 0-d array against both.
+    # A column against a row, and 0-d arrays against both.
     if len(pas) > 1:
-        shapes = [(-1, 1), (1, -1), ()][:len(pas)]
+        shapes = [(-1, 1), (1, -1), (), ()][:len(pas)]
         powers = [np.asarray(axis if shape else axis[3]).reshape(shape)
                   for axis, shape in zip(axes, shapes)]
-        _assert_same(pa_draw(*pas)(*powers), _per_node(pas, powers))
+        _assert_same(_added(_assert_rows(pas, powers)),
+                     _per_node(pas, powers))
 
 
 @pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
 def test_slot_draw_at_negative_zero_and_budget_edges(pas):
     """-0.0 in every position, beside every budget edge of the others,
     keeps the sign the per-node sum gives, for floats and arrays."""
-    draw = pa_draw(*pas)
     values = [[-0.0] + _edges(pa) for pa in pas]
     for powers in itertools.product(*values):
-        _assert_same(draw(*powers), _per_node(pas, powers))
+        _assert_same(_added(_assert_rows(pas, powers)),
+                     _per_node(pas, powers))
     for k in range(len(pas)):
         arrays = [np.full(7, -0.0) if j == k else np.array(_edges(pa))
                   for j, pa in enumerate(pas)]
-        _assert_same(draw(*arrays), _per_node(pas, arrays))
+        _assert_same(_added(_assert_rows(pas, arrays)),
+                     _per_node(pas, arrays))
     zeros = [np.full(17, -0.0)] * len(pas)
-    _assert_same(draw(*zeros), _per_node(pas, zeros))
+    _assert_same(_added(_assert_rows(pas, zeros)), _per_node(pas, zeros))
 
 
 @pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
