@@ -11,19 +11,22 @@ its budget that misses a demand is a wrong closed form: :func:`verify`
 counts it in ``OracleReport.anchor_misses`` and fails.  A correct solver
 must never be worse than the grid.
 
-Both the grid and the convexity probe run in array passes.  Each slot's
-closed-form powers are priced over a whole duration array in one
-``Slot.powers`` call.  The array powers equal the float calls bit for bit
-(the exponentials go through the float power one element at a time,
-because numpy's array ``2.0 ** x`` is one ULP off on some inputs), so the
-reports equal those of a point-by-point run.  Where the single-slot form
-raises :class:`~fdrelay.model.InfeasibleError` for a float, its array holds
-NaN: the grid drops that duration, as it drops a duration whose anchor is
-infinite, over budget or short of a demand.  The grid checks the anchors of
-all durations in one pass.
-:func:`convexity_probe` calls its function once, on one array per
+An audit prices each slot in one pass: one call of the slot's bound
+closed form over the grid's durations and the convexity probe's together,
+and one PA draw over the grid's anchors and the probe's powers together.
+So :func:`verify` binds and draws every slot once per audit, and reads the
+grid best, the anchor misses and the probe's second differences off that
+pass.  The array powers equal the float calls bit for bit (the
+exponentials go through the float power one element at a time, because
+numpy's array ``2.0 ** x`` is one ULP off on some inputs), so the reports
+equal those of a point-by-point run.  Where the single-slot form raises
+:class:`~fdrelay.model.InfeasibleError` for a float, its array holds NaN:
+the grid drops that duration, as it drops a duration whose anchor is
+infinite, over budget or short of a demand, and the probe's draw refuses
+it.  :func:`convexity_probe` calls its function once, on one array per
 coordinate holding every probe point, and refuses a value that is not
-finite; :func:`verify` hands it the scenario's ``Description.energy``.
+finite; its count is the one :func:`verify` takes of the scenario's frame
+energy (``Description.energy``) at the probe points.
 The rate constraints come grouped by the power that closes them
 (``Slot.rates``), and :func:`verify_necessary_conditions` reads each
 group's slacks from that one statement.
@@ -33,14 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .config import ScenarioParams
 from .feasibility import FeasibleWindow, t_floor, tmin_for
-from .model import InfeasibleError, PaKind, Scenario, Schedule, Strategy
-from .strategies import DESCRIPTIONS, Slot
+from .model import (InfeasibleError, PaKind, Scenario, Schedule, Strategy,
+                    pa_draw)
+from .strategies import DESCRIPTIONS, Slot, frame_energy
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # these names on this module, so they stay importable from it.
 from .feasibility import tmin_1ts, tmin_2ts, tmin_hd  # noqa: F401
@@ -140,28 +143,48 @@ def _meets(s: Scenario, slot: Slot, t, *powers):
     return met
 
 
-def _slot_best(s: Scenario, slot: Slot, t_axis: np.ndarray):
-    """Each duration's cheapest rate-feasible active power of one slot
-    (inf off the grid), and how many in-budget anchors miss a demand.
+def _slot_pass(s: Scenario, slot: Slot, t_axis: np.ndarray,
+               t_probe: np.ndarray):
+    """One slot's share of an audit, priced in one pass: each grid
+    duration's cheapest rate-feasible active power (inf off the grid), how
+    many in-budget anchors miss a demand, and the active power at each
+    probe duration in ``t_probe``.
 
-    One ``slot.powers`` call prices the anchors of every duration.  An
-    anchor that is not finite (NaN where the single-slot form raises) or
-    over its budget leaves the grid; one within 1e-9 of its budget is
-    clipped onto it.  One pass checks the capacities of the rest from
-    scratch.  An anchor that misses a demand leaves the grid too, and is a
-    miss unless it was clipped: a clip on the budget edge shows no wrong
-    closed form.
+    The slot's closed form, its circuit power and its PA draw are bound
+    once.  One call of the bound closed form prices the anchors of every
+    grid duration and the powers of every probe duration.  An anchor that
+    is not finite (NaN where the single-slot form raises) or over its
+    budget leaves the grid; one within 1e-9 of its budget is clipped onto
+    it.  One pass checks the capacities of the rest from scratch.  An
+    anchor that misses a demand leaves the grid too, and is a miss unless
+    it was clipped: a clip on the budget edge shows no wrong closed form.
+    One draw then prices the anchors left on the grid followed by the
+    probe powers, each row's draws added in node order, then the static
+    and the dynamic circuit power: bit for bit :meth:`Slot.active`.  A
+    probe power outside its budget raises the draw's ``ValueError``.
     """
+    bind = slot.bind(s)
+    static, dynamic = slot.circuit(s)
+    draw = pa_draw(*[getattr(s.pa, node) for node in slot.nodes])
     caps = np.array([cap for _, cap in slot.budgets(s)])
-    best = np.full(t_axis.size, math.inf)
-    anchors = np.column_stack(slot.powers(s, t_axis))
+    n = t_axis.size
+    powers = np.column_stack(bind(np.concatenate([t_axis, t_probe])))
+    anchors = powers[:n]
     rows = np.flatnonzero((np.isfinite(anchors)
                            & (anchors <= caps * (1.0 + 1e-9))).all(axis=1))
     anchors = anchors[rows]
     clipped = np.minimum(anchors, caps)
     met = _meets(s, slot, t_axis[rows], *clipped.T)
-    best[rows[met]] = slot.active(s, *clipped[met].T)
-    return best, int(np.count_nonzero(~met & (anchors <= caps).all(axis=1)))
+    priced = rows[met]
+    draws = draw(*np.concatenate([clipped[met], powers[n:]]).T)
+    active = draws[0]
+    for part in draws[1:]:
+        active = active + part
+    active = active + static + dynamic
+    best = np.full(n, math.inf)
+    best[priced] = active[:priced.size]
+    misses = int(np.count_nonzero(~met & (anchors <= caps).all(axis=1)))
+    return best, misses, active[priced.size:]
 
 
 def grid_search(s: Scenario):
@@ -174,26 +197,54 @@ def grid_search(s: Scenario):
     miss a demand left the grid empty.  Raises :class:`InfeasibleError`
     when the grid is empty otherwise.
     """
-    energy, point, _ = _grid_search(s, tmin_for(s), _GRID_N_T)
+    energy, point, _, _ = _audit_pass(s, tmin_for(s), _GRID_N_T, 0)
     return energy, point
 
 
-def _grid_search(s: Scenario, window: FeasibleWindow, n_t: int):
-    """:func:`grid_search` at ``n_t`` regular durations per slot, given the
-    scenario's feasibility window; also returns the number of anchors that
-    miss a demand, over all slots."""
-    slots = DESCRIPTIONS[s.strategy].slots
+def _audit_pass(s: Scenario, window: FeasibleWindow, n_t: int,
+                n_samples: int):
+    """The grid at ``n_t`` regular durations per slot and the convexity
+    probe at ``n_samples`` samples (none for 0), given the scenario's
+    feasibility window, in one :func:`_slot_pass` per slot.
+
+    Returns the grid best and its durations (:func:`grid_search`), the
+    number of anchors that miss a demand over all slots, and the probe's
+    count of negative second differences (:func:`convexity_probe` on
+    ``Description.energy``), 0 where the probe does not run: with no
+    samples, outside a feasible window, or where the strategy's energy is
+    only quasi-convex under TPA.  The probe values are the frame energy
+    (:func:`~fdrelay.strategies.frame_energy`) of the slots' active powers
+    at the probe durations, as ``Description.energy_at`` computes them.
+    """
+    desc = DESCRIPTIONS[s.strategy]
+    slots = desc.slots
     floor = t_floor(s)
     extras = (tuple(x for span in window.spans(s.frame_t) for x in span)
               if window.feasible else ())
     t_axis = _duration_axis(floor, s.frame_t - (len(slots) - 1) * floor,
                             n_t, extras)
-    per_slot = [_slot_best(s, slot, t_axis) for slot in slots]
-    misses = sum(m for _, m in per_slot)
-    energy, point = _best_combination(s, t_axis, [b for b, _ in per_slot])
+    # Second differences are no probe of a quasi-convex energy.
+    probed = (n_samples > 0 and window.feasible
+              and (s.pa.a.kind is not PaKind.TPA or desc.convex_under_tpa))
+    probes = []
+    if probed:
+        spans = window.spans(s.frame_t)
+        h, points = _probe_points(spans[0] if len(spans) == 1 else spans,
+                                  n_samples, s.frame_t)
+        coords = points.reshape(-1, points.shape[-1]).T
+        probes = list(coords)
+    # Every slot is on the grid, even where the window of another strategy
+    # gives the probe fewer coordinates than slots.
+    probes += [np.empty(0)] * (len(slots) - len(probes))
+    per_slot = [_slot_pass(s, slot, t_axis, t)
+                for slot, t in zip(slots, probes)]
+    misses = sum(m for _, m, _ in per_slot)
+    energy, point = _best_combination(s, t_axis, [b for b, _, _ in per_slot])
     if not (math.isfinite(energy) or misses):
         raise InfeasibleError("no feasible point on the oracle grid")
-    return energy, point, misses
+    violations = (_concave_count(h, coords, frame_energy(
+        s, coords, [a for _, _, a in per_slot])) if probed else 0)
+    return energy, point, misses, violations
 
 
 def _best_combination(s: Scenario, t_axis: np.ndarray, per_slot):
@@ -335,7 +386,14 @@ def convexity_probe(f, domain, n_samples: int = 200,
     """
     h, points = _probe_points(domain, n_samples, sum_cap)
     coords = points.reshape(-1, points.shape[-1]).T
-    values = np.asarray(f(*coords), dtype=float)
+    return _concave_count(h, coords, np.asarray(f(*coords), dtype=float))
+
+
+def _concave_count(h: float, coords: np.ndarray, values: np.ndarray) -> int:
+    """The probe's count at step ``h``: ``values`` holds the probed
+    function at the points of ``coords`` (one row per coordinate), three
+    per sample, x then x + h e and x - h e.  A value that is not finite
+    raises ``ValueError`` naming its point."""
     bad = ~np.isfinite(values)
     if bad.any():
         x = coords[:, bad.argmax()].tolist()
@@ -352,38 +410,33 @@ def verify(s: Scenario, sched: Schedule) -> OracleReport:
     convexity.  Where missing anchors leave the grid empty, the grid best
     is inf and the gap NaN.
 
-    The grid and the probe read the scenario's feasibility window: the one
+    The grid and the probe run in one pass per slot
+    (:func:`_audit_pass`): one call of the slot's closed form over the
+    grid's durations and the probe's, and one PA draw over the grid's
+    anchors and the probe's powers, so each audit binds and draws every
+    slot once.  Both read the scenario's feasibility window: the one
     :func:`~fdrelay.solver.solve` attached to ``sched``, or, for a schedule
     that carries none (one built by hand), :func:`tmin_for`'s.  A schedule
     solved for another scenario carries that scenario's window, so check it
     against ``s`` with ``replace(sched, window=None)``."""
     window = sched.window if sched.window is not None else tmin_for(s)
-    grid_best, _, misses = _grid_search(s, window, _VERIFY_N_T)
+    try:
+        grid_best, _, misses, violations = _audit_pass(
+            s, window, _VERIFY_N_T, _VERIFY_PROBE_SAMPLES)
+    except ValueError:
+        # The probe refused a point, which a window of another scenario
+        # can reach.  An empty grid and the slacks' errors come first.
+        _audit_pass(s, window, _VERIFY_N_T, 0)
+        verify_necessary_conditions(s, sched, tol=math.inf)
+        raise
     slacks = verify_necessary_conditions(s, sched, tol=math.inf)
     gap = (sched.e_total - grid_best) / grid_best
-    violations = _probe_scenario_energy(s, window, _VERIFY_PROBE_SAMPLES)
     return OracleReport(grid_best_energy=grid_best,
                         solver_energy=sched.e_total,
                         relative_gap=float(gap),
                         active_constraints={k: float(v) for k, v in slacks.items()},
                         convexity_violations=violations,
                         anchor_misses=misses)
-
-
-def _probe_scenario_energy(s: Scenario, window: FeasibleWindow,
-                           n_samples: int) -> int:
-    """Convexity/unimodality spot check of the scenario's own objective
-    over its feasibility window."""
-    desc = DESCRIPTIONS[s.strategy]
-    if not window.feasible:
-        return 0
-    if s.pa.a.kind is PaKind.TPA and not desc.convex_under_tpa:
-        # Only quasi-convex there; second differences are not a valid probe.
-        return 0
-    spans = window.spans(s.frame_t)
-    return convexity_probe(partial(desc.energy, s),
-                           spans[0] if len(spans) == 1 else spans,
-                           n_samples, sum_cap=s.frame_t)
 
 
 def random_params(rng: np.random.Generator, strategy: Strategy,

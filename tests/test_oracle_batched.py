@@ -1,11 +1,13 @@
 """The oracle's array passes against the per-point code they replace.
 
-The grid's per-slot anchor check and the scenario convexity probe
-evaluate many durations in one numpy pass.  Both must give exactly the
-numbers of the one-duration-at-a-time and one-point-at-a-time code: the
-same best active powers and anchor misses, and the same violation counts.
-Closed forms scaled a hair low stand in for a wrong closed form, which
-``verify`` must fail.
+Each audit prices every slot in one pass (``oracle._slot_pass``): one call
+of the slot's closed form over the grid's durations and the probe's, and
+one PA draw over the grid's anchors and the probe's powers.  The pass must
+give exactly the numbers of the one-duration-at-a-time and
+one-point-at-a-time code: the same best active powers and anchor misses,
+and the same violation counts; and ``verify`` the report that running the
+grid, the probe and the activation check apart gives.  Closed forms scaled
+a hair low stand in for a wrong closed form, which ``verify`` must fail.
 """
 
 import math
@@ -15,18 +17,20 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fdrelay import oracle
+from fdrelay import oracle, strategies
 from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import t_floor, tmin_for
-from fdrelay.model import InfeasibleError, PaKind, Strategy
+from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, Strategy
 from fdrelay.oracle import (
     _CONVEXITY_REL_TOL,
     _RATE_SLACK,
+    OracleReport,
     _probe_points,
-    _probe_scenario_energy,
-    _slot_best,
+    _slot_pass,
     convexity_probe,
     random_feasible_scenarios,
+    verify,
+    verify_necessary_conditions,
 )
 from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS
@@ -34,6 +38,9 @@ from fdrelay.strategies import DESCRIPTIONS
 from conftest import with_powers
 
 PAIRS = [(strategy, pa) for strategy in Strategy for pa in PaKind]
+
+# The grid alone: a slot pass with no probe durations.
+_NO_PROBE = np.empty(0)
 
 
 def _slot_best_per_duration(s, slot, t_axis):
@@ -84,7 +91,7 @@ def _anchor_kinds(s, slot, t_axis):
 def _assert_same(s, slot, t_axis, priced=True):
     """The one-pass check equals the per-duration one; with ``priced``, at
     least one duration stays on the grid.  Returns the miss count."""
-    best, misses = _slot_best(s, slot, t_axis)
+    best, misses, _ = _slot_pass(s, slot, t_axis, _NO_PROBE)
     ref_best, ref_misses = _slot_best_per_duration(s, slot, t_axis)
     assert best.tobytes() == ref_best.tobytes()
     assert misses == ref_misses
@@ -255,7 +262,7 @@ class TestAnchorMissesDemand:
         s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
         report = oracle.verify(s, solve(s))
         assert report.ok and report.anchor_misses == 0
-        assert oracle._grid_search(s, tmin_for(s), 50)[2] == 0
+        assert oracle._audit_pass(s, tmin_for(s), 50, 0)[2] == 0
 
     @pytest.mark.parametrize("pa_kind", list(PaKind))
     def test_asymptotic_fd1ts_overspends_without_a_miss(self, pa_kind):
@@ -293,9 +300,11 @@ class TestAnchorMissesDemand:
                 return pinned_anchor
 
             clipped = with_powers(slot, powers)
-            assert math.isfinite(_slot_best(s, slot, t_axis)[0][20])
+            best, _, _ = _slot_pass(s, slot, t_axis, _NO_PROBE)
+            assert math.isfinite(best[20])
             assert _assert_same(s, clipped, t_axis) == 0
-            assert _slot_best(s, clipped, t_axis)[0][20] == math.inf
+            best, _, _ = _slot_pass(s, clipped, t_axis, _NO_PROBE)
+            assert best[20] == math.inf
 
 
 def _probe_cases(strategy, pa_kind):
@@ -380,7 +389,7 @@ class TestProbeParity:
             assert convexity_probe(partial(desc.energy, s), domain,
                                    n_samples=50, sum_cap=s.frame_t) == expected
             # verify's probe is this one, where the pair is probed at all.
-            assert _probe_scenario_energy(s, tmin_for(s), 50) == (
+            assert verify(s, solve(s)).convexity_violations == (
                 expected if probed else 0)
         if pa_kind is PaKind.TPA:
             # The low-load TPA objective is not convex: the probe sees it.
@@ -426,3 +435,105 @@ class TestProbeParity:
         assert isinstance(batched, np.ndarray)
         assert batched.shape == (len(durations),)
         assert (batched == np.array(scalar)).all()
+
+
+class TestOnePassPerSlot:
+    """``verify`` prices each slot once per audit: the grid and the probe
+    share one closed-form call and one PA draw, and the report is the one
+    that running them apart gives."""
+
+    @pytest.mark.parametrize("accounting", list(CircuitAccounting))
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_report_equals_separate_paths(self, strategy, pa_kind,
+                                          accounting):
+        desc = DESCRIPTIONS[strategy]
+        probed = pa_kind is PaKind.ETPA or desc.convex_under_tpa
+        for s in random_feasible_scenarios(25, strategy, pa_kind, 4):
+            s = replace(s, circuit_accounting=accounting)
+            sched = solve(s)
+            window = tmin_for(s)
+            grid_best, _, misses, unprobed = oracle._audit_pass(s, window,
+                                                                40, 0)
+            assert unprobed == 0
+            violations = (convexity_probe(partial(desc.energy, s),
+                                          _domain(s), 50, sum_cap=s.frame_t)
+                          if probed else 0)
+            slacks = verify_necessary_conditions(s, sched, tol=math.inf)
+            want = OracleReport(
+                grid_best_energy=grid_best, solver_energy=sched.e_total,
+                relative_gap=float((sched.e_total - grid_best) / grid_best),
+                active_constraints={k: float(v) for k, v in slacks.items()},
+                convexity_violations=violations, anchor_misses=misses)
+            assert repr(verify(s, sched)) == repr(want)
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_probe_actives_equal_slot_active(self, strategy, pa_kind):
+        """The probe durations' active powers, drawn after the grid's
+        anchors, equal one ``Slot.active`` call on their closed-form
+        powers."""
+        s = random_feasible_scenarios(26, strategy, pa_kind, 1)[0]
+        t_axis = _full_axis(s, 40)
+        for slot, (lo, hi) in zip(DESCRIPTIONS[strategy].slots,
+                                  tmin_for(s).spans(s.frame_t)):
+            t_probe = np.linspace(lo, hi, 31)[1:-1]
+            best, misses, active = _slot_pass(s, slot, t_axis, t_probe)
+            assert np.isfinite(best).any() and misses == 0
+            want = slot.active(s, *slot.powers(s, t_probe))
+            assert active.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_one_bind_and_one_draw_per_slot(self, strategy, pa_kind,
+                                            monkeypatch):
+        """Each audit binds each slot's closed form once, binds one PA draw
+        per slot and calls it once.  Pricing the grid and the probe apart
+        made two of each per slot wherever the probe runs."""
+        counts = {"bind": 0, "draw bind": 0, "draw": 0}
+
+        def counted_bind(bind):
+            def counted(scenario):
+                counts["bind"] += 1
+                return bind(scenario)
+            return counted
+
+        def counted_pa_draw(pa_draw):
+            def counted(*pas):
+                counts["draw bind"] += 1
+                draw = pa_draw(*pas)
+
+                def counted_draw(*powers):
+                    counts["draw"] += 1
+                    return draw(*powers)
+
+                return counted_draw
+            return counted
+
+        desc = DESCRIPTIONS[strategy]
+        for s in [ScenarioParams(strategy=strategy, pa=pa_kind).build()] + (
+                random_feasible_scenarios(27, strategy, pa_kind, 2)):
+            sched = solve(s)
+            want = repr(verify(s, sched))
+            counts.update(dict.fromkeys(counts, 0))
+            with monkeypatch.context() as m:
+                m.setitem(DESCRIPTIONS, strategy, replace(desc, slots=tuple(
+                    replace(slot, bind=counted_bind(slot.bind))
+                    for slot in desc.slots)))
+                for module in (oracle, strategies):
+                    m.setattr(module, "pa_draw",
+                              counted_pa_draw(module.pa_draw))
+                assert repr(verify(s, sched)) == want
+            n_slots = len(desc.slots)
+            assert counts == {"bind": n_slots, "draw bind": n_slots,
+                              "draw": n_slots}
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_empty_grid_raises_before_the_probe(self, strategy, pa_kind):
+        """A schedule solved for another scenario brings its window, whose
+        probe points may price powers over the budgets of ``s``.  Where the
+        grid of ``s`` is empty, that is the error, as when the grid was
+        priced before the probe."""
+        good = ScenarioParams(strategy=strategy, pa=pa_kind).build()
+        bad = ScenarioParams(strategy=strategy, pa=pa_kind, alpha_db=20.0,
+                             r_fl_mbps=100.0, r_rl_mbps=100.0).build()
+        assert not tmin_for(bad).feasible
+        with pytest.raises(InfeasibleError, match="no feasible point"):
+            verify(bad, solve(good))
