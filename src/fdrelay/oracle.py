@@ -11,19 +11,22 @@ its budget that misses a demand is a wrong closed form: :func:`verify`
 counts it in ``OracleReport.anchor_misses`` and fails.  A correct solver
 must never be worse than the grid.
 
-An audit prices each slot in one pass: one call of the slot's bound
+An audit prices the frame in one pass: one call of each slot's bound
 closed form over the grid's durations and the convexity probe's together,
-and one PA draw over the grid's anchors and the probe's powers together.
-So :func:`verify` binds and draws every slot once per audit, and reads the
-grid best, the anchor misses and the probe's second differences off that
-pass.  The array powers equal the float calls bit for bit (the
-exponentials go through the float power one element at a time, because
-numpy's array ``2.0 ** x`` is one ULP off on some inputs), so the reports
-equal those of a point-by-point run.  Where the single-slot form raises
-:class:`~fdrelay.model.InfeasibleError` for a float, its array holds NaN:
-the grid drops that duration, as it drops a duration whose anchor is
-infinite, over budget or short of a demand, and the probe's draw refuses
-it.  :func:`convexity_probe` calls its function once, on one array per
+and one PA draw over every slot's grid anchors and probe powers together.
+So :func:`verify` binds each slot's closed form once and draws once per
+audit, and reads the grid best, the anchor misses and the probe's second
+differences off that pass.  The probe's sampler keeps its last walk over
+the seed-0 stream and reuses it once every verdict that walk read is
+judged again, for the new window, to the same value, so its points are
+those of a fresh walk.  The array powers equal the float calls bit for
+bit (the exponentials go through the float power one element at a time,
+because numpy's array ``2.0 ** x`` is one ULP off on some inputs), so the
+reports equal those of a point-by-point run.  Where the single-slot form
+raises :class:`~fdrelay.model.InfeasibleError` for a float, its array
+holds NaN: the grid drops that duration, as it drops a duration whose
+anchor is infinite, over budget or short of a demand, and the probe's draw
+refuses it.  :func:`convexity_probe` calls its function once, on one array per
 coordinate holding every probe point, and refuses a value that is not
 finite; its count is the one :func:`verify` takes of the scenario's frame
 energy (``Description.energy``) at the probe points.
@@ -36,14 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ScenarioParams
 from .feasibility import FeasibleWindow, t_floor, tmin_for
-from .model import (InfeasibleError, PaKind, Scenario, Schedule, Strategy,
-                    pa_draw)
-from .strategies import DESCRIPTIONS, Slot, frame_energy
+from .model import InfeasibleError, PaKind, Scenario, Schedule, Strategy
+from .strategies import DESCRIPTIONS, Slot, bind_actives, frame_energy
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # these names on this module, so they stay importable from it.
 from .feasibility import tmin_1ts, tmin_2ts, tmin_hd  # noqa: F401
@@ -97,6 +100,32 @@ def _seed0_doubles(n: int) -> np.ndarray:
     return _SEED0[:n]
 
 
+class _Walk(NamedTuple):
+    """One 2-D walk of :func:`_probe_points` over the seed-0 stream, for a
+    sample count.  At each stream position p it visited, in walk order, the
+    walk read the verdict on the candidate scaled from the doubles
+    ``judged`` holds, (u[p], u[p + 1]); ``verdicts`` holds those verdicts
+    as the bytes of a bool array.  A kept position started a sample:
+    ``drawn`` holds the doubles (u[p], u[p + 1]) of each start and ``cos``
+    and ``sin`` those of its angle 2 pi u[p + 2], from ``math``."""
+
+    n_samples: int
+    judged: tuple[np.ndarray, np.ndarray]
+    verdicts: bytes
+    drawn: tuple[np.ndarray, np.ndarray]
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+# The last 2-D walk of :func:`_probe_points`.  The walk reads the stream
+# only through its verdicts, so a call that gives the same verdict at every
+# position this one visited makes the same walk, and reuses it.  A call
+# reads it once and replaces it whole, so callers on several threads can
+# only displace one another's walk, which costs a fresh walk, never a
+# wrong point.
+_LAST_WALK: _Walk | None = None
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """Outcome of one oracle pass over a solved scenario.  ``ok`` needs
@@ -143,48 +172,55 @@ def _meets(s: Scenario, slot: Slot, t, *powers):
     return met
 
 
-def _slot_pass(s: Scenario, slot: Slot, t_axis: np.ndarray,
-               t_probe: np.ndarray):
-    """One slot's share of an audit, priced in one pass: each grid
-    duration's cheapest rate-feasible active power (inf off the grid), how
-    many in-budget anchors miss a demand, and the active power at each
-    probe duration in ``t_probe``.
+def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
+    """The slots' share of an audit, priced in one pass: per slot, each
+    grid duration's cheapest rate-feasible active power (inf off the grid)
+    and the active power at each of its probe durations (``probes``, one
+    array per slot); and how many in-budget anchors miss a demand, over
+    all slots.
 
-    The slot's closed form, its circuit power and its PA draw are bound
-    once.  One call of the bound closed form prices the anchors of every
-    grid duration and the powers of every probe duration.  An anchor that
-    is not finite (NaN where the single-slot form raises) or over its
-    budget leaves the grid; one within 1e-9 of its budget is clipped onto
-    it.  One pass checks the capacities of the rest from scratch.  An
-    anchor that misses a demand leaves the grid too, and is a miss unless
-    it was clipped: a clip on the budget edge shows no wrong closed form.
-    One draw then prices the anchors left on the grid followed by the
-    probe powers, each row's draws added in node order, then the static
-    and the dynamic circuit power: bit for bit :meth:`Slot.active`.  A
-    probe power outside its budget raises the draw's ``ValueError``.
+    Each slot's closed form is bound once, and one call of it prices the
+    anchors of every grid duration and the powers of the slot's probe
+    durations.  An anchor that is not finite (NaN where the single-slot
+    form raises) or over its budget leaves the grid; one within 1e-9 of
+    its budget is clipped onto it.  One pass checks the capacities of the
+    rest from scratch.  An anchor that misses a demand leaves the grid
+    too, and is a miss unless it was clipped: a clip on the budget edge
+    shows no wrong closed form.  Then one PA draw prices the whole frame,
+    every slot's grid anchors followed by its probe powers, with each
+    slot's sum of :func:`~fdrelay.strategies.bind_actives`: bit for bit
+    :meth:`Slot.active`.  A grid duration that left the grid, and a row
+    past the end of a shorter probe, is drawn at 0 W and never read; the
+    draw is elementwise, so those rows change no other.  A probe power
+    outside its budget raises the draw's ``ValueError``.
     """
-    bind = slot.bind(s)
-    static, dynamic = slot.circuit(s)
-    draw = pa_draw(*[getattr(s.pa, node) for node in slot.nodes])
-    caps = np.array([cap for _, cap in slot.budgets(s)])
     n = t_axis.size
-    powers = np.column_stack(bind(np.concatenate([t_axis, t_probe])))
-    anchors = powers[:n]
-    rows = np.flatnonzero((np.isfinite(anchors)
-                           & (anchors <= caps * (1.0 + 1e-9))).all(axis=1))
-    anchors = anchors[rows]
-    clipped = np.minimum(anchors, caps)
-    met = _meets(s, slot, t_axis[rows], *clipped.T)
-    priced = rows[met]
-    draws = draw(*np.concatenate([clipped[met], powers[n:]]).T)
-    active = draws[0]
-    for part in draws[1:]:
-        active = active + part
-    active = active + static + dynamic
-    best = np.full(n, math.inf)
-    best[priced] = active[:priced.size]
-    misses = int(np.count_nonzero(~met & (anchors <= caps).all(axis=1)))
-    return best, misses, active[priced.size:]
+    rows = n + max(t.size for t in probes)
+    frame, priced_rows, misses = [], [], 0
+    for slot, t_probe in zip(slots, probes):
+        caps = np.array([cap for _, cap in slot.budgets(s)])
+        powers = np.column_stack(slot.bind(s)(np.concatenate([t_axis,
+                                                              t_probe])))
+        anchors = powers[:n]
+        kept = np.flatnonzero((np.isfinite(anchors)
+                               & (anchors <= caps * (1.0 + 1e-9))).all(axis=1))
+        anchors = anchors[kept]
+        clipped = np.minimum(anchors, caps)
+        met = _meets(s, slot, t_axis[kept], *clipped.T)
+        priced = kept[met]
+        misses += int(np.count_nonzero(~met & (anchors <= caps).all(axis=1)))
+        drawn = np.zeros((len(slot.nodes), rows))
+        drawn[:, priced] = clipped[met].T
+        drawn[:, n:n + t_probe.size] = powers[n:].T
+        frame += list(drawn)
+        priced_rows.append(priced)
+    bests, actives = [], bind_actives(s, slots)(*frame)
+    for priced, active in zip(priced_rows, actives):
+        best = np.full(n, math.inf)
+        best[priced] = active[priced]
+        bests.append(best)
+    return bests, misses, [active[n:n + t.size]
+                           for active, t in zip(actives, probes)]
 
 
 def grid_search(s: Scenario):
@@ -205,7 +241,8 @@ def _audit_pass(s: Scenario, window: FeasibleWindow, n_t: int,
                 n_samples: int):
     """The grid at ``n_t`` regular durations per slot and the convexity
     probe at ``n_samples`` samples (none for 0), given the scenario's
-    feasibility window, in one :func:`_slot_pass` per slot.
+    feasibility window, in one :func:`_frame_pass`: one closed-form call
+    per slot and one PA draw for the whole audit.
 
     Returns the grid best and its durations (:func:`grid_search`), the
     number of anchors that miss a demand over all slots, and the probe's
@@ -215,6 +252,8 @@ def _audit_pass(s: Scenario, window: FeasibleWindow, n_t: int,
     only quasi-convex under TPA.  The probe values are the frame energy
     (:func:`~fdrelay.strategies.frame_energy`) of the slots' active powers
     at the probe durations, as ``Description.energy_at`` computes them.
+    The probe's points reuse the last walk of its sampler wherever that
+    walk's verdicts still hold (:func:`_probe_points`).
     """
     desc = DESCRIPTIONS[s.strategy]
     slots = desc.slots
@@ -226,24 +265,21 @@ def _audit_pass(s: Scenario, window: FeasibleWindow, n_t: int,
     # Second differences are no probe of a quasi-convex energy.
     probed = (n_samples > 0 and window.feasible
               and (s.pa.a.kind is not PaKind.TPA or desc.convex_under_tpa))
-    probes = []
+    coords = []
     if probed:
         spans = window.spans(s.frame_t)
         h, points = _probe_points(spans[0] if len(spans) == 1 else spans,
                                   n_samples, s.frame_t)
         coords = points.reshape(-1, points.shape[-1]).T
-        probes = list(coords)
     # Every slot is on the grid, even where the window of another strategy
     # gives the probe fewer coordinates than slots.
-    probes += [np.empty(0)] * (len(slots) - len(probes))
-    per_slot = [_slot_pass(s, slot, t_axis, t)
-                for slot, t in zip(slots, probes)]
-    misses = sum(m for _, m, _ in per_slot)
-    energy, point = _best_combination(s, t_axis, [b for b, _, _ in per_slot])
+    probes = (list(coords) + [np.empty(0)] * len(slots))[:len(slots)]
+    bests, misses, actives = _frame_pass(s, slots, t_axis, probes)
+    energy, point = _best_combination(s, t_axis, bests)
     if not (math.isfinite(energy) or misses):
         raise InfeasibleError("no feasible point on the oracle grid")
-    violations = (_concave_count(h, coords, frame_energy(
-        s, coords, [a for _, _, a in per_slot])) if probed else 0)
+    violations = (_concave_count(h, coords, frame_energy(s, coords, actives))
+                  if probed else 0)
     return energy, point, misses, violations
 
 
@@ -252,18 +288,16 @@ def _best_combination(s: Scenario, t_axis: np.ndarray, per_slot):
 
     The frame energy at duration indices (i, j, ...) is the sum of each
     slot's best active power times its duration plus the idle draw of the
-    rest, evaluated for all tuples at once by broadcasting one axis per slot.
-    Returns the energy (inf where no tuple is feasible) and its durations.
+    rest, evaluated for all tuples at once: each further slot adds one axis
+    to each term with one outer operation.  Returns the energy (inf where
+    no tuple is feasible) and its durations.
     """
-    n = len(per_slot)
-    energy, idle, busy = 0.0, s.frame_t, 0.0
-    for k, active in enumerate(per_slot):
-        shape = [1] * n
-        shape[k] = t_axis.size
-        t = t_axis.reshape(shape)
-        energy = energy + active.reshape(shape) * t
-        idle = idle - t
-        busy = busy + t
+    spent = [active * t_axis for active in per_slot]
+    energy, idle, busy = spent[0], s.frame_t - t_axis, t_axis
+    for slot_spent in spent[1:]:
+        energy = np.add.outer(energy, slot_spent)
+        idle = np.subtract.outer(idle, t_axis)
+        busy = np.add.outer(busy, t_axis)
     energy = np.where(busy > s.frame_t, math.inf,
                       energy + s.p_idle_total * idle)
     idx = np.unravel_index(int(np.argmin(energy)), energy.shape)
@@ -312,11 +346,15 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
     ``Generator.uniform(lo, hi)`` gives for the double ``u``, read from
     :func:`_seed0_doubles`.  A 2-D probe takes its doubles in order from
     one stream: two for each x and, unless ``sum_cap`` rejects x, a third
-    for the direction's angle.  A reversed domain raises ``ValueError``,
-    and so does a ``sum_cap`` that rejects even the lowest x, before
-    anything is drawn, or one that rejects more than
-    ``_PROBE_MAX_REJECTS`` draws.
+    for the direction's angle.  Which positions start a sample is the
+    walk's (:func:`_walk`).  The last walk is kept and reused once every
+    verdict it read is judged again, for this box, step and cap, to the
+    same value; on any other verdict, or another sample count, the walk
+    runs afresh.  A reversed domain raises ``ValueError``, and so does a
+    ``sum_cap`` that rejects even the lowest x, before anything is drawn,
+    or one that rejects more than ``_PROBE_MAX_REJECTS`` draws.
     """
+    global _LAST_WALK
     two_d = hasattr(domain[0], "__len__")
     widths = ([domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]]
               if two_d else [domain[1] - domain[0]])
@@ -334,20 +372,54 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
         raise ValueError(f"sum_cap {sum_cap} rejects every sample of "
                          f"{domain}: the lowest gives x + y + 2h = "
                          f"{lo0 + lo1 + 2.0 * h}")
-    # The candidate x at stream position p is (u[p], u[p + 1]) scaled onto
-    # the box, so every candidate's verdict is one array pass; only the
-    # walk that decides which positions start a candidate is a loop.
+    walk = _LAST_WALK
+    if (walk is None or walk.n_samples != n_samples
+            or _judge(ranges, h, sum_cap, *walk.judged).tobytes()
+            != walk.verdicts):
+        walk = _walk(ranges, h, sum_cap, n_samples, domain)
+        _LAST_WALK = walk
+    x0 = lo0 + (hi0 - lo0) * walk.drawn[0]
+    x1 = lo1 + (hi1 - lo1) * walk.drawn[1]
+    e0, e1 = h * walk.cos, h * walk.sin
+    return h, np.stack([x0, x1, x0 + e0, x1 + e1, x0 - e0, x1 - e1],
+                       axis=1).reshape(n_samples, 3, 2)
+
+
+def _judge(ranges, h: float, sum_cap: float | None, u0, u1) -> np.ndarray:
+    """The verdict on each 2-D candidate whose doubles are ``u0`` and
+    ``u1``: whether, scaled onto the box ``ranges``, it meets
+    x + y + 2h <= ``sum_cap`` (always, with no cap).  The one float
+    expression that both a fresh walk and a re-judged one evaluate."""
+    if sum_cap is None:
+        return np.ones(u0.size, dtype=bool)
+    (lo0, hi0), (lo1, hi1) = ranges
+    x0, x1 = lo0 + (hi0 - lo0) * u0, lo1 + (hi1 - lo1) * u1
+    return ~(x0 + x1 + 2.0 * h > sum_cap)
+
+
+def _walk(ranges, h: float, sum_cap: float | None, n_samples: int,
+          domain) -> _Walk:
+    """The 2-D probe's walk from the start of the seed-0 stream: a kept
+    candidate at position p starts a sample and the walk goes on at p + 3,
+    past its angle's double; a rejected one goes on at p + 2.
+
+    The candidate at position p is (u[p], u[p + 1]), so the verdicts are
+    array passes (:func:`_judge`); only the walk that decides which
+    positions start a candidate is a loop.  Raises ``ValueError`` once it
+    rejects more than ``_PROBE_MAX_REJECTS`` draws."""
     u = np.empty(0)
-    starts, pos, rejects = [], 0, 0
+    kept, verdicts, visited, starts, pos, rejects = [], [], [], [], 0, 0
     while len(starts) < n_samples:
         if pos + 3 > u.size:
             # The first block holds 3 * n_samples doubles; each refill
-            # doubles it.
+            # doubles it and judges only the positions it adds.
             u = _seed0_doubles(max(2 * u.size, 3 * n_samples))
-            x0, x1 = lo0 + (hi0 - lo0) * u, lo1 + (hi1 - lo1) * u
-            kept = ([True] * (u.size - 1) if sum_cap is None else
-                    (~(x0[:-1] + x1[1:] + 2.0 * h > sum_cap)).tolist())
-        if kept[pos]:
+            kept += _judge(ranges, h, sum_cap, u[len(kept):-1],
+                          u[len(kept) + 1:]).tolist()
+        verdict = kept[pos]
+        visited.append(pos)
+        verdicts.append(verdict)
+        if verdict:
             starts.append(pos)
             pos += 3
             continue
@@ -357,14 +429,13 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
             raise ValueError(
                 f"sum_cap {sum_cap} rejected {rejects} draws of {domain} "
                 f"and kept {len(starts)} of {n_samples} samples")
-    at = np.array(starts)
-    x0, x1 = x0[at], x1[at + 1]
+    at, visited = np.array(starts), np.array(visited)
     theta = (2.0 * math.pi * u[at + 2]).tolist()
     # math's cos and sin, which numpy's array forms may differ from.
-    e0 = h * np.array(list(map(math.cos, theta)))
-    e1 = h * np.array(list(map(math.sin, theta)))
-    return h, np.stack([x0, x1, x0 + e0, x1 + e1, x0 - e0, x1 - e1],
-                       axis=1).reshape(n_samples, 3, 2)
+    return _Walk(n_samples, (u[visited], u[visited + 1]),
+                 np.array(verdicts).tobytes(), (u[at], u[at + 1]),
+                 np.array(list(map(math.cos, theta))),
+                 np.array(list(map(math.sin, theta))))
 
 
 def convexity_probe(f, domain, n_samples: int = 200,
@@ -410,15 +481,17 @@ def verify(s: Scenario, sched: Schedule) -> OracleReport:
     convexity.  Where missing anchors leave the grid empty, the grid best
     is inf and the gap NaN.
 
-    The grid and the probe run in one pass per slot
-    (:func:`_audit_pass`): one call of the slot's closed form over the
-    grid's durations and the probe's, and one PA draw over the grid's
-    anchors and the probe's powers, so each audit binds and draws every
-    slot once.  Both read the scenario's feasibility window: the one
-    :func:`~fdrelay.solver.solve` attached to ``sched``, or, for a schedule
-    that carries none (one built by hand), :func:`tmin_for`'s.  A schedule
-    solved for another scenario carries that scenario's window, so check it
-    against ``s`` with ``replace(sched, window=None)``."""
+    The grid and the probe run in one pass (:func:`_audit_pass`): one
+    call of each slot's closed form over the grid's durations and the
+    probe's, and one PA draw over every slot's grid anchors and probe
+    powers, so each audit binds each slot once and draws once.  The probe
+    reuses its sampler's last walk wherever that walk's re-judged verdicts
+    hold (:func:`_probe_points`).  Both read the scenario's feasibility
+    window: the one :func:`~fdrelay.solver.solve` attached to ``sched``,
+    or, for a schedule that carries none (one built by hand),
+    :func:`tmin_for`'s.  A schedule solved for another scenario carries
+    that scenario's window, so check it against ``s`` with
+    ``replace(sched, window=None)``."""
     window = sched.window if sched.window is not None else tmin_for(s)
     try:
         grid_best, _, misses, violations = _audit_pass(

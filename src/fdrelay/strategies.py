@@ -166,16 +166,10 @@ class Slot:
 
     def active(self, s: Scenario, *powers):
         """Power the slot draws at the given transmit powers: the PA draw of
-        each node, in one pass over the slot's amplifiers
-        (:func:`~fdrelay.model.pa_draw`) and summed in slot order, then the
-        static and the dynamic circuit power.  ndarray powers give the
-        broadcast array."""
-        static, dynamic = self.circuit(s)
-        draws = pa_draw(*[getattr(s.pa, node) for node in self.nodes])(*powers)
-        total = draws[0]
-        for part in draws[1:]:
-            total = total + part
-        return total + static + dynamic
+        each node, in one pass over the slot's amplifiers, summed as
+        :func:`bind_actives` sums it.  ndarray powers give the broadcast
+        array."""
+        return bind_actives(s, (self,))(*powers)[0]
 
     def cost(self, s: Scenario, t: float) -> float:
         """Energy above the idle draw that the slot spends over duration t,
@@ -214,30 +208,19 @@ class Description:
         slot's closed-form powers, its active power and its cost, the
         energy above the idle draw it spends over its duration.
 
-        Each slot's closed form and circuit power and the idle draw are
-        read here, once, and one PA draw is bound to the amplifiers of
-        every slot's nodes, in slot order (the relay of fd2ts twice), so a
-        search that prices the frame many times does only arithmetic on
-        bound values and one numpy pass per frame point.  Each slot's draws
-        are added left to right, then its static and its dynamic circuit
-        power, and ``(active - idle) * t`` is its cost: bit for bit
+        Each slot's closed form and the idle draw are read here, once, and
+        the slots' active powers are bound once (:func:`bind_actives`), so
+        a search that prices the frame many times does only arithmetic on
+        bound values and one numpy pass per frame point.
+        ``(active - idle) * t`` is a slot's cost: bit for bit
         :meth:`Slot.active` and :meth:`Slot.cost`.  A slot that is closed,
         or whose duration is already fixed, is priced at that duration in
         the same pass.  A power outside its budget raises the ValueError
         that pricing the slots one after another would raise first: it
         names the ``p_max`` of the first such node in slot order.
         """
-        slots = self.slots
-        binds = [slot.bind(s) for slot in slots]
-        draw = pa_draw(*[getattr(s.pa, node)
-                         for slot in slots for node in slot.nodes])
-        # Per slot: the index of its first node's draw, the indices of the
-        # rest, and its static and dynamic circuit power.
-        layout, first = [], 0
-        for slot in slots:
-            end = first + len(slot.nodes)
-            layout.append((first, range(first + 1, end), *slot.circuit(s)))
-            first = end
+        binds = [slot.bind(s) for slot in self.slots]
+        frame_actives = bind_actives(s, self.slots)
         idle = s.p_idle_total
 
         def price(*durations):
@@ -246,14 +229,10 @@ class Description:
                 slot_powers = bind(t)
                 powers.append(slot_powers)
                 flat += slot_powers
-            draws = draw(*flat)
-            actives, costs = [], []
-            for (first, rest, static, dynamic), t in zip(layout, durations):
-                total = draws[first]
-                for k in rest:
-                    total = total + draws[k]
-                active = total + static + dynamic
-                actives.append(active)
+            actives = frame_actives(*flat)
+            # A loop, not a comprehension, which costs a frame per price.
+            costs = []
+            for active, t in zip(actives, durations):
                 costs.append((active - idle) * t)
             return powers, actives, costs
 
@@ -274,6 +253,44 @@ class Description:
         """
         return frame_energy(s, durations, [
             slot.active(s, *p) for slot, p in zip(self.slots, powers)])
+
+
+def bind_actives(s: Scenario, slots) -> Callable[..., list]:
+    """The active power of each of ``slots``, bound to ``s``:
+    ``actives(*powers)`` takes one transmit power per node of every slot,
+    in slot order, and returns one active power per slot.
+
+    One PA draw is bound here to the amplifiers of every slot's nodes, in
+    slot order (the relay of fd2ts twice; :func:`~fdrelay.model.pa_draw`),
+    and each slot's circuit power is read once.  Each call makes that one
+    draw, adds each slot's draws left to right, then its static and its
+    dynamic circuit power: the one statement of that sum, which
+    :meth:`Slot.active`, :meth:`Description.bind_frame` and the oracle's
+    audit share.  Float powers give Python floats, and ndarray powers the
+    broadcast arrays.  A power outside its budget raises the draw's
+    ValueError, naming the ``p_max`` of the first such node in slot
+    order."""
+    draw = pa_draw(*[getattr(s.pa, node)
+                     for slot in slots for node in slot.nodes])
+    # Per slot: the index of its first node's draw, the indices of the
+    # rest, and its static and dynamic circuit power.
+    layout, first = [], 0
+    for slot in slots:
+        end = first + len(slot.nodes)
+        layout.append((first, range(first + 1, end), *slot.circuit(s)))
+        first = end
+
+    def actives(*powers):
+        draws = draw(*powers)
+        out = []
+        for first, rest, static, dynamic in layout:
+            total = draws[first]
+            for k in rest:
+                total = total + draws[k]
+            out.append(total + static + dynamic)
+        return out
+
+    return actives
 
 
 def frame_energy(s: Scenario, durations, actives):

@@ -13,7 +13,7 @@ from fdrelay.model import InfeasibleError, PaKind, Strategy
 from fdrelay.oracle import (
     OracleReport,
     _best_combination,
-    _slot_pass,
+    _frame_pass,
     convexity_probe,
     grid_search,
     random_feasible_scenarios,
@@ -112,8 +112,8 @@ class TestGridSearch:
         s = replace(params, strategy=strategy).build()
         desc = DESCRIPTIONS[strategy]
         t_axis = np.linspace(t_floor(s), s.frame_t - t_floor(s), 15)
-        per_slot = [_slot_pass(s, slot, t_axis, np.empty(0))[0]
-                    for slot in desc.slots]
+        per_slot, _, _ = _frame_pass(s, desc.slots, t_axis,
+                                     [np.empty(0)] * len(desc.slots))
         # The grid prices each duration at its anchor, clipped onto the
         # budgets.
         anchors = [np.minimum(np.column_stack(slot.powers(s, t_axis)),

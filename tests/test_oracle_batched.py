@@ -1,8 +1,8 @@
 """The oracle's array passes against the per-point code they replace.
 
-Each audit prices every slot in one pass (``oracle._slot_pass``): one call
-of the slot's closed form over the grid's durations and the probe's, and
-one PA draw over the grid's anchors and the probe's powers.  The pass must
+Each audit prices the frame in one pass (``oracle._frame_pass``): one call
+of each slot's closed form over the grid's durations and the probe's, and
+one PA draw over every slot's grid anchors and probe powers.  The pass must
 give exactly the numbers of the one-duration-at-a-time and
 one-point-at-a-time code: the same best active powers and anchor misses,
 and the same violation counts; and ``verify`` the report that running the
@@ -11,6 +11,8 @@ a hair low stand in for a wrong closed form, which ``verify`` must fail.
 """
 
 import math
+import sys
+import threading
 from dataclasses import replace
 from functools import partial
 
@@ -25,8 +27,8 @@ from fdrelay.oracle import (
     _CONVEXITY_REL_TOL,
     _RATE_SLACK,
     OracleReport,
+    _frame_pass,
     _probe_points,
-    _slot_pass,
     convexity_probe,
     random_feasible_scenarios,
     verify,
@@ -41,6 +43,9 @@ PAIRS = [(strategy, pa) for strategy in Strategy for pa in PaKind]
 
 # The grid alone: a slot pass with no probe durations.
 _NO_PROBE = np.empty(0)
+
+# The sample count of a verify probe.
+_VERIFY_SAMPLES = oracle._VERIFY_PROBE_SAMPLES
 
 
 def _slot_best_per_duration(s, slot, t_axis):
@@ -91,7 +96,7 @@ def _anchor_kinds(s, slot, t_axis):
 def _assert_same(s, slot, t_axis, priced=True):
     """The one-pass check equals the per-duration one; with ``priced``, at
     least one duration stays on the grid.  Returns the miss count."""
-    best, misses, _ = _slot_pass(s, slot, t_axis, _NO_PROBE)
+    (best,), misses, _ = _frame_pass(s, (slot,), t_axis, [_NO_PROBE])
     ref_best, ref_misses = _slot_best_per_duration(s, slot, t_axis)
     assert best.tobytes() == ref_best.tobytes()
     assert misses == ref_misses
@@ -300,10 +305,10 @@ class TestAnchorMissesDemand:
                 return pinned_anchor
 
             clipped = with_powers(slot, powers)
-            best, _, _ = _slot_pass(s, slot, t_axis, _NO_PROBE)
+            (best,), _, _ = _frame_pass(s, (slot,), t_axis, [_NO_PROBE])
             assert math.isfinite(best[20])
             assert _assert_same(s, clipped, t_axis) == 0
-            best, _, _ = _slot_pass(s, clipped, t_axis, _NO_PROBE)
+            (best,), _, _ = _frame_pass(s, (clipped,), t_axis, [_NO_PROBE])
             assert best[20] == math.inf
 
 
@@ -468,25 +473,28 @@ class TestOnePassPerSlot:
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_probe_actives_equal_slot_active(self, strategy, pa_kind):
-        """The probe durations' active powers, drawn after the grid's
-        anchors, equal one ``Slot.active`` call on their closed-form
-        powers."""
+        """Each slot's probe durations' active powers, drawn in the frame's
+        one draw after every slot's grid anchors, equal one ``Slot.active``
+        call on their closed-form powers."""
         s = random_feasible_scenarios(26, strategy, pa_kind, 1)[0]
         t_axis = _full_axis(s, 40)
-        for slot, (lo, hi) in zip(DESCRIPTIONS[strategy].slots,
-                                  tmin_for(s).spans(s.frame_t)):
-            t_probe = np.linspace(lo, hi, 31)[1:-1]
-            best, misses, active = _slot_pass(s, slot, t_axis, t_probe)
-            assert np.isfinite(best).any() and misses == 0
+        slots = DESCRIPTIONS[strategy].slots
+        probes = [np.linspace(lo, hi, 31)[1:-1]
+                  for lo, hi in tmin_for(s).spans(s.frame_t)]
+        bests, misses, actives = _frame_pass(s, slots, t_axis, probes)
+        assert misses == 0
+        for slot, best, active, t_probe in zip(slots, bests, actives, probes):
+            assert np.isfinite(best).any()
             want = slot.active(s, *slot.powers(s, t_probe))
             assert active.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
-    def test_one_bind_and_one_draw_per_slot(self, strategy, pa_kind,
-                                            monkeypatch):
-        """Each audit binds each slot's closed form once, binds one PA draw
-        per slot and calls it once.  Pricing the grid and the probe apart
-        made two of each per slot wherever the probe runs."""
+    def test_one_bind_per_slot_and_one_draw_per_audit(self, strategy,
+                                                      pa_kind, monkeypatch):
+        """Each audit binds each slot's closed form once, and binds one PA
+        draw for the whole frame and calls it once.  Pricing the grid and
+        the probe apart made two of each per slot wherever the probe runs,
+        and one draw per slot still made two for a two-slot strategy."""
         counts = {"bind": 0, "draw bind": 0, "draw": 0}
 
         def counted_bind(bind):
@@ -517,13 +525,11 @@ class TestOnePassPerSlot:
                 m.setitem(DESCRIPTIONS, strategy, replace(desc, slots=tuple(
                     replace(slot, bind=counted_bind(slot.bind))
                     for slot in desc.slots)))
-                for module in (oracle, strategies):
-                    m.setattr(module, "pa_draw",
-                              counted_pa_draw(module.pa_draw))
+                m.setattr(strategies, "pa_draw",
+                          counted_pa_draw(strategies.pa_draw))
                 assert repr(verify(s, sched)) == want
-            n_slots = len(desc.slots)
-            assert counts == {"bind": n_slots, "draw bind": n_slots,
-                              "draw": n_slots}
+            assert counts == {"bind": len(desc.slots), "draw bind": 1,
+                              "draw": 1}
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_empty_grid_raises_before_the_probe(self, strategy, pa_kind):
@@ -537,3 +543,145 @@ class TestOnePassPerSlot:
         assert not tmin_for(bad).feasible
         with pytest.raises(InfeasibleError, match="no feasible point"):
             verify(bad, solve(good))
+
+
+def _per_draw_bytes(domain, n_samples, sum_cap):
+    """The per-draw sampler's step and the bytes of its points."""
+    h, points = _probe_points_per_draw(domain, n_samples, sum_cap)
+    return h, np.array(points).tobytes()
+
+
+def _count_fresh_walks(monkeypatch):
+    """A list that gets one entry per walk the sampler runs afresh."""
+    walks, walk = [], oracle._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    return walks
+
+
+class TestWalkReuse:
+    """The 2-D probe keeps its last walk and reuses it only where every
+    verdict the walk read is judged the same for the new box, step and cap;
+    its points are then those of the per-draw sampler, byte for byte."""
+
+    @pytest.mark.parametrize("domain, sum_cap", [
+        ((0.001, 0.0093), None),
+        (((0.002, 0.009), (0.0015, 0.0085)), 0.01),
+        (((0.0, 1.0), (0.0, 1.0)), 1.0),
+        (((0.0, 1.0), (0.0, 1.0)), None)])
+    def test_cleared_and_warm_equal_per_draw_sampler(self, domain, sum_cap,
+                                                     monkeypatch):
+        """Cleared, then warm, then at another sample count, which walks
+        afresh."""
+        walks = _count_fresh_walks(monkeypatch)
+        monkeypatch.setattr(oracle, "_LAST_WALK", None)
+        for n_samples in (300, 300, 50, 50):
+            h, points = _probe_points(domain, n_samples, sum_cap)
+            assert (h, points.tobytes()) == _per_draw_bytes(domain, n_samples,
+                                                            sum_cap)
+        # A scalar domain makes no walk; a 2-D one walks once per count.
+        assert len(walks) == 2 * isinstance(domain[0], tuple)
+
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_verify_windows_equal_per_draw_sampler(self, strategy, pa_kind,
+                                                   monkeypatch):
+        """On each pair's verify window, cleared, warm from itself and warm
+        from the other pairs' windows."""
+        cases = [ScenarioParams(strategy=st, pa=pa).build()
+                 for st, pa in PAIRS]
+        s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
+        monkeypatch.setattr(oracle, "_LAST_WALK", None)
+        want = _per_draw_bytes(_domain(s), _VERIFY_SAMPLES, s.frame_t)
+        for other in [s, s] + cases + [s]:
+            _probe_points(_domain(other), _VERIFY_SAMPLES, other.frame_t)
+            h, points = _probe_points(_domain(s), _VERIFY_SAMPLES, s.frame_t)
+            assert (h, points.tobytes()) == want
+
+    @pytest.mark.parametrize("flip", ["kept to rejected", "rejected to kept"])
+    def test_flipped_verdict_walks_afresh(self, flip, monkeypatch):
+        """A cap that changes one verdict of the kept walk, and no other,
+        makes the sampler walk afresh, and the new walk matches too."""
+        domain = ((0.002, 0.009), (0.0015, 0.0085))
+        monkeypatch.setattr(oracle, "_LAST_WALK", None)
+        walks = _count_fresh_walks(monkeypatch)
+        h, _ = _probe_points(domain, 300, 0.01)
+        walk = oracle._LAST_WALK
+        ranges = [(lo + h, hi - h) for lo, hi in domain]
+        (lo0, hi0), (lo1, hi1) = ranges
+        u0, u1 = walk.judged
+        sums = lo0 + (hi0 - lo0) * u0 + (lo1 + (hi1 - lo1) * u1) + 2.0 * h
+        verdicts = np.frombuffer(walk.verdicts, dtype=bool)
+        if flip == "kept to rejected":
+            cap = np.nextafter(sums[verdicts].max(), -math.inf)
+        else:
+            cap = sums[~verdicts].min()
+        flipped = oracle._judge(ranges, h, float(cap), u0, u1) != verdicts
+        assert np.count_nonzero(flipped) == 1
+        got = _probe_points(domain, 300, float(cap))
+        assert len(walks) == 2
+        assert oracle._LAST_WALK is not walk
+        assert (got[0], got[1].tobytes()) == _per_draw_bytes(domain, 300,
+                                                             float(cap))
+
+    def test_walk_past_the_reject_cap_is_not_kept(self, monkeypatch):
+        domain = ((0.0, 1.0), (0.0, 1.0))
+        walks = _count_fresh_walks(monkeypatch)
+        monkeypatch.setattr(oracle, "_LAST_WALK", None)
+        _probe_points(domain, 10, 1.0)
+        kept = oracle._LAST_WALK
+        with pytest.raises(ValueError, match="rejected 100001 draws"):
+            _probe_points(domain, 10, 0.0800001)
+        assert oracle._LAST_WALK is kept
+        _probe_points(domain, 10, 1.0)
+        assert len(walks) == 2
+
+    def test_threads_sharing_the_kept_walk(self, monkeypatch):
+        """Threads that sample different boxes replace one another's kept
+        walk; each still gets the per-draw sampler's points."""
+        domains = [(((0.002, 0.009), (0.0015, 0.0085)), 0.01),
+                   (((0.0, 1.0), (0.0, 1.0)), 1.0),
+                   (((0.0, 1.0), (0.0, 1.0)), None),
+                   (((0.001, 0.004), (0.002, 0.008)), 0.009)]
+        want = [_per_draw_bytes(domain, 50, cap) for domain, cap in domains]
+        monkeypatch.setattr(oracle, "_LAST_WALK", None)
+        wrong = []
+
+        def sample(k):
+            domain, cap = domains[k % len(domains)]
+            for _ in range(40):
+                h, points = _probe_points(domain, 50, cap)
+                if (h, points.tobytes()) != want[k % len(domains)]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sample, args=(k,))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("accounting", list(CircuitAccounting))
+    @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
+    def test_verify_same_cleared_and_warm(self, strategy, pa_kind,
+                                          accounting, monkeypatch):
+        cases = [replace(s, circuit_accounting=accounting) for s in
+                 [ScenarioParams(strategy=strategy, pa=pa_kind).build()]
+                 + random_feasible_scenarios(28, strategy, pa_kind, 3)]
+        for s in cases:
+            sched = solve(s)
+            monkeypatch.setattr(oracle, "_LAST_WALK", None)
+            want = repr(verify(s, sched))
+            for other in cases:
+                verify(other, solve(other))
+                assert repr(verify(s, sched)) == want
