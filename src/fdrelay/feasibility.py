@@ -8,11 +8,16 @@ powers raise :class:`~fdrelay.model.InfeasibleError` (too weak a
 self-cancellation) fails the predicate.  Infeasibility is reported, never
 clamped.
 
-Before the bisection, a short safeguarded secant on the slot's log
-power-to-budget ratio narrows the window to a checked bracket: one end
-fails the predicate, the other passes it.  By monotonicity those two ends
-decide every midpoint outside the bracket, so the bisection calls the
-predicate only inside it and returns the bracket it would return alone.
+The bisection starts from a checked bracket: one end fails the predicate,
+the other passes it.  By monotonicity those two ends decide every midpoint
+outside the bracket, so the bisection calls the predicate only inside it
+and returns the bracket it would return alone.  A slot whose closed form
+inverts (:attr:`~fdrelay.strategies.Slot.root`: each fd2ts slot and
+hd2ts's broadcast) gives its minimum duration in closed form, and the two
+points a quarter of the tolerance either side of it are the bracket once
+checked; strictly inside the window, they also decide its ends.  Any other
+slot, or a root whose two points are not such a bracket, takes a short
+safeguarded secant on the slot's log power-to-budget ratio to find one.
 """
 
 from __future__ import annotations
@@ -155,6 +160,13 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
     budget, and the node that binds there.  The slot's closed form is bound
     to the scenario once, and every probe evaluates the bound function.
 
+    With a ``root``, the slot first probes root -+ tol/4; when both lie
+    strictly inside (floor, frame), the first failing and the second
+    passing, they are the bisection's checked bracket, and the floor, the
+    frame and the secant are never probed.  Otherwise the floor and the
+    frame are probed and the secant (:func:`_seed_bracket`) finds the
+    bracket.  Either way the bisection returns what it returns alone.
+
     The binder is the first node, in slot order, still over budget just
     below the minimum.  When even the full frame is over budget this raises
     :class:`InfeasibleError` naming the first over-budget node in slot
@@ -182,6 +194,21 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
     def within(t: float) -> bool:
         return probe(t)[0]
 
+    def found(checked: tuple[float, float]) -> tuple[float, str | None]:
+        lo, hi = _bisect_monotone(within, floor, s.frame_t, tol, checked)
+        try:
+            return hi, over(lo)[0][0]
+        except InfeasibleError as err:
+            return hi, err.binding_node
+
+    tol = _BISECT_TOL_FRACTION * s.frame_t
+    if slot.root is not None:
+        # Strictly inside (floor, frame), a failing point below a passing
+        # one also decides the floor (fails) and the frame (passes).
+        t = slot.root(s)
+        a, b = t - 0.25 * tol, t + 0.25 * tol
+        if floor < a < b < s.frame_t and not within(a) and within(b):
+            return found((a, b))
     ok, g_floor = probe(floor)
     if ok:
         return floor, None
@@ -192,13 +219,8 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
                 else nodes[0])[0]
         raise InfeasibleError(f"node {node} exceeds its power budget even at "
                               f"the full frame", binding_node=node)
-    tol = _BISECT_TOL_FRACTION * s.frame_t
-    checked = _seed_bracket(probe, floor, g_floor, s.frame_t, g_frame, tol)
-    lo, hi = _bisect_monotone(within, floor, s.frame_t, tol, checked)
-    try:
-        return hi, over(lo)[0][0]
-    except InfeasibleError as err:
-        return hi, err.binding_node
+    return found(_seed_bracket(probe, floor, g_floor, s.frame_t, g_frame,
+                               tol))
 
 
 def tmin_slots(s: Scenario, slots: tuple[Slot, ...]) -> FeasibleWindow:

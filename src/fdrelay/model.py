@@ -351,10 +351,12 @@ def pa_draw(*pas: PaModel) -> Callable:
     constants of every amplifier are read once, here, into per-amplifier
     arrays, so a caller that draws many times pays for them once, and each
     call prices every amplifier in one numpy pass: one range check, one
-    clip and one curve.  A caller may bind the amplifiers of a whole frame,
-    several slots' nodes in slot order, and one amplifier may appear more
-    than once.  Float powers go into one 1-D array, and the draw is a list
-    of Python floats, one per amplifier; powers of one shape stack into one
+    clip where some power is negative, and one curve.  A caller may bind
+    the amplifiers of a whole frame, several slots' nodes in slot order,
+    and one amplifier may appear more than once.  Python float powers go
+    into one 1-D array through ``np.fromiter``, as do 0-d powers of other
+    types through ``np.asarray``, and the draw is a list of Python floats,
+    one per amplifier; powers of one shape stack into one
     array, and powers of different shapes are broadcast first, which gives
     one row per amplifier, of the broadcast shape.  The draws are not
     summed: a caller adds a slot's rows left to right in argument order,
@@ -384,19 +386,30 @@ def pa_draw(*pas: PaModel) -> Callable:
         [(1.0 + k) * pa.eta_max for k, pa in zip(uk, pas)]])
     tpa = kind is PaKind.TPA
     asarray, minimum, sqrt, inf = np.asarray, np.minimum, np.sqrt, math.inf
-    count_nonzero = np.count_nonzero
+    count_nonzero, fromiter = np.count_nonzero, np.fromiter
 
     def draw(*powers):
         if len(powers) != n:
             raise ValueError(f"expected {n} transmit power(s), one per "
                              f"amplifier, got {len(powers)}")
-        try:
-            arr = asarray(powers, dtype=float)
-        except ValueError:  # powers of different shapes
-            arr = np.stack(np.broadcast_arrays(
-                *[asarray(p, dtype=float) for p in powers]))
-        # The amplifier axis goes last, against the per-amplifier arrays.
-        arr = arr.T
+        for p in powers:
+            if type(p) is not float:
+                try:
+                    arr = asarray(powers, dtype=float)
+                except ValueError:  # powers of different shapes
+                    arr = np.stack(np.broadcast_arrays(
+                        *[asarray(p, dtype=float) for p in powers]))
+                # The amplifier axis goes last, against the per-amplifier
+                # arrays; a 1-D array has it there already.
+                if arr.ndim > 1:
+                    arr = arr.T
+                negative = count_nonzero(arr < 0.0)
+                break
+        else:
+            # All Python floats, the solver's path: one 1-D array, already
+            # one element per amplifier, and the sign test in Python.
+            arr = fromiter(powers, float, n)
+            negative = min(powers) < 0.0
         # NaN fails both comparisons and an infinity one of them, so this
         # one range test also rejects every non-finite power.
         # (count_nonzero skips the Python-level wrapper of ndarray.all.)
@@ -406,14 +419,18 @@ def pa_draw(*pas: PaModel) -> Callable:
             raise ValueError(f"transmit power outside "
                              f"[0, {budgets[first]:.6g}] W budget")
         # A clip with array bounds gives +0.0 at a -0.0 power; minimum and
-        # a clip with scalar bounds both keep its sign.
-        clipped = minimum(arr, p_max).clip(0.0, inf)
+        # a clip with scalar bounds both keep its sign.  So the clip changes
+        # only a negative power, and it runs only when there is one: it
+        # goes through ndarray.clip's Python-level wrapper.
+        clipped = minimum(arr, p_max)
+        if negative:
+            clipped = clipped.clip(0.0, inf)
         if tpa:
             out = sqrt(clipped * p_max) / eta_max
         else:
             out = (clipped + bias) / scale
         # Back to one row per amplifier: Python floats for a 1-D array of
-        # float powers, arrays otherwise.
+        # 0-d powers, arrays otherwise.
         return out.tolist() if out.ndim == 1 else out.T
 
     return draw

@@ -117,6 +117,24 @@ def _bound_exps(s: Scenario, *rates: float) -> Callable:
     return exps
 
 
+def _budget_x(cap: float, lin: float, quad: float = 0.0) -> float:
+    """The largest x >= 0 at which a power lin*x + quad*x**2 is within
+    ``cap``: the positive root, as 2*cap / (lin + sqrt(lin**2 +
+    4*quad*cap)), which does not cancel when quad is small; +inf where that
+    denominator is 0.  Never raises, so a root is never an error."""
+    den = lin + math.sqrt(lin * lin + 4.0 * quad * cap)
+    return 2.0 * cap / den if den > 0 else math.inf
+
+
+def _duration_at(s: Scenario, rate: float, x: float) -> float:
+    """The duration within which ``rate`` gives 2**load - 1 = ``x``,
+    inverting :func:`_bound_exps`'s load: rate*frame*ln2 /
+    (bandwidth*log1p(x)), computed with log1p; +inf where that denominator
+    is 0."""
+    den = s.bandwidth_w * math.log1p(x)
+    return rate * s.frame_t * math.log(2.0) / den if den > 0 else math.inf
+
+
 def _inf_where(over, powers: tuple) -> tuple:
     """The powers with +inf wherever :func:`_bound_exps` found an
     overflow."""
@@ -145,7 +163,14 @@ class Slot:
     per power, in ``fields`` order: the ``(name, capacity, demand)``
     triples of the rate constraints that power closes, one of which is
     tight at the closed-form powers.  ``demand(s)`` is the traffic the slot
-    carries; a slot with none stays closed.
+    carries; a slot with none stays closed.  ``root(s)``, where the closed
+    form inverts, is the shortest duration at which every power is within
+    its ``p_max``, itself in closed form: each power rises in x =
+    2**load - 1, so the budgets bound x, and the duration follows from the
+    load (the load limit, past which the powers read +inf, is not part of
+    it).  It is only a seed: the feasibility window checks it against the
+    powers and bisects from it (:mod:`~fdrelay.feasibility`), so a root
+    that is off, NaN or infinite costs probes, never a digit.
     """
 
     fields: tuple[str, ...]
@@ -154,6 +179,7 @@ class Slot:
     bind: Callable[[Scenario], Callable[..., tuple]]
     circuit: Callable[[Scenario], tuple[float, float]]
     rates: Callable[..., tuple]
+    root: Callable[[Scenario], float] | None = None
 
     def powers(self, s: Scenario, t):
         """The closed-form powers at duration ``t``, for one-off callers;
@@ -370,13 +396,17 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
     # (src->relay gain, relay->dst gain, dst noise) of s.channels
     links = attrgetter(f"g_{src}r", f"g_r{dst}", f"sigma2_{dst}")
 
-    def bind(s: Scenario):
-        exps = _bound_exps(s, demand(s))
+    def coefficients(s: Scenario) -> tuple[float, float, float]:
+        """(src_lin, src_quad, relay_lin): the powers are
+        src_lin*x + src_quad*x**2 and relay_lin*x in x = 2**load - 1."""
         ch = s.channels
         g_up, g_down, sigma2 = links(ch)
-        src_lin = ch.sigma2_r / g_up
-        src_quad = sigma2 * ch.gs_r / (g_up * g_down)
-        relay_lin = sigma2 / g_down
+        return (ch.sigma2_r / g_up, sigma2 * ch.gs_r / (g_up * g_down),
+                sigma2 / g_down)
+
+    def bind(s: Scenario):
+        exps = _bound_exps(s, demand(s))
+        src_lin, src_quad, relay_lin = coefficients(s)
 
         def powers(t):
             over, (e,) = exps(t)
@@ -402,8 +432,17 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
         return (((f"c_{src}r", c_up, demand(s)),),
                 ((f"c_r{dst}", c_down, demand(s)),))
 
+    def root(s: Scenario) -> float:
+        # The shortest duration is where x reaches the smaller of the two
+        # nodes' largest x within budget.
+        src_lin, src_quad, relay_lin = coefficients(s)
+        x = min(_budget_x(getattr(s.pa, src).p_max, src_lin, src_quad),
+                _budget_x(s.pa.r.p_max, relay_lin))
+        return _duration_at(s, demand(s), x)
+
     return Slot(fields=(f"p_{src}", relay_field), nodes=(src, "r"),
-                demand=demand, bind=bind, circuit=circuit, rates=rates)
+                demand=demand, bind=bind, circuit=circuit, rates=rates,
+                root=root)
 
 
 _FD2TS_SLOTS = (_fd2ts_slot("a", "b", "r_fl", "p_r_fwd"),
@@ -648,6 +687,14 @@ def _bind_hd_broadcast(s: Scenario):
     return powers
 
 
+def _root_hd_broadcast(s: Scenario) -> float:
+    """The shortest broadcast at which p_r is within its budget: the longer
+    of the two links' durations at p_r = p_max."""
+    ch, cap = s.channels, s.pa.r.p_max
+    return max(_duration_at(s, s.r_fl, _budget_x(cap, ch.sigma2_b / ch.g_rb)),
+               _duration_at(s, s.r_rl, _budget_x(cap, ch.sigma2_a / ch.g_ra)))
+
+
 # Printed accounting charges dynamic circuit power eps*(r_fl + r_rl) in
 # slot 1 and eps*max(r_fl, r_rl) in slot 2; first-principles accounting
 # additionally charges the relay's slot-1 reception and the end nodes'
@@ -693,7 +740,7 @@ _HD2TS_SLOTS = (
          rates=_rates_hd_access),
     Slot(fields=("p_r_fwd",), nodes=("r",), demand=_total_demand,
          bind=_bind_hd_broadcast, circuit=_circuit_hd_broadcast,
-         rates=_rates_hd_broadcast),
+         rates=_rates_hd_broadcast, root=_root_hd_broadcast),
 )
 
 

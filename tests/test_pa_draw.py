@@ -317,3 +317,119 @@ def test_scenario_with_mixed_amplifiers_is_refused():
     with pytest.raises(ValueError,
                        match="of one kind, got a: etpa, r: tpa, b: etpa"):
         replace(s, pa=replace(s.pa, r=tpa))
+
+
+def _earlier_draw(*pas):
+    """The frame draw before it read float powers through ``np.fromiter``,
+    skipped the transposes of a 1-D array and clipped only a negative
+    power: every power through ``np.asarray``, the amplifier axis moved
+    last and back, and the clip always."""
+    n = len(pas)
+    budgets = [pa.p_max for pa in pas]
+    uk = [pa.u * pa.kappa for pa in pas]
+    lo, hi, p_max, eta_max, bias, scale = np.array([
+        [-p * _SLACK for p in budgets], [p * (1.0 + _SLACK) for p in budgets],
+        budgets, [pa.eta_max for pa in pas],
+        [k * p for k, p in zip(uk, budgets)],
+        [(1.0 + k) * pa.eta_max for k, pa in zip(uk, pas)]])
+
+    def draw(*powers):
+        if len(powers) != n:
+            raise ValueError(f"expected {n} transmit power(s), one per "
+                             f"amplifier, got {len(powers)}")
+        try:
+            arr = np.asarray(powers, dtype=float)
+        except ValueError:
+            arr = np.stack(np.broadcast_arrays(
+                *[np.asarray(p, dtype=float) for p in powers]))
+        arr = arr.T
+        inside = (arr >= lo) & (arr <= hi)
+        if np.count_nonzero(inside) != inside.size:
+            first = int(np.argmin(inside.reshape(-1, n).all(axis=0)))
+            raise ValueError(f"transmit power outside "
+                             f"[0, {budgets[first]:.6g}] W budget")
+        clipped = np.minimum(arr, p_max).clip(0.0, math.inf)
+        if pas[0].kind is PaKind.TPA:
+            out = np.sqrt(clipped * p_max) / eta_max
+        else:
+            out = (clipped + bias) / scale
+        return out.tolist() if out.ndim == 1 else out.T
+
+    return draw
+
+
+def _frame_pas(kind: PaKind, n: int) -> tuple:
+    """``n`` amplifiers of one kind, their budgets taken in turn."""
+    budgets = (39.810717055349734, 5.0, 0.19952623149688797)
+    return tuple(PaModel(kind, budgets[k % 3], 0.35) for k in range(n))
+
+
+def _outcome(draw, powers):
+    """What the draw gives: the floats' ``repr``, each row's shape, dtype
+    and bytes, or the message of the ValueError it raises."""
+    try:
+        out = draw(*powers)
+    except ValueError as err:
+        return "raises", str(err)
+    if isinstance(out, list):
+        return "floats", [repr(x) for x in out]
+    return "rows", [(row.shape, row.dtype.str, row.tobytes()) for row in out]
+
+
+def _as_paths(powers):
+    """The same powers as Python floats (the float path), as numpy scalars
+    and as arrays of one shape (the array path, 1-D and stacked)."""
+    return [list(map(float, powers)), [np.float64(p) for p in powers],
+            [np.full(3, p) for p in powers]]
+
+
+def _cases(pas, rng):
+    """Power tuples for ``pas``: inside the budgets, -0.0 and negative
+    powers within the slack in each position, and powers out of budget,
+    NaN and +-inf, in each position."""
+    n = len(pas)
+    base = [pa.p_max * float(u) for pa, u in zip(pas, rng.uniform(0, 1, n))]
+    yield base
+    yield [-0.0] * n
+    for k, pa in enumerate(pas):
+        for value in (-0.0, -pa.p_max * _SLACK, -0.5 * pa.p_max * _SLACK,
+                      math.nextafter(-pa.p_max * _SLACK, math.inf), 0.0,
+                      pa.p_max, pa.p_max * (1.0 + _SLACK), *_outside(pa)):
+            yield base[:k] + [value] + base[k + 1:]
+
+
+@pytest.mark.parametrize("kind", list(PaKind))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_draw_gives_the_earlier_draw_on_both_paths(kind, n, rng):
+    """Bit for bit, and error for error, on every path."""
+    pas = _frame_pas(kind, n)
+    draw, earlier = pa_draw(*pas), _earlier_draw(*pas)
+    for powers in _cases(pas, rng):
+        for path in _as_paths(powers):
+            assert _outcome(draw, path) == _outcome(earlier, path), path
+
+
+@pytest.mark.parametrize("kind", list(PaKind))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_draw_of_other_forms_gives_the_earlier_draw(kind, n, rng):
+    """Ints, numpy scalars of other types, mixed float and array powers of
+    different shapes, and a count of powers that is not one per
+    amplifier."""
+    pas = _frame_pas(kind, n)
+    draw, earlier = pa_draw(*pas), _earlier_draw(*pas)
+    half = [0.5 * pa.p_max for pa in pas]
+    forms = [[int(pa.p_max) for pa in pas], [0] * n,
+             [np.float32(p) for p in half], [np.int64(0)] * n,
+             # The first power an int, the rest floats.
+             [int(half[0])] + half[1:],
+             # A float beside arrays of shapes (4,), (2, 1) and (1, 4).
+             [half[0]] + [np.full(shape, p) for shape, p in
+                          zip([(4,), (2, 1), (1, 4)] * 3, half[1:])],
+             # Every power but the last a 1-element list.
+             [[p] for p in half[:-1]] + half[-1:],
+             half[:-1], half + [0.0], []]
+    for k in range(n):
+        forms.append(half[:k] + [np.asarray(-0.0)] + half[k + 1:])
+        forms.append(half[:k] + [np.array([-0.0, math.nan])] + half[k + 1:])
+    for powers in forms:
+        assert _outcome(draw, powers) == _outcome(earlier, powers), powers

@@ -1,24 +1,29 @@
 """The seeded window bisection against the plain one.
 
-``_slot_tmin`` first narrows the slot's window to a checked bracket with a
-safeguarded secant (``_seed_bracket``), then runs the unchanged bisection,
-which calls its predicate only strictly inside that bracket.  The plain
-bisection it replaced is kept here as the reference: the bracket it
-returns must not change with the seed.  ``tests/test_window_parity.py``
-checks the windows themselves.
+``_slot_tmin`` first narrows the slot's window to a checked bracket, then
+runs the unchanged bisection, which calls its predicate only strictly
+inside that bracket.  A slot with a closed-form ``root`` seeds the bracket
+with the two points a quarter tolerance either side of it; any other slot,
+or a root whose points do not bracket the minimum, takes a safeguarded
+secant (``_seed_bracket``).  The plain bisection it replaced is kept here
+as the reference: the bracket it returns must not change with the seed.
+``tests/test_window_parity.py`` checks the windows themselves, and its
+reference checks them here for every kind of root.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import (_BISECT_TOL_FRACTION, _bisect_monotone,
                                  _seed_bracket, t_floor, tmin_for, tmin_slots)
-from fdrelay.model import Strategy
+from fdrelay.model import CircuitAccounting, PaKind, Strategy
 from fdrelay.strategies import DESCRIPTIONS
 
 from conftest import with_powers
+from test_window_parity import _draws, reference_window
 
 
 def _plain_bisect(pred, lo, hi, tol):
@@ -117,29 +122,108 @@ def test_seed_bracket_is_checked_and_within_tolerance(rng):
     assert seeded >= 100
 
 
-def _counted(slots):
-    calls = [0]
+def _recorded(slot):
+    """``slot`` with its closed form recording the durations it is called
+    at, and that record."""
+    calls = []
 
-    def wrap(fn):
-        def powers(*args):
-            calls[0] += 1
-            return fn(*args)
-        return powers
+    def powers(s, t):
+        calls.append(t)
+        return slot.powers(s, t)
 
-    return calls, tuple(with_powers(slot, wrap(slot.powers))
-                        for slot in slots)
+    return calls, with_powers(slot, powers)
 
 
-# Measured on the defaults: 12 `powers` calls per bisected slot for fd1ts
-# and fd2ts and 10.5 for hd2ts, against 33 for the plain bisection (the
-# floor, the frame, 30 midpoints and the binder's diagnosis).
+# Measured on the defaults, per bisected slot: 12 `powers` calls for fd1ts
+# and 10 for hd2ts's access slot, which have no `root`, and 3 for each
+# fd2ts slot and 4 for hd2ts's broadcast, which do (12, 12 and 11 before
+# the roots seeded them), against 33 for the plain bisection (the floor,
+# the frame, 30 midpoints and the binder's diagnosis).
+@pytest.mark.parametrize("pa", list(PaKind))
 @pytest.mark.parametrize("strategy", list(Strategy))
-def test_window_calls_per_bisected_slot(strategy):
-    s = ScenarioParams(strategy=strategy).build()
-    calls, slots = _counted(DESCRIPTIONS[strategy].slots)
-    window = tmin_slots(s, slots)
+def test_window_calls_per_bisected_slot(strategy, pa):
+    s = ScenarioParams(strategy=strategy, pa=pa).build()
+    recorded = [_recorded(slot) for slot in DESCRIPTIONS[strategy].slots]
+    window = tmin_slots(s, tuple(slot for _, slot in recorded))
     assert window == tmin_for(s)
-    bisected = sum(t > t_floor(s) for t in window.t_min)
-    assert bisected == len(slots)
-    assert calls[0] <= 16 * bisected, calls[0]
+    assert all(t > t_floor(s) for t in window.t_min)
+    for (calls, _), slot in zip(recorded, DESCRIPTIONS[strategy].slots):
+        assert len(calls) <= (16 if slot.root is None else 4), len(calls)
 
+
+# Every slot with a closed-form root: fd2ts's two and hd2ts's broadcast.
+_ROOTED = [Strategy.FD2TS, Strategy.HD2TS]
+
+
+def _with_root(s, k, root):
+    """The strategy's slots with slot ``k``'s root replaced by the constant
+    ``root`` and its closed form recorded, and that record."""
+    slots = list(DESCRIPTIONS[s.strategy].slots)
+    calls, slots[k] = _recorded(replace(slots[k], root=lambda _s: root))
+    return calls, tuple(slots)
+
+
+@pytest.mark.parametrize("accounting", list(CircuitAccounting))
+@pytest.mark.parametrize("pa", list(PaKind))
+@pytest.mark.parametrize("strategy", _ROOTED)
+def test_any_root_gives_the_reference_window(strategy, pa, accounting):
+    """An exact root seeds the bisection, and a root that is off, NaN, at
+    or below the floor, or at or above the frame takes the secant's path
+    (it probes the floor, which a seeded bisection never does).  Either
+    way the window is the reference's."""
+    seeded = 0
+    for s in _draws(strategy, pa, accounting, n=40):
+        want = repr(reference_window(s))
+        floor, frame = t_floor(s), s.frame_t
+        tol = _BISECT_TOL_FRACTION * frame
+        for k, slot in enumerate(DESCRIPTIONS[strategy].slots):
+            if slot.root is None or not slot.demand(s):
+                continue
+            root = slot.root(s)
+            # (root, whether it seeds); an offset within a quarter
+            # tolerance may still bracket the minimum, so it is not told.
+            off = None if 1e-6 * root <= 0.5 * tol else False
+            cases = [(root, floor + tol < root < frame - tol),
+                     (root * (1.0 + 1e-6), off), (root * (1.0 - 1e-6), off),
+                     (math.nan, False), (floor, False), (0.5 * floor, False),
+                     (frame, False), (2.0 * frame, False)]
+            for value, seeds in cases:
+                calls, slots = _with_root(s, k, value)
+                assert repr(tmin_slots(s, slots)) == want, (k, value)
+                if seeds is not None:
+                    assert (floor not in calls) is seeds, (k, value)
+            seeded += floor + tol < root < frame - tol
+    # The draws reach the seeded path, not only the fallback.
+    assert seeded >= 20
+
+
+@pytest.mark.parametrize("accounting", list(CircuitAccounting))
+@pytest.mark.parametrize("pa", list(PaKind))
+@pytest.mark.parametrize("strategy", _ROOTED)
+def test_root_is_the_window_minimum(strategy, pa, accounting):
+    """Each root lies within the bisection's tolerance of its slot's
+    minimum duration, wherever the bisection ran."""
+    checked = 0
+    for s in _draws(strategy, pa, accounting):
+        window = tmin_for(s)
+        for slot, t_min in zip(DESCRIPTIONS[strategy].slots, window.t_min):
+            if slot.root is None or not t_floor(s) < t_min:
+                continue
+            assert abs(slot.root(s) - t_min) <= 1e-9 * s.frame_t
+            checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("sigma2", [5e-324, 1e-300, 1e300])
+@pytest.mark.parametrize("strategy", _ROOTED)
+def test_root_of_extreme_channels_is_a_number(make_scenario, strategy,
+                                              sigma2):
+    """Noise that underflows every power coefficient to 0, or overflows
+    them: each root is a float, never an error, and the window is still
+    the reference's."""
+    s = make_scenario(strategy=strategy, sigma2=sigma2, g_ar=2.0, g_br=2.0,
+                      gs=0.0)
+    for slot in DESCRIPTIONS[strategy].slots:
+        if slot.root is not None:
+            assert isinstance(slot.root(s), float)
+    assert repr(tmin_for(s)) == repr(reference_window(s))
