@@ -192,7 +192,11 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
                 math.log(ratio) if ratio > 0 else -math.inf)
 
     def within(t: float) -> bool:
-        return probe(t)[0]
+        """Whether every power is within its budget at t."""
+        try:
+            return all(map(operator.le, bound(t), caps))
+        except InfeasibleError:
+            return False
 
     def found(checked: tuple[float, float]) -> tuple[float, str | None]:
         lo, hi = _bisect_monotone(within, floor, s.frame_t, tol, checked)

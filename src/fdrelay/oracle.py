@@ -19,17 +19,21 @@ audit, and reads the grid best, the anchor misses and the probe's second
 differences off that pass.  The probe's sampler keeps its last walk over
 the seed-0 stream and reuses it once every verdict that walk read is
 judged again, for the new window, to the same value, so its points are
-those of a fresh walk.  The array powers equal the float calls bit for
-bit (the exponentials go through the float power one element at a time,
-because numpy's array ``2.0 ** x`` is one ULP off on some inputs), so the
-reports equal those of a point-by-point run.  Where the single-slot form
-raises :class:`~fdrelay.model.InfeasibleError` for a float, its array
-holds NaN: the grid drops that duration, as it drops a duration whose
-anchor is infinite, over budget or short of a demand, and the probe's draw
-refuses it.  :func:`convexity_probe` calls its function once, on one array per
-coordinate holding every probe point, and refuses a value that is not
-finite; its count is the one :func:`verify` takes of the scenario's frame
-energy (``Description.energy``) at the probe points.
+those of a fresh walk.  The seed-0 stream is NumPy's PCG64 stream, the
+doubles ``default_rng(0).random`` draws, computed here in pure Python, so
+an audit imports neither ``numpy.random`` nor, since the grid merges its
+window edges without ``np.unique``, ``numpy.ma``.  The array powers equal
+the float calls bit for bit (the exponentials go through the float power
+one element at a time, because numpy's array ``2.0 ** x`` is one ULP off
+on some inputs), so the reports equal those of a point-by-point run.
+Where the single-slot form raises :class:`~fdrelay.model.InfeasibleError`
+for a float, its array holds NaN: the grid drops that duration, as it
+drops a duration whose anchor is infinite, over budget or short of a
+demand, and the probe's draw refuses it.  :func:`convexity_probe` calls
+its function once, on one array per coordinate holding every probe point,
+and refuses a value that is not finite; its count is the one
+:func:`verify` takes of the scenario's frame energy
+(``Description.energy``) at the probe points.
 The rate constraints come grouped by the power that closes them
 (``Slot.rates``), and :func:`verify_necessary_conditions` reads each
 group's slacks from that one statement.
@@ -38,6 +42,7 @@ group's slacks from that one statement.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,24 +85,59 @@ _MAX_ATTEMPTS = 4000
 # samples reject about 60.
 _PROBE_MAX_REJECTS = 100_000
 
-# The probe's doubles: the first ones ``default_rng(0).random`` draws, read
-# only.  A longer draw of one seed starts with every shorter one, so
-# :func:`_seed0_doubles` extends this by drawing a stream twice as long, and
-# what a caller reads never depends on earlier calls.  The reject cap
-# bounds its growth: a 50-sample probe that reaches the cap reads about
-# 300,000 doubles (2.4 MiB).
-_SEED0 = np.empty(0)
+# The seed-0 stream is NumPy's: ``default_rng(0)`` seeds a PCG64 generator
+# (the XSL-RR 128/64 member of M. E. O'Neill's family, "PCG: A family of
+# simple fast space-efficient statistically good algorithms for random
+# number generation", 2014) with this state and increment.  Each step
+# advances the 128-bit state by one linear congruential step, then outputs
+# its high and low halves XORed and rotated right by its top 6 bits; a
+# double is the output's top 53 bits times 2**-53, as ``Generator.random``
+# makes it.  Computing it here keeps ``numpy.random`` out of an audit.
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG64_INC = 87136372517582989555478159403783844777
+_PCG64_SEED0_STATE = 35399562948360463058890781895381311971
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_doubles(state: int, n: int) -> tuple[np.ndarray, int]:
+    """The next ``n`` doubles of the PCG64 stream at ``state``, and the
+    state after the last."""
+    out = array("d")
+    append = out.append
+    for _ in range(n):
+        state = (state * _PCG64_MULT + _PCG64_INC) & _MASK128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _MASK64
+        append(((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11)
+               * 2.0 ** -53)
+    return np.frombuffer(out, dtype=float), state
+
+
+# The probe's doubles, the first ones ``default_rng(0).random`` draws, read
+# only, and the generator's state after the last of them.  A longer draw
+# of one seed starts with every shorter one, so :func:`_seed0_doubles`
+# extends the stream to twice its length from that state, and what a caller
+# reads never depends on earlier calls.  An extension replaces the pair
+# whole, so threads can only extend it again, never read a stream with the
+# wrong state.  The reject cap bounds its growth: a 50-sample probe that
+# reaches the cap reads about 300,000 doubles (2.4 MiB).
+_SEED0: tuple[np.ndarray, int] = (np.empty(0), _PCG64_SEED0_STATE)
 
 
 def _seed0_doubles(n: int) -> np.ndarray:
     """The first ``n`` doubles of ``default_rng(0).random``, as a read-only
-    view of one stream drawn once per process and extended by doubling."""
+    view of one stream computed once per process, in pure Python
+    (NumPy's PCG64 stream, :func:`_pcg64_doubles`), and extended by
+    doubling."""
     global _SEED0
-    if n > _SEED0.size:
-        u = np.random.default_rng(0).random(max(n, 2 * _SEED0.size))
+    u, state = _SEED0
+    if n > u.size:
+        more, state = _pcg64_doubles(state, max(n, 2 * u.size) - u.size)
+        u = np.concatenate([u, more])
         u.flags.writeable = False
-        _SEED0 = u
-    return _SEED0[:n]
+        _SEED0 = u, state
+    return u[:n]
 
 
 class _Walk(NamedTuple):
@@ -159,7 +199,9 @@ def _duration_axis(lo: float, hi: float, n_t: int,
     pts = np.linspace(lo, hi, n_t)
     keep = [e for e in extras if math.isfinite(e) and lo <= e <= hi]
     if keep:
-        pts = np.unique(np.concatenate([pts, np.asarray(keep)]))
+        # The sorted distinct points, as np.unique gives them, which
+        # would import numpy.ma.
+        pts = np.array(sorted(set(pts.tolist()).union(keep)))
     return pts
 
 
@@ -445,7 +487,9 @@ def convexity_probe(f, domain, n_samples: int = 200,
     ``domain`` is (lo, hi) for a scalar function or a pair of such
     intervals for a two-variable one (probed along random directions).
     The step h is 2% of the domain's narrowest side, and the samples are
-    drawn from seed 0, so a probe is the same on every call.
+    drawn from seed 0, so a probe is the same on every call: from NumPy's
+    PCG64 stream of ``default_rng(0)``, computed in pure Python
+    (:func:`_seed0_doubles`).
     ``sum_cap`` optionally restricts 2-D sampling to x + y + 2h <= sum_cap;
     a cap that no sample can meet, or that rejects more than 100,000
     draws, raises ``ValueError``.

@@ -130,8 +130,9 @@ def _duration_at(s: Scenario, rate: float, x: float) -> float:
     """The duration within which ``rate`` gives 2**load - 1 = ``x``,
     inverting :func:`_bound_exps`'s load: rate*frame*ln2 /
     (bandwidth*log1p(x)), computed with log1p; +inf where that denominator
-    is 0."""
-    den = s.bandwidth_w * math.log1p(x)
+    is 0.  An x past 2**_LOAD_LIMIT - 1 counts as that bound, since a
+    shorter duration's load reads +inf powers."""
+    den = s.bandwidth_w * math.log1p(min(x, 2.0 ** _LOAD_LIMIT - 1.0))
     return rate * s.frame_t * math.log(2.0) / den if den > 0 else math.inf
 
 
@@ -166,11 +167,11 @@ class Slot:
     carries; a slot with none stays closed.  ``root(s)``, where the closed
     form inverts, is the shortest duration at which every power is within
     its ``p_max``, itself in closed form: each power rises in x =
-    2**load - 1, so the budgets bound x, and the duration follows from the
-    load (the load limit, past which the powers read +inf, is not part of
-    it).  It is only a seed: the feasibility window checks it against the
-    powers and bisects from it (:mod:`~fdrelay.feasibility`), so a root
-    that is off, NaN or infinite costs probes, never a digit.
+    2**load - 1, so the budgets bound x, and so does the load limit, past
+    which the powers read +inf; the duration follows from the load.  It is
+    only a seed: the feasibility window checks it against the powers and
+    bisects from it (:mod:`~fdrelay.feasibility`), so a root that is off,
+    NaN or infinite costs probes, never a digit.
     """
 
     fields: tuple[str, ...]

@@ -19,7 +19,7 @@ import pytest
 from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import (_BISECT_TOL_FRACTION, _bisect_monotone,
                                  _seed_bracket, t_floor, tmin_for, tmin_slots)
-from fdrelay.model import CircuitAccounting, PaKind, Strategy
+from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, Strategy
 from fdrelay.strategies import DESCRIPTIONS
 
 from conftest import with_powers
@@ -151,6 +151,30 @@ def test_window_calls_per_bisected_slot(strategy, pa):
         assert len(calls) <= (16 if slot.root is None else 4), len(calls)
 
 
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_powers_that_raise_fail_the_predicate(make_scenario, strategy):
+    """A duration at which the closed form raises InfeasibleError (too weak
+    a self-cancellation) fails the budget predicate, at the bisection's
+    midpoints too: where the powers raise below an edge and are 0 above
+    it, the window's minimum is the plain bisection's on that edge, and
+    the binder is the error's node."""
+    s = make_scenario(strategy=strategy)
+    edge = 0.0031
+
+    def powers(s, t):
+        if t < edge:
+            raise InfeasibleError("self-cancellation too weak",
+                                  binding_node="b", cause="cancellation")
+        return (0.0,) * len(slot.nodes)
+
+    slot = DESCRIPTIONS[strategy].slots[0]
+    window = tmin_slots(s, (with_powers(slot, powers),))
+    tol = _BISECT_TOL_FRACTION * s.frame_t
+    _, hi = _plain_bisect(lambda t: t >= edge, t_floor(s), s.frame_t, tol)
+    assert window.t_min == (hi,)
+    assert window.binding_node == ("b",)
+
+
 # Every slot with a closed-form root: fd2ts's two and hd2ts's broadcast.
 _ROOTED = [Strategy.FD2TS, Strategy.HD2TS]
 
@@ -220,10 +244,22 @@ def test_root_of_extreme_channels_is_a_number(make_scenario, strategy,
                                               sigma2):
     """Noise that underflows every power coefficient to 0, or overflows
     them: each root is a float, never an error, and the window is still
-    the reference's."""
+    the reference's.  Where the noise is tiny no budget binds, and the
+    window's minimum is where the load reaches ``_LOAD_LIMIT`` and the
+    powers turn +inf.  The root is bounded there too, so it seeds the
+    bisection: at most 4 closed-form calls per rooted slot, and no probe
+    of the floor."""
     s = make_scenario(strategy=strategy, sigma2=sigma2, g_ar=2.0, g_br=2.0,
                       gs=0.0)
     for slot in DESCRIPTIONS[strategy].slots:
         if slot.root is not None:
             assert isinstance(slot.root(s), float)
-    assert repr(tmin_for(s)) == repr(reference_window(s))
+    recorded = [_recorded(slot) for slot in DESCRIPTIONS[strategy].slots]
+    window = tmin_slots(s, tuple(slot for _, slot in recorded))
+    assert repr(window) == repr(tmin_for(s)) == repr(reference_window(s))
+    if sigma2 < 1.0:
+        assert window.feasible
+        for (calls, _), slot in zip(recorded, DESCRIPTIONS[strategy].slots):
+            if slot.root is not None:
+                assert t_floor(s) not in calls
+                assert len(calls) <= 4, len(calls)
