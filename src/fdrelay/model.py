@@ -348,12 +348,12 @@ def pa_draw(*pas: PaModel) -> Callable:
     per amplifier, in argument order.
 
     The budget range, ``p_max``, ``eta_max`` and the ETPA curve's
-    constants of every amplifier are read once, here, into per-amplifier
-    arrays, so a caller that draws many times pays for them once, and each
-    call prices every amplifier in one numpy pass: one range check, one
-    clip where some power is negative, and one curve.  A caller may bind
-    the amplifiers of a whole frame, several slots' nodes in slot order,
-    and one amplifier may appear more than once.  Python float powers go
+    constants of every amplifier are read once, here, into one array, one
+    row per amplifier, so a caller that draws many times pays for them
+    once, and each call prices every amplifier in one numpy pass: one
+    range check, one clip where some power is negative, and one curve.  A
+    caller may bind the amplifiers of a whole frame, several slots' nodes
+    in slot order, and one amplifier may appear more than once.  Python float powers go
     into one 1-D array through ``np.fromiter``, as do 0-d powers of other
     types through ``np.asarray``, and the draw is a list of Python floats,
     one per amplifier; powers of one shape stack into one
@@ -372,18 +372,14 @@ def pa_draw(*pas: PaModel) -> Callable:
     if any(pa.kind is not kind for pa in pas):
         raise ValueError("pa_draw binds amplifiers of one kind, got "
                          + ", ".join(pa.kind.value for pa in pas))
+    rows = []
     for pa in pas:
         pa_draw_range(pa)
-    n = len(pas)
-    budgets = [pa.p_max for pa in pas]
-    uk = [pa.u * pa.kappa for pa in pas]
-    lo, hi, p_max, eta_max, bias, scale = np.array([
-        [-p * _P_BUDGET_SLACK for p in budgets],
-        [p * (1.0 + _P_BUDGET_SLACK) for p in budgets],
-        budgets,
-        [pa.eta_max for pa in pas],
-        [k * p for k, p in zip(uk, budgets)],
-        [(1.0 + k) * pa.eta_max for k, pa in zip(uk, pas)]])
+        p, eta, uk = pa.p_max, pa.eta_max, pa.u * pa.kappa
+        rows.append((-p * _P_BUDGET_SLACK, p * (1.0 + _P_BUDGET_SLACK), p,
+                     eta, uk * p, (1.0 + uk) * eta))
+    n = len(rows)
+    lo, hi, p_max, eta_max, bias, scale = np.array(rows).T
     tpa = kind is PaKind.TPA
     asarray, minimum, sqrt, inf = np.asarray, np.minimum, np.sqrt, math.inf
     count_nonzero, fromiter = np.count_nonzero, np.fromiter
@@ -417,7 +413,7 @@ def pa_draw(*pas: PaModel) -> Callable:
         if count_nonzero(inside) != inside.size:
             first = int(np.argmin(inside.reshape(-1, n).all(axis=0)))
             raise ValueError(f"transmit power outside "
-                             f"[0, {budgets[first]:.6g}] W budget")
+                             f"[0, {pas[first].p_max:.6g}] W budget")
         # A clip with array bounds gives +0.0 at a -0.0 power; minimum and
         # a clip with scalar bounds both keep its sign.  So the clip changes
         # only a negative power, and it runs only when there is one: it

@@ -23,9 +23,12 @@ those of a fresh walk.  The seed-0 stream is NumPy's PCG64 stream, the
 doubles ``default_rng(0).random`` draws, computed here in pure Python, so
 an audit imports neither ``numpy.random`` nor, since the grid merges its
 window edges without ``np.unique``, ``numpy.ma``.  The array powers equal
-the float calls bit for bit (the exponentials go through the float power
-one element at a time, because numpy's array ``2.0 ** x`` is one ULP off
-on some inputs), so the reports equal those of a point-by-point run.
+the float calls bit for bit (each rate's exponentials are one
+``np.float_power``, which calls the float path's C ``pow`` once per
+element; ``np.power`` and ``np.exp2`` are one ULP off it on some inputs),
+so the reports equal those of a point-by-point run.  The grid is
+``np.linspace``'s arithmetic in Python floats, and the budgets are read
+once per audit.
 Where the single-slot form raises :class:`~fdrelay.model.InfeasibleError`
 for a float, its array holds NaN: the grid drops that duration, as it
 drops a duration whose anchor is infinite, over budget or short of a
@@ -196,13 +199,17 @@ def _duration_axis(lo: float, hi: float, n_t: int,
     The extras cover feasibility windows narrower than the grid spacing,
     which a plain lattice can straddle without touching.
     """
-    pts = np.linspace(lo, hi, n_t)
+    step = (hi - lo) / (n_t - 1)
+    # np.linspace's own arithmetic, k * step + lo with the end set to hi,
+    # in Python floats; a step that underflows to 0 takes its other branch.
+    pts = ([k * step + lo for k in range(n_t - 1)] + [hi] if step
+           else np.linspace(lo, hi, n_t).tolist())
     keep = [e for e in extras if math.isfinite(e) and lo <= e <= hi]
     if keep:
         # The sorted distinct points, as np.unique gives them, which
         # would import numpy.ma.
-        pts = np.array(sorted(set(pts.tolist()).union(keep)))
-    return pts
+        pts = sorted(set(pts).union(keep))
+    return np.array(pts)
 
 
 def _meets(s: Scenario, slot: Slot, t, *powers):
@@ -238,22 +245,29 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
     """
     n = t_axis.size
     rows = n + max(t.size for t in probes)
-    frame, priced_rows, misses = [], [], 0
+    # Every node's budget in slot order, read once, one row per node.
+    caps = np.array([[getattr(s.pa, node).p_max]
+                     for slot in slots for node in slot.nodes])
+    loose = caps * (1.0 + 1e-9)
+    all_rows = np.logical_and.reduce
+    frame, priced_rows, misses, first = [], [], 0, 0
     for slot, t_probe in zip(slots, probes):
-        caps = np.array([cap for _, cap in slot.budgets(s)])
-        powers = np.column_stack(slot.bind(s)(np.concatenate([t_axis,
-                                                              t_probe])))
-        anchors = powers[:n]
-        kept = np.flatnonzero((np.isfinite(anchors)
-                               & (anchors <= caps * (1.0 + 1e-9))).all(axis=1))
-        anchors = anchors[kept]
-        clipped = np.minimum(anchors, caps)
-        met = _meets(s, slot, t_axis[kept], *clipped.T)
+        end = first + len(slot.nodes)
+        cap = caps[first:end]
+        # One row per power: the anchors, then the probe powers.
+        powers = np.array(slot.bind(s)(np.concatenate([t_axis, t_probe])))
+        anchors = powers[:, :n]
+        kept = all_rows(np.isfinite(anchors)
+                        & (anchors <= loose[first:end])).nonzero()[0]
+        first = end
+        anchors = anchors[:, kept]
+        clipped = np.minimum(anchors, cap)
+        met = _meets(s, slot, t_axis[kept], *clipped)
         priced = kept[met]
-        misses += int(np.count_nonzero(~met & (anchors <= caps).all(axis=1)))
+        misses += int(np.count_nonzero(~met & all_rows(anchors <= cap)))
         drawn = np.zeros((len(slot.nodes), rows))
-        drawn[:, priced] = clipped[met].T
-        drawn[:, n:n + t_probe.size] = powers[n:].T
+        drawn[:, priced] = clipped[:, met]
+        drawn[:, n:n + t_probe.size] = powers[:, n:]
         frame += list(drawn)
         priced_rows.append(priced)
     bests, actives = [], bind_actives(s, slots)(*frame)
@@ -342,7 +356,7 @@ def _best_combination(s: Scenario, t_axis: np.ndarray, per_slot):
         busy = np.add.outer(busy, t_axis)
     energy = np.where(busy > s.frame_t, math.inf,
                       energy + s.p_idle_total * idle)
-    idx = np.unravel_index(int(np.argmin(energy)), energy.shape)
+    idx = np.unravel_index(int(energy.argmin()), energy.shape)
     return float(energy[idx]), {f"t{k + 1}": float(t_axis[i])
                                 for k, i in enumerate(idx)}
 
@@ -407,8 +421,8 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
         raise ValueError(f"probe step {h} leaves no room in {domain}")
     if not two_d:
         lo, hi = ranges[0]
-        x = (lo + (hi - lo) * _seed0_doubles(n_samples))[:, None]
-        return h, np.stack([x, x + h, x - h], axis=1)
+        x = lo + (hi - lo) * _seed0_doubles(n_samples)
+        return h, np.array([x, x + h, x - h]).T.reshape(n_samples, 3, 1)
     (lo0, hi0), (lo1, hi1) = ranges
     if sum_cap is not None and lo0 + lo1 + 2.0 * h > sum_cap:
         raise ValueError(f"sum_cap {sum_cap} rejects every sample of "
@@ -423,8 +437,8 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
     x0 = lo0 + (hi0 - lo0) * walk.drawn[0]
     x1 = lo1 + (hi1 - lo1) * walk.drawn[1]
     e0, e1 = h * walk.cos, h * walk.sin
-    return h, np.stack([x0, x1, x0 + e0, x1 + e1, x0 - e0, x1 - e1],
-                       axis=1).reshape(n_samples, 3, 2)
+    return h, np.array([x0, x1, x0 + e0, x1 + e1, x0 - e0,
+                        x1 - e1]).T.reshape(n_samples, 3, 2)
 
 
 def _judge(ranges, h: float, sum_cap: float | None, u0, u1) -> np.ndarray:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import attrgetter
 from typing import Callable
 
@@ -87,9 +86,11 @@ def _bound_exps(s: Scenario, *rates: float) -> Callable:
     arithmetic never raises on inf or NaN) before :func:`_inf_where`
     replaces its result; a load past ``_LOAD_LIMIT``, or NaN, gives +inf.
     An array gives a mask and arrays with NaN at overflows, which never
-    warns where inf would meet inf - inf.  Each element goes through the
-    builtin ``pow(2.0, x)``, the same C ``pow`` as the float's ``2.0 ** x``,
-    since numpy's array power is one ULP off it on some exponents.
+    warns where inf would meet inf - inf.  Each rate's exponentials are one
+    ``np.float_power(2.0, loads)``, whose float64 loop calls the C ``pow``
+    once per element, the same ``pow`` as the float's ``2.0 ** x``;
+    ``np.power`` and ``np.exp2`` go through vector kernels that are one ULP
+    off it on some exponents.
     """
     w = s.bandwidth_w
     bits = [(rate, rate * s.frame_t) for rate in rates]
@@ -106,13 +107,12 @@ def _bound_exps(s: Scenario, *rates: float) -> Callable:
             return math.inf in out, out
         loads = [b / (w * t) if rate else 0.0 * t for rate, b in bits]
         # Where the float gives inf (NaN, or past the limit); those loads go
-        # in as 0 so that the builtin pow never overflows.
+        # in as NaN, which pow returns as it is, with no overflow warning.
         over = ~(loads[0] <= _LOAD_LIMIT)
         for load in loads[1:]:
             over |= ~(load <= _LOAD_LIMIT)
-        return over, [np.where(over, math.nan, np.fromiter(
-            map(pow, repeat(2.0), np.where(over, 0.0, load).tolist()), float,
-            t.size)) for load in loads]
+        return over, [np.float_power(2.0, np.where(over, math.nan, load))
+                      for load in loads]
 
     return exps
 
@@ -512,17 +512,22 @@ def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r):
 
 
 def _bound_relay_cases(s: Scenario) -> Callable:
-    """``cases(t1)``: candidate (p_a, p_b, p_r) for both relay-power cases,
-    case I first, with the scenario's constants read once.
+    """``relay(t1)``: whether relay-power case I binds at ``t1``, and the
+    powers (p_a, p_b, p_r) of the binding case, with the scenario's
+    constants read once.
 
     Closing both uplink equalities expresses p_a and p_b as multiples of
     the relay's received interference-plus-noise level; closing one of the
     two broadcast equalities then pins p_r through a scalar linear solve.
-    In asymptotic mode the shared factor (2^lfl + 2^lrl - 1)/(2^lfl + 2^lrl)
-    is dropped and 2^l - 1 becomes 2^l, matching the high-load forms.
+    The binding case needs the larger relay power, case I on a tie, which
+    also inflates both end-node powers; they are a function of p_r alone,
+    so they are computed once, from the winner.  In asymptotic mode the
+    shared factor (2^lfl + 2^lrl - 1)/(2^lfl + 2^lrl) is dropped and
+    2^l - 1 becomes 2^l, matching the high-load forms.
 
-    A 1-D array of durations gives arrays in every power, NaN wherever
-    the float form raises :class:`InfeasibleError`.
+    A 1-D array of durations gives a mask and arrays in every power, NaN
+    wherever the float form of either case raises
+    :class:`InfeasibleError`.
     """
     ch = s.channels
     exps = _bound_exps(s, s.r_fl, s.r_rl)
@@ -554,7 +559,7 @@ def _bound_relay_cases(s: Scenario) -> Callable:
     # Case II: forward-link broadcast (r -> b) holds with equality.
     power_fl = bound_relay_power(ch.gs_b, g_br, ch.g_rb, ch.sigma2_b, "b")
 
-    def cases(t1):
+    def relay(t1):
         arrays = not isinstance(t1, float)
         over, (e_fl, e_rl) = exps(t1)
         if not arrays and over:  # an array carries NaN instead
@@ -571,28 +576,23 @@ def _bound_relay_cases(s: Scenario) -> Callable:
             down_b = e_fl - 1.0
         p_r_rl = power_rl(down_a, e_fl, factor, arrays)
         p_r_fl = power_fl(down_b, e_rl, factor, arrays)
+        first = p_r_rl >= p_r_fl
+        if arrays:
+            p_r = np.where(np.isnan(p_r_rl) | np.isnan(p_r_fl), math.nan,
+                           np.where(first, p_r_rl, p_r_fl))
+        else:
+            p_r = p_r_rl if first else p_r_fl
+        d = p_r * gs_r + sigma2_r
+        return first, (factor * e_fl * d / g_ar, factor * e_rl * d / g_br, p_r)
 
-        def end_powers(p_r: float) -> tuple[float, float]:
-            d = p_r * gs_r + sigma2_r
-            return factor * e_fl * d / g_ar, factor * e_rl * d / g_br
-
-        return end_powers(p_r_rl) + (p_r_rl,), end_powers(p_r_fl) + (p_r_fl,)
-
-    return cases
-
-
-def _relay_cases(s: Scenario, t1):
-    """Both relay-power candidates at one duration
-    (:func:`_bound_relay_cases`)."""
-    return _bound_relay_cases(s)(t1)
+    return relay
 
 
 def powers_1ts(s: Scenario, t1: float) -> PowerAssignment1TS:
     """Optimal powers: the larger of the two relay-power candidates wins."""
-    case1, case2 = _relay_cases(s, t1)
-    if case1[2] >= case2[2]:
-        return PowerAssignment1TS(*case1, RelayCase.CASE_I)
-    return PowerAssignment1TS(*case2, RelayCase.CASE_II)
+    first, powers = _bound_relay_cases(s)(t1)
+    return PowerAssignment1TS(
+        *powers, RelayCase.CASE_I if first else RelayCase.CASE_II)
 
 
 def _circuit_1ts(s: Scenario):
@@ -615,16 +615,10 @@ def _bind_1ts(s: Scenario):
     """(p_a, p_b, p_r) of :func:`powers_1ts` as a function of the duration;
     a 1-D array of durations gives arrays, NaN wherever either relay case
     raises."""
-    cases = _bound_relay_cases(s)
+    relay = _bound_relay_cases(s)
 
     def powers(t):
-        case1, case2 = cases(t)
-        first = case1[2] >= case2[2]
-        if isinstance(t, float):
-            return case1 if first else case2
-        raised = np.isnan(case1[2]) | np.isnan(case2[2])
-        return tuple(np.where(raised, math.nan, np.where(first, p1, p2))
-                     for p1, p2 in zip(case1, case2))
+        return relay(t)[1]
 
     return powers
 

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from fdrelay.config import ScenarioParams
-from fdrelay.feasibility import tmin_for
+from fdrelay.feasibility import t_floor, tmin_for
 from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, RelayCase, Strategy
 from fdrelay.strategies import (
     DESCRIPTIONS,
     PowerAssignment1TS,
     PowerAssignment2TS,
-    _relay_cases,
+    _bind_1ts,
+    _bound_exps,
     caps_1ts,
     caps_2ts,
     caps_hd,
@@ -28,10 +29,79 @@ from fdrelay.strategies import (
 from conftest import random_scenario_params
 
 
+def reference_relay_cases(s):
+    """``cases(t1)``: both fd1ts relay-power candidates (p_a, p_b, p_r),
+    case I first, each with its own end powers: both cases in full, from
+    which :func:`reference_powers_1ts` then chooses.  The program picks the
+    binding relay power first and derives the end powers from it alone;
+    these tests hold it to this form bit for bit.  A float raises where
+    either case raises; an array holds NaN there."""
+    ch = s.channels
+    exps = _bound_exps(s, s.r_fl, s.r_rl)
+    gs_r, sigma2_r, g_ar, g_br = ch.gs_r, ch.sigma2_r, ch.g_ar, ch.g_br
+
+    def bound_relay_power(gs_self, g_up, g_down, sigma2_self, side):
+        up_noise = g_up * sigma2_self
+        link = g_down * g_up
+
+        def relay_power(down, up, factor, arrays):
+            num = down * (factor * up * gs_self * sigma2_r + up_noise)
+            den = link - down * factor * up * gs_self * gs_r
+            if arrays:
+                return num / np.where(den > 0, den, math.nan)
+            if den <= 0:
+                raise InfeasibleError(
+                    f"self-cancellation too weak to close the {side} "
+                    f"broadcast link at this spectral load",
+                    binding_node=side, cause="cancellation")
+            return num / den
+
+        return relay_power
+
+    power_rl = bound_relay_power(ch.gs_a, g_ar, ch.g_ra, ch.sigma2_a, "a")
+    power_fl = bound_relay_power(ch.gs_b, g_br, ch.g_rb, ch.sigma2_b, "b")
+
+    def cases(t1):
+        arrays = not isinstance(t1, float)
+        over, (e_fl, e_rl) = exps(t1)
+        if not arrays and over:
+            raise InfeasibleError("spectral load overflows any finite power",
+                                  cause="power_budget")
+        total = e_fl + e_rl
+        if s.asymptotic_1ts:
+            factor, down_a, down_b = 1.0, e_rl, e_fl
+        else:
+            factor = (total - 1.0) / total
+            down_a, down_b = e_rl - 1.0, e_fl - 1.0
+        p_r_rl = power_rl(down_a, e_fl, factor, arrays)
+        p_r_fl = power_fl(down_b, e_rl, factor, arrays)
+
+        def end_powers(p_r):
+            d = p_r * gs_r + sigma2_r
+            return factor * e_fl * d / g_ar, factor * e_rl * d / g_br
+
+        return end_powers(p_r_rl) + (p_r_rl,), end_powers(p_r_fl) + (p_r_fl,)
+
+    return cases
+
+
+def reference_powers_1ts(s, t):
+    """The binding case of :func:`reference_relay_cases` chosen after both
+    are computed, and which case it is (None for an array)."""
+    case1, case2 = reference_relay_cases(s)(t)
+    first = case1[2] >= case2[2]
+    if isinstance(t, float):
+        return (case1, RelayCase.CASE_I) if first else (case2,
+                                                        RelayCase.CASE_II)
+    raised = np.isnan(case1[2]) | np.isnan(case2[2])
+    return tuple(np.where(raised, math.nan, np.where(first, p1, p2))
+                 for p1, p2 in zip(case1, case2)), None
+
+
 def relay_case_assignments(s, t1):
     """Both fd1ts relay-power candidates as assignments, case I first."""
-    return tuple(PowerAssignment1TS(*powers, case)
-                 for powers, case in zip(_relay_cases(s, t1), RelayCase))
+    return tuple(PowerAssignment1TS(*powers, case) for powers, case
+                 in zip(reference_relay_cases(s)(t1), RelayCase))
 
 
 def loads(s, t_fl, t_rl):
@@ -523,3 +593,94 @@ class TestSlotDescriptions:
                     slacks = [(c - d) / d for _, c, d in group]
                     assert min(abs(x) for x in slacks) < 1e-9
                     assert all(x > -1e-9 for x in slacks)
+
+
+class TestWinnerFirst1TS:
+    """fd1ts picks its binding relay power first and derives the end powers
+    from it alone; that must equal computing both cases in full and then
+    choosing (:func:`reference_relay_cases`), bit for bit, for a float and
+    an array of durations, NaN where a case raises, ties and the
+    asymptotic forms included."""
+
+    def _durations(self, s, rng):
+        floor = t_floor(s)
+        return np.concatenate([np.linspace(floor, s.frame_t, 60),
+                               rng.uniform(floor, s.frame_t, 60)])
+
+    def _check(self, s, t):
+        """``_bind_1ts`` over the array ``t`` and at each of its durations,
+        and ``powers_1ts`` at each, against the reference: the same powers
+        bit for bit and the same case, or the same InfeasibleError.
+        Returns the float outcomes seen and the reference cases' relay
+        powers."""
+        bound = _bind_1ts(s)
+        want, _ = reference_powers_1ts(s, t)
+        for g, w in zip(bound(t), want):
+            assert g.dtype == np.float64 and g.shape == t.shape
+            assert g.tobytes() == w.tobytes()
+        kinds = set()
+        for ti in t.tolist():
+            try:
+                want, case = reference_powers_1ts(s, ti)
+            except InfeasibleError as err:
+                for call in (bound, lambda x: powers_1ts(s, x)):
+                    with pytest.raises(InfeasibleError) as got:
+                        call(ti)
+                    assert ((str(got.value), got.value.cause,
+                             got.value.binding_node)
+                            == (str(err), err.cause, err.binding_node))
+                kinds.add(f"raises:{err.cause}")
+                continue
+            pw = powers_1ts(s, ti)
+            assert (np.array(bound(ti)).tobytes() == np.array(want).tobytes()
+                    == np.array([pw.p_a, pw.p_b, pw.p_r]).tobytes())
+            assert pw.active_case is case
+            kinds.add("inf" if math.inf in want else "finite")
+        case1, case2 = reference_relay_cases(s)(t)
+        return kinds, case1[2], case2[2]
+
+    @pytest.mark.parametrize("asymptotic", [False, True])
+    @pytest.mark.parametrize("accounting", list(CircuitAccounting))
+    @pytest.mark.parametrize("pa_kind", list(PaKind))
+    def test_equals_both_case_selection(self, pa_kind, accounting,
+                                        asymptotic):
+        rng = np.random.default_rng(2901)
+        kinds, cases = set(), set()
+        for _ in range(6):
+            p = random_scenario_params(rng, Strategy.FD1TS, pa_kind)
+            s = replace(p, accounting=accounting,
+                        asymptotic_1ts=asymptotic).build()
+            seen, p_r1, p_r2 = self._check(s, self._durations(s, rng))
+            kinds |= seen
+            cases |= {bool(v) for v in (p_r1 >= p_r2).tolist()}
+        assert {"finite", "raises:power_budget"} <= kinds
+        # Both cases bind somewhere.
+        assert cases == {True, False}
+
+    def test_nan_where_only_one_case_raises(self, make_scenario):
+        """Weaker self-interference at b: case II stays finite at some
+        durations where case I raises, and the array must still hold NaN in
+        every power there."""
+        base = make_scenario(strategy=Strategy.FD1TS, gs=1e-12, r_fl=6e7,
+                             r_rl=6e7)
+        s = replace(base, channels=replace(base.channels, gs_b=1e-16))
+        t = self._durations(s, np.random.default_rng(2902))
+        kinds, p_r1, p_r2 = self._check(s, t)
+        one = np.isnan(p_r1) & ~np.isnan(p_r2)
+        assert one.any()
+        assert "raises:cancellation" in kinds
+        for p in _bind_1ts(s)(t):
+            assert np.isnan(p[one]).all()
+
+    @pytest.mark.parametrize("asymptotic", [False, True])
+    def test_tie_is_case_one(self, make_scenario, asymptotic):
+        """Mirror-symmetric links and demands: both relay powers are equal
+        bit for bit, and case I binds."""
+        s = make_scenario(strategy=Strategy.FD1TS, asymptotic=asymptotic)
+        t = self._durations(s, np.random.default_rng(2903))
+        kinds, p_r1, p_r2 = self._check(s, t)
+        finite = np.isfinite(p_r1)
+        assert finite.any() and "finite" in kinds
+        assert p_r1[finite].tobytes() == p_r2[finite].tobytes()
+        for ti in t[finite].tolist():
+            assert powers_1ts(s, ti).active_case is RelayCase.CASE_I
