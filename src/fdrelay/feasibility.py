@@ -33,8 +33,7 @@ from .strategies import DESCRIPTIONS, Slot
 # these names on this module, so they stay importable from it.
 from .strategies import powers_1ts, powers_2ts, powers_hd  # noqa: F401
 
-__all__ = ["FeasibleWindow", "tmin_slots", "tmin_2ts", "tmin_1ts", "tmin_hd",
-           "tmin_for", "t_floor"]
+__all__ = ["FeasibleWindow", "tmin_slots", "tmin_for", "t_floor"]
 
 # Durations below this fraction of the frame make the spectral load
 # overflow double precision at realistic rates; it is the lower end of
@@ -252,6 +251,10 @@ def tmin_slots(s: Scenario, slots: tuple[Slot, ...]) -> FeasibleWindow:
             cause="power_budget")
     return FeasibleWindow(t_min=t_min, feasible=True, binding_node=binders)
 
+
+# Per-strategy windows.  Nothing in the package calls them: the benchmark
+# imports them from the package (bench/workloads.py) and its span tracer
+# patches them by name.
 
 def tmin_2ts(s: Scenario) -> FeasibleWindow:
     """Per-slot minimum durations for FD2TS, or an infeasible window."""

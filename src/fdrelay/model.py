@@ -50,7 +50,9 @@ _PL_CONST_DB = 103.8
 _PL_SLOPE_DB = 21.0
 
 # Relative slack tolerated on transmit-power budgets (float dust from the
-# feasibility bisection landing exactly on a cap).
+# feasibility bisection landing exactly on a cap): the PA draw accepts a
+# power this far past its budget, and the oracle clips such a grid anchor
+# onto it.
 _P_BUDGET_SLACK = 1e-9
 
 

@@ -27,8 +27,9 @@ the float calls bit for bit (each rate's exponentials are one
 ``np.float_power``, which calls the float path's C ``pow`` once per
 element; ``np.power`` and ``np.exp2`` are one ULP off it on some inputs),
 so the reports equal those of a point-by-point run.  The grid is
-``np.linspace``'s arithmetic in Python floats, and the budgets are read
-once per audit.
+``np.linspace``'s arithmetic in Python floats; its step never underflows
+to 0, since a scenario refuses a frame shorter than the least normal
+float.  The budgets are read once per audit.
 Where the single-slot form raises :class:`~fdrelay.model.InfeasibleError`
 for a float, its array holds NaN: the grid drops that duration, as it
 drops a duration whose anchor is infinite, over budget or short of a
@@ -53,7 +54,8 @@ import numpy as np
 
 from .config import ScenarioParams
 from .feasibility import FeasibleWindow, t_floor, tmin_for
-from .model import InfeasibleError, PaKind, Scenario, Schedule, Strategy
+from .model import (_P_BUDGET_SLACK, InfeasibleError, PaKind, Scenario,
+                    Schedule, Strategy)
 from .strategies import DESCRIPTIONS, Slot, bind_actives, frame_energy
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # these names on this module, so they stay importable from it.
@@ -201,9 +203,8 @@ def _duration_axis(lo: float, hi: float, n_t: int,
     """
     step = (hi - lo) / (n_t - 1)
     # np.linspace's own arithmetic, k * step + lo with the end set to hi,
-    # in Python floats; a step that underflows to 0 takes its other branch.
-    pts = ([k * step + lo for k in range(n_t - 1)] + [hi] if step
-           else np.linspace(lo, hi, n_t).tolist())
+    # in Python floats.
+    pts = [k * step + lo for k in range(n_t - 1)] + [hi]
     keep = [e for e in extras if math.isfinite(e) and lo <= e <= hi]
     if keep:
         # The sorted distinct points, as np.unique gives them, which
@@ -231,16 +232,16 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
     Each slot's closed form is bound once, and one call of it prices the
     anchors of every grid duration and the powers of the slot's probe
     durations.  An anchor that is not finite (NaN where the single-slot
-    form raises) or over its budget leaves the grid; one within 1e-9 of
-    its budget is clipped onto it.  One pass checks the capacities of the
-    rest from scratch.  An anchor that misses a demand leaves the grid
-    too, and is a miss unless it was clipped: a clip on the budget edge
-    shows no wrong closed form.  Then one PA draw prices the whole frame,
-    every slot's grid anchors followed by its probe powers, with each
-    slot's sum of :func:`~fdrelay.strategies.bind_actives`: bit for bit
-    :meth:`Slot.active`.  A grid duration that left the grid, and a row
-    past the end of a shorter probe, is drawn at 0 W and never read; the
-    draw is elementwise, so those rows change no other.  A probe power
+    form raises) or over its budget leaves the grid; one within the PA
+    draw's budget slack of it is clipped onto it.  One pass checks the
+    capacities of the rest from scratch.  An anchor that misses a demand
+    leaves the grid too, and is a miss unless it was clipped: a clip on the
+    budget edge shows no wrong closed form.  Then one PA draw prices the
+    whole frame, every slot's grid anchors followed by its probe powers,
+    with each slot's sum of :func:`~fdrelay.strategies.bind_actives`: bit
+    for bit :meth:`Slot.active`.  A grid duration that left the grid, and a
+    row past the end of a shorter probe, is drawn at 0 W and never read;
+    the draw is elementwise, so those rows change no other.  A probe power
     outside its budget raises the draw's ``ValueError``.
     """
     n = t_axis.size
@@ -248,7 +249,7 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
     # Every node's budget in slot order, read once, one row per node.
     caps = np.array([[getattr(s.pa, node).p_max]
                      for slot in slots for node in slot.nodes])
-    loose = caps * (1.0 + 1e-9)
+    loose = caps * (1.0 + _P_BUDGET_SLACK)
     all_rows = np.logical_and.reduce
     frame, priced_rows, misses, first = [], [], 0, 0
     for slot, t_probe in zip(slots, probes):

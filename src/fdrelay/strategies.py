@@ -6,11 +6,12 @@ splits into one cost per slot plus the idle draw.  ``DESCRIPTIONS`` maps each
 strategy to its slots, and each :class:`Slot` states only the physics: the
 closed-form powers of its transmitting nodes, its static and dynamic
 circuit power under the scenario's accounting, and its rate constraints
-grouped by the power that closes them, which the ``caps_*`` capacity maps
-read off.  ``Slot.active`` adds the PA draw of each node to the circuit
-power.  The frame energy at given or closed-form powers (``energy_*_at``,
-``energy_*``), the solver's slot costs, the feasibility window and the
-oracle's grid all derive from it.
+grouped by the power that closes them.  :func:`bind_actives` adds the PA
+draw of each node to the circuit power, for ``Slot.active``, the frame
+price of ``Description.bind_frame`` and the oracle alike.  The frame
+energy at given or closed-form powers (``Description.energy_at``,
+``Description.energy``), the solver's slot costs, the feasibility window
+and the oracle's grid all derive from it.
 
 Each closed form is stated once, as a binder: ``Slot.bind(s)`` reads the
 scenario's channel gains, demands, frame and bandwidth once and returns the
@@ -53,20 +54,6 @@ __all__ = [
     "Slot",
     "Description",
     "DESCRIPTIONS",
-    "PowerAssignment2TS",
-    "PowerAssignment1TS",
-    "caps_2ts",
-    "powers_2ts",
-    "energy_2ts",
-    "energy_2ts_at",
-    "caps_1ts",
-    "powers_1ts",
-    "energy_1ts",
-    "energy_1ts_at",
-    "caps_hd",
-    "powers_hd",
-    "energy_hd",
-    "energy_hd_at",
     "peak_power",
 ]
 
@@ -182,11 +169,6 @@ class Slot:
     rates: Callable[..., tuple]
     root: Callable[[Scenario], float] | None = None
 
-    def powers(self, s: Scenario, t):
-        """The closed-form powers at duration ``t``, for one-off callers;
-        a caller that evaluates many durations binds once (``bind``)."""
-        return self.bind(s)(t)
-
     def budgets(self, s: Scenario) -> tuple[tuple[str, float], ...]:
         """(node, p_max) of each transmit power."""
         return tuple((node, getattr(s.pa, node).p_max) for node in self.nodes)
@@ -202,7 +184,7 @@ class Slot:
         """Energy above the idle draw that the slot spends over duration t,
         for one-off callers; the solver prices every slot of a frame at
         once (:meth:`Description.bind_frame`), bit for bit the same."""
-        return (self.active(s, *self.powers(s, t)) - s.p_idle_total) * t
+        return (self.active(s, *self.bind(s)(t)) - s.p_idle_total) * t
 
 
 def _no_case(s: Scenario, *durations: float) -> None:
@@ -268,7 +250,7 @@ class Description:
     def energy(self, s: Scenario, *durations: float) -> float:
         """Frame energy at each slot's closed-form powers."""
         return self.energy_at(s, durations, [
-            slot.powers(s, t) for slot, t in zip(self.slots, durations)])
+            slot.bind(s)(t) for slot, t in zip(self.slots, durations)])
 
     def energy_at(self, s: Scenario, durations, powers):
         """Frame energy: each slot's active power over its duration, plus
@@ -353,26 +335,6 @@ def peak_power(s: Scenario) -> float:
     return peak
 
 
-@dataclass(frozen=True)
-class PowerAssignment2TS:
-    """Per-slot transmit powers of the two-slot full-duplex strategy."""
-
-    p_a: float
-    p_b: float
-    p_r_fwd: float  # relay power toward b during slot 1
-    p_r_rev: float  # relay power toward a during slot 2
-
-
-@dataclass(frozen=True)
-class PowerAssignment1TS:
-    """Transmit powers of the single-slot strategy and the binding case."""
-
-    p_a: float
-    p_b: float
-    p_r: float
-    active_case: RelayCase
-
-
 def _total_demand(s: Scenario) -> float:
     return s.r_fl + s.r_rl
 
@@ -450,35 +412,6 @@ _FD2TS_SLOTS = (_fd2ts_slot("a", "b", "r_fl", "p_r_fwd"),
                 _fd2ts_slot("b", "a", "r_rl", "p_r_rev"))
 
 
-def caps_2ts(s: Scenario, t1: float, t2: float, pw: PowerAssignment2TS):
-    """Link capacities (C_ar, C_rb, C_br, C_ra) in bit/s, read off the two
-    slots' rate constraints.  Power fields may be ndarrays; the outputs then
-    broadcast."""
-    fwd, rev = _FD2TS_SLOTS
-    ((_, c_ar, _),), ((_, c_rb, _),) = fwd.rates(s, t1, pw.p_a, pw.p_r_fwd)
-    ((_, c_br, _),), ((_, c_ra, _),) = rev.rates(s, t2, pw.p_b, pw.p_r_rev)
-    return c_ar, c_rb, c_br, c_ra
-
-
-def powers_2ts(s: Scenario, t1: float, t2: float) -> PowerAssignment2TS:
-    """Minimum powers meeting both rate demands with equality in every link."""
-    fwd, rev = _FD2TS_SLOTS
-    p_a, p_r_fwd = fwd.powers(s, t1)
-    p_b, p_r_rev = rev.powers(s, t2)
-    return PowerAssignment2TS(p_a=p_a, p_b=p_b, p_r_fwd=p_r_fwd, p_r_rev=p_r_rev)
-
-
-def energy_2ts_at(s: Scenario, t1: float, t2: float, pw: PowerAssignment2TS) -> float:
-    """Frame energy of FD2TS at the given powers."""
-    return DESCRIPTIONS[Strategy.FD2TS].energy_at(
-        s, (t1, t2), ((pw.p_a, pw.p_r_fwd), (pw.p_b, pw.p_r_rev)))
-
-
-def energy_2ts(s: Scenario, t1: float, t2: float) -> float:
-    """Frame energy of FD2TS at the closed-form optimal powers."""
-    return DESCRIPTIONS[Strategy.FD2TS].energy(s, t1, t2)
-
-
 # ---------------------------------------------------------------------------
 # FD single-slot strategy: all three nodes full duplex; the relay broadcasts
 # a structured combination both end nodes can strip their own data from.
@@ -493,22 +426,6 @@ def _binned_uplinks(s: Scenario, w, p_a, p_b, noise):
     sb = p_b * ch.g_br
     return (w * np.log2(sa / (sa + sb) + sa / noise),
             w * np.log2(sb / (sa + sb) + sb / noise))
-
-
-def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r):
-    """Link capacities (C_ar, C_br, C_ra, C_rb) in bit/s.
-
-    The two uplinks take the structured-binning multiple-access form (own
-    share of the received sum plus own SINR inside the log); the downlinks
-    are plain SINR links with each end node's residual self-interference
-    added to its noise.  Accepts ndarray powers.
-    """
-    ch = s.channels
-    w1 = t1 / s.frame_t * s.bandwidth_w
-    c_ar, c_br = _binned_uplinks(s, w1, p_a, p_b, p_r * ch.gs_r + ch.sigma2_r)
-    c_ra = w1 * np.log2(1.0 + p_r * ch.g_ra / (p_a * ch.gs_a + ch.sigma2_a))
-    c_rb = w1 * np.log2(1.0 + p_r * ch.g_rb / (p_b * ch.gs_b + ch.sigma2_b))
-    return c_ar, c_br, c_ra, c_rb
 
 
 def _bound_relay_cases(s: Scenario) -> Callable:
@@ -588,13 +505,6 @@ def _bound_relay_cases(s: Scenario) -> Callable:
     return relay
 
 
-def powers_1ts(s: Scenario, t1: float) -> PowerAssignment1TS:
-    """Optimal powers: the larger of the two relay-power candidates wins."""
-    first, powers = _bound_relay_cases(s)(t1)
-    return PowerAssignment1TS(
-        *powers, RelayCase.CASE_I if first else RelayCase.CASE_II)
-
-
 def _circuit_1ts(s: Scenario):
     """All six chains (three tx, three rx) are live for the whole slot, so
     the static circuit cost is twice the per-node sum.  The printed
@@ -612,9 +522,9 @@ def _circuit_1ts(s: Scenario):
 
 
 def _bind_1ts(s: Scenario):
-    """(p_a, p_b, p_r) of :func:`powers_1ts` as a function of the duration;
-    a 1-D array of durations gives arrays, NaN wherever either relay case
-    raises."""
+    """(p_a, p_b, p_r) of the binding relay case as a function of the
+    duration (:func:`_bound_relay_cases`); a 1-D array of durations gives
+    arrays, NaN wherever either relay case raises."""
     relay = _bound_relay_cases(s)
 
     def powers(t):
@@ -623,27 +533,26 @@ def _bind_1ts(s: Scenario):
     return powers
 
 
+def _active_case_1ts(s: Scenario, t1: float) -> RelayCase:
+    """The relay case that binds at ``t1``: case I where its relay power is
+    the larger, ties included (:func:`_bound_relay_cases`)."""
+    return (RelayCase.CASE_I if _bound_relay_cases(s)(t1)[0]
+            else RelayCase.CASE_II)
+
+
 def _rates_1ts(s: Scenario, t: float, p_a, p_b, p_r):
-    c_ar, c_br, c_ra, c_rb = caps_1ts(s, t, p_a, p_b, p_r)
-    # One relay power serves both broadcast links.
+    """The two uplinks take the structured-binning multiple-access form
+    (own share of the received sum plus own SINR inside the log); the
+    downlinks are plain SINR links with each end node's residual
+    self-interference added to its noise.  One relay power serves both
+    broadcast links."""
+    ch = s.channels
+    w = t / s.frame_t * s.bandwidth_w
+    c_ar, c_br = _binned_uplinks(s, w, p_a, p_b, p_r * ch.gs_r + ch.sigma2_r)
+    c_ra = w * np.log2(1.0 + p_r * ch.g_ra / (p_a * ch.gs_a + ch.sigma2_a))
+    c_rb = w * np.log2(1.0 + p_r * ch.g_rb / (p_b * ch.gs_b + ch.sigma2_b))
     return ((("c_ar", c_ar, s.r_fl),), (("c_br", c_br, s.r_rl),),
             (("c_ra", c_ra, s.r_rl), ("c_rb", c_rb, s.r_fl)))
-
-
-def energy_1ts_at(s: Scenario, t1: float, pw: PowerAssignment1TS) -> float:
-    """Frame energy of FD1TS at the given powers."""
-    return DESCRIPTIONS[Strategy.FD1TS].energy_at(
-        s, (t1,), ((pw.p_a, pw.p_b, pw.p_r),))
-
-
-def energy_1ts(s: Scenario, t1: float) -> float:
-    """Frame energy of FD1TS at the closed-form optimal powers.
-
-    The binding broadcast constraint needs the larger relay power, which
-    also inflates both end-node powers, so this equals the worse of the two
-    case energies.
-    """
-    return DESCRIPTIONS[Strategy.FD1TS].energy(s, t1)
 
 
 # ---------------------------------------------------------------------------
@@ -739,40 +648,84 @@ _HD2TS_SLOTS = (
 )
 
 
-def caps_hd(s: Scenario, t1: float, t2: float, p_a, p_b, p_r):
-    """Link capacities (C_ar, C_br, C_ra, C_rb) in bit/s, read off the two
-    slots' rate constraints; ndarray-friendly."""
-    access, broadcast = _HD2TS_SLOTS
-    ((_, c_ar, _),), ((_, c_br, _),) = access.rates(s, t1, p_a, p_b)
-    [((_, c_ra, _), (_, c_rb, _))] = broadcast.rates(s, t2, p_r)
-    return c_ar, c_br, c_ra, c_rb
-
-
-def powers_hd(s: Scenario, t1: float, t2: float) -> tuple[float, float, float]:
-    """Closed-form powers (p_a, p_b, p_r) activating the HD constraints."""
-    access, broadcast = _HD2TS_SLOTS
-    return access.powers(s, t1) + broadcast.powers(s, t2)
-
-
-def energy_hd_at(s: Scenario, t1: float, t2: float, p_a: float, p_b: float,
-                 p_r: float) -> float:
-    """Frame energy of HD2TS at the given powers."""
-    return DESCRIPTIONS[Strategy.HD2TS].energy_at(
-        s, (t1, t2), ((p_a, p_b), (p_r,)))
-
-
-def energy_hd(s: Scenario, t1: float, t2: float) -> float:
-    """Frame energy of HD2TS at the closed-form optimal powers."""
-    return DESCRIPTIONS[Strategy.HD2TS].energy(s, t1, t2)
-
-
 DESCRIPTIONS: dict[Strategy, Description] = {
     Strategy.FD1TS: Description(
         slots=(Slot(fields=("p_a", "p_b", "p_r_fwd"), nodes=("a", "b", "r"),
                     demand=_total_demand, bind=_bind_1ts,
                     circuit=_circuit_1ts, rates=_rates_1ts),),
-        active_case=lambda s, t: powers_1ts(s, t).active_case),
+        active_case=_active_case_1ts),
     Strategy.FD2TS: Description(slots=_FD2TS_SLOTS),
     Strategy.HD2TS: Description(slots=_HD2TS_SLOTS, convex_under_tpa=False,
                                 reads_self_interference=False),
 }
+
+
+# ---------------------------------------------------------------------------
+# Per-strategy entry points.  Nothing in the package calls them: they stay
+# only because the benchmark's span tracer (bench/tracing.py) patches them by
+# name.  Each delegates to ``DESCRIPTIONS`` and takes and returns plain
+# powers, slot after slot, each slot's in its ``fields`` order; the
+# capacities come in the order of each slot's ``rates``.
+# ---------------------------------------------------------------------------
+
+def _powers(strategy: Strategy, s: Scenario, *durations: float) -> tuple:
+    return sum((slot.bind(s)(t) for slot, t
+                in zip(DESCRIPTIONS[strategy].slots, durations)), ())
+
+
+def _caps(strategy: Strategy, s: Scenario, durations, powers) -> tuple:
+    return tuple(c for slot, t, p in zip(DESCRIPTIONS[strategy].slots,
+                                         durations, powers)
+                 for group in slot.rates(s, t, *p) for _, c, _ in group)
+
+
+def powers_1ts(s: Scenario, t1: float) -> tuple:
+    return _powers(Strategy.FD1TS, s, t1)
+
+
+def powers_2ts(s: Scenario, t1: float, t2: float) -> tuple:
+    return _powers(Strategy.FD2TS, s, t1, t2)
+
+
+def powers_hd(s: Scenario, t1: float, t2: float) -> tuple:
+    return _powers(Strategy.HD2TS, s, t1, t2)
+
+
+def energy_1ts(s: Scenario, t1: float) -> float:
+    return DESCRIPTIONS[Strategy.FD1TS].energy(s, t1)
+
+
+def energy_2ts(s: Scenario, t1: float, t2: float) -> float:
+    return DESCRIPTIONS[Strategy.FD2TS].energy(s, t1, t2)
+
+
+def energy_hd(s: Scenario, t1: float, t2: float) -> float:
+    return DESCRIPTIONS[Strategy.HD2TS].energy(s, t1, t2)
+
+
+def energy_1ts_at(s: Scenario, t1: float, p_a, p_b, p_r) -> float:
+    return DESCRIPTIONS[Strategy.FD1TS].energy_at(s, (t1,), ((p_a, p_b, p_r),))
+
+
+def energy_2ts_at(s: Scenario, t1: float, t2: float, p_a, p_r_fwd, p_b,
+                  p_r_rev) -> float:
+    return DESCRIPTIONS[Strategy.FD2TS].energy_at(
+        s, (t1, t2), ((p_a, p_r_fwd), (p_b, p_r_rev)))
+
+
+def energy_hd_at(s: Scenario, t1: float, t2: float, p_a, p_b, p_r) -> float:
+    return DESCRIPTIONS[Strategy.HD2TS].energy_at(
+        s, (t1, t2), ((p_a, p_b), (p_r,)))
+
+
+def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r) -> tuple:
+    return _caps(Strategy.FD1TS, s, (t1,), ((p_a, p_b, p_r),))
+
+
+def caps_2ts(s: Scenario, t1: float, t2: float, p_a, p_r_fwd, p_b,
+             p_r_rev) -> tuple:
+    return _caps(Strategy.FD2TS, s, (t1, t2), ((p_a, p_r_fwd), (p_b, p_r_rev)))
+
+
+def caps_hd(s: Scenario, t1: float, t2: float, p_a, p_b, p_r) -> tuple:
+    return _caps(Strategy.HD2TS, s, (t1, t2), ((p_a, p_b), (p_r,)))

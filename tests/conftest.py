@@ -75,3 +75,17 @@ def with_powers(slot, powers):
     """``slot`` with its closed form replaced by ``powers(s, t)``: the
     binder a slot states, for a test that substitutes a form per call."""
     return replace(slot, bind=lambda s: partial(powers, s))
+
+
+def slot_powers(s, desc, *durations):
+    """Each slot's closed-form powers (``Slot.bind``) at its duration, one
+    tuple per slot of ``desc``, in slot order."""
+    return tuple(slot.bind(s)(t) for slot, t in zip(desc.slots, durations))
+
+
+def capacities(s, desc, durations, powers):
+    """The capacity of every rate constraint of ``desc`` (``Slot.rates``)
+    at the given durations and per-slot powers: slot after slot, each in
+    its ``rates`` order."""
+    return tuple(c for slot, t, p in zip(desc.slots, durations, powers)
+                 for group in slot.rates(s, t, *p) for _, c, _ in group)

@@ -8,13 +8,14 @@ import io
 import math
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from fdrelay.cli import cli_main
 from fdrelay.config import ScenarioParams
-from fdrelay.feasibility import tmin_1ts, tmin_2ts, tmin_for, tmin_hd
+from fdrelay.feasibility import tmin_for
 from fdrelay.model import PaKind, Strategy
 from fdrelay.oracle import (
     convexity_probe,
@@ -23,7 +24,7 @@ from fdrelay.oracle import (
     verify_necessary_conditions,
 )
 from fdrelay.solver import solve
-from fdrelay.strategies import energy_1ts, energy_2ts, energy_hd, powers_1ts
+from fdrelay.strategies import DESCRIPTIONS
 from fdrelay.sweep import Axis, AxisKind, SweepSpec, emit_csv, run_sweep
 
 SCENARIOS_PER_COMBO = 50
@@ -95,37 +96,41 @@ def test_criterion_3_convexity_probes():
         t1_min, t2_min = window.t_min
         return ((t1_min, s.frame_t - t2_min), (t2_min, s.frame_t - t1_min))
 
+    def energy(s):
+        """The frame energy of ``s`` as a function of its slot durations."""
+        return partial(DESCRIPTIONS[s.strategy].energy, s)
+
     for pa_kind in PaKind:
         s2 = replace(base, strategy=Strategy.FD2TS, pa=pa_kind).build()
-        w2 = tmin_2ts(s2)
+        w2 = tmin_for(s2)
         total_violations += convexity_probe(
-            lambda a, b: energy_2ts(s2, a, b), two_slot_domain(s2, w2),
+            energy(s2), two_slot_domain(s2, w2),
             n_samples=PROBE_SAMPLES, sum_cap=s2.frame_t)
         # Single-slot convexity is a high-load statement about the
         # approximate objective; the exact one is probed as well.
         for asymptotic in (True, False):
             s1 = replace(base, strategy=Strategy.FD1TS, pa=pa_kind,
                          asymptotic_1ts=asymptotic).build()
-            w1 = tmin_1ts(s1)
+            w1 = tmin_for(s1)
             total_violations += convexity_probe(
-                lambda t: energy_1ts(s1, t), (w1.t_min[0], s1.frame_t),
+                energy(s1), (w1.t_min[0], s1.frame_t),
                 n_samples=PROBE_SAMPLES)
 
     sh = replace(base, strategy=Strategy.HD2TS, pa=PaKind.ETPA).build()
-    wh = tmin_hd(sh)
+    wh = tmin_for(sh)
     total_violations += convexity_probe(
-        lambda a, b: energy_hd(sh, a, b), two_slot_domain(sh, wh),
+        energy(sh), two_slot_domain(sh, wh),
         n_samples=PROBE_SAMPLES, sum_cap=sh.frame_t)
     assert total_violations == 0
 
     # HD under TPA is only quasi-convex: check unimodality along each axis.
     sq = replace(base, strategy=Strategy.HD2TS, pa=PaKind.TPA).build()
-    wq = tmin_hd(sq)
+    wq = tmin_for(sq)
     kinks = 0
     for frac in (0.3, 0.5, 0.7):
         t2 = wq.t_min[1] + frac * (sq.frame_t / 2 - wq.t_min[1])
         grid = np.linspace(wq.t_min[0], sq.frame_t - t2, 300)
-        vals = np.array([energy_hd(sq, t, t2) for t in grid])
+        vals = np.array([energy(sq)(t, t2) for t in grid])
         diffs = np.diff(vals)
         rising = diffs > 1e-12 * vals[:-1]
         first_rise = int(np.argmax(rising)) if rising.any() else len(diffs)
@@ -150,12 +155,11 @@ def test_criterion_4_asymptotic_consistency():
         p = base.with_total_rate(float(total))
         s = p.build()
         schedule = solve(s)
-        exact = powers_1ts(s, schedule.t1)
-        approx = powers_1ts(replace(p, asymptotic_1ts=True).build(),
-                            schedule.t1)
-        err = max(abs(approx.p_a - exact.p_a) / exact.p_a,
-                  abs(approx.p_b - exact.p_b) / exact.p_b,
-                  abs(approx.p_r - exact.p_r) / exact.p_r)
+        (slot,) = DESCRIPTIONS[Strategy.FD1TS].slots
+        exact = slot.bind(s)(schedule.t1)
+        approx = slot.bind(replace(p, asymptotic_1ts=True).build())(
+            schedule.t1)
+        err = max(abs(a - e) / e for a, e in zip(approx, exact))
         assert err <= 0.02, f"total={total}: power mismatch {err:.3%}"
         errs.append(err)
     assert all(nxt <= cur + 1e-8 for cur, nxt in zip(errs, errs[1:])), \

@@ -2,9 +2,10 @@
 
 ``Description.bind_frame(s)`` prices every slot of a frame in one PA draw
 over all the frame's nodes.  Each slot's powers, active power and cost must
-equal the slot's own one-off methods (``Slot.powers``, ``Slot.active``,
-``Slot.cost``) bit for bit, and a power outside its budget must raise what
-pricing the slots one after another, in slot order, raises first.
+equal the slot's own closed form (``Slot.bind``) and one-off methods
+(``Slot.active``, ``Slot.cost``) bit for bit, and a power outside its
+budget must raise what pricing the slots one after another, in slot order,
+raises first.
 """
 
 from dataclasses import replace
@@ -51,9 +52,10 @@ def _durations(s, rng, n=12):
 
 
 def _one_by_one(s, durations):
-    """Each slot priced alone, in slot order, by its one-off methods."""
+    """Each slot priced alone, in slot order, by its closed form and its
+    one-off methods."""
     slots = DESCRIPTIONS[s.strategy].slots
-    powers = [slot.powers(s, t) for slot, t in zip(slots, durations)]
+    powers = [slot.bind(s)(t) for slot, t in zip(slots, durations)]
     actives = [slot.active(s, *p) for slot, p in zip(slots, powers)]
     costs = [slot.cost(s, t) for slot, t in zip(slots, durations)]
     return powers, actives, costs

@@ -22,17 +22,9 @@ from fdrelay.oracle import (
     verify_necessary_conditions,
 )
 from fdrelay.solver import solve
-from fdrelay.strategies import (
-    DESCRIPTIONS,
-    PowerAssignment1TS,
-    PowerAssignment2TS,
-    caps_1ts,
-    caps_2ts,
-    energy_1ts_at,
-    energy_2ts_at,
-    powers_1ts,
-    powers_2ts,
-)
+from fdrelay.strategies import DESCRIPTIONS
+
+from conftest import capacities, slot_powers
 
 
 class TestGridSearch:
@@ -48,35 +40,34 @@ class TestGridSearch:
         """Equality-active powers beat every rate-feasible alternative."""
         s = replace(params, strategy=Strategy.FD2TS).build()
         t1, t2 = 0.004, 0.0045
-        pw = powers_2ts(s, t1, t2)
-        e_cf = energy_2ts_at(s, t1, t2, pw)
+        desc = DESCRIPTIONS[Strategy.FD2TS]
+        pw = slot_powers(s, desc, t1, t2)
+        (p_a, p_r_fwd), (p_b, p_r_rev) = pw
+        e_cf = desc.energy_at(s, (t1, t2), pw)
         for _ in range(50):
-            candidate = PowerAssignment2TS(
-                p_a=rng.uniform(pw.p_a, s.pa.a.p_max),
-                p_b=rng.uniform(pw.p_b, s.pa.b.p_max),
-                p_r_fwd=rng.uniform(pw.p_r_fwd, s.pa.r.p_max),
-                p_r_rev=rng.uniform(pw.p_r_rev, s.pa.r.p_max))
-            c_ar, c_rb, c_br, c_ra = caps_2ts(s, t1, t2, candidate)
+            a, b, r_fwd, r_rev = (rng.uniform(p, cap) for p, cap in (
+                (p_a, s.pa.a.p_max), (p_b, s.pa.b.p_max),
+                (p_r_fwd, s.pa.r.p_max), (p_r_rev, s.pa.r.p_max)))
+            candidate = ((a, r_fwd), (b, r_rev))
+            c_ar, c_rb, c_br, c_ra = capacities(s, desc, (t1, t2), candidate)
             if (c_ar >= s.r_fl and c_rb >= s.r_fl and c_br >= s.r_rl
                     and c_ra >= s.r_rl):
-                assert energy_2ts_at(s, t1, t2, candidate) >= e_cf
+                assert desc.energy_at(s, (t1, t2), candidate) >= e_cf
 
     def test_closed_form_dominates_grid_points_1ts(self, params, rng):
         s = replace(params, strategy=Strategy.FD1TS).build()
         t1 = 0.007
-        pw = powers_1ts(s, t1)
-        e_cf = energy_1ts_at(s, t1, pw)
+        desc = DESCRIPTIONS[Strategy.FD1TS]
+        pw = slot_powers(s, desc, t1)
+        e_cf = desc.energy_at(s, (t1,), pw)
+        (slot,) = desc.slots
         for _ in range(50):
-            candidate = PowerAssignment1TS(
-                p_a=rng.uniform(pw.p_a, s.pa.a.p_max),
-                p_b=rng.uniform(pw.p_b, s.pa.b.p_max),
-                p_r=rng.uniform(pw.p_r, s.pa.r.p_max),
-                active_case=pw.active_case)
-            c_ar, c_br, c_ra, c_rb = caps_1ts(s, t1, candidate.p_a,
-                                              candidate.p_b, candidate.p_r)
+            candidate = (tuple(rng.uniform(p, cap) for p, (_, cap)
+                               in zip(pw[0], slot.budgets(s))),)
+            c_ar, c_br, c_ra, c_rb = capacities(s, desc, (t1,), candidate)
             if (c_ar >= s.r_fl and c_br >= s.r_rl and c_ra >= s.r_rl
                     and c_rb >= s.r_fl):
-                assert energy_1ts_at(s, t1, candidate) >= e_cf
+                assert desc.energy_at(s, (t1,), candidate) >= e_cf
 
     def test_infeasible_scenario_raises(self, params):
         s = replace(params, strategy=Strategy.FD1TS, alpha_db=20.0,
@@ -116,7 +107,7 @@ class TestGridSearch:
                                      [np.empty(0)] * len(desc.slots))
         # The grid prices each duration at its anchor, clipped onto the
         # budgets.
-        anchors = [np.minimum(np.column_stack(slot.powers(s, t_axis)),
+        anchors = [np.minimum(np.column_stack(slot.bind(s)(t_axis)),
                               [cap for _, cap in slot.budgets(s)])
                    for slot in desc.slots]
         best = math.inf

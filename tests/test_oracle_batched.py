@@ -58,7 +58,7 @@ def _slot_best_per_duration(s, slot, t_axis):
     misses = 0
     for i, t in enumerate(t_axis):
         try:
-            anchor = slot.powers(s, t)
+            anchor = slot.bind(s)(t)
         except InfeasibleError:
             continue
         if not all(math.isfinite(p) and p <= cap * (1.0 + 1e-9)
@@ -79,7 +79,7 @@ def _anchor_kinds(s, slot, t_axis):
     kinds = set()
     for t in t_axis:
         try:
-            anchor = slot.powers(s, t)
+            anchor = slot.bind(s)(t)
         except InfeasibleError as err:
             kinds.add(f"raises:{err.cause}")
             continue
@@ -157,7 +157,7 @@ class TestSlotBestParity:
             def powers(s_, t, _slot=slot, _cap=cap):
                 # A float for the per-duration reference, an array for
                 # the one-pass check: pin the first power at ``pinned``.
-                anchor = _slot.powers(s_, t)
+                anchor = _slot.bind(s_)(t)
                 first = np.where(t == pinned, _cap * (1.0 + 5e-10),
                                  anchor[0])
                 if np.ndim(t) == 0:
@@ -174,7 +174,7 @@ def _scaled_below(slot, t_axis, at, factor=1.0 - 1e-6):
 
     def powers(s, t, _slot=slot):
         scale = np.where(np.isin(t, low), factor, 1.0)
-        anchor = _slot.powers(s, t)
+        anchor = _slot.bind(s)(t)
         if np.ndim(t) == 0:
             return tuple(float(p * scale) for p in anchor)
         return tuple(p * scale for p in anchor)
@@ -189,7 +189,7 @@ def _in_budget(s, slot, t_axis):
     count = 0
     for t in t_axis:
         try:
-            anchor = slot.powers(s, t)
+            anchor = slot.bind(s)(t)
         except InfeasibleError:
             continue
         count += all(math.isfinite(p) and p <= cap
@@ -295,7 +295,7 @@ class TestAnchorMissesDemand:
             cap = slot.budgets(s)[0][1]
 
             def powers(s_, t, _slot=slot, _cap=cap):
-                anchor = _slot.powers(s_, t)
+                anchor = _slot.bind(s_)(t)
                 at = t == pinned
                 pinned_anchor = (np.where(at, _cap * (1.0 + 5e-10), anchor[0]),
                                  *(np.where(at, p * (1.0 - 1e-6), p)
@@ -415,7 +415,7 @@ class TestProbeParity:
         _, points = _probe_points(domain, 50, s.frame_t)
         with pytest.raises(InfeasibleError):
             for t in points.ravel().tolist():
-                slot.powers(s, t)
+                slot.bind(s)(t)
         with pytest.raises(ValueError, match="transmit power outside"):
             convexity_probe(partial(desc.energy, s), domain, n_samples=50,
                             sum_cap=s.frame_t)
@@ -430,7 +430,7 @@ class TestProbeParity:
         rng = np.random.default_rng(4)
         durations = [tuple(rng.uniform(lo, lo + (hi - lo) / n_slots)
                            for lo, hi in spans) for _ in range(25)]
-        powers = [[slot.powers(s, t[k]) for t in durations]
+        powers = [[slot.bind(s)(t[k]) for t in durations]
                   for k, slot in enumerate(desc.slots)]
         scalar = [desc.energy_at(s, t, [p[i] for p in powers])
                   for i, t in enumerate(durations)]
@@ -485,7 +485,7 @@ class TestOnePassPerSlot:
         assert misses == 0
         for slot, best, active, t_probe in zip(slots, bests, actives, probes):
             assert np.isfinite(best).any()
-            want = slot.active(s, *slot.powers(s, t_probe))
+            want = slot.active(s, *slot.bind(s)(t_probe))
             assert active.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)

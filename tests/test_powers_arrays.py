@@ -2,13 +2,14 @@
 calls they replace, and every slot's active power and the HD capacities
 against the hand-written forms they replace.
 
-``Slot.powers`` takes a float duration (the solver's path, Python floats
-from ``math`` alone) or a 1-D array of durations (the oracle's path).  The
+A slot's bound closed form, ``Slot.bind(s)``, takes a float duration (the
+solver's path, Python floats from ``math`` alone) or a 1-D array of
+durations (the oracle's path).  The
 array results must equal the float calls element for element, bit for bit:
 +inf where a spectral load overflows, and NaN wherever the float form of the
 single-slot strategy raises :class:`InfeasibleError`.  ``Slot.active`` and
-``caps_hd`` must equal the forms below by ``repr`` for floats and by bytes
-for arrays.
+the HD capacities (``Slot.rates``) must equal the forms below by ``repr``
+for floats and by bytes for arrays.
 """
 
 import math
@@ -22,7 +23,9 @@ from fdrelay.feasibility import t_floor
 from fdrelay.model import (CircuitAccounting, InfeasibleError, PaKind,
                            Strategy, pa_consumption)
 from fdrelay.oracle import random_params
-from fdrelay.strategies import DESCRIPTIONS, caps_hd
+from fdrelay.strategies import DESCRIPTIONS
+
+from conftest import capacities
 
 CASES = [(strategy, pa, accounting) for strategy in Strategy for pa in PaKind
          for accounting in CircuitAccounting]
@@ -37,7 +40,7 @@ def _durations(s, rng, n_grid=41, n_draws=40):
 
 def _assert_parity(s, slot, t):
     """Array powers equal the float calls; returns how each point went."""
-    got = slot.powers(s, t)
+    got = slot.bind(s)(t)
     assert len(got) == len(slot.fields)
     for p in got:
         assert isinstance(p, np.ndarray)
@@ -46,7 +49,7 @@ def _assert_parity(s, slot, t):
     for i, ti in enumerate(t.tolist()):
         row = np.array([p[i] for p in got])
         try:
-            want = slot.powers(s, ti)
+            want = slot.bind(s)(ti)
         except InfeasibleError as err:
             kinds.add(f"raises:{err.cause}")
             assert np.isnan(row).all(), (ti, row)
@@ -96,7 +99,7 @@ def test_zero_demand_slot():
     for slot in DESCRIPTIONS[Strategy.FD2TS].slots:
         _assert_parity(s, slot, t)
     assert all((p == 0.0).all()
-               for p in DESCRIPTIONS[Strategy.FD2TS].slots[1].powers(s, t))
+               for p in DESCRIPTIONS[Strategy.FD2TS].slots[1].bind(s)(t))
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -105,17 +108,17 @@ def test_float_duration_gives_python_floats(strategy):
     s = ScenarioParams(strategy=strategy).build()
     for slot in DESCRIPTIONS[strategy].slots:
         for t in (0.4 * s.frame_t, s.frame_t):
-            assert all(type(p) is float for p in slot.powers(s, t))
+            assert all(type(p) is float for p in slot.bind(s)(t))
         if strategy is not Strategy.FD1TS:
-            overflow = slot.powers(s, t_floor(s))
+            overflow = slot.bind(s)(t_floor(s))
             assert overflow == (math.inf,) * len(slot.fields)
             assert all(type(p) is float for p in overflow)
 
 
 # ---------------------------------------------------------------------------
-# Slot.active and caps_hd against the hand-written forms they replace: each
-# slot's active power summed its nodes' PA draw and its circuit power in one
-# expression, and caps_hd priced all four HD links in one function.
+# Slot.active and the HD capacities against the hand-written forms they
+# replace: each slot's active power summed its nodes' PA draw and its circuit
+# power in one expression, and one function priced all four HD links.
 # ---------------------------------------------------------------------------
 
 def _ref_fd2ts_active(src, rate):
@@ -163,6 +166,12 @@ def _ref_active_hd_broadcast(s, p_r):
     return pa_consumption(s.pa.r, p_r) + s.p_base_total + dyn
 
 
+def _hd_capacities(s, t1, t2, p_a, p_b, p_r):
+    """(C_ar, C_br, C_ra, C_rb) read off the two HD slots' ``rates``."""
+    return capacities(s, DESCRIPTIONS[Strategy.HD2TS], (t1, t2),
+                      ((p_a, p_b), (p_r,)))
+
+
 def _ref_caps_hd(s, t1, t2, p_a, p_b, p_r):
     ch = s.channels
     w1 = t1 / s.frame_t * s.bandwidth_w
@@ -199,7 +208,7 @@ def _open_mesh(s, slot, t, n_p=5):
     one open-mesh axis per node after the duration axis (the oracle's grid).
     """
     caps = np.array([cap for _, cap in slot.budgets(s)])
-    anchors = np.column_stack(slot.powers(s, t))
+    anchors = np.column_stack(slot.bind(s)(t))
     rows = (np.isfinite(anchors) & (anchors <= caps)).all(axis=1)
     n, n_w = int(rows.sum()), caps.size
     boxes = np.linspace(anchors[rows], caps, n_p, axis=-1)
@@ -218,7 +227,7 @@ def _assert_active_parity(s, rng):
         t = _durations(s, rng)
         for ti in t.tolist():
             try:
-                powers = slot.powers(s, ti)
+                powers = slot.bind(s)(ti)
             except InfeasibleError:
                 continue
             try:
@@ -268,9 +277,9 @@ def test_caps_hd_equals_hand_written_form(pa_kind):
         s = random_params(rng, Strategy.HD2TS, pa_kind).build()
         t = _durations(s, rng)
         for t1, t2 in zip(t.tolist(), rng.permutation(t).tolist()):
-            powers = access.powers(s, t1) + broadcast.powers(s, t2)
+            powers = access.bind(s)(t1) + broadcast.bind(s)(t2)
             if all(map(math.isfinite, powers)):
-                for got, want in zip(caps_hd(s, t1, t2, *powers),
+                for got, want in zip(_hd_capacities(s, t1, t2, *powers),
                                      _ref_caps_hd(s, t1, t2, *powers),
                                      strict=True):
                     _assert_same(got, want)
@@ -279,7 +288,7 @@ def test_caps_hd_equals_hand_written_form(pa_kind):
         t2, _, (p_r,) = _open_mesh(s, broadcast, t[::-1])
         n = min(t1.shape[0], t2.shape[0])
         args = (t1[:n], t2[:n, :, None], p_a[:n], p_b[:n], p_r[:n, :, None])
-        for got, want in zip(caps_hd(s, *args), _ref_caps_hd(s, *args),
+        for got, want in zip(_hd_capacities(s, *args), _ref_caps_hd(s, *args),
                              strict=True):
             _assert_same(got, want)
         compared += n
@@ -289,7 +298,7 @@ def test_caps_hd_equals_hand_written_form(pa_kind):
 def test_active_takes_one_power_per_node():
     s = ScenarioParams().build()
     slot, = DESCRIPTIONS[Strategy.FD1TS].slots
-    powers = slot.powers(s, 0.6 * s.frame_t)
+    powers = slot.bind(s)(0.6 * s.frame_t)
     for wrong in (powers[:1], powers[:2], powers + (1.0,)):
         with pytest.raises(ValueError, match="one per amplifier"):
             slot.active(s, *wrong)

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from fdrelay.config import ScenarioParams
-from fdrelay.feasibility import tmin_1ts, tmin_2ts, tmin_hd
+from fdrelay.feasibility import tmin_for
 from fdrelay.model import InfeasibleError, PaKind, Strategy
 from fdrelay.solver import DURATION_TOL, minimize_unimodal_1d, solve
-from fdrelay.strategies import (DESCRIPTIONS, energy_1ts, energy_2ts,
-                                energy_hd, powers_1ts)
+from fdrelay.strategies import DESCRIPTIONS
 
 from conftest import random_scenario_params
+
+FD1TS = DESCRIPTIONS[Strategy.FD1TS]
+FD2TS = DESCRIPTIONS[Strategy.FD2TS]
+HD2TS = DESCRIPTIONS[Strategy.HD2TS]
 
 
 class TestGoldenSection:
@@ -40,12 +43,12 @@ class TestGoldenSection:
 
     def test_matches_dense_grid_on_1ts_energy(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()
-        w = tmin_1ts(s)
-        t1, e = minimize_unimodal_1d(lambda t: energy_1ts(s, t),
+        w = tmin_for(s)
+        t1, e = minimize_unimodal_1d(lambda t: FD1TS.energy(s, t),
                                      w.t_min[0], s.frame_t,
                                      DURATION_TOL * s.frame_t)
         grid = np.linspace(w.t_min[0], s.frame_t, 10_000)
-        energies = [energy_1ts(s, t) for t in grid]
+        energies = [FD1TS.energy(s, t) for t in grid]
         k = int(np.argmin(energies))
         assert abs(t1 - grid[k]) <= (grid[1] - grid[0])
         assert e <= energies[k] * (1 + 1e-9)
@@ -69,14 +72,14 @@ class TestSolve2TS:
         p = replace(params, strategy=Strategy.FD2TS).with_total_rate(40.0)
         s = p.build()
         sched = solve(s)
-        w = tmin_2ts(s)
+        w = tmin_for(s)
         t1s = np.linspace(w.t_min[0], s.frame_t - w.t_min[1], 200)
         t2s = np.linspace(w.t_min[1], s.frame_t - w.t_min[0], 200)
         best = math.inf
         for t1 in t1s:
             for t2 in t2s:
                 if t1 + t2 <= s.frame_t:
-                    best = min(best, energy_2ts(s, t1, t2))
+                    best = min(best, FD2TS.energy(s, t1, t2))
         assert sched.e_total <= best * 1.001
 
     def test_budget_skip_matches_unconstrained(self, params):
@@ -85,10 +88,10 @@ class TestSolve2TS:
         s = p.build()
         sched = solve(s)
         assert sched.t1 + sched.t2 < s.frame_t
-        w = tmin_2ts(s)
+        w = tmin_for(s)
         t1, _ = minimize_unimodal_1d(
-            lambda t: energy_2ts(s, t, s.frame_t - w.t_min[1])
-            - energy_2ts(s, s.frame_t / 2, s.frame_t - w.t_min[1]),
+            lambda t: FD2TS.energy(s, t, s.frame_t - w.t_min[1])
+            - FD2TS.energy(s, s.frame_t / 2, s.frame_t - w.t_min[1]),
             w.t_min[0], s.frame_t - w.t_min[1], DURATION_TOL * s.frame_t)
         assert sched.t1 == pytest.approx(t1, abs=2e-7 * s.frame_t)
 
@@ -105,9 +108,9 @@ class TestSolve2TS:
         assert closed == (0.0, 0.0, 0.0)
         assert open_ > 0.0
         # Only the open slot and the idle rest of the frame are charged.
-        assert sched.e_total == energy_2ts(s, sched.t1, sched.t2)
-        assert sched.e_total < energy_2ts(s, sched.t1 or 1e-8,
-                                          sched.t2 or 1e-8)
+        assert sched.e_total == FD2TS.energy(s, sched.t1, sched.t2)
+        assert sched.e_total < FD2TS.energy(s, sched.t1 or 1e-8,
+                                            sched.t2 or 1e-8)
 
 
 class TestSolve1TS:
@@ -128,15 +131,15 @@ class TestSolve1TS:
                 sched = solve(s)
             except InfeasibleError:
                 continue
-            assert sched.active_case == powers_1ts(s, sched.t1).active_case
+            assert sched.active_case == FD1TS.active_case(s, sched.t1)
             solved += 1
 
     def test_matches_grid_oracle(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()
         sched = solve(s)
-        w = tmin_1ts(s)
+        w = tmin_for(s)
         grid = np.linspace(w.t_min[0], s.frame_t, 10_000)
-        best = min(energy_1ts(s, t) for t in grid)
+        best = min(FD1TS.energy(s, t) for t in grid)
         assert sched.e_total <= best * 1.001
 
     def test_interior_optimum_without_circuit_power(self):
@@ -151,7 +154,7 @@ class TestSolve1TS:
         assert sched.t1 < s.frame_t * (1 - 1e-6)
         # grid confirmation
         grid = np.linspace(sched.t1 * 0.5, s.frame_t, 4000)
-        energies = [energy_1ts(s, t) for t in grid]
+        energies = [FD1TS.energy(s, t) for t in grid]
         assert sched.e_total <= min(energies) * (1 + 1e-6)
 
 
@@ -159,7 +162,7 @@ class TestSolveHd:
     def test_symmetric_scenario(self, params):
         s = replace(params, strategy=Strategy.HD2TS).build()
         sched = solve(s)
-        recomputed = energy_hd(s, sched.t1, sched.t2)
+        recomputed = HD2TS.energy(s, sched.t1, sched.t2)
         assert sched.e_total == pytest.approx(recomputed)
 
     def test_low_demand_leaves_idle_time(self, params):
@@ -171,14 +174,14 @@ class TestSolveHd:
     def test_matches_grid_oracle(self, params):
         s = replace(params, strategy=Strategy.HD2TS).build()
         sched = solve(s)
-        w = tmin_hd(s)
+        w = tmin_for(s)
         t1s = np.linspace(w.t_min[0], s.frame_t - w.t_min[1], 150)
         t2s = np.linspace(w.t_min[1], s.frame_t - w.t_min[0], 150)
         best = math.inf
         for t1 in t1s:
             for t2 in t2s:
                 if t1 + t2 <= s.frame_t:
-                    best = min(best, energy_hd(s, t1, t2))
+                    best = min(best, HD2TS.energy(s, t1, t2))
         assert sched.e_total <= best * 1.001
 
 
@@ -224,9 +227,9 @@ class TestNumericalBehavior:
         e_coarse = solve(s).e_total
         slot, = DESCRIPTIONS[Strategy.FD1TS].slots
         t1, _ = minimize_unimodal_1d(lambda t: slot.cost(s, t),
-                                     tmin_1ts(s).t_min[0], s.frame_t,
+                                     tmin_for(s).t_min[0], s.frame_t,
                                      1e-8 * s.frame_t)
-        e_fine = energy_1ts(s, t1)
+        e_fine = FD1TS.energy(s, t1)
         assert abs(e_fine - e_coarse) / e_coarse < 1e-6
 
     @pytest.mark.parametrize("strategy", list(Strategy))

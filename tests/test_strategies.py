@@ -7,26 +7,13 @@ import pytest
 from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import t_floor, tmin_for
 from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, RelayCase, Strategy
-from fdrelay.strategies import (
-    DESCRIPTIONS,
-    PowerAssignment1TS,
-    PowerAssignment2TS,
-    _bind_1ts,
-    _bound_exps,
-    caps_1ts,
-    caps_2ts,
-    caps_hd,
-    energy_1ts,
-    energy_1ts_at,
-    energy_2ts,
-    energy_2ts_at,
-    energy_hd,
-    powers_1ts,
-    powers_2ts,
-    powers_hd,
-)
+from fdrelay.strategies import DESCRIPTIONS, _bind_1ts, _bound_exps
 
-from conftest import random_scenario_params
+from conftest import capacities, random_scenario_params, slot_powers
+
+FD1TS = DESCRIPTIONS[Strategy.FD1TS]
+FD2TS = DESCRIPTIONS[Strategy.FD2TS]
+HD2TS = DESCRIPTIONS[Strategy.HD2TS]
 
 
 def reference_relay_cases(s):
@@ -98,12 +85,6 @@ def reference_powers_1ts(s, t):
                  for p1, p2 in zip(case1, case2)), None
 
 
-def relay_case_assignments(s, t1):
-    """Both fd1ts relay-power candidates as assignments, case I first."""
-    return tuple(PowerAssignment1TS(*powers, case) for powers, case
-                 in zip(reference_relay_cases(s)(t1), RelayCase))
-
-
 def loads(s, t_fl, t_rl):
     """Spectral loads (lambda_fl, lambda_rl) in bit/s/Hz when each
     direction's frame demand is sent within its duration."""
@@ -127,17 +108,16 @@ class TestCaps2TS:
     def test_unit_snr_gives_one_bit(self, make_scenario):
         s = make_scenario(gs=0.0)
         sigma2 = s.channels.sigma2_r
-        pw = PowerAssignment2TS(p_a=sigma2 / s.channels.g_ar, p_b=0.0,
-                                p_r_fwd=0.0, p_r_rev=0.0)
-        c_ar, _, _, _ = caps_2ts(s, 0.004, 0.004, pw)
+        powers = ((sigma2 / s.channels.g_ar, 0.0), (0.0, 0.0))
+        c_ar, _, _, _ = capacities(s, FD2TS, (0.004, 0.004), powers)
         assert c_ar == pytest.approx(0.004 / s.frame_t * s.bandwidth_w)
 
     def test_relay_power_suppresses_uplink(self, make_scenario):
         s = make_scenario(gs=1e-12)
-        base = PowerAssignment2TS(p_a=1.0, p_b=1.0, p_r_fwd=1e-6, p_r_rev=1e-6)
-        strong = PowerAssignment2TS(p_a=1.0, p_b=1.0, p_r_fwd=1e4, p_r_rev=1e4)
-        c_lo = caps_2ts(s, 0.004, 0.004, base)[0]
-        c_hi = caps_2ts(s, 0.004, 0.004, strong)[0]
+        base = ((1.0, 1e-6), (1.0, 1e-6))
+        strong = ((1.0, 1e4), (1.0, 1e4))
+        c_lo = capacities(s, FD2TS, (0.004, 0.004), base)[0]
+        c_hi = capacities(s, FD2TS, (0.004, 0.004), strong)[0]
         assert c_hi < 1e-3 * c_lo
 
 
@@ -146,22 +126,22 @@ class TestPowers2TS:
         s = make_scenario(gs=0.0)
         # lambda_fl = 1 when t1 = r_fl * T / W
         t1 = s.r_fl * s.frame_t / s.bandwidth_w
-        pw = powers_2ts(s, t1, 0.004)
-        assert pw.p_r_fwd == pytest.approx(s.channels.sigma2_b / s.channels.g_rb)
+        (_, p_r_fwd), _ = slot_powers(s, FD2TS, t1, 0.004)
+        assert p_r_fwd == pytest.approx(s.channels.sigma2_b / s.channels.g_rb)
 
     def test_no_self_interference_is_point_to_point(self, make_scenario):
         s = make_scenario(gs=0.0)
         lambda_fl, lambda_rl = loads(s, 0.003, 0.004)
-        pw = powers_2ts(s, 0.003, 0.004)
+        (p_a, _), _ = slot_powers(s, FD2TS, 0.003, 0.004)
         expected = (s.channels.sigma2_r / s.channels.g_ar
                     * (2 ** lambda_fl - 1))
-        assert pw.p_a == pytest.approx(expected)
+        assert p_a == pytest.approx(expected)
 
     def test_round_trip_constraints_active(self, make_scenario):
         s = make_scenario(gs=1e-15)
         for t1, t2 in ((0.002, 0.0035), (0.005, 0.005), (0.0071, 0.0013)):
-            pw = powers_2ts(s, t1, t2)
-            c_ar, c_rb, c_br, c_ra = caps_2ts(s, t1, t2, pw)
+            pw = slot_powers(s, FD2TS, t1, t2)
+            c_ar, c_rb, c_br, c_ra = capacities(s, FD2TS, (t1, t2), pw)
             assert c_ar == pytest.approx(s.r_fl, rel=1e-9)
             assert c_rb == pytest.approx(s.r_fl, rel=1e-9)
             assert c_br == pytest.approx(s.r_rl, rel=1e-9)
@@ -172,54 +152,52 @@ class TestPowers2TS:
         s = replace(params, strategy=Strategy.FD2TS).build()
         t1 = t2 = s.frame_t / 2.0
         ch = s.channels
-        pw = powers_2ts(s, t1, t2)
+        (want_p_a, want_p_r_fwd), _ = slot_powers(s, FD2TS, t1, t2)
 
         def c_rb_err(p_r):
-            a = PowerAssignment2TS(0.0, 0.0, p_r, 0.0)
-            return caps_2ts(s, t1, t2, a)[1] - s.r_fl
+            a = ((0.0, p_r), (0.0, 0.0))
+            return capacities(s, FD2TS, (t1, t2), a)[1] - s.r_fl
 
         p_r_fwd = bisect_root(c_rb_err, 0.0, 1e3)
-        assert p_r_fwd == pytest.approx(pw.p_r_fwd, rel=1e-9)
+        assert p_r_fwd == pytest.approx(want_p_r_fwd, rel=1e-9)
 
         def c_ar_err(p_a):
-            a = PowerAssignment2TS(p_a, 0.0, p_r_fwd, 0.0)
-            return caps_2ts(s, t1, t2, a)[0] - s.r_fl
+            a = ((p_a, p_r_fwd), (0.0, 0.0))
+            return capacities(s, FD2TS, (t1, t2), a)[0] - s.r_fl
 
         p_a = bisect_root(c_ar_err, 0.0, 1e3)
-        assert p_a == pytest.approx(pw.p_a, rel=1e-9)
+        assert p_a == pytest.approx(want_p_a, rel=1e-9)
 
     def test_components_decrease_in_own_duration(self, make_scenario):
         s = make_scenario(gs=1e-15)
         ts = np.linspace(0.001, 0.009, 30)
-        p_a = [powers_2ts(s, t, 0.005).p_a for t in ts]
-        p_rf = [powers_2ts(s, t, 0.005).p_r_fwd for t in ts]
-        p_b = [powers_2ts(s, 0.005, t).p_b for t in ts]
-        p_rr = [powers_2ts(s, 0.005, t).p_r_rev for t in ts]
+        p_a, p_rf = zip(*(slot_powers(s, FD2TS, t, 0.005)[0] for t in ts))
+        p_b, p_rr = zip(*(slot_powers(s, FD2TS, 0.005, t)[1] for t in ts))
         for seq in (p_a, p_rf, p_b, p_rr):
             assert all(x > y for x, y in zip(seq, seq[1:]))
 
     def test_overflow_guard(self, make_scenario):
         s = make_scenario()
-        pw = powers_2ts(s, 1e-12, 0.005)
-        assert math.isinf(pw.p_a) and math.isinf(pw.p_r_fwd)
-        assert math.isfinite(pw.p_b)
+        (p_a, p_r_fwd), (p_b, _) = slot_powers(s, FD2TS, 1e-12, 0.005)
+        assert math.isinf(p_a) and math.isinf(p_r_fwd)
+        assert math.isfinite(p_b)
 
 
 class TestEnergy2TS:
     def test_zero_powers_leave_circuit_terms(self, make_scenario):
         s = make_scenario(u=0.0, eps=0.0, p_base=(0.0, 0.0, 0.0))
-        pw = PowerAssignment2TS(0.0, 0.0, 0.0, 0.0)
+        pw = ((0.0, 0.0), (0.0, 0.0))
         t1, t2 = 0.002, 0.003
         expected_idle = s.p_idle_total * (s.frame_t - t1 - t2)
-        assert energy_2ts_at(s, t1, t2, pw) == pytest.approx(expected_idle)
+        assert FD2TS.energy_at(s, (t1, t2), pw) == pytest.approx(expected_idle)
 
     def test_transmit_energy_isolation(self, make_scenario):
         s = make_scenario(u=0.0, eps=0.0, p_base=(0.0, 0.0, 0.0),
                           p_idle=(0.0, 0.0, 0.0))
         t1 = t2 = 0.004
-        pw = powers_2ts(s, t1, t2)
-        expected = ((pw.p_a + pw.p_r_fwd) * t1 + (pw.p_b + pw.p_r_rev) * t2) / 0.35
-        assert energy_2ts(s, t1, t2) == pytest.approx(expected)
+        (p_a, p_r_fwd), (p_b, p_r_rev) = slot_powers(s, FD2TS, t1, t2)
+        expected = ((p_a + p_r_fwd) * t1 + (p_b + p_r_rev) * t2) / 0.35
+        assert FD2TS.energy(s, t1, t2) == pytest.approx(expected)
 
     def test_etpa_expansion_second_coding(self, params):
         """Same objective written as an explicit function of the loads."""
@@ -244,7 +222,7 @@ class TestEnergy2TS:
         expansion = ((alpha_1 * x + beta_1 * x * x + p_1) * t1
                      + (alpha_2 * y + beta_2 * y * y + p_2) * t2
                      + s.p_idle_total * s.frame_t)
-        assert energy_2ts(s, t1, t2) == pytest.approx(expansion, rel=1e-12)
+        assert FD2TS.energy(s, t1, t2) == pytest.approx(expansion, rel=1e-12)
 
     def test_tpa_expansion_second_coding(self, params):
         p = replace(params, strategy=Strategy.FD2TS, pa=PaKind.TPA,
@@ -272,7 +250,7 @@ class TestEnergy2TS:
                      + (math.sqrt(beta12 * y + gamma2 * y * y)
                         + math.sqrt(alpha12 * y) + p_2) * t2
                      + s.p_idle_total * s.frame_t)
-        assert energy_2ts(s, t1, t2) == pytest.approx(expansion, rel=1e-12)
+        assert FD2TS.energy(s, t1, t2) == pytest.approx(expansion, rel=1e-12)
 
 
 class TestCaps1TS:
@@ -282,7 +260,7 @@ class TestCaps1TS:
         p_a = 1.0
         p_b = p_a * ch.g_ar / ch.g_br
         p_r = (p_a * ch.g_ar - ch.sigma2_r) / ch.gs_r
-        c_ar, c_br, _, _ = caps_1ts(s, 0.004, p_a, p_b, p_r)
+        c_ar, c_br, _, _ = capacities(s, FD1TS, (0.004,), ((p_a, p_b, p_r),))
         w1 = 0.004 / s.frame_t * s.bandwidth_w
         assert c_ar == pytest.approx(w1 * math.log2(1.5))
         assert c_br == pytest.approx(w1 * math.log2(1.5))
@@ -291,7 +269,7 @@ class TestCaps1TS:
         s = make_scenario(gs=0.0)
         ch = s.channels
         p_r = ch.sigma2_a / ch.g_ra
-        _, _, c_ra, _ = caps_1ts(s, 0.004, 1.0, 1.0, p_r)
+        _, _, c_ra, _ = capacities(s, FD1TS, (0.004,), ((1.0, 1.0, p_r),))
         assert c_ra == pytest.approx(0.004 / s.frame_t * s.bandwidth_w)
 
 
@@ -299,27 +277,28 @@ class TestPowers1TS:
     def test_symmetric_scenario(self, make_scenario):
         s = make_scenario(strategy=Strategy.FD1TS, g_ar=1e-12, g_br=1e-12,
                           gs=1e-16, r_fl=3e7, r_rl=3e7)
-        pw = powers_1ts(s, 0.008)
-        assert pw.p_a == pytest.approx(pw.p_b)
-        assert energy_1ts(s, 0.008) == pytest.approx(
-            energy_1ts_at(s, 0.008, pw))
+        pw = slot_powers(s, FD1TS, 0.008)
+        [(p_a, p_b, _)] = pw
+        assert p_a == pytest.approx(p_b)
+        assert FD1TS.energy(s, 0.008) == pytest.approx(
+            FD1TS.energy_at(s, (0.008,), pw))
 
     def test_interference_free_asymptotic_limit(self, make_scenario):
         s = make_scenario(strategy=Strategy.FD1TS, gs=0.0, asymptotic=True)
         t1 = 0.006
         lambda_fl, lambda_rl = loads(s, t1, t1)
-        pw = powers_1ts(s, t1)
+        [(_, _, p_r)] = slot_powers(s, FD1TS, t1)
         expected = max(
             2 ** lambda_rl * s.channels.sigma2_a / s.channels.g_ra,
             2 ** lambda_fl * s.channels.sigma2_b / s.channels.g_rb)
-        assert pw.p_r == pytest.approx(expected)
+        assert p_r == pytest.approx(expected)
 
     def test_exact_round_trip(self, params):
         s = replace(params, strategy=Strategy.FD1TS,
                     r_fl_mbps=30.0, r_rl_mbps=30.0).build()
         for t1 in (s.frame_t, 0.6 * s.frame_t, 0.41 * s.frame_t):
-            pw = powers_1ts(s, t1)
-            c_ar, c_br, c_ra, c_rb = caps_1ts(s, t1, pw.p_a, pw.p_b, pw.p_r)
+            pw = slot_powers(s, FD1TS, t1)
+            c_ar, c_br, c_ra, c_rb = capacities(s, FD1TS, (t1,), pw)
             assert c_ar == pytest.approx(s.r_fl, rel=1e-9)
             assert c_br == pytest.approx(s.r_rl, rel=1e-9)
             slack = min(c_ra - s.r_rl, c_rb - s.r_fl)
@@ -331,12 +310,11 @@ class TestPowers1TS:
         p = replace(params, strategy=Strategy.FD1TS,
                     r_fl_mbps=50.0, r_rl_mbps=10.0)
         s = p.build()
-        pw = powers_1ts(s, 0.8 * s.frame_t)
-        c_ar, c_br, c_ra, c_rb = caps_1ts(s, 0.8 * s.frame_t,
-                                          pw.p_a, pw.p_b, pw.p_r)
+        pw = slot_powers(s, FD1TS, 0.8 * s.frame_t)
+        c_ar, c_br, c_ra, c_rb = capacities(s, FD1TS, (0.8 * s.frame_t,), pw)
         assert c_ar == pytest.approx(s.r_fl, rel=1e-9)
         assert c_br == pytest.approx(s.r_rl, rel=1e-9)
-        if pw.active_case is RelayCase.CASE_I:
+        if FD1TS.active_case(s, 0.8 * s.frame_t) is RelayCase.CASE_I:
             assert c_ra == pytest.approx(s.r_rl, rel=1e-9)
         else:
             assert c_rb == pytest.approx(s.r_fl, rel=1e-9)
@@ -346,7 +324,7 @@ class TestPowers1TS:
         s = make_scenario(strategy=Strategy.FD1TS, gs=1e-12, r_fl=6e7,
                           r_rl=6e7)
         with pytest.raises(InfeasibleError) as err:
-            powers_1ts(s, s.frame_t)
+            slot_powers(s, FD1TS, s.frame_t)
         assert err.value.cause == "cancellation"
 
     def test_asymptotic_consistency(self, params):
@@ -357,10 +335,10 @@ class TestPowers1TS:
         for t1 in (0.003, 0.005, 0.008, 0.01):
             lambda_fl, lambda_rl = loads(exact, t1, t1)
             bound = 4.0 / (2 ** lambda_fl + 2 ** lambda_rl)
-            pe = powers_1ts(exact, t1)
-            pa = powers_1ts(approx, t1)
-            for name in ("p_a", "p_b", "p_r"):
-                rel = abs(getattr(pa, name) - getattr(pe, name)) / getattr(pe, name)
+            [pe] = slot_powers(exact, FD1TS, t1)
+            [pa] = slot_powers(approx, FD1TS, t1)
+            for p_approx, p_exact in zip(pa, pe):
+                rel = abs(p_approx - p_exact) / p_exact
                 assert rel <= bound
 
     def test_asymptotic_converges_with_load(self, params):
@@ -369,9 +347,9 @@ class TestPowers1TS:
         approx = replace(p, asymptotic_1ts=True).build()
         rels = []
         for t1 in (0.009, 0.006, 0.004, 0.003):
-            pe = powers_1ts(exact, t1)
-            pa = powers_1ts(approx, t1)
-            rels.append(abs(pa.p_r - pe.p_r) / pe.p_r)
+            [(_, _, pe)] = slot_powers(exact, FD1TS, t1)
+            [(_, _, pa)] = slot_powers(approx, FD1TS, t1)
+            rels.append(abs(pa - pe) / pe)
         assert all(hi > lo for hi, lo in zip(rels, rels[1:]))
 
 
@@ -380,14 +358,14 @@ class TestEnergy1TS:
         s_idle = make_scenario(strategy=Strategy.FD1TS, p_idle=(1.0, 1.0, 1.0))
         s_none = make_scenario(strategy=Strategy.FD1TS, p_idle=(0.0, 0.0, 0.0))
         t1 = s_idle.frame_t
-        assert energy_1ts(s_idle, t1) == pytest.approx(energy_1ts(s_none, t1))
+        assert FD1TS.energy(s_idle, t1) == pytest.approx(FD1TS.energy(s_none, t1))
 
     def test_symmetric_cases_degenerate(self, make_scenario):
         s = make_scenario(strategy=Strategy.FD1TS, gs=1e-16)
-        case1, case2 = relay_case_assignments(s, 0.007)
-        assert case1.p_r == pytest.approx(case2.p_r)
-        assert energy_1ts_at(s, 0.007, case1) == pytest.approx(
-            energy_1ts_at(s, 0.007, case2))
+        case1, case2 = reference_relay_cases(s)(0.007)
+        assert case1[2] == pytest.approx(case2[2])
+        assert FD1TS.energy_at(s, (0.007,), (case1,)) == pytest.approx(
+            FD1TS.energy_at(s, (0.007,), (case2,)))
 
     def test_accounting_modes_differ_as_stated(self, make_scenario):
         printed = make_scenario(strategy=Strategy.FD1TS)
@@ -398,7 +376,7 @@ class TestEnergy1TS:
         want = eps * (3 * (printed.r_fl + printed.r_rl)
                       + max(printed.r_fl, printed.r_rl)) \
             - eps * (printed.r_fl + 2 * printed.r_rl)
-        got = energy_1ts(fp, t1) - energy_1ts(printed, t1)
+        got = FD1TS.energy(fp, t1) - FD1TS.energy(printed, t1)
         assert got == pytest.approx(want * t1, rel=1e-12)
 
 
@@ -408,8 +386,8 @@ class TestHd:
         ch = s.channels
         p_a = ch.sigma2_r / ch.g_ar
         p_b = ch.sigma2_r / ch.g_br
-        c_ar, c_br, c_ra, c_rb = caps_hd(s, 0.004, 0.004, p_a, p_b,
-                                         ch.sigma2_a / ch.g_ra)
+        c_ar, c_br, c_ra, c_rb = capacities(
+            s, HD2TS, (0.004, 0.004), ((p_a, p_b), (ch.sigma2_a / ch.g_ra,)))
         w = 0.004 / s.frame_t * s.bandwidth_w
         assert c_ar == pytest.approx(w * math.log2(1.5))
         assert c_br == pytest.approx(w * math.log2(1.5))
@@ -419,7 +397,7 @@ class TestHd:
         s = make_scenario(strategy=Strategy.HD2TS)
         # lambda exponents of 1 each: t1 = r * T / W with equal rates
         t1 = s.r_fl * s.frame_t / s.bandwidth_w
-        p_a, p_b, _ = powers_hd(s, t1, 0.004)
+        (p_a, p_b), _ = slot_powers(s, HD2TS, t1, 0.004)
         assert p_a == pytest.approx(1.5 * s.channels.sigma2_r / s.channels.g_ar)
         assert p_b == pytest.approx(1.5 * s.channels.sigma2_r / s.channels.g_br)
 
@@ -428,7 +406,7 @@ class TestHd:
         ch = s.channels
         t2 = 0.0045
         l3 = 2 ** (s.r_fl * s.frame_t / (s.bandwidth_w * t2))
-        _, _, p_r = powers_hd(s, 0.004, t2)
+        _, (p_r,) = slot_powers(s, HD2TS, 0.004, t2)
         assert p_r == pytest.approx((l3 - 1) * ch.sigma2_b / ch.g_rb)
         assert p_r == pytest.approx((l3 - 1) * ch.sigma2_a / ch.g_ra)
 
@@ -436,8 +414,8 @@ class TestHd:
         s = replace(params, strategy=Strategy.HD2TS,
                     r_fl_mbps=30.0, r_rl_mbps=30.0).build()
         t1 = t2 = 0.005
-        p_a, p_b, p_r = powers_hd(s, t1, t2)
-        c_ar, c_br, c_ra, c_rb = caps_hd(s, t1, t2, p_a, p_b, p_r)
+        pw = slot_powers(s, HD2TS, t1, t2)
+        c_ar, c_br, c_ra, c_rb = capacities(s, HD2TS, (t1, t2), pw)
         assert c_ar == pytest.approx(s.r_fl, rel=1e-9)
         assert c_br == pytest.approx(s.r_rl, rel=1e-9)
         assert min(c_ra - s.r_rl, c_rb - s.r_fl) == pytest.approx(0.0, abs=1e-9 * s.r_fl)
@@ -450,7 +428,7 @@ class TestHd:
         eps = printed.circuit.a.epsilon
         both = printed.r_fl + printed.r_rl
         want = eps * both * t1 + eps * both * t2
-        got = energy_hd(fp, t1, t2) - energy_hd(printed, t1, t2)
+        got = HD2TS.energy(fp, t1, t2) - HD2TS.energy(printed, t1, t2)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -464,7 +442,12 @@ class TestCrossCutting:
         """
         kwargs = dict(g_ar=1.3e-12, g_br=0.7e-12, gs=1e-16, r_fl=3e7, r_rl=1.5e7)
         swapped = dict(g_ar=0.7e-12, g_br=1.3e-12, gs=1e-16, r_fl=1.5e7, r_rl=3e7)
-        for strategy in (Strategy.FD2TS, Strategy.FD1TS, Strategy.HD2TS):
+        # Mirrored durations per strategy: both end nodes share slot 1 in
+        # HD, so its durations stay put.
+        for strategy, durations, mirrored in (
+                (Strategy.FD2TS, (0.005, 0.004), (0.004, 0.005)),
+                (Strategy.FD1TS, (0.007,), (0.007,)),
+                (Strategy.HD2TS, (0.005, 0.004), (0.005, 0.004))):
             accounting = (CircuitAccounting.FIRST_PRINCIPLES
                           if strategy is Strategy.FD1TS else None)
             # symmetric node hardware so only channels/rates are relabeled
@@ -474,63 +457,50 @@ class TestCrossCutting:
             mirror = make_scenario(strategy=strategy, p_base=(0.05,) * 3,
                                    p_idle=(0.01,) * 3, p_max=(40.0,) * 3,
                                    accounting=accounting, **swapped)
-            if strategy is Strategy.FD2TS:
-                e1 = energy_2ts(base, 0.005, 0.004)
-                e2 = energy_2ts(mirror, 0.004, 0.005)
-            elif strategy is Strategy.FD1TS:
-                e1 = energy_1ts(base, 0.007)
-                e2 = energy_1ts(mirror, 0.007)
-            else:
-                # both end nodes share slot 1 in HD, so durations stay put
-                e1 = energy_hd(base, 0.005, 0.004)
-                e2 = energy_hd(mirror, 0.005, 0.004)
+            e1 = DESCRIPTIONS[strategy].energy(base, *durations)
+            e2 = DESCRIPTIONS[strategy].energy(mirror, *mirrored)
             assert e1 == pytest.approx(e2, rel=1e-12)
 
     def test_cancellation_monotonicity(self):
         """More cancellation never raises any optimal transmit power."""
         base = ScenarioParams(r_fl_mbps=40.0, r_rl_mbps=25.0)
-        for strategy in (Strategy.FD2TS, Strategy.FD1TS):
+        for strategy, durations in ((Strategy.FD2TS, (0.004, 0.004)),
+                                    (Strategy.FD1TS, (0.008,))):
             prev = None
             for alpha in (30.0, 40.0, 50.0, 60.0, 70.0, 80.0):
                 s = replace(base, alpha_db=alpha, strategy=strategy).build()
-                if strategy is Strategy.FD2TS:
-                    pw = powers_2ts(s, 0.004, 0.004)
-                    powers = (pw.p_a, pw.p_b, pw.p_r_fwd, pw.p_r_rev)
-                else:
-                    pw = powers_1ts(s, 0.008)
-                    powers = (pw.p_a, pw.p_b, pw.p_r)
+                powers = sum(slot_powers(s, DESCRIPTIONS[strategy],
+                                         *durations), ())
                 if prev is not None:
                     assert all(p <= q * (1 + 1e-12)
                                for p, q in zip(powers, prev))
                 prev = powers
 
     def test_random_round_trips(self, rng):
-        for strategy in (Strategy.FD2TS, Strategy.FD1TS, Strategy.HD2TS):
+        for strategy, fractions in ((Strategy.FD2TS, (0.4, 0.45)),
+                                    (Strategy.FD1TS, (0.9,)),
+                                    (Strategy.HD2TS, (0.45, 0.5))):
+            desc = DESCRIPTIONS[strategy]
             for _ in range(10):
                 s = random_scenario_params(rng, strategy).build()
+                durations = [f * s.frame_t for f in fractions]
+                try:
+                    pw = slot_powers(s, desc, *durations)
+                except InfeasibleError:
+                    # Only the single-slot closed form raises.
+                    assert strategy is Strategy.FD1TS
+                    continue
+                c = capacities(s, desc, durations, pw)
                 if strategy is Strategy.FD2TS:
-                    t1, t2 = 0.4 * s.frame_t, 0.45 * s.frame_t
-                    pw = powers_2ts(s, t1, t2)
-                    c = caps_2ts(s, t1, t2, pw)
                     targets = (s.r_fl, s.r_fl, s.r_rl, s.r_rl)
                     for got, want in zip(c, targets):
                         assert got == pytest.approx(want, rel=1e-9)
-                elif strategy is Strategy.FD1TS:
-                    try:
-                        pw = powers_1ts(s, 0.9 * s.frame_t)
-                    except InfeasibleError:
-                        continue
-                    c_ar, c_br, c_ra, c_rb = caps_1ts(
-                        s, 0.9 * s.frame_t, pw.p_a, pw.p_b, pw.p_r)
-                    assert c_ar == pytest.approx(s.r_fl, rel=1e-9)
-                    assert c_br == pytest.approx(s.r_rl, rel=1e-9)
+                    continue
+                c_ar, c_br, c_ra, c_rb = c
+                assert c_ar == pytest.approx(s.r_fl, rel=1e-9)
+                assert c_br == pytest.approx(s.r_rl, rel=1e-9)
+                if strategy is Strategy.FD1TS:
                     assert min(c_ra - s.r_rl, c_rb - s.r_fl) >= -1e-9 * s.r_fl
-                else:
-                    t1, t2 = 0.45 * s.frame_t, 0.5 * s.frame_t
-                    p_a, p_b, p_r = powers_hd(s, t1, t2)
-                    c_ar, c_br, c_ra, c_rb = caps_hd(s, t1, t2, p_a, p_b, p_r)
-                    assert c_ar == pytest.approx(s.r_fl, rel=1e-9)
-                    assert c_br == pytest.approx(s.r_rl, rel=1e-9)
 
 
 class TestSlotDescriptions:
@@ -561,11 +531,11 @@ class TestSlotDescriptions:
             s = replace(p, accounting=accounting).build()
             t = float(rng.uniform(0.2, 1.0)) * s.frame_t
             try:
-                cases = relay_case_assignments(s, t)
-                expected = max(energy_1ts_at(s, t, c) for c in cases)
+                cases = reference_relay_cases(s)(t)
+                expected = max(FD1TS.energy_at(s, (t,), (c,)) for c in cases)
             except (InfeasibleError, ValueError):
                 continue
-            assert energy_1ts(s, t) == expected
+            assert FD1TS.energy(s, t) == expected
             checked += 1
 
     @pytest.mark.parametrize("accounting", list(CircuitAccounting))
@@ -585,7 +555,7 @@ class TestSlotDescriptions:
         for slot, (lo, hi) in zip(DESCRIPTIONS[strategy].slots, spans):
             for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
                 t = lo + frac * (hi - lo)
-                powers = slot.powers(s, t)
+                powers = slot.bind(s)(t)
                 assert len(powers) == len(slot.fields) == len(slot.nodes)
                 groups = slot.rates(s, t, *powers)
                 assert len(groups) == len(slot.fields)
@@ -609,8 +579,9 @@ class TestWinnerFirst1TS:
 
     def _check(self, s, t):
         """``_bind_1ts`` over the array ``t`` and at each of its durations,
-        and ``powers_1ts`` at each, against the reference: the same powers
-        bit for bit and the same case, or the same InfeasibleError.
+        and the fd1ts slot's closed form and ``active_case`` at each,
+        against the reference: the same powers bit for bit and the same
+        case, or the same InfeasibleError.
         Returns the float outcomes seen and the reference cases' relay
         powers."""
         bound = _bind_1ts(s)
@@ -623,7 +594,7 @@ class TestWinnerFirst1TS:
             try:
                 want, case = reference_powers_1ts(s, ti)
             except InfeasibleError as err:
-                for call in (bound, lambda x: powers_1ts(s, x)):
+                for call in (bound, lambda x: FD1TS.active_case(s, x)):
                     with pytest.raises(InfeasibleError) as got:
                         call(ti)
                     assert ((str(got.value), got.value.cause,
@@ -631,10 +602,9 @@ class TestWinnerFirst1TS:
                             == (str(err), err.cause, err.binding_node))
                 kinds.add(f"raises:{err.cause}")
                 continue
-            pw = powers_1ts(s, ti)
             assert (np.array(bound(ti)).tobytes() == np.array(want).tobytes()
-                    == np.array([pw.p_a, pw.p_b, pw.p_r]).tobytes())
-            assert pw.active_case is case
+                    == np.array(FD1TS.slots[0].bind(s)(ti)).tobytes())
+            assert FD1TS.active_case(s, ti) is case
             kinds.add("inf" if math.inf in want else "finite")
         case1, case2 = reference_relay_cases(s)(t)
         return kinds, case1[2], case2[2]
@@ -683,4 +653,4 @@ class TestWinnerFirst1TS:
         assert finite.any() and "finite" in kinds
         assert p_r1[finite].tobytes() == p_r2[finite].tobytes()
         for ti in t[finite].tolist():
-            assert powers_1ts(s, ti).active_case is RelayCase.CASE_I
+            assert FD1TS.active_case(s, ti) is RelayCase.CASE_I

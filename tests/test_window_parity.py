@@ -20,7 +20,7 @@ from fdrelay.model import (CircuitAccounting, InfeasibleError, PaKind,
                            Strategy)
 from fdrelay.oracle import random_params
 from fdrelay.solver import solve
-from fdrelay.strategies import DESCRIPTIONS, powers_1ts
+from fdrelay.strategies import DESCRIPTIONS
 
 _TOL_FRACTION = 1e-9
 
@@ -43,7 +43,7 @@ def _slot_tmin_per_node(s, slot, floor):
     tol = _TOL_FRACTION * s.frame_t
     for k, (node, cap) in enumerate(slot.budgets(s)):
         def ok(t, _k=k, _c=cap):
-            return slot.powers(s, t)[_k] <= _c
+            return slot.bind(s)(t)[_k] <= _c
         if ok(floor):
             continue
         if not ok(s.frame_t):
@@ -81,37 +81,39 @@ def _tmin_slots_per_node(s, slots):
 def _tmin_1ts_own(s):
     """The single-slot strategy's own joint bisection."""
     floor = t_floor(s)
+    (slot,) = DESCRIPTIONS[Strategy.FD1TS].slots
+    powers = slot.bind(s)
 
     def ok(t):
         try:
-            pw = powers_1ts(s, t)
+            p_a, p_b, p_r = powers(t)
         except InfeasibleError:
             return False
-        return (pw.p_a <= s.pa.a.p_max and pw.p_b <= s.pa.b.p_max
-                and pw.p_r <= s.pa.r.p_max)
+        return (p_a <= s.pa.a.p_max and p_b <= s.pa.b.p_max
+                and p_r <= s.pa.r.p_max)
 
     if ok(floor):
         return FeasibleWindow(t_min=(floor,), feasible=True,
                               binding_node=(None,))
     if not ok(s.frame_t):
         try:
-            pw = powers_1ts(s, s.frame_t)
+            p_a, p_b, p_r = powers(s.frame_t)
         except InfeasibleError as err:
             return FeasibleWindow(t_min=(math.nan,), feasible=False,
                                   binding_node=(err.binding_node,),
                                   detail=str(err), cause=err.cause)
         over = [(node, p, cap) for node, p, cap in
-                (("a", pw.p_a, s.pa.a.p_max), ("b", pw.p_b, s.pa.b.p_max),
-                 ("r", pw.p_r, s.pa.r.p_max)) if p > cap]
+                (("a", p_a, s.pa.a.p_max), ("b", p_b, s.pa.b.p_max),
+                 ("r", p_r, s.pa.r.p_max)) if p > cap]
         node = max(over, key=lambda item: item[1] / item[2])[0]
         return FeasibleWindow(
             t_min=(math.nan,), feasible=False, binding_node=(node,),
             detail=f"node {node} exceeds its power budget even at the full frame",
             cause="power_budget")
     t_min = _bisect(ok, floor, s.frame_t, _TOL_FRACTION * s.frame_t)
-    pw = powers_1ts(s, t_min * (1.0 - 1e-7))
-    ratios = {"a": pw.p_a / s.pa.a.p_max, "b": pw.p_b / s.pa.b.p_max,
-              "r": pw.p_r / s.pa.r.p_max}
+    p_a, p_b, p_r = powers(t_min * (1.0 - 1e-7))
+    ratios = {"a": p_a / s.pa.a.p_max, "b": p_b / s.pa.b.p_max,
+              "r": p_r / s.pa.r.p_max}
     return FeasibleWindow(t_min=(t_min,), feasible=True,
                           binding_node=(max(ratios, key=ratios.get),))
 
@@ -179,7 +181,7 @@ class TestEdgeParity:
                     r_rl_mbps=10.0).build()
         window = _assert_same(s)
         slot = DESCRIPTIONS[strategy].slots[0]
-        p_a, p_b = slot.powers(s, window.t_min[0] * (1.0 - 1e-7))[:2]
+        p_a, p_b = slot.bind(s)(window.t_min[0] * (1.0 - 1e-7))[:2]
         assert p_a == p_b > s.pa.a.p_max
         assert window.binding_node[0] == "a"
 
@@ -197,8 +199,9 @@ class TestEdgeParity:
         assert raised.value.cause == "cancellation"
         assert window.feasible
         assert window.binding_node == (raised.value.binding_node,)
+        (slot,) = DESCRIPTIONS[Strategy.FD1TS].slots
         with pytest.raises(InfeasibleError, match="self-cancellation"):
-            powers_1ts(s, window.t_min[0] * (1.0 - 1e-7))
+            slot.bind(s)(window.t_min[0] * (1.0 - 1e-7))
         assert solve(s).t1 >= window.t_min[0]
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -215,7 +218,7 @@ def _ratios_at_full_frame(s):
     out = {}
     for slot in DESCRIPTIONS[s.strategy].slots:
         for (node, cap), p in zip(slot.budgets(s),
-                                  slot.powers(s, s.frame_t)):
+                                  slot.bind(s)(s.frame_t)):
             out.setdefault(node, p / cap)
     return out
 

@@ -129,7 +129,7 @@ def _recorded(slot):
 
     def powers(s, t):
         calls.append(t)
-        return slot.powers(s, t)
+        return slot.bind(s)(t)
 
     return calls, with_powers(slot, powers)
 
