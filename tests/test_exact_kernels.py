@@ -16,6 +16,7 @@ arithmetic they replace, bit for bit.
 
 import builtins
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fdrelay import oracle
 from fdrelay.config import ScenarioParams
 from fdrelay.feasibility import t_floor
 from fdrelay.model import Strategy
-from fdrelay.strategies import _LOAD_LIMIT, _bound_exps
+from fdrelay.strategies import DESCRIPTIONS, _LOAD_LIMIT, _bound_exps
 
 
 def _loads():
@@ -100,6 +101,9 @@ def _reference_axis(lo, hi, n_t, extras):
 
 
 @pytest.mark.parametrize("lo,hi,n_t", [
+    # A span of width 0: the step is 0 and every point is lo.
+    (1e-310, 1e-310, 40),
+    (0.01, 0.01, 2),
     # Subnormal and ordinary spans.
     (5e-324, 1e-320, 40),
     (1e-300, 2e-300, 50),
@@ -112,6 +116,24 @@ def test_duration_axis_grid_is_linspace(lo, hi, n_t):
         want = _reference_axis(lo, hi, n_t, extras)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_duration_axis_step_is_positive_at_the_shortest_frame(
+        make_scenario, strategy):
+    # The grid has no branch for a step that underflows to 0; the oracle
+    # never asks for one: at the shortest frame a scenario admits, the
+    # step at either grid size is still above a fiftieth of the least
+    # normal float.
+    s = make_scenario(strategy=strategy, frame=sys.float_info.min)
+    floor = t_floor(s)
+    n_slots = len(DESCRIPTIONS[strategy].slots)
+    lo, hi = floor, s.frame_t - (n_slots - 1) * floor
+    for n_t in (oracle._VERIFY_N_T, oracle._GRID_N_T):
+        assert (hi - lo) / (n_t - 1) >= sys.float_info.min / 50
+        got = oracle._duration_axis(lo, hi, n_t, ())
+        assert got.tobytes() == _reference_axis(lo, hi, n_t, ()).tobytes()
+        assert (np.diff(got) > 0).all()
 
 
 def test_duration_axis_grid_is_linspace_on_seeded_spans():
