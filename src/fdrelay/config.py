@@ -33,6 +33,7 @@ uncalibrated budget.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -121,11 +122,15 @@ class ScenarioParams:
         distance.  So does an amplifier whose draw at 0 W or at its p_max
         is not finite, naming every key its draw reads; so does a
         bandwidth that times the shortest slot (``t_floor``) underflows to
-        0, naming ``bandwidth_mhz`` and ``frame_t_ms``; and so does a frame
-        whose energy at full budget is not finite: ``frame_t_ms`` times
-        the most a slot of any strategy draws (``peak_power``) plus the
-        idle draw, naming the keys that set it.  All of these are float
-        arithmetic, so the checks build no array."""
+        0, naming ``bandwidth_mhz`` and ``frame_t_ms``; so does a positive
+        demand whose load at the full frame, rate / bandwidth in
+        bit/s/Hz, is below the float spacing of 1 (``sys.float_info.
+        epsilon``), which no float capacity tells from 0, naming the demand
+        and ``bandwidth_mhz``; and so does a frame whose energy at full
+        budget is not finite: ``frame_t_ms`` times the most a slot of any
+        strategy draws (``peak_power``) plus the idle draw, naming the keys
+        that set it.  All of these are float arithmetic, so the checks
+        build no array."""
 
         def linear(name: str, convert, *args) -> float:
             try:
@@ -197,6 +202,15 @@ class ScenarioParams:
                 f"bandwidth_mhz = {self.bandwidth_mhz} times the shortest "
                 f"slot, a millionth of frame_t_ms = {self.frame_t_ms}, "
                 f"underflows to 0")
+        eps = sys.float_info.epsilon
+        for key, rate in (("r_fl_mbps", s.r_fl), ("r_rl_mbps", s.r_rl)):
+            if rate > 0 and rate / s.bandwidth_w < eps:
+                raise ValueError(
+                    f"{key} = {getattr(self, key)} over bandwidth_mhz = "
+                    f"{self.bandwidth_mhz} is a load below {eps:.3g} "
+                    f"bit/s/Hz, the float spacing of 1, at the full frame: "
+                    f"no capacity tells it from no demand, so set it to 0 "
+                    f"or to at least about {eps * self.bandwidth_mhz:.3g}")
         peak = peak_power(s) + s.p_idle_total
         if not math.isfinite(s.frame_t * peak):
             raise ValueError(

@@ -374,15 +374,20 @@ def pa_draw(*pas: PaModel) -> Callable:
     if any(pa.kind is not kind for pa in pas):
         raise ValueError("pa_draw binds amplifiers of one kind, got "
                          + ", ".join(pa.kind.value for pa in pas))
-    rows = []
-    for pa in pas:
-        pa_draw_range(pa)
-        p, eta, uk = pa.p_max, pa.eta_max, pa.u * pa.kappa
-        rows.append((-p * _P_BUDGET_SLACK, p * (1.0 + _P_BUDGET_SLACK), p,
-                     eta, uk * p, (1.0 + uk) * eta))
-    n = len(rows)
-    lo, hi, p_max, eta_max, bias, scale = np.array(rows).T
     tpa = kind is PaKind.TPA
+    consts = []
+    for pa in pas:
+        p, eta, uk = pa.p_max, pa.eta_max, pa.u * pa.kappa
+        bias, scale = uk * p, (1.0 + uk) * eta
+        # pa_draw_range's check: a draw finite at p_max is finite at 0 W.
+        if not math.isfinite(math.sqrt(p * p) / eta if tpa
+                             else (p + bias) / scale):
+            pa_draw_range(pa)
+        consts += (-p * _P_BUDGET_SLACK, p * (1.0 + _P_BUDGET_SLACK), p, eta,
+                   bias, scale)
+    n = len(pas)
+    lo, hi, p_max, eta_max, bias, scale = np.fromiter(
+        consts, float, 6 * n).reshape(n, 6).T
     asarray, minimum, sqrt, inf = np.asarray, np.minimum, np.sqrt, math.inf
     count_nonzero, fromiter = np.count_nonzero, np.fromiter
 

@@ -13,23 +13,24 @@ must never be worse than the grid.
 
 An audit prices the frame in one pass: one call of each slot's bound
 closed form over the grid's durations and the convexity probe's together,
-and one PA draw over every slot's grid anchors and probe powers together.
-So :func:`verify` binds each slot's closed form once and draws once per
-audit, and reads the grid best, the anchor misses and the probe's second
-differences off that pass.  The probe's sampler keeps its last walk over
-the seed-0 stream and reuses it once every verdict that walk read is
-judged again, for the new window, to the same value, so its points are
-those of a fresh walk.  The seed-0 stream is NumPy's PCG64 stream, the
-doubles ``default_rng(0).random`` draws, computed here in pure Python, so
-an audit imports neither ``numpy.random`` nor, since the grid merges its
-window edges without ``np.unique``, ``numpy.ma``.  The array powers equal
+and one PA draw over every slot's grid anchors and probe powers, marked
+by masks, never compacted, in one frame array.  So :func:`verify` binds
+each slot's closed form once and draws once per audit, and reads the grid
+best, the anchor misses and the probe's second differences off that pass.
+The probe's sampler keeps its last walk over the seed-0 stream and reuses
+it once every verdict that walk read is judged again, for the new window,
+to the same value, so its points are those of a fresh walk.  The seed-0
+stream is NumPy's PCG64 stream, the doubles ``default_rng(0).random``
+draws, computed here in pure Python, so an audit imports neither
+``numpy.random`` nor, since the grid merges its window edges without
+``np.unique``, ``numpy.ma``.  The array powers equal
 the float calls bit for bit (each rate's exponentials are one
 ``np.float_power``, which calls the float path's C ``pow`` once per
 element; ``np.power`` and ``np.exp2`` are one ULP off it on some inputs),
 so the reports equal those of a point-by-point run.  The grid is
-``np.linspace``'s arithmetic in Python floats; its step never underflows
-to 0, since a scenario refuses a frame shorter than the least normal
-float.  The budgets are read once per audit.
+``np.linspace``'s arithmetic, ``np.arange(n_t - 1) * step + lo`` then
+``hi``; its step never underflows to 0, since a scenario refuses a frame
+shorter than the least normal float.  The budgets are read once per audit.
 Where the single-slot form raises :class:`~fdrelay.model.InfeasibleError`
 for a float, its array holds NaN: the grid drops that duration, as it
 drops a duration whose anchor is infinite, over budget or short of a
@@ -56,7 +57,7 @@ from .config import ScenarioParams
 from .feasibility import FeasibleWindow, t_floor, tmin_for
 from .model import (_P_BUDGET_SLACK, InfeasibleError, PaKind, Scenario,
                     Schedule, Strategy)
-from .strategies import DESCRIPTIONS, Slot, bind_actives, frame_energy
+from .strategies import DESCRIPTIONS, bind_actives, frame_energy
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # these names on this module, so they stay importable from it.
 from .feasibility import tmin_1ts, tmin_2ts, tmin_hd  # noqa: F401
@@ -151,15 +152,14 @@ class _Walk(NamedTuple):
     walk read the verdict on the candidate scaled from the doubles
     ``judged`` holds, (u[p], u[p + 1]); ``verdicts`` holds those verdicts
     as the bytes of a bool array.  A kept position started a sample:
-    ``drawn`` holds the doubles (u[p], u[p + 1]) of each start and ``cos``
-    and ``sin`` those of its angle 2 pi u[p + 2], from ``math``."""
+    ``drawn`` holds rows u[p] and u[p + 1] of each start and ``direction``
+    the cos and sin rows of its angle 2 pi u[p + 2], from ``math``."""
 
     n_samples: int
     judged: tuple[np.ndarray, np.ndarray]
     verdicts: bytes
-    drawn: tuple[np.ndarray, np.ndarray]
-    cos: np.ndarray
-    sin: np.ndarray
+    drawn: np.ndarray
+    direction: np.ndarray
 
 
 # The last 2-D walk of :func:`_probe_points`.  The walk reads the stream
@@ -201,25 +201,16 @@ def _duration_axis(lo: float, hi: float, n_t: int,
     The extras cover feasibility windows narrower than the grid spacing,
     which a plain lattice can straddle without touching.
     """
-    step = (hi - lo) / (n_t - 1)
-    # np.linspace's own arithmetic, k * step + lo with the end set to hi,
-    # in Python floats.
-    pts = [k * step + lo for k in range(n_t - 1)] + [hi]
+    # np.linspace's own arithmetic, k * step + lo with the end set to hi.
+    pts = np.arange(n_t, dtype=float) * ((hi - lo) / (n_t - 1)) + lo
+    pts[-1] = hi
     keep = [e for e in extras if math.isfinite(e) and lo <= e <= hi]
     if keep:
         # The sorted distinct points, as np.unique gives them, which
-        # would import numpy.ma.
-        pts = sorted(set(pts).union(keep))
-    return np.array(pts)
-
-
-def _meets(s: Scenario, slot: Slot, t, *powers):
-    """Where every rate of ``slot`` at ``t`` and ``powers`` is met."""
-    met = True
-    for group in slot.rates(s, t, *powers):
-        for _, capacity, demand in group:
-            met = met & (capacity >= demand * (1.0 - _RATE_SLACK))
-    return met
+        # would import numpy.ma: each that differs from the one before.
+        pts = np.sort(np.concatenate((pts, keep)))
+        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+    return pts
 
 
 def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
@@ -233,51 +224,47 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
     anchors of every grid duration and the powers of the slot's probe
     durations.  An anchor that is not finite (NaN where the single-slot
     form raises) or over its budget leaves the grid; one within the PA
-    draw's budget slack of it is clipped onto it.  One pass checks the
-    capacities of the rest from scratch.  An anchor that misses a demand
+    draw's budget slack of it is clipped onto it.  Masks mark the grid,
+    never compacted: one pass checks the capacities of every anchor from
+    scratch, clipped onto its budget by ``np.fmin`` (NaN too, so none
+    warns), and reads only the marked ones.  An anchor that misses a demand
     leaves the grid too, and is a miss unless it was clipped: a clip on the
     budget edge shows no wrong closed form.  Then one PA draw prices the
-    whole frame, every slot's grid anchors followed by its probe powers,
-    with each slot's sum of :func:`~fdrelay.strategies.bind_actives`: bit
-    for bit :meth:`Slot.active`.  A grid duration that left the grid, and a
-    row past the end of a shorter probe, is drawn at 0 W and never read;
-    the draw is elementwise, so those rows change no other.  A probe power
-    outside its budget raises the draw's ``ValueError``.
+    frame, one row per node: every slot's grid anchors followed by its probe
+    powers, with each slot's sum of :func:`~fdrelay.strategies.bind_actives`:
+    bit for bit :meth:`Slot.active`.  A grid duration that left the grid,
+    and a row past the end of a shorter probe, is drawn at 0 W and never
+    read; the draw is elementwise, so those rows change no other.  A probe
+    power outside its budget raises the draw's ``ValueError``.
     """
     n = t_axis.size
-    rows = n + max(t.size for t in probes)
     # Every node's budget in slot order, read once, one row per node.
     caps = np.array([[getattr(s.pa, node).p_max]
                      for slot in slots for node in slot.nodes])
     loose = caps * (1.0 + _P_BUDGET_SLACK)
     all_rows = np.logical_and.reduce
-    frame, priced_rows, misses, first = [], [], 0, 0
+    frame = np.zeros((caps.shape[0], n + max(t.size for t in probes)))
+    priced, misses, first = [], 0, 0
     for slot, t_probe in zip(slots, probes):
         end = first + len(slot.nodes)
         cap = caps[first:end]
         # One row per power: the anchors, then the probe powers.
-        powers = np.array(slot.bind(s)(np.concatenate([t_axis, t_probe])))
+        powers = np.array(slot.bind(s)(np.concatenate((t_axis, t_probe))))
         anchors = powers[:, :n]
-        kept = all_rows(np.isfinite(anchors)
-                        & (anchors <= loose[first:end])).nonzero()[0]
-        first = end
-        anchors = anchors[:, kept]
-        clipped = np.minimum(anchors, cap)
-        met = _meets(s, slot, t_axis[kept], *clipped)
-        priced = kept[met]
+        met = all_rows(np.isfinite(anchors) & (anchors <= loose[first:end]))
+        clipped = np.fmin(anchors, cap)
+        for group in slot.rates(s, t_axis, *clipped):
+            for _, capacity, demand in group:
+                met = met & (capacity >= demand * (1.0 - _RATE_SLACK))
         misses += int(np.count_nonzero(~met & all_rows(anchors <= cap)))
-        drawn = np.zeros((len(slot.nodes), rows))
-        drawn[:, priced] = clipped[:, met]
-        drawn[:, n:n + t_probe.size] = powers[:, n:]
-        frame += list(drawn)
-        priced_rows.append(priced)
-    bests, actives = [], bind_actives(s, slots)(*frame)
-    for priced, active in zip(priced_rows, actives):
-        best = np.full(n, math.inf)
-        best[priced] = active[priced]
-        bests.append(best)
-    return bests, misses, [active[n:n + t.size]
-                           for active, t in zip(actives, probes)]
+        frame[first:end, :n] = np.where(met, clipped, 0.0)
+        frame[first:end, n:n + t_probe.size] = powers[:, n:]
+        priced.append(met)
+        first = end
+    actives = bind_actives(s, slots)(*frame)
+    return ([np.where(met, active[:n], math.inf)
+             for met, active in zip(priced, actives)], misses,
+            [active[n:n + t.size] for active, t in zip(actives, probes)])
 
 
 def grid_search(s: Scenario):
@@ -315,16 +302,14 @@ def _audit_pass(s: Scenario, window: FeasibleWindow, n_t: int,
     desc = DESCRIPTIONS[s.strategy]
     slots = desc.slots
     floor = t_floor(s)
-    extras = (tuple(x for span in window.spans(s.frame_t) for x in span)
-              if window.feasible else ())
+    spans = window.spans(s.frame_t) if window.feasible else ()
     t_axis = _duration_axis(floor, s.frame_t - (len(slots) - 1) * floor,
-                            n_t, extras)
+                            n_t, tuple(x for span in spans for x in span))
     # Second differences are no probe of a quasi-convex energy.
     probed = (n_samples > 0 and window.feasible
               and (s.pa.a.kind is not PaKind.TPA or desc.convex_under_tpa))
     coords = []
     if probed:
-        spans = window.spans(s.frame_t)
         h, points = _probe_points(spans[0] if len(spans) == 1 else spans,
                                   n_samples, s.frame_t)
         coords = points.reshape(-1, points.shape[-1]).T
@@ -349,17 +334,18 @@ def _best_combination(s: Scenario, t_axis: np.ndarray, per_slot):
     to each term with one outer operation.  Returns the energy (inf where
     no tuple is feasible) and its durations.
     """
-    spent = [active * t_axis for active in per_slot]
-    energy, idle, busy = spent[0], s.frame_t - t_axis, t_axis
-    for slot_spent in spent[1:]:
-        energy = np.add.outer(energy, slot_spent)
+    energy, idle, busy = per_slot[0] * t_axis, s.frame_t - t_axis, t_axis
+    for active in per_slot[1:]:
+        energy = np.add.outer(energy, active * t_axis)
         idle = np.subtract.outer(idle, t_axis)
         busy = np.add.outer(busy, t_axis)
-    energy = np.where(busy > s.frame_t, math.inf,
-                      energy + s.p_idle_total * idle)
-    idx = np.unravel_index(int(energy.argmin()), energy.shape)
-    return float(energy[idx]), {f"t{k + 1}": float(t_axis[i])
-                                for k, i in enumerate(idx)}
+    idle *= s.p_idle_total
+    energy += idle
+    energy[busy > s.frame_t] = math.inf
+    k = int(energy.argmin())
+    return float(energy.flat[k]), {
+        f"t{j + 1}": float(t_axis[i])
+        for j, i in enumerate(np.unravel_index(k, energy.shape))}
 
 
 def verify_necessary_conditions(s: Scenario, sched: Schedule,
@@ -422,8 +408,8 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
         raise ValueError(f"probe step {h} leaves no room in {domain}")
     if not two_d:
         lo, hi = ranges[0]
-        x = lo + (hi - lo) * _seed0_doubles(n_samples)
-        return h, np.array([x, x + h, x - h]).T.reshape(n_samples, 3, 1)
+        return h, _layout(lo + (hi - lo) * _seed0_doubles(n_samples)[None],
+                          h)
     (lo0, hi0), (lo1, hi1) = ranges
     if sum_cap is not None and lo0 + lo1 + 2.0 * h > sum_cap:
         raise ValueError(f"sum_cap {sum_cap} rejects every sample of "
@@ -435,11 +421,19 @@ def _probe_points(domain, n_samples: int, sum_cap: float | None):
             != walk.verdicts):
         walk = _walk(ranges, h, sum_cap, n_samples, domain)
         _LAST_WALK = walk
-    x0 = lo0 + (hi0 - lo0) * walk.drawn[0]
-    x1 = lo1 + (hi1 - lo1) * walk.drawn[1]
-    e0, e1 = h * walk.cos, h * walk.sin
-    return h, np.array([x0, x1, x0 + e0, x1 + e1, x0 - e0,
-                        x1 - e1]).T.reshape(n_samples, 3, 2)
+    x = (np.array([[lo0], [lo1]])
+         + np.array([[hi0 - lo0], [hi1 - lo1]]) * walk.drawn)
+    return h, _layout(x, h * walk.direction)
+
+
+def _layout(x: np.ndarray, e) -> np.ndarray:
+    """Points (n_samples, 3, dim) x, x + e, x - e from rows x and e, one per
+    coordinate, as a view whose reshape to those rows is a view too."""
+    buf = np.empty(x.shape + (3,))
+    buf[..., 0] = x
+    np.add(x, e, out=buf[..., 1])
+    np.subtract(x, e, out=buf[..., 2])
+    return buf.transpose(1, 2, 0)
 
 
 def _judge(ranges, h: float, sum_cap: float | None, u0, u1) -> np.ndarray:
@@ -490,9 +484,9 @@ def _walk(ranges, h: float, sum_cap: float | None, n_samples: int,
     theta = (2.0 * math.pi * u[at + 2]).tolist()
     # math's cos and sin, which numpy's array forms may differ from.
     return _Walk(n_samples, (u[visited], u[visited + 1]),
-                 np.array(verdicts).tobytes(), (u[at], u[at + 1]),
-                 np.array(list(map(math.cos, theta))),
-                 np.array(list(map(math.sin, theta))))
+                 np.array(verdicts).tobytes(), u[np.array((at, at + 1))],
+                 np.array((list(map(math.cos, theta)),
+                           list(map(math.sin, theta)))))
 
 
 def convexity_probe(f, domain, n_samples: int = 200,

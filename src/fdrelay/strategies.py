@@ -72,12 +72,12 @@ def _bound_exps(s: Scenario, *rates: float) -> Callable:
     and Python floats, through which a closed form computes (float
     arithmetic never raises on inf or NaN) before :func:`_inf_where`
     replaces its result; a load past ``_LOAD_LIMIT``, or NaN, gives +inf.
-    An array gives a mask and arrays with NaN at overflows, which never
-    warns where inf would meet inf - inf.  Each rate's exponentials are one
-    ``np.float_power(2.0, loads)``, whose float64 loop calls the C ``pow``
-    once per element, the same ``pow`` as the float's ``2.0 ** x``;
-    ``np.power`` and ``np.exp2`` go through vector kernels that are one ULP
-    off it on some exponents.
+    An array gives a mask and arrays with NaN, put in place, at overflows,
+    which never warns where inf would meet inf - inf.  Each rate's
+    exponentials are one ``np.float_power(2.0, loads)``, whose float64
+    loop calls the C ``pow`` once per element, the same ``pow`` as the
+    float's ``2.0 ** x``; ``np.power`` and ``np.exp2`` go through vector
+    kernels that are one ULP off it on some exponents.
     """
     w = s.bandwidth_w
     bits = [(rate, rate * s.frame_t) for rate in rates]
@@ -95,11 +95,10 @@ def _bound_exps(s: Scenario, *rates: float) -> Callable:
         loads = [b / (w * t) if rate else 0.0 * t for rate, b in bits]
         # Where the float gives inf (NaN, or past the limit); those loads go
         # in as NaN, which pow returns as it is, with no overflow warning.
-        over = ~(loads[0] <= _LOAD_LIMIT)
-        for load in loads[1:]:
-            over |= ~(load <= _LOAD_LIMIT)
-        return over, [np.float_power(2.0, np.where(over, math.nan, load))
-                      for load in loads]
+        over = ~np.logical_and.reduce([x <= _LOAD_LIMIT for x in loads])
+        for load in loads:
+            np.copyto(load, math.nan, where=over)
+        return over, [np.float_power(2.0, load) for load in loads]
 
     return exps
 
@@ -125,10 +124,12 @@ def _duration_at(s: Scenario, rate: float, x: float) -> float:
 
 def _inf_where(over, powers: tuple) -> tuple:
     """The powers with +inf wherever :func:`_bound_exps` found an
-    overflow."""
+    overflow; arrays, each the caller's own, take it in place."""
     if isinstance(over, bool):
         return (math.inf,) * len(powers) if over else powers
-    return tuple(np.where(over, math.inf, p) for p in powers)
+    for p in powers:
+        np.copyto(p, math.inf, where=over)
+    return powers
 
 
 @dataclass(frozen=True)
@@ -494,9 +495,8 @@ def _bound_relay_cases(s: Scenario) -> Callable:
         p_r_rl = power_rl(down_a, e_fl, factor, arrays)
         p_r_fl = power_fl(down_b, e_rl, factor, arrays)
         first = p_r_rl >= p_r_fl
-        if arrays:
-            p_r = np.where(np.isnan(p_r_rl) | np.isnan(p_r_fl), math.nan,
-                           np.where(first, p_r_rl, p_r_fl))
+        if arrays:  # the larger case, NaN where either is
+            p_r = np.maximum(p_r_rl, p_r_fl)
         else:
             p_r = p_r_rl if first else p_r_fl
         d = p_r * gs_r + sigma2_r

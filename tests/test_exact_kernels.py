@@ -8,8 +8,8 @@ arithmetic they replace, bit for bit.
   are one ULP off it on some inputs.  If a numpy release moves
   ``float_power`` to such a kernel, the guard below names the first load
   that differs.
-- ``oracle._duration_axis`` builds its grid as ``k * step + lo`` in Python
-  floats, ``np.linspace``'s own arithmetic.  The oracle never asks for a
+- ``oracle._duration_axis`` builds its grid as ``k * step + lo`` in numpy,
+  ``np.linspace``'s own arithmetic.  The oracle never asks for a
   grid whose step underflows to 0: a scenario's frame is at least the
   least normal float, and a grid spans most of it.
 """

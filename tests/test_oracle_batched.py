@@ -93,15 +93,30 @@ def _anchor_kinds(s, slot, t_axis):
     return kinds
 
 
-def _assert_same(s, slot, t_axis, priced=True):
+def _assert_same(s, slot, t_axis, priced=True, t_probe=_NO_PROBE):
     """The one-pass check equals the per-duration one; with ``priced``, at
-    least one duration stays on the grid.  Returns the miss count."""
-    (best,), misses, _ = _frame_pass(s, (slot,), t_axis, [_NO_PROBE])
+    least one duration stays on the grid.  The active powers at the probe
+    durations ``t_probe``, priced in the same pass after the grid's masked
+    rows, equal one ``Slot.active`` call on their closed-form powers, byte
+    for byte.  Returns the miss count."""
+    (best,), misses, (active,) = _frame_pass(s, (slot,), t_axis, [t_probe])
     ref_best, ref_misses = _slot_best_per_duration(s, slot, t_axis)
     assert best.tobytes() == ref_best.tobytes()
     assert misses == ref_misses
     assert np.isfinite(best).any() or not priced
+    want = slot.active(s, *slot.bind(s)(t_probe))
+    assert active.size == t_probe.size
+    assert active.tobytes() == np.asarray(want, dtype=float).tobytes()
     return misses
+
+
+def _verify_probes(s):
+    """The durations of ``verify``'s convexity probe, one array per slot, as
+    an audit hands them to the frame pass, and ``_NO_PROBE`` before them:
+    each slot is checked with the grid alone and with its probe."""
+    _, points = _probe_points(_domain(s), _VERIFY_SAMPLES, s.frame_t)
+    return [[_NO_PROBE, coord]
+            for coord in points.reshape(-1, points.shape[-1]).T]
 
 
 def _full_axis(s, n_t):
@@ -122,12 +137,14 @@ class TestSlotBestParity:
     def test_anchors_infinite_and_over_budget(self, strategy, pa_kind):
         s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
         t_axis = _full_axis(s, 40)
-        for slot in DESCRIPTIONS[strategy].slots:
+        for slot, probes in zip(DESCRIPTIONS[strategy].slots,
+                                _verify_probes(s)):
             kinds = _anchor_kinds(s, slot, t_axis)
             assert "over budget" in kinds and "in budget" in kinds
             if strategy is not Strategy.FD1TS:
                 assert "infinite" in kinds
-            assert _assert_same(s, slot, t_axis) == 0
+            for t_probe in probes:
+                assert _assert_same(s, slot, t_axis, t_probe=t_probe) == 0
 
     @pytest.mark.parametrize("pa_kind", list(PaKind))
     def test_fd1ts_weak_cancellation_raises(self, pa_kind):
@@ -137,7 +154,9 @@ class TestSlotBestParity:
         t_axis = _full_axis(s, 40)
         assert {"raises:cancellation", "raises:power_budget", "over budget",
                 "in budget"} <= _anchor_kinds(s, slot, t_axis)
-        assert _assert_same(s, slot, t_axis) == 0
+        (probes,) = _verify_probes(s)
+        for t_probe in probes:
+            assert _assert_same(s, slot, t_axis, t_probe=t_probe) == 0
 
     def test_fd1ts_short_axis(self):
         s = ScenarioParams(strategy=Strategy.FD1TS).build()
@@ -151,7 +170,8 @@ class TestSlotBestParity:
         s = ScenarioParams(strategy=strategy).build()
         t_axis = _full_axis(s, 30)
         pinned = t_axis[20]
-        for slot in DESCRIPTIONS[strategy].slots:
+        for slot, probes in zip(DESCRIPTIONS[strategy].slots,
+                                _verify_probes(s)):
             cap = slot.budgets(s)[0][1]
 
             def powers(s_, t, _slot=slot, _cap=cap):
@@ -164,7 +184,9 @@ class TestSlotBestParity:
                     first = float(first)
                 return (first,) + anchor[1:]
 
-            assert _assert_same(s, with_powers(slot, powers), t_axis) == 0
+            for t_probe in probes:
+                assert _assert_same(s, with_powers(slot, powers), t_axis,
+                                    t_probe=t_probe) == 0
 
 
 def _scaled_below(slot, t_axis, at, factor=1.0 - 1e-6):
