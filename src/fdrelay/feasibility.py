@@ -271,7 +271,22 @@ def tmin_hd(s: Scenario) -> FeasibleWindow:
     return tmin_slots(s, DESCRIPTIONS[Strategy.HD2TS].slots)
 
 
+# The last window of :func:`tmin_for` with its scenario and slots, held so
+# that neither id is reused, and replaced whole, so threads never read a
+# wrong one.
+_LAST_WINDOW: tuple[Scenario, tuple[Slot, ...], FeasibleWindow] | None = None
+
+
 def tmin_for(s: Scenario) -> FeasibleWindow:
     """The feasibility window of the scenario's strategy: one bisection per
-    slot, derived from its description alone (:func:`tmin_slots`)."""
-    return tmin_slots(s, DESCRIPTIONS[s.strategy].slots)
+    slot, derived from its description alone (:func:`tmin_slots`).  The
+    last window is kept and returned again for the same scenario object and
+    slots tuple, both compared by identity, so an audit right after a solve
+    bisects nothing again.  That is exact: both are frozen, and the window
+    is a function of them alone."""
+    global _LAST_WINDOW
+    slots = DESCRIPTIONS[s.strategy].slots
+    last = _LAST_WINDOW
+    if last is None or last[0] is not s or last[1] is not slots:
+        last = _LAST_WINDOW = s, slots, tmin_slots(s, slots)
+    return last[2]

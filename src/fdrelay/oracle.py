@@ -17,6 +17,8 @@ and one PA draw over every slot's grid anchors and probe powers, marked
 by masks, never compacted, in one frame array.  So :func:`verify` binds
 each slot's closed form once and draws once per audit, and reads the grid
 best, the anchor misses and the probe's second differences off that pass.
+The pass runs over the audited scenario's own feasibility window
+(:func:`tmin_for`), never over one that a schedule brings.
 The probe's sampler keeps its last walk over the seed-0 stream and reuses
 it once every verdict that walk read is judged again, for the new window,
 to the same value, so its points are those of a fresh walk.  The seed-0
@@ -54,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ScenarioParams
-from .feasibility import FeasibleWindow, t_floor, tmin_for
+from .feasibility import t_floor, tmin_for
 from .model import (_P_BUDGET_SLACK, InfeasibleError, PaKind, Scenario,
                     Schedule, Strategy)
 from .strategies import DESCRIPTIONS, bind_actives, frame_energy
@@ -217,8 +219,8 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
     """The slots' share of an audit, priced in one pass: per slot, each
     grid duration's cheapest rate-feasible active power (inf off the grid)
     and the active power at each of its probe durations (``probes``, one
-    array per slot); and how many in-budget anchors miss a demand, over
-    all slots.
+    array per slot, all of one length); and how many in-budget anchors
+    miss a demand, over all slots.
 
     Each slot's closed form is bound once, and one call of it prices the
     anchors of every grid duration and the powers of the slot's probe
@@ -232,10 +234,10 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
     budget edge shows no wrong closed form.  Then one PA draw prices the
     frame, one row per node: every slot's grid anchors followed by its probe
     powers, with each slot's sum of :func:`~fdrelay.strategies.bind_actives`:
-    bit for bit :meth:`Slot.active`.  A grid duration that left the grid,
-    and a row past the end of a shorter probe, is drawn at 0 W and never
-    read; the draw is elementwise, so those rows change no other.  A probe
-    power outside its budget raises the draw's ``ValueError``.
+    bit for bit :meth:`Slot.active`.  A grid duration that left the grid
+    is drawn at 0 W and never read; the draw is elementwise, so those rows
+    change no other.  A probe power outside its budget raises the draw's
+    ``ValueError``.
     """
     n = t_axis.size
     # Every node's budget in slot order, read once, one row per node.
@@ -243,7 +245,7 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
                      for slot in slots for node in slot.nodes])
     loose = caps * (1.0 + _P_BUDGET_SLACK)
     all_rows = np.logical_and.reduce
-    frame = np.zeros((caps.shape[0], n + max(t.size for t in probes)))
+    frame = np.zeros((caps.shape[0], n + len(probes[0])))
     priced, misses, first = [], 0, 0
     for slot, t_probe in zip(slots, probes):
         end = first + len(slot.nodes)
@@ -258,13 +260,13 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
                 met = met & (capacity >= demand * (1.0 - _RATE_SLACK))
         misses += int(np.count_nonzero(~met & all_rows(anchors <= cap)))
         frame[first:end, :n] = np.where(met, clipped, 0.0)
-        frame[first:end, n:n + t_probe.size] = powers[:, n:]
+        frame[first:end, n:] = powers[:, n:]
         priced.append(met)
         first = end
     actives = bind_actives(s, slots)(*frame)
     return ([np.where(met, active[:n], math.inf)
              for met, active in zip(priced, actives)], misses,
-            [active[n:n + t.size] for active, t in zip(actives, probes)])
+            [active[n:] for active in actives])
 
 
 def grid_search(s: Scenario):
@@ -277,16 +279,15 @@ def grid_search(s: Scenario):
     miss a demand left the grid empty.  Raises :class:`InfeasibleError`
     when the grid is empty otherwise.
     """
-    energy, point, _, _ = _audit_pass(s, tmin_for(s), _GRID_N_T, 0)
+    energy, point, _, _ = _audit_pass(s, _GRID_N_T, 0)
     return energy, point
 
 
-def _audit_pass(s: Scenario, window: FeasibleWindow, n_t: int,
-                n_samples: int):
+def _audit_pass(s: Scenario, n_t: int, n_samples: int):
     """The grid at ``n_t`` regular durations per slot and the convexity
-    probe at ``n_samples`` samples (none for 0), given the scenario's
-    feasibility window, in one :func:`_frame_pass`: one closed-form call
-    per slot and one PA draw for the whole audit.
+    probe at ``n_samples`` samples (none for 0), over the scenario's own
+    feasibility window (:func:`tmin_for`), in one :func:`_frame_pass`: one
+    closed-form call per slot and one PA draw for the whole audit.
 
     Returns the grid best and its durations (:func:`grid_search`), the
     number of anchors that miss a demand over all slots, and the probe's
@@ -301,6 +302,7 @@ def _audit_pass(s: Scenario, window: FeasibleWindow, n_t: int,
     """
     desc = DESCRIPTIONS[s.strategy]
     slots = desc.slots
+    window = tmin_for(s)
     floor = t_floor(s)
     spans = window.spans(s.frame_t) if window.feasible else ()
     t_axis = _duration_axis(floor, s.frame_t - (len(slots) - 1) * floor,
@@ -308,15 +310,12 @@ def _audit_pass(s: Scenario, window: FeasibleWindow, n_t: int,
     # Second differences are no probe of a quasi-convex energy.
     probed = (n_samples > 0 and window.feasible
               and (s.pa.a.kind is not PaKind.TPA or desc.convex_under_tpa))
-    coords = []
+    coords = np.empty((len(slots), 0))
     if probed:
         h, points = _probe_points(spans[0] if len(spans) == 1 else spans,
                                   n_samples, s.frame_t)
         coords = points.reshape(-1, points.shape[-1]).T
-    # Every slot is on the grid, even where the window of another strategy
-    # gives the probe fewer coordinates than slots.
-    probes = (list(coords) + [np.empty(0)] * len(slots))[:len(slots)]
-    bests, misses, actives = _frame_pass(s, slots, t_axis, probes)
+    bests, misses, actives = _frame_pass(s, slots, t_axis, coords)
     energy, point = _best_combination(s, t_axis, bests)
     if not (math.isfinite(energy) or misses):
         raise InfeasibleError("no feasible point on the oracle grid")
@@ -534,27 +533,15 @@ def verify(s: Scenario, sched: Schedule) -> OracleReport:
     convexity.  Where missing anchors leave the grid empty, the grid best
     is inf and the gap NaN.
 
-    The grid and the probe run in one pass (:func:`_audit_pass`): one
-    call of each slot's closed form over the grid's durations and the
-    probe's, and one PA draw over every slot's grid anchors and probe
-    powers, so each audit binds each slot once and draws once.  The probe
-    reuses its sampler's last walk wherever that walk's re-judged verdicts
-    hold (:func:`_probe_points`).  Both read the scenario's feasibility
-    window: the one :func:`~fdrelay.solver.solve` attached to ``sched``,
-    or, for a schedule that carries none (one built by hand),
-    :func:`tmin_for`'s.  A schedule solved for another scenario carries
-    that scenario's window, so check it against ``s`` with
-    ``replace(sched, window=None)``."""
-    window = sched.window if sched.window is not None else tmin_for(s)
-    try:
-        grid_best, _, misses, violations = _audit_pass(
-            s, window, _VERIFY_N_T, _VERIFY_PROBE_SAMPLES)
-    except ValueError:
-        # The probe refused a point, which a window of another scenario
-        # can reach.  An empty grid and the slacks' errors come first.
-        _audit_pass(s, window, _VERIFY_N_T, 0)
-        verify_necessary_conditions(s, sched, tol=math.inf)
-        raise
+    The grid and the probe run in one pass (:func:`_audit_pass`), which
+    binds each slot once and draws once, over the feasibility window of
+    ``s`` itself, whatever scenario ``sched`` was solved for: a schedule
+    of another scenario gets a report, or :class:`InfeasibleError` where
+    ``s`` has no feasible grid point.  The probe reuses its sampler's last
+    walk wherever that walk's re-judged verdicts hold
+    (:func:`_probe_points`)."""
+    grid_best, _, misses, violations = _audit_pass(
+        s, _VERIFY_N_T, _VERIFY_PROBE_SAMPLES)
     slacks = verify_necessary_conditions(s, sched, tol=math.inf)
     gap = (sched.e_total - grid_best) / grid_best
     return OracleReport(grid_best_energy=grid_best,

@@ -124,9 +124,7 @@ def solve(s: Scenario) -> Schedule:
     scenario once per solve (``Description.bind_frame``), and every price
     the solve takes goes through it: each lockstep round of the slot
     searches, each point of the boundary re-solve, and the final powers and
-    energy, each in one PA draw over every node of the frame.  The schedule
-    carries the feasibility window it was searched in, for
-    :func:`~fdrelay.oracle.verify` to reuse.
+    energy, each in one PA draw over every node of the frame.
     """
     desc = DESCRIPTIONS[s.strategy]
     window = tmin_for(s)
@@ -145,8 +143,7 @@ def solve(s: Scenario) -> Schedule:
         fields.update(zip(slot.fields, p))
     e = frame_energy(s, durations, actives)
     return Schedule(e_total=e, ee=ee_from_energy(s.r_fl, s.r_rl, s.frame_t, e),
-                    active_case=desc.active_case(s, *durations),
-                    window=window, **fields)
+                    active_case=desc.active_case(s, *durations), **fields)
 
 
 def _solve_separable(price: Callable[..., tuple], window: FeasibleWindow,

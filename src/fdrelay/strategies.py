@@ -421,12 +421,18 @@ _FD2TS_SLOTS = (_fd2ts_slot("a", "b", "r_fl", "p_r_fwd"),
 def _binned_uplinks(s: Scenario, w, p_a, p_b, noise):
     """(C_ar, C_br) in bit/s over bandwidth ``w`` in the structured-binning
     multiple-access form, with ``noise`` the relay's interference plus
-    noise.  Accepts ndarray powers."""
+    noise.  Accepts ndarray powers.  Where neither end node sends, both
+    capacities are 0, with no warning; every other value is the plain
+    form's, bit for bit."""
     ch = s.channels
     sa = p_a * ch.g_ar
     sb = p_b * ch.g_br
-    return (w * np.log2(sa / (sa + sb) + sa / noise),
-            w * np.log2(sb / (sa + sb) + sb / noise))
+    total = sa + sb
+    silent = total == 0.0
+    # The mask adds 1 where silent, else an exact 0: log2(0 + 1) = 0.
+    total += silent
+    return (w * np.log2(sa / total + sa / noise + silent),
+            w * np.log2(sb / total + sb / noise + silent))
 
 
 def _bound_relay_cases(s: Scenario) -> Callable:

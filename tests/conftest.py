@@ -71,6 +71,13 @@ def random_scenario_params(rng, strategy, pa_kind=PaKind.ETPA):
     )
 
 
+def neighbour(params):
+    """The parameters with 3 dB less self-cancellation and a 5% longer a-r
+    distance: a scenario whose window differs a little."""
+    return replace(params, alpha_db=params.alpha_db - 3.0,
+                   d_ar_m=params.d_ar_m * 1.05)
+
+
 def with_powers(slot, powers):
     """``slot`` with its closed form replaced by ``powers(s, t)``: the
     binder a slot states, for a test that substitutes a form per call."""

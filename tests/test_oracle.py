@@ -256,6 +256,18 @@ class TestVerify:
             assert slacks["c_br"] < -1e-4
             assert not report.ok
 
+    @pytest.mark.parametrize("pa_kind", list(PaKind))
+    @pytest.mark.parametrize("strategy", [Strategy.FD1TS, Strategy.HD2TS])
+    def test_silent_end_nodes_fail(self, params, strategy, pa_kind):
+        """With both end nodes silent, both binned uplinks carry 0 bit/s:
+        each misses its whole demand, and the report is FAILED, not a
+        division by zero."""
+        s = replace(params, strategy=strategy, pa=pa_kind).build()
+        report = verify(s, replace(solve(s), p_a=0.0, p_b=0.0))
+        slacks = report.active_constraints
+        assert slacks["c_ar"] == slacks["c_br"] == -1.0
+        assert not report.ok
+
 
 class TestRandomGeneration:
     def test_deterministic(self):

@@ -289,7 +289,7 @@ class TestAnchorMissesDemand:
         s = ScenarioParams(strategy=strategy, pa=pa_kind).build()
         report = oracle.verify(s, solve(s))
         assert report.ok and report.anchor_misses == 0
-        assert oracle._audit_pass(s, tmin_for(s), 50, 0)[2] == 0
+        assert oracle._audit_pass(s, 50, 0)[2] == 0
 
     @pytest.mark.parametrize("pa_kind", list(PaKind))
     def test_asymptotic_fd1ts_overspends_without_a_miss(self, pa_kind):
@@ -478,9 +478,7 @@ class TestOnePassPerSlot:
         for s in random_feasible_scenarios(25, strategy, pa_kind, 4):
             s = replace(s, circuit_accounting=accounting)
             sched = solve(s)
-            window = tmin_for(s)
-            grid_best, _, misses, unprobed = oracle._audit_pass(s, window,
-                                                                40, 0)
+            grid_best, _, misses, unprobed = oracle._audit_pass(s, 40, 0)
             assert unprobed == 0
             violations = (convexity_probe(partial(desc.energy, s),
                                           _domain(s), 50, sum_cap=s.frame_t)
@@ -542,13 +540,16 @@ class TestOnePassPerSlot:
                 random_feasible_scenarios(27, strategy, pa_kind, 2)):
             sched = solve(s)
             want = repr(verify(s, sched))
-            counts.update(dict.fromkeys(counts, 0))
             with monkeypatch.context() as m:
                 m.setitem(DESCRIPTIONS, strategy, replace(desc, slots=tuple(
                     replace(slot, bind=counted_bind(slot.bind))
                     for slot in desc.slots)))
                 m.setattr(strategies, "pa_draw",
                           counted_pa_draw(strategies.pa_draw))
+                # The window a solve under these slots keeps, as
+                # ``solve(s)`` leaves it for the audit that follows.
+                tmin_for(s)
+                counts.update(dict.fromkeys(counts, 0))
                 assert repr(verify(s, sched)) == want
             assert counts == {"bind": len(desc.slots), "draw bind": 1,
                               "draw": 1}

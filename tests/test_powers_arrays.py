@@ -13,6 +13,7 @@ for floats and by bytes for arrays.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from fdrelay.feasibility import t_floor
 from fdrelay.model import (CircuitAccounting, InfeasibleError, PaKind,
                            Strategy, pa_consumption)
 from fdrelay.oracle import random_params
-from fdrelay.strategies import DESCRIPTIONS
+from fdrelay.strategies import DESCRIPTIONS, _bound_exps
 
 from conftest import capacities
 
@@ -91,6 +92,54 @@ def test_fd1ts_weak_cancellation_is_nan(pa_kind):
     slot, = DESCRIPTIONS[Strategy.FD1TS].slots
     kinds = _assert_parity(s, slot, _durations(s, np.random.default_rng(19)))
     assert {"raises:cancellation", "raises:power_budget", "finite"} <= kinds
+
+
+def _zero_denominator(side):
+    """An fd1ts scenario and a duration at which the relay power that
+    closes ``side``'s broadcast link (``strategies._bound_relay_cases``)
+    has a denominator of exactly 0.0.  The relay's self-interference gain
+    ``gs_r`` is stepped by ``nextafter`` from the denominator's root until
+    the float expression cancels; for side b, node a's self-interference
+    is halved so that a's link still has a positive denominator there."""
+    base = ScenarioParams(strategy=Strategy.FD1TS).build()
+    ch = base.channels
+    if side == "b":
+        ch = replace(ch, gs_a=0.5 * ch.gs_a)
+    gs_self, link = ((ch.gs_a, ch.g_ra * ch.g_ar) if side == "a"
+                     else (ch.gs_b, ch.g_rb * ch.g_br))
+    exps = _bound_exps(base, base.r_fl, base.r_rl)
+    for k in range(1, 20):
+        t = base.frame_t * k / 20
+        _, (e_fl, e_rl) = exps(t)
+        down, up = (e_rl - 1.0, e_fl) if side == "a" else (e_fl - 1.0, e_rl)
+        factor = (e_fl + e_rl - 1.0) / (e_fl + e_rl)
+        gs_r = link / (down * factor * up * gs_self)
+        for direction in (math.inf, -math.inf):
+            g = gs_r
+            for _ in range(8):
+                if link - down * factor * up * gs_self * g == 0.0:
+                    return replace(base, channels=replace(ch, gs_r=g)), t
+                g = math.nextafter(g, direction)
+    raise AssertionError(f"no duration cancels side {side}'s denominator")
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_fd1ts_zero_relay_denominator(side):
+    """A denominator of exactly 0 is infeasible, as a negative one is: the
+    float form raises a cancellation error naming the side, and an array
+    holds NaN at that duration in every power, with no warning."""
+    s, t = _zero_denominator(side)
+    bind = DESCRIPTIONS[Strategy.FD1TS].slots[0].bind(s)
+    with pytest.raises(InfeasibleError) as err:
+        bind(t)
+    assert (err.value.cause, err.value.binding_node) == ("cancellation", side)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bind(np.array([t, s.frame_t]))
+    assert all(math.isnan(p[0]) and math.isfinite(p[1]) for p in got)
+    assert _assert_parity(s, DESCRIPTIONS[Strategy.FD1TS].slots[0],
+                          np.array([t, s.frame_t])) == {
+        "raises:cancellation", "finite"}
 
 
 def test_zero_demand_slot():
@@ -293,6 +342,32 @@ def test_caps_hd_equals_hand_written_form(pa_kind):
             _assert_same(got, want)
         compared += n
     assert compared
+
+
+@pytest.mark.parametrize("strategy", [Strategy.FD1TS, Strategy.HD2TS])
+def test_binned_uplinks_of_silent_end_nodes(strategy):
+    """Where neither end node sends, both binned uplinks carry 0 bit/s, for
+    a float and for an array element, with no warning; every other element
+    of the array equals its float call, bit for bit."""
+    s = ScenarioParams(strategy=strategy).build()
+    slot = DESCRIPTIONS[strategy].slots[0]
+    t = 0.6 * s.frame_t
+    sent = slot.bind(s)(t)
+    silent = (0.0, 0.0) + sent[2:]
+
+    def caps(durations, powers):
+        return {name: c for group in slot.rates(s, durations, *powers)
+                for name, c, _ in group}
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [caps(t, powers) for powers in (silent, sent, silent)]
+        got = caps(np.full(3, t), [np.array(p) for p in
+                                   zip(silent, sent, silent)])
+    assert want[0]["c_ar"] == want[0]["c_br"] == 0.0
+    assert min(want[1]["c_ar"], want[1]["c_br"]) > 0.0
+    for name, row in got.items():
+        assert row.tobytes() == np.array([w[name] for w in want]).tobytes()
 
 
 def test_active_takes_one_power_per_node():
