@@ -161,6 +161,9 @@ class ScenarioParams:
             gs_r=residual / isolation("self_iso_r_db"),
             sigma2=sigma2)
         kappa = linear("kappa_db", db_to_linear, self.kappa_db)
+        # Each amplifier's draw at p_max, from its range check, for the
+        # frame-energy check below (peak_power).
+        top: dict[str, float] = {}
 
         def pa_for(node: str) -> PaModel:
             name = f"p_max_{node}_dbm"
@@ -168,7 +171,7 @@ class ScenarioParams:
             pa = PaModel(kind=self.pa, p_max=p_max, eta_max=self.eta_max,
                          kappa=kappa, u=self.etpa_u)
             try:
-                pa_draw_range(pa)
+                top[node] = pa_draw_range(pa)[1]
             except ValueError as err:
                 keys = (name, "eta_max") + (("kappa_db", "etpa_u")
                                             if pa.kind is PaKind.ETPA else ())
@@ -211,7 +214,7 @@ class ScenarioParams:
                     f"bit/s/Hz, the float spacing of 1, at the full frame: "
                     f"no capacity tells it from no demand, so set it to 0 "
                     f"or to at least about {eps * self.bandwidth_mhz:.3g}")
-        peak = peak_power(s) + s.p_idle_total
+        peak = peak_power(s, top) + s.p_idle_total
         if not math.isfinite(s.frame_t * peak):
             raise ValueError(
                 f"the frame energy at full budget overflows a float: "

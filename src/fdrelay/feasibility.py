@@ -11,13 +11,16 @@ clamped.
 The bisection starts from a checked bracket: one end fails the predicate,
 the other passes it.  By monotonicity those two ends decide every midpoint
 outside the bracket, so the bisection calls the predicate only inside it
-and returns the bracket it would return alone.  A slot whose closed form
-inverts (:attr:`~fdrelay.strategies.Slot.root`: each fd2ts slot and
-hd2ts's broadcast) gives its minimum duration in closed form, and the two
+and returns the bracket it would return alone.  Every slot of every
+strategy has a root (:attr:`~fdrelay.strategies.Slot.root`), an estimate
+of its minimum duration from the scenario alone: in closed form for each
+fd2ts slot and hd2ts's broadcast, by Newton steps for hd2ts's access slot,
+and by secant steps from a closed-form bound below for fd1ts.  The two
 points a quarter of the tolerance either side of it are the bracket once
-checked; strictly inside the window, they also decide its ends.  Any other
-slot, or a root whose two points are not such a bracket, takes a short
-safeguarded secant on the slot's log power-to-budget ratio to find one.
+checked; strictly inside the window, they also decide its ends.  A root
+whose two points are not such a bracket (on the benchmark pools, none),
+or a slot whose root is None, takes a short safeguarded secant on the
+slot's log power-to-budget ratio to find one.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ _FLOOR_FRACTION = 1e-6
 # Bisection control (absolute tolerance is relative to the frame length).
 _BISECT_TOL_FRACTION = 1e-9
 _BISECT_MAX_ITERS = 200
-# Probes of the secant that seeds the bisection; past them the bisection
-# finishes alone.  No slot of the benchmark pools needs more than 12.
+# Probes of the secant that seeds the bisection where a slot's root does
+# not; past them the bisection finishes alone.  With no roots, no slot of
+# the benchmark pools needs more than 12; with them, none comes here.
 _SEED_MAX_PROBES = 16
 
 

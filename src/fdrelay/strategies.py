@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, truediv
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ from .model import (
     Scenario,
     Strategy,
     pa_draw,
-    pa_draw_range,
 )
 # Unused here, but the benchmark's span tracer (bench/tracing.py) patches
 # this name on this module, so it stays importable from it.
@@ -60,6 +59,13 @@ __all__ = [
 # 2**x overflows double precision near x ~ 1024; anything past this is an
 # unmeetable spectral load, reported as an infinite power demand.
 _LOAD_LIMIT = 500.0
+_LN2 = math.log(2.0)
+
+# The iterative roots (:func:`_access_duration`, :func:`_root_1ts`) stop
+# once a step moves the root by at most this fraction, or after this many
+# steps.  A root is only a seed, so these set its cost, never a digit.
+_ROOT_STEP_RTOL = 1e-7
+_ROOT_MAX_STEPS = 8
 
 
 def _bound_exps(s: Scenario, *rates: float) -> Callable:
@@ -119,7 +125,7 @@ def _duration_at(s: Scenario, rate: float, x: float) -> float:
     is 0.  An x past 2**_LOAD_LIMIT - 1 counts as that bound, since a
     shorter duration's load reads +inf powers."""
     den = s.bandwidth_w * math.log1p(min(x, 2.0 ** _LOAD_LIMIT - 1.0))
-    return rate * s.frame_t * math.log(2.0) / den if den > 0 else math.inf
+    return rate * s.frame_t * _LN2 / den if den > 0 else math.inf
 
 
 def _inf_where(over, powers: tuple) -> tuple:
@@ -152,14 +158,17 @@ class Slot:
     per power, in ``fields`` order: the ``(name, capacity, demand)``
     triples of the rate constraints that power closes, one of which is
     tight at the closed-form powers.  ``demand(s)`` is the traffic the slot
-    carries; a slot with none stays closed.  ``root(s)``, where the closed
-    form inverts, is the shortest duration at which every power is within
-    its ``p_max``, itself in closed form: each power rises in x =
-    2**load - 1, so the budgets bound x, and so does the load limit, past
-    which the powers read +inf; the duration follows from the load.  It is
-    only a seed: the feasibility window checks it against the powers and
-    bisects from it (:mod:`~fdrelay.feasibility`), so a root that is off,
-    NaN or infinite costs probes, never a digit.
+    carries; a slot with none stays closed.  ``root(s)`` is the shortest
+    duration at which every power is within its ``p_max``, from the
+    scenario alone, never raising.  Each power rises with the load, so the
+    budgets bound it, and so does the load limit, past which the powers
+    read +inf.  Where the closed form inverts (each fd2ts slot, hd2ts's
+    broadcast) the root is in closed form; hd2ts's access slot takes a few
+    Newton steps per node, and fd1ts a few secant steps on its own closed
+    form from a bound below.  A root is only a seed: the feasibility
+    window checks it against the powers and bisects from it
+    (:mod:`~fdrelay.feasibility`), so a root that is off, NaN or infinite,
+    or None, costs probes, never a digit.
     """
 
     fields: tuple[str, ...]
@@ -316,23 +325,24 @@ def frame_energy(s: Scenario, durations, actives):
     return total if isinstance(total, np.ndarray) else float(total)
 
 
-def peak_power(s: Scenario) -> float:
+def peak_power(s: Scenario, top: dict[str, float]) -> float:
     """The most power a slot of any strategy can draw in ``s``: the PA
     draws of the slot's nodes, every amplifier at its ``p_max``, summed in
-    slot order, plus the slot's static and dynamic circuit power.  In float
-    arithmetic (:func:`~fdrelay.model.pa_draw_range`), so that a build can
-    check it cheaply; every strategy counts, since a sweep hands one built
-    scenario to each."""
-    top = {node: pa_draw_range(getattr(s.pa, node))[1]
-           for node in ("a", "r", "b")}
+    slot order, plus the slot's static and dynamic circuit power.  ``top``
+    maps each node to its amplifier's draw at ``p_max``, as
+    :func:`~fdrelay.model.pa_draw_range` gives it, which a build has from
+    its range check of each amplifier.  In float arithmetic, so that a
+    build can check it cheaply; every strategy counts, since a sweep hands
+    one built scenario to each."""
     peak = 0.0
-    for desc in DESCRIPTIONS.values():
-        for slot in desc.slots:
-            draw = 0.0
-            for node in slot.nodes:
-                draw += top[node]
-            static, dynamic = slot.circuit(s)
-            peak = max(peak, draw + static + dynamic)
+    for nodes, circuit in _EVERY_SLOT:
+        draw = 0.0
+        for node in nodes:
+            draw += top[node]
+        static, dynamic = circuit(s)
+        total = draw + static + dynamic
+        if total > peak:  # max(peak, total), without the call
+            peak = total
     return peak
 
 
@@ -421,18 +431,18 @@ _FD2TS_SLOTS = (_fd2ts_slot("a", "b", "r_fl", "p_r_fwd"),
 def _binned_uplinks(s: Scenario, w, p_a, p_b, noise):
     """(C_ar, C_br) in bit/s over bandwidth ``w`` in the structured-binning
     multiple-access form, with ``noise`` the relay's interference plus
-    noise.  Accepts ndarray powers.  Where neither end node sends, both
-    capacities are 0, with no warning; every other value is the plain
-    form's, bit for bit."""
+    noise.  Accepts ndarray powers.  The link of an end node that does not
+    send carries 0 bit/s, with no warning, also where neither sends; every
+    other value is the plain form's, bit for bit."""
     ch = s.channels
     sa = p_a * ch.g_ar
     sb = p_b * ch.g_br
     total = sa + sb
-    silent = total == 0.0
-    # The mask adds 1 where silent, else an exact 0: log2(0 + 1) = 0.
-    total += silent
-    return (w * np.log2(sa / total + sa / noise + silent),
-            w * np.log2(sb / total + sb / noise + silent))
+    # Each mask adds 1 where its term is 0, else an exact 0: the sum takes
+    # no 0/0, and a silent node's log takes log2(0 + 1) = 0, not log2(0).
+    total += total == 0.0
+    return (w * np.log2(sa / total + sa / noise + (sa == 0.0)),
+            w * np.log2(sb / total + sb / noise + (sb == 0.0)))
 
 
 def _bound_relay_cases(s: Scenario) -> Callable:
@@ -546,6 +556,58 @@ def _active_case_1ts(s: Scenario, t1: float) -> RelayCase:
             else RelayCase.CASE_II)
 
 
+def _root_1ts(s: Scenario) -> float:
+    """The shortest duration at which p_a, p_b and p_r are all within their
+    budgets, found from a bound below it.
+
+    Self-interference only adds to each power, so each is never below its
+    value without it, which is hd2ts's closed form at the same loads: the
+    access slot's for p_a and p_b, the broadcast's for p_r, in either mode.
+    So the latest of their budget crossings bounds the root from below: the
+    broadcast's exactly (:func:`_root_hd_broadcast`), and each access
+    power's through the least it can be (:func:`_access_floor`).  From
+    there, secant steps in u = 1/t on g, the log of the largest
+    power-to-budget ratio, which rises in u, close to linearly at high
+    load: the first step takes the larger load's slope, load*ln2 per unit
+    of u.  Gives NaN, or the bound, where the steps cannot go on; never
+    raises."""
+    k_a, k_b = _access_gains(s)
+    t = max(_access_floor(s, s.r_fl, k_a), _access_floor(s, s.r_rl, k_b),
+            _root_hd_broadcast(s))
+    if not 0.0 < t < s.frame_t:
+        return t
+    relay = _bound_relay_cases(s)
+    caps = (s.pa.a.p_max, s.pa.b.p_max, s.pa.r.p_max)
+
+    def log_ratio(u: float) -> float:
+        # Powers that raise read +inf, as does a t so far below the floor
+        # that bandwidth times t underflows to 0 and the load divides by 0.
+        try:
+            powers = relay(1.0 / u)[1]
+        except (InfeasibleError, ZeroDivisionError):
+            return math.inf
+        ratio = max(map(truediv, powers, caps))
+        return math.log(ratio) if ratio > 0 else -math.inf
+
+    u = 1.0 / t
+    g = log_ratio(u)
+    slope = max(s.r_fl, s.r_rl) * s.frame_t / s.bandwidth_w * _LN2
+    if not (0.0 < g < math.inf and slope > 0.0):
+        return t  # within budget at the bound already, or past cancellation
+    u_next = u - g / slope
+    for _ in range(_ROOT_MAX_STEPS):
+        if not u_next > 0.0:
+            break
+        g_next = log_ratio(u_next)
+        if not (math.isfinite(g_next) and g_next != g):
+            break
+        u, g, u_next = (u_next, g_next,
+                        u_next - g_next * (u_next - u) / (g_next - g))
+        if abs(u_next - u) <= _ROOT_STEP_RTOL * u_next:
+            break
+    return 1.0 / u_next if u_next > 0.0 else math.nan
+
+
 def _rates_1ts(s: Scenario, t: float, p_a, p_b, p_r):
     """The two uplinks take the structured-binning multiple-access form
     (own share of the received sum plus own SINR inside the log); the
@@ -605,6 +667,79 @@ def _root_hd_broadcast(s: Scenario) -> float:
                _duration_at(s, s.r_rl, _budget_x(cap, ch.sigma2_a / ch.g_ra)))
 
 
+def _access_gains(s: Scenario) -> tuple[float, float]:
+    """k = p_max*g/sigma2_r of end nodes a and b: each access power's budget
+    in units of sigma2_r/g."""
+    ch = s.channels
+    return (s.pa.a.p_max * ch.g_ar / ch.sigma2_r,
+            s.pa.b.p_max * ch.g_br / ch.sigma2_r)
+
+
+def _access_ceiling(k: float) -> float:
+    """The largest l = 2**load at which l*l/(l + 1) is within ``k``: the
+    positive root of l*l = k*(l + 1).  An access power (sigma2_r/g)*l*(l +
+    l' - 1)/(l + l') is never below (sigma2_r/g)*l*l/(l + 1), since the
+    other load's l' is at least 1, so with k = p_max*g/sigma2_r this l
+    bounds the one at its budget crossing from above."""
+    return 0.5 * (k + math.sqrt(k * (k + 4.0)))
+
+
+def _access_floor(s: Scenario, own: float, k: float) -> float:
+    """A bound below :func:`_access_duration`, without its steps: the
+    duration at which l reaches _access_ceiling(k); +inf where no duration
+    is within budget."""
+    if not k > 0.5:
+        return math.inf  # the power is at least sigma2_r/(2g)
+    return _duration_at(s, own, _access_ceiling(k) - 1.0)
+
+
+def _access_duration(s: Scenario, own: float, other: float, k: float
+                     ) -> float:
+    """The shortest duration at which the access power of the node that
+    sends ``own`` is within its budget, k = p_max*g/sigma2_r: its power
+    is (sigma2_r/g)*l*(l + l' - 1)/(l + l'), with l = 2**load of ``own``
+    and l' of ``other``.  It lies in [l*l/(l + 1), l) times sigma2_r/g,
+    since l' >= 1, so at the budget l lies in (k, _access_ceiling(k)].
+    Newton steps in v = ln l, which is proportional to 1/t, on the log of
+    the power, concave and rising in v, find it from k upwards.  Gives 0
+    where the load limit binds first, and +inf where no duration is within
+    budget; never raises."""
+    if not k > 0.5:
+        return math.inf  # the power is at least sigma2_r/(2g)
+    if not own:
+        # l = 1: the power is (sigma2_r/g)*l'/(l' + 1), below sigma2_r/g.
+        return 0.0 if k >= 1.0 else _duration_at(
+            s, other, (2.0 * k - 1.0) / (1.0 - k))
+    rho, log_k = other / own, math.log(k)
+    # Past _LOAD_LIMIT on either load the powers read +inf: that limit
+    # binds first there, and the exponentials below stay finite.
+    lo, v_max = max(log_k, 0.0), _LOAD_LIMIT * _LN2 / max(rho, 1.0)
+    if lo >= v_max:
+        return 0.0
+    # At a large k the ceiling rounds to k itself, and then hi = lo.
+    hi = min(math.log(_access_ceiling(k)), v_max)
+    v = lo
+    for _ in range(_ROOT_MAX_STEPS):
+        l, l_other = math.exp(v), math.exp(rho * v)
+        total = l + l_other
+        step = ((v + math.log1p(-1.0 / total) - log_k)
+                / (1.0 + (l + rho * l_other) / (total * (total - 1.0))))
+        v = min(max(v - step, lo), hi)
+        if abs(step) <= _ROOT_STEP_RTOL * v:
+            break
+    return own * s.frame_t * _LN2 / (s.bandwidth_w * v)
+
+
+def _root_hd_access(s: Scenario) -> float:
+    """The shortest access slot at which p_a and p_b are within their
+    budgets: the longest of each node's budget crossing
+    (:func:`_access_duration`) and of the load limit."""
+    k_a, k_b = _access_gains(s)
+    return max(_access_duration(s, s.r_fl, s.r_rl, k_a),
+               _access_duration(s, s.r_rl, s.r_fl, k_b),
+               _duration_at(s, max(s.r_fl, s.r_rl), math.inf))
+
+
 # Printed accounting charges dynamic circuit power eps*(r_fl + r_rl) in
 # slot 1 and eps*max(r_fl, r_rl) in slot 2; first-principles accounting
 # additionally charges the relay's slot-1 reception and the end nodes'
@@ -647,7 +782,7 @@ def _rates_hd_broadcast(s: Scenario, t: float, p_r):
 _HD2TS_SLOTS = (
     Slot(fields=("p_a", "p_b"), nodes=("a", "b"), demand=_total_demand,
          bind=_bind_hd_access, circuit=_circuit_hd_access,
-         rates=_rates_hd_access),
+         rates=_rates_hd_access, root=_root_hd_access),
     Slot(fields=("p_r_fwd",), nodes=("r",), demand=_total_demand,
          bind=_bind_hd_broadcast, circuit=_circuit_hd_broadcast,
          rates=_rates_hd_broadcast, root=_root_hd_broadcast),
@@ -658,12 +793,16 @@ DESCRIPTIONS: dict[Strategy, Description] = {
     Strategy.FD1TS: Description(
         slots=(Slot(fields=("p_a", "p_b", "p_r_fwd"), nodes=("a", "b", "r"),
                     demand=_total_demand, bind=_bind_1ts,
-                    circuit=_circuit_1ts, rates=_rates_1ts),),
+                    circuit=_circuit_1ts, rates=_rates_1ts, root=_root_1ts),),
         active_case=_active_case_1ts),
     Strategy.FD2TS: Description(slots=_FD2TS_SLOTS),
     Strategy.HD2TS: Description(slots=_HD2TS_SLOTS, convex_under_tpa=False,
                                 reads_self_interference=False),
 }
+
+# (nodes, circuit) of every slot of every strategy, for :func:`peak_power`.
+_EVERY_SLOT = tuple((slot.nodes, slot.circuit)
+                    for desc in DESCRIPTIONS.values() for slot in desc.slots)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ import pytest
 from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
 from fdrelay.config import (ConfigError, ScenarioParams, parse_params,
                             unbuildable_is_config_error)
-from fdrelay.model import PaKind, Strategy
+from fdrelay.model import CircuitAccounting, PaKind, Strategy, pa_draw_range
 from fdrelay.oracle import verify
 from fdrelay.solver import solve
-from fdrelay.strategies import peak_power
+from fdrelay.strategies import DESCRIPTIONS, peak_power
 
 FLOAT_KEYS = [f.name for f in fields(ScenarioParams)
               if isinstance(f.default, float)]
@@ -181,6 +181,12 @@ def test_overflowing_frame_energy_is_a_config_error(tmp_path, strategy, key,
     assert code == EXIT_CONFIG and "frame energy" in err, err
 
 
+def _draws_at_p_max(s):
+    """Each node's amplifier draw at its p_max, as ``peak_power`` takes
+    it."""
+    return {node: pa_draw_range(getattr(s.pa, node))[1] for node in "arb"}
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 @pytest.mark.parametrize("pa", ["tpa", "etpa"])
 def test_frame_energy_just_inside_a_float_solves(strategy, pa):
@@ -190,11 +196,40 @@ def test_frame_energy_just_inside_a_float_solves(strategy, pa):
     params = parse_params(f"eta_max = 1e-300\npa = {pa}\n")
     params = replace(params, strategy=strategy)
     s = params.build()
-    limit_ms = sys.float_info.max / (peak_power(s) + s.p_idle_total) * 1e3
+    peak = peak_power(s, _draws_at_p_max(s))
+    limit_ms = sys.float_info.max / (peak + s.p_idle_total) * 1e3
     sched = solve(replace(params, frame_t_ms=0.999 * limit_ms).build())
     assert math.isfinite(sched.e_total) and sched.ee > 0
     with pytest.raises(ValueError, match="frame energy"):
         replace(params, frame_t_ms=1.01 * limit_ms).build()
+
+
+# A dynamic circuit power this large, with no reverse traffic, puts
+# fd2ts's first slot, whose four chains run at r_fl, over fd1ts's single
+# slot, whose printed accounting charges eps*(r_fl + 2*r_rl).
+HEAVY_FORWARD = {"epsilon_mw_per_gbps": 1e8, "r_rl_mbps": 0.0}
+
+
+@pytest.mark.parametrize("pa", list(PaKind))
+@pytest.mark.parametrize("changes, top_slot", [
+    ({}, (Strategy.FD1TS, 0)),
+    ({"accounting": CircuitAccounting.FIRST_PRINCIPLES}, (Strategy.FD1TS, 0)),
+    (HEAVY_FORWARD, (Strategy.FD2TS, 0)),
+    (HEAVY_FORWARD | {"accounting": CircuitAccounting.FIRST_PRINCIPLES},
+     (Strategy.FD1TS, 0)),
+])
+def test_peak_power_is_the_most_a_slot_draws(pa, changes, top_slot):
+    """``peak_power`` equals, bit for bit, the largest active power of any
+    slot of any strategy with every amplifier at its ``p_max``
+    (``Slot.active``)."""
+    s = replace(ScenarioParams(pa=pa), **changes).build()
+    actives = {(strategy, k): slot.active(s, *(getattr(s.pa, node).p_max
+                                               for node in slot.nodes))
+               for strategy, desc in DESCRIPTIONS.items()
+               for k, slot in enumerate(desc.slots)}
+    want = max(actives.values())
+    assert peak_power(s, _draws_at_p_max(s)) == want
+    assert actives[top_slot] == want
 
 
 # Demands whose load at the full frame, rate / bandwidth, is below the float

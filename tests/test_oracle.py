@@ -268,6 +268,20 @@ class TestVerify:
         assert slacks["c_ar"] == slacks["c_br"] == -1.0
         assert not report.ok
 
+    @pytest.mark.parametrize("node", ["a", "b"])
+    @pytest.mark.parametrize("pa_kind", list(PaKind))
+    @pytest.mark.parametrize("strategy", [Strategy.FD1TS, Strategy.HD2TS])
+    def test_one_silent_end_node_fails(self, params, strategy, pa_kind, node):
+        """With one end node silent, its binned uplink carries 0 bit/s,
+        with no warning: that link misses its whole demand, and the report
+        is FAILED."""
+        s = replace(params, strategy=strategy, pa=pa_kind).build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify(s, replace(solve(s), **{f"p_{node}": 0.0}))
+        assert report.active_constraints[f"c_{node}r"] == -1.0
+        assert not report.ok
+
 
 class TestRandomGeneration:
     def test_deterministic(self):

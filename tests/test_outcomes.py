@@ -16,16 +16,21 @@ and ``verify`` must judge every schedule with a report (or an
 neighbour's: the draw with 3 dB less self-cancellation and a 5% longer
 a-r distance.  No outcome is a traceback.  The verdicts are counted, not
 asserted: a FAILED report is a verdict too (ROADMAP items 2, 12 and 13).
+A seeded sample of the draws also runs as config files through
+``fdrelay solve --oracle``, which must exit 0, 1 or 2.
 """
 
+import io
 import random
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from enum import Enum
 
 import pytest
 
-from fdrelay.config import (ConfigError, ScenarioParams,
+from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
+from fdrelay.config import (ConfigError, ScenarioParams, parse_params,
                             unbuildable_is_config_error)
 from fdrelay.model import (CircuitAccounting, InfeasibleError, PaKind,
                            Schedule, Strategy)
@@ -41,6 +46,9 @@ EDGES = (0.0, -0.0, 5e-324, 1e300, -1e300)
 # Draws per seed, and the seeds.
 _DRAWS = 250
 _SEEDS = range(6)
+# Draws per seed that the CLI sample runs, and that sample's seed.
+_CLI_SAMPLE = 20
+_CLI_SEED = 15
 
 
 def _draw(rng: random.Random) -> ScenarioParams:
@@ -108,3 +116,44 @@ def test_every_draw_has_one_outcome(seed):
     assert counts["config"] + counts["infeasible"] + counts["ok"] == _DRAWS
     assert counts["ok"] and counts["infeasible"] and counts["config"]
     print(f"seed {seed}:", dict(sorted(counts.items())))
+
+
+def _config_text(params: ScenarioParams) -> str:
+    """Every key of ``params`` as config text, one ``key = value`` line
+    each, which ``parse_params`` reads back to the same parameters."""
+    lines = []
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, bool):
+            text = str(value).lower()
+        elif isinstance(value, Enum):
+            text = value.value
+        else:
+            text = repr(value)
+        lines.append(f"{f.name} = {text}\n")
+    return "".join(lines)
+
+
+def test_cli_sample_exits_with_a_code(tmp_path):
+    """A seeded sample of the draws, written as config files: under
+    warnings as errors, ``fdrelay solve --oracle`` on each exits 0, 1 or 2
+    and writes no traceback."""
+    pick = random.Random(_CLI_SEED)
+    codes = Counter()
+    for seed in _SEEDS:
+        rng = random.Random(seed)
+        draws = [_draw(rng) for _ in range(_DRAWS)]
+        for k, params in enumerate(pick.sample(draws, _CLI_SAMPLE)):
+            path = tmp_path / f"draw-{seed}-{k}.cfg"
+            path.write_text(_config_text(params), encoding="utf-8")
+            assert parse_params(path.read_text(encoding="utf-8")) == params
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli_main(["solve", "--config", str(path), "--oracle"],
+                                out, err)
+            assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG), params
+            assert "Traceback" not in err.getvalue(), params
+            codes[code] += 1
+    assert set(codes) == {EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG}
+    print("exit codes:", dict(sorted(codes.items())))

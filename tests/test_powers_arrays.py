@@ -346,14 +346,18 @@ def test_caps_hd_equals_hand_written_form(pa_kind):
 
 @pytest.mark.parametrize("strategy", [Strategy.FD1TS, Strategy.HD2TS])
 def test_binned_uplinks_of_silent_end_nodes(strategy):
-    """Where neither end node sends, both binned uplinks carry 0 bit/s, for
-    a float and for an array element, with no warning; every other element
-    of the array equals its float call, bit for bit."""
+    """The binned uplink of an end node that does not send carries 0 bit/s,
+    whether the other sends or not, for a float and for an array element,
+    with no warning; every other element of the array equals its float
+    call, bit for bit."""
     s = ScenarioParams(strategy=strategy).build()
     slot = DESCRIPTIONS[strategy].slots[0]
     t = 0.6 * s.frame_t
     sent = slot.bind(s)(t)
     silent = (0.0, 0.0) + sent[2:]
+    a_silent = (0.0,) + sent[1:]
+    b_silent = sent[:1] + (0.0,) + sent[2:]
+    cases = (silent, sent, a_silent, silent, b_silent)
 
     def caps(durations, powers):
         return {name: c for group in slot.rates(s, durations, *powers)
@@ -361,11 +365,13 @@ def test_binned_uplinks_of_silent_end_nodes(strategy):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = [caps(t, powers) for powers in (silent, sent, silent)]
-        got = caps(np.full(3, t), [np.array(p) for p in
-                                   zip(silent, sent, silent)])
+        want = [caps(t, powers) for powers in cases]
+        got = caps(np.full(len(cases), t),
+                   [np.array(p) for p in zip(*cases)])
     assert want[0]["c_ar"] == want[0]["c_br"] == 0.0
     assert min(want[1]["c_ar"], want[1]["c_br"]) > 0.0
+    assert want[2]["c_ar"] == 0.0 < want[2]["c_br"]
+    assert want[4]["c_br"] == 0.0 < want[4]["c_ar"]
     for name, row in got.items():
         assert row.tobytes() == np.array([w[name] for w in want]).tobytes()
 
