@@ -18,9 +18,9 @@ fd2ts slot and hd2ts's broadcast, by Newton steps for hd2ts's access slot,
 and by secant steps from a closed-form bound below for fd1ts.  The two
 points a quarter of the tolerance either side of it are the bracket once
 checked; strictly inside the window, they also decide its ends.  A root
-whose two points are not such a bracket (on the benchmark pools, none),
-or a slot whose root is None, takes a short safeguarded secant on the
-slot's log power-to-budget ratio to find one.
+whose two points are not such a bracket (on the benchmark's 61x9 sweep,
+7 windows: fd1ts-etpa at traffic ratio 1 and cancellation 20-26 dB)
+probes the floor and the frame instead, and bisects from them.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ _FLOOR_FRACTION = 1e-6
 # Bisection control (absolute tolerance is relative to the frame length).
 _BISECT_TOL_FRACTION = 1e-9
 _BISECT_MAX_ITERS = 200
-# Probes of the secant that seeds the bisection where a slot's root does
-# not; past them the bisection finishes alone.  With no roots, no slot of
-# the benchmark pools needs more than 12; with them, none comes here.
-_SEED_MAX_PROBES = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,69 +102,18 @@ def _bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float,
     return lo, hi
 
 
-def _seed_bracket(probe: Callable[[float], tuple[bool, float]],
-                  a: float, ga: float, b: float, gb: float,
-                  tol: float) -> tuple[float, float]:
-    """Narrow a checked bracket (a, b) of a slot's minimum duration to at
-    most ``tol``, or as far as ``_SEED_MAX_PROBES`` probes take it.
-
-    ``probe(t)`` gives the budget predicate at t and g, the log of the
-    largest power-to-budget ratio, which falls with t and is close to
-    linear in 1/t once the spectral load is high.  Each step is a secant on
-    g in 1/t between the bracket's ends, safeguarded in the spirit of
-    Brent: the end kept twice in a row has its value scaled down
-    (Anderson-Bjorck), a step that would land within tol/2 of the end it
-    just moved goes tol/2 past it instead, and the step is the geometric
-    midpoint wherever a value is infinite or the secant would leave the
-    bracket.  Every probed point is checked, so the result is a checked
-    bracket.
-    """
-    last = None
-    for _ in range(_SEED_MAX_PROBES):
-        if b - a <= tol:
-            break
-        t = math.nan
-        if math.isfinite(ga) and math.isfinite(gb) and ga > gb:
-            t = 1.0 / (1.0 / a - (1.0 / a - 1.0 / b) * ga / (ga - gb))
-            if last is True:
-                t = min(t, b - 0.5 * tol)
-            elif last is False:
-                t = max(t, a + 0.5 * tol)
-        if not a < t < b:
-            # sqrt(a * b) underflows to 0 on frames below about 2e-159 s.
-            t = math.sqrt(a) * math.sqrt(b)
-        ok, g = probe(t)
-        if ok:
-            if last is True:
-                ga *= _kept_scale(g, gb)
-            b, gb = t, g
-        else:
-            if last is False:
-                gb *= _kept_scale(g, ga)
-            a, ga = t, g
-        last = ok
-    return a, b
-
-
-def _kept_scale(g_new: float, g_old: float) -> float:
-    """Anderson-Bjorck factor for the value at the bracket end a secant
-    step kept again: 1 - g_new/g_old when that is positive, else 1/2."""
-    m = 1.0 - g_new / g_old if g_old else 0.0
-    return m if m > 0 else 0.5
-
-
 def _slot_tmin(s: Scenario, slot: Slot, floor: float,
                furthest: bool) -> tuple[float, str | None]:
     """Minimum duration at which every power of the slot is within its
     budget, and the node that binds there.  The slot's closed form is bound
     to the scenario once, and every probe evaluates the bound function.
 
-    With a ``root``, the slot first probes root -+ tol/4; when both lie
+    The slot first probes root -+ tol/4 (:attr:`Slot.root`); when both lie
     strictly inside (floor, frame), the first failing and the second
-    passing, they are the bisection's checked bracket, and the floor, the
-    frame and the secant are never probed.  Otherwise the floor and the
-    frame are probed and the secant (:func:`_seed_bracket`) finds the
-    bracket.  Either way the bisection returns what it returns alone.
+    passing, they are the bisection's checked bracket, and the floor and
+    the frame are never probed.  Otherwise the floor and the frame are
+    probed and are the checked bracket.  Either way the bisection returns
+    what it returns alone.
 
     The binder is the first node, in slot order, still over budget just
     below the minimum.  When even the full frame is over budget this raises
@@ -182,17 +127,6 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
         """(node, p / cap) of each node over budget at t, in slot order."""
         return [(node, p / cap) for node, p, cap
                 in zip(slot.nodes, bound(t), caps) if not p <= cap]
-
-    def probe(t: float) -> tuple[bool, float]:
-        """Whether every power is within its budget at t, and the log of
-        the largest power-to-budget ratio (+inf where the powers raise)."""
-        try:
-            powers = bound(t)
-        except InfeasibleError:
-            return False, math.inf
-        ratio = max(map(operator.truediv, powers, caps))
-        return (all(map(operator.le, powers, caps)),
-                math.log(ratio) if ratio > 0 else -math.inf)
 
     def within(t: float) -> bool:
         """Whether every power is within its budget at t."""
@@ -209,25 +143,21 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
             return hi, err.binding_node
 
     tol = _BISECT_TOL_FRACTION * s.frame_t
-    if slot.root is not None:
-        # Strictly inside (floor, frame), a failing point below a passing
-        # one also decides the floor (fails) and the frame (passes).
-        t = slot.root(s)
-        a, b = t - 0.25 * tol, t + 0.25 * tol
-        if floor < a < b < s.frame_t and not within(a) and within(b):
-            return found((a, b))
-    ok, g_floor = probe(floor)
-    if ok:
+    # Strictly inside (floor, frame), a failing point below a passing one
+    # also decides the floor (fails) and the frame (passes).
+    t = slot.root(s)
+    a, b = t - 0.25 * tol, t + 0.25 * tol
+    if floor < a < b < s.frame_t and not within(a) and within(b):
+        return found((a, b))
+    if within(floor):
         return floor, None
-    ok, g_frame = probe(s.frame_t)
-    if not ok:
+    if not within(s.frame_t):
         nodes = over(s.frame_t)
         node = (max(nodes, key=operator.itemgetter(1)) if furthest
                 else nodes[0])[0]
         raise InfeasibleError(f"node {node} exceeds its power budget even at "
                               f"the full frame", binding_node=node)
-    return found(_seed_bracket(probe, floor, g_floor, s.frame_t, g_frame,
-                               tol))
+    return found((floor, s.frame_t))
 
 
 def tmin_slots(s: Scenario, slots: tuple[Slot, ...]) -> FeasibleWindow:

@@ -167,8 +167,8 @@ class Slot:
     Newton steps per node, and fd1ts a few secant steps on its own closed
     form from a bound below.  A root is only a seed: the feasibility
     window checks it against the powers and bisects from it
-    (:mod:`~fdrelay.feasibility`), so a root that is off, NaN or infinite,
-    or None, costs probes, never a digit.
+    (:mod:`~fdrelay.feasibility`), so a root that is off, NaN or infinite
+    costs probes, never a digit.
     """
 
     fields: tuple[str, ...]
@@ -177,7 +177,7 @@ class Slot:
     bind: Callable[[Scenario], Callable[..., tuple]]
     circuit: Callable[[Scenario], tuple[float, float]]
     rates: Callable[..., tuple]
-    root: Callable[[Scenario], float] | None = None
+    root: Callable[[Scenario], float]
 
     def budgets(self, s: Scenario) -> tuple[tuple[str, float], ...]:
         """(node, p_max) of each transmit power."""

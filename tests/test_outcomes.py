@@ -17,7 +17,9 @@ neighbour's: the draw with 3 dB less self-cancellation and a 5% longer
 a-r distance.  No outcome is a traceback.  The verdicts are counted, not
 asserted: a FAILED report is a verdict too (ROADMAP items 2, 12 and 13).
 A seeded sample of the draws also runs as config files through
-``fdrelay solve --oracle``, which must exit 0, 1 or 2.
+``fdrelay solve --oracle``, which must exit 0, 1 or 2, and a seeded sample
+of their schedules is held to a dense scan of the durations, without
+``verify``.
 """
 
 import io
@@ -27,6 +29,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from enum import Enum
 
+import numpy as np
 import pytest
 
 from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
@@ -35,7 +38,9 @@ from fdrelay.config import (ConfigError, ScenarioParams, parse_params,
 from fdrelay.model import (CircuitAccounting, InfeasibleError, PaKind,
                            Schedule, Strategy)
 from fdrelay.oracle import OracleReport, verify
+from fdrelay.feasibility import tmin_for
 from fdrelay.solver import solve
+from fdrelay.strategies import DESCRIPTIONS, frame_energy
 
 from conftest import neighbour
 
@@ -49,6 +54,11 @@ _SEEDS = range(6)
 # Draws per seed that the CLI sample runs, and that sample's seed.
 _CLI_SAMPLE = 20
 _CLI_SEED = 15
+# Schedules the dense reference checks, the seed that picks them, and the
+# durations it scans per slot.
+_DENSE_SAMPLE = 120
+_DENSE_SEED = 16
+_DENSE_POINTS = 20_001
 
 
 def _draw(rng: random.Random) -> ScenarioParams:
@@ -157,3 +167,105 @@ def test_cli_sample_exits_with_a_code(tmp_path):
             codes[code] += 1
     assert set(codes) == {EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG}
     print("exit codes:", dict(sorted(codes.items())))
+
+
+def _active(s, slot, t):
+    """The slot's active power at each duration of the array ``t``; a
+    closed slot (``t`` is ``[0.0]``) is priced at a float 0, as the solver
+    prices it."""
+    if t[0]:
+        return slot.active(s, *slot.bind(s)(t))
+    return np.array([slot.active(s, *slot.bind(s)(0.0))])
+
+
+def _dense_energy(s) -> float:
+    """The least frame energy over a dense grid of slot durations.
+
+    Each open slot is scanned at ``_DENSE_POINTS`` durations spread evenly
+    over its span of the window; a closed slot stays at 0.  Two slots
+    combine by prefix minimum of their costs, ``(active - idle) * t`` as
+    the solver prices them: each first-slot duration takes the cheapest
+    second-slot duration that still fits the frame.  Two open slots are
+    also scanned along the frame's edge, t2 = frame - t1, where the idle
+    draw adds exactly nothing, so each energy there keeps the active
+    powers' digits however large the idle draw.  Each energy is taken as
+    ``solve`` takes its own (``strategies.frame_energy``), and the least
+    is the reference."""
+    slots = DESCRIPTIONS[s.strategy].slots
+    grids = [np.linspace(lo, hi, _DENSE_POINTS) if lo else np.zeros(1)
+             for lo, hi in tmin_for(s).spans(s.frame_t)]
+    actives = [_active(s, slot, t) for slot, t in zip(slots, grids)]
+    costs = [(a - s.p_idle_total) * t for a, t in zip(actives, grids)]
+    assert all(np.isfinite(c).all() for c in costs), s
+    if len(slots) == 1:
+        k = int(np.argmin(costs[0]))
+        return frame_energy(s, [float(grids[0][k])], [float(actives[0][k])])
+    (t1, t2), (a1, a2), (c1, c2) = grids, actives, costs
+    # The last index of each prefix minimum of c2, and per t1 the longest
+    # t2 that fits the frame (-1 where none does).
+    best2 = np.maximum.accumulate(np.where(
+        c2 == np.minimum.accumulate(c2), np.arange(c2.size), 0))
+    fits = np.searchsorted(t2, s.frame_t - t1, side="right") - 1
+    i = int(np.argmin(np.where(fits >= 0, c1 + c2[best2[fits]], np.inf)))
+    j = int(best2[fits[i]])
+    energy = frame_energy(s, [float(t1[i]), float(t2[j])],
+                          [float(a1[i]), float(a2[j])])
+    if not t2[0]:
+        return energy
+    edge = s.frame_t - t1
+    on = edge >= t2[0]
+    edge_energies = frame_energy(s, (t1[on], edge[on]),
+                                 (a1[on], _active(s, slots[1], edge[on])))
+    return min(energy, float(edge_energies.min()))
+
+
+def _swamped(s, sched) -> bool:
+    """Whether the idle draw swamps the schedule's slot costs: in each open
+    slot, active - idle rounds to -idle, so the costs the solver compares
+    keep no digit of the active powers."""
+    for slot, t in zip(DESCRIPTIONS[s.strategy].slots, (sched.t1, sched.t2)):
+        active = slot.active(s, *(getattr(sched, f) for f in slot.fields))
+        if t and active - s.p_idle_total != -s.p_idle_total:
+            return False
+    return True
+
+
+class _DenseMiss(AssertionError):
+    """A schedule whose energy lies above the dense reference's."""
+
+
+@pytest.fixture(scope="module")
+def schedules():
+    """(scenario, schedule) of every draw that solves, in draw order."""
+    found = []
+    for seed in _SEEDS:
+        rng = random.Random(seed)
+        for _ in range(_DRAWS):
+            kind, s, sched = _outcome(_draw(rng))
+            if kind == "ok":
+                found.append((s, sched))
+    return found
+
+
+@pytest.mark.parametrize("swamped", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(
+        strict=True, raises=_DenseMiss,
+        reason="under an idle draw that swamps the slot costs, fd2ts's "
+               "searches compare rounding noise (ROADMAP item 15)"))],
+    ids=["sample", "idle-swamped"])
+def test_solve_meets_the_dense_reference(schedules, swamped):
+    """``solve``'s energy is no more than 1e-12 relative above the dense
+    reference's (:func:`_dense_energy`), which checks optimality without
+    ``verify``: on a seeded sample of the draws' schedules, and on every
+    schedule whose idle draw swamps its slot costs, a known class whose
+    fd2ts schedules miss."""
+    chosen = [(s, sched) for s, sched in schedules
+              if _swamped(s, sched) is swamped]
+    if not swamped:
+        chosen = random.Random(_DENSE_SEED).sample(chosen, _DENSE_SAMPLE)
+    assert chosen
+    for s, sched in chosen:
+        reference = _dense_energy(s)
+        if not sched.e_total - reference <= 1e-12 * abs(reference):
+            raise _DenseMiss(s, sched.e_total, reference)

@@ -4,11 +4,11 @@
 runs the unchanged bisection, which calls its predicate only strictly
 inside that bracket.  Every slot has a ``root``, which seeds the bracket
 with the two points a quarter tolerance either side of it; a root whose
-points do not bracket the minimum, or a slot with its root set to None,
-takes a safeguarded secant (``_seed_bracket``).  The plain bisection it
-replaced is kept here as the reference: the bracket it returns must not
-change with the seed.  ``tests/test_window_parity.py`` checks the windows
-themselves, and its reference checks them here for every kind of root.
+points do not bracket the minimum takes the floor and the frame as the
+bracket instead.  The plain bisection is kept here as the reference: the
+bracket it returns must not change with the seed.
+``tests/test_window_parity.py`` checks the windows themselves, and its
+reference checks them here for every kind of root.
 """
 
 import importlib.util
@@ -21,13 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from fdrelay import feasibility
+from fdrelay import cli
 from fdrelay.config import (ConfigError, ScenarioParams,
                             unbuildable_is_config_error)
 from fdrelay.feasibility import (_BISECT_TOL_FRACTION, _bisect_monotone,
-                                 _seed_bracket, t_floor, tmin_for, tmin_slots)
+                                 t_floor, tmin_for, tmin_slots)
 from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, Strategy
 from fdrelay.strategies import DESCRIPTIONS
+from fdrelay.sweep import apply_axis
 
 from conftest import with_powers
 from test_outcomes import _DRAWS, _SEEDS, _draw
@@ -99,37 +100,6 @@ def test_tight_seed_leaves_few_calls():
     assert len(_check_seed(lo, hi, tol, threshold, lo, hi)) == 30
 
 
-def _ratio_probe(k, c, budget):
-    """A slot whose one power c*(2**(k/t) - 1) has the given budget, probed
-    as ``_slot_tmin`` probes it."""
-    def probe(t):
-        p = c * (2.0 ** (k / t) - 1.0) if k / t < 1000 else math.inf
-        ratio = p / budget
-        return p <= budget, math.log(ratio) if ratio > 0 else -math.inf
-    return probe
-
-
-def test_seed_bracket_is_checked_and_within_tolerance(rng):
-    floor, frame = 1e-8, 0.01
-    tol = _BISECT_TOL_FRACTION * frame
-    seeded = 0
-    for _ in range(200):
-        k = float(rng.uniform(1e-4, 0.1))
-        c = float(10.0 ** rng.uniform(-12, -2))
-        budget = float(rng.uniform(0.1, 40.0))
-        probe = _ratio_probe(k, c, budget)
-        ok_floor, g_floor = probe(floor)
-        ok_frame, g_frame = probe(frame)
-        if ok_floor or not ok_frame:
-            continue
-        a, b = _seed_bracket(probe, floor, g_floor, frame, g_frame, tol)
-        assert floor <= a < b <= frame
-        assert not probe(a)[0] and probe(b)[0]
-        assert b - a <= tol
-        seeded += 1
-    assert seeded >= 100
-
-
 def _recorded(slot):
     """``slot`` with its closed form recording the durations it is called
     at, and that record."""
@@ -144,8 +114,8 @@ def _recorded(slot):
 
 # Every slot has a `root`.  Measured on the defaults, per bisected slot: 3
 # `powers` calls for fd1ts, each fd2ts slot and hd2ts's access slot, and 4
-# for hd2ts's broadcast (12, 12, 10 and 11 with no root), against 33 for
-# the plain bisection (the floor, the frame, 30 midpoints and the binder's
+# for hd2ts's broadcast, against 33 for every slot on the plain path that
+# a root of NaN takes (the floor, the frame, 30 midpoints and the binder's
 # diagnosis).  fd1ts's root steps on the closed form it binds itself, not
 # on the slot's, so those steps are not counted here.
 @pytest.mark.parametrize("pa", list(PaKind))
@@ -184,13 +154,10 @@ def test_powers_that_raise_fail_the_predicate(make_scenario, strategy):
     assert window.binding_node == ("b",)
 
 
-# Every strategy: each of its slots has a root.
-_ROOTED = list(Strategy)
-
-
 def _unrooted(strategy):
-    """The strategy's slots with no root: each takes the secant's path."""
-    return tuple(replace(slot, root=None)
+    """The strategy's slots with a root of NaN, which seeds nothing: each
+    takes the plain bisection from the floor and the frame."""
+    return tuple(replace(slot, root=lambda _s: math.nan)
                  for slot in DESCRIPTIONS[strategy].slots)
 
 
@@ -204,11 +171,11 @@ def _with_root(s, k, root):
 
 @pytest.mark.parametrize("accounting", list(CircuitAccounting))
 @pytest.mark.parametrize("pa", list(PaKind))
-@pytest.mark.parametrize("strategy", _ROOTED)
+@pytest.mark.parametrize("strategy", list(Strategy))
 def test_any_root_gives_the_reference_window(strategy, pa, accounting):
     """An exact root seeds the bisection, and a root that is off, NaN, at
-    or below the floor, or at or above the frame takes the secant's path
-    (it probes the floor, which a seeded bisection never does).  Either
+    or below the floor, or at or above the frame takes the plain path (it
+    probes the floor, which a seeded bisection never does).  Either
     way the window is the reference's."""
     seeded = 0
     for s in _draws(strategy, pa, accounting, n=40):
@@ -216,7 +183,7 @@ def test_any_root_gives_the_reference_window(strategy, pa, accounting):
         floor, frame = t_floor(s), s.frame_t
         tol = _BISECT_TOL_FRACTION * frame
         for k, slot in enumerate(DESCRIPTIONS[strategy].slots):
-            if slot.root is None or not slot.demand(s):
+            if not slot.demand(s):
                 continue
             root = slot.root(s)
             # (root, whether it seeds); an offset within a quarter
@@ -238,7 +205,7 @@ def test_any_root_gives_the_reference_window(strategy, pa, accounting):
 
 @pytest.mark.parametrize("accounting", list(CircuitAccounting))
 @pytest.mark.parametrize("pa", list(PaKind))
-@pytest.mark.parametrize("strategy", _ROOTED)
+@pytest.mark.parametrize("strategy", list(Strategy))
 def test_root_is_the_window_minimum(strategy, pa, accounting):
     """Each root lies within the bisection's tolerance of its slot's
     minimum duration, wherever the bisection ran."""
@@ -246,7 +213,7 @@ def test_root_is_the_window_minimum(strategy, pa, accounting):
     for s in _draws(strategy, pa, accounting):
         window = tmin_for(s)
         for slot, t_min in zip(DESCRIPTIONS[strategy].slots, window.t_min):
-            if slot.root is None or not t_floor(s) < t_min:
+            if not t_floor(s) < t_min:
                 continue
             assert abs(slot.root(s) - t_min) <= 1e-9 * s.frame_t
             checked += 1
@@ -254,7 +221,7 @@ def test_root_is_the_window_minimum(strategy, pa, accounting):
 
 
 @pytest.mark.parametrize("sigma2", [5e-324, 1e-300, 1e300])
-@pytest.mark.parametrize("strategy", _ROOTED)
+@pytest.mark.parametrize("strategy", list(Strategy))
 def test_root_of_extreme_channels_is_a_number(make_scenario, strategy,
                                               sigma2):
     """Noise that underflows every power coefficient to 0, or overflows
@@ -267,8 +234,7 @@ def test_root_of_extreme_channels_is_a_number(make_scenario, strategy,
     s = make_scenario(strategy=strategy, sigma2=sigma2, g_ar=2.0, g_br=2.0,
                       gs=0.0)
     for slot in DESCRIPTIONS[strategy].slots:
-        if slot.root is not None:
-            assert isinstance(slot.root(s), float)
+        assert isinstance(slot.root(s), float)
     recorded = [_recorded(slot) for slot in DESCRIPTIONS[strategy].slots]
     window = tmin_slots(s, tuple(slot for _, slot in recorded))
     try:
@@ -280,10 +246,9 @@ def test_root_of_extreme_channels_is_a_number(make_scenario, strategy,
     assert repr(window) == repr(tmin_for(s)) == repr(want)
     if sigma2 < 1.0:
         assert window.feasible
-        for (calls, _), slot in zip(recorded, DESCRIPTIONS[strategy].slots):
-            if slot.root is not None:
-                assert t_floor(s) not in calls
-                assert len(calls) <= 4, len(calls)
+        for calls, _ in recorded:
+            assert t_floor(s) not in calls
+            assert len(calls) <= 4, len(calls)
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -309,36 +274,75 @@ def test_outcome_draws_give_the_unrooted_window(seed):
     assert compared
 
 
-def _benchmark_pools(monkeypatch):
-    """The parameters of both benchmark pools: every solve-mix entry, then
-    every oracle-audit candidate (``bench/workloads.py``, registered in
-    ``sys.modules`` only while the test runs, as its dataclasses need)."""
+def _workloads(monkeypatch):
+    """The benchmark's ``bench/workloads.py``, registered in ``sys.modules``
+    only while the test runs, as its dataclasses need."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
-    return module.solve_mix_pool() + module.audit_candidates()
+    return module
 
 
-def test_benchmark_pools_are_seeded_by_their_roots(monkeypatch):
-    """On both benchmark pools every bisected slot takes the seeded path:
-    a spy counts no run of the secant, and every root lies within the
-    bisection's tolerance of its slot's minimum."""
-    runs = []
+def _benchmark_pools(monkeypatch):
+    """The scenarios of both benchmark pools: every solve-mix entry, then
+    every oracle-audit candidate."""
+    workloads = _workloads(monkeypatch)
+    return [params.build() for params in
+            workloads.solve_mix_pool() + workloads.audit_candidates()]
 
-    def spy(*args):
-        runs.append(args)
-        return _seed_bracket(*args)
 
-    monkeypatch.setattr(feasibility, "_seed_bracket", spy)
-    bisected = 0
-    for params in _benchmark_pools(monkeypatch):
-        s = params.build()
-        slots = DESCRIPTIONS[s.strategy].slots
-        for slot, t_min in zip(slots, tmin_slots(s, slots).t_min):
-            if t_floor(s) < t_min:
+def _sweep_grid(monkeypatch):
+    """The scenarios of the benchmark's 61x9 sweep, every strategy at every
+    grid point: the spec ``fdrelay sweep`` builds from its argv, each point
+    built as :func:`~fdrelay.sweep.run_sweep` builds it."""
+    specs = []
+    monkeypatch.setattr(cli, "run_sweep", specs.append)
+    monkeypatch.setattr(cli, "emit_csv", lambda rows, out: None)
+    assert cli.cli_main(_workloads(monkeypatch).SWEEP_ARGV) == 0
+    (spec,) = specs
+    scenarios = []
+    for v1 in spec.axis1.values:
+        for v2 in spec.axis2.values:
+            built = apply_axis(apply_axis(spec.base, spec.axis1.kind, v1),
+                               spec.axis2.kind, v2).build()
+            scenarios += [replace(built, strategy=strategy)
+                          for strategy in spec.strategies]
+    return scenarios
+
+
+# Each benchmark input, whether some of its windows take the plain path,
+# and a count below the slots it bisects.  Only the input with plain
+# windows is checked against the reference here: the pools' 13,824
+# windows would take several seconds of reference bisections, the
+# sweep's 1,647 well under one.
+_BENCHMARK_INPUTS = {"pools": (_benchmark_pools, False, 10_000),
+                     "sweep-grid": (_sweep_grid, True, 2_000)}
+
+
+@pytest.mark.parametrize("name", list(_BENCHMARK_INPUTS))
+def test_benchmark_inputs_are_seeded_by_their_roots(monkeypatch, name):
+    """On the benchmark pools every bisected slot takes the seeded path: no
+    slot probes its floor.  On the 61x9 sweep grid every window equals the
+    reference's, and some slots take the plain path: fd1ts-etpa at traffic
+    ratio 1 and the lowest cancellations, where fd1ts's root returns its
+    bound below.  On both, every seeded root lies within the bisection's
+    tolerance of its slot's minimum."""
+    scenarios, plain, least = _BENCHMARK_INPUTS[name]
+    bisected = unseeded = 0
+    for s in scenarios(monkeypatch):
+        recorded = [_recorded(slot) for slot in DESCRIPTIONS[s.strategy].slots]
+        window = tmin_slots(s, tuple(slot for _, slot in recorded))
+        if plain:
+            assert repr(window) == repr(reference_window(s))
+        for (calls, slot), t_min in zip(recorded, window.t_min):
+            if not t_floor(s) < t_min:
+                continue
+            bisected += 1
+            if t_floor(s) in calls:
+                unseeded += 1
+            else:
                 assert abs(slot.root(s) - t_min) <= 1e-9 * s.frame_t
-                bisected += 1
-    assert not runs
-    assert bisected > 10_000
+    assert bool(unseeded) is plain
+    assert bisected > least
