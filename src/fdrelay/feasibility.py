@@ -13,14 +13,14 @@ the other passes it.  By monotonicity those two ends decide every midpoint
 outside the bracket, so the bisection calls the predicate only inside it
 and returns the bracket it would return alone.  Every slot of every
 strategy has a root (:attr:`~fdrelay.strategies.Slot.root`), an estimate
-of its minimum duration from the scenario alone: in closed form for each
-fd2ts slot and hd2ts's broadcast, by Newton steps for hd2ts's access slot,
-and by secant steps from a closed-form bound below for fd1ts.  The two
-points a quarter of the tolerance either side of it are the bracket once
-checked; strictly inside the window, they also decide its ends.  A root
-whose two points are not such a bracket (on the benchmark's 61x9 sweep,
-7 windows: fd1ts-etpa at traffic ratio 1 and cancellation 20-26 dB)
-probes the floor and the frame instead, and bisects from them.
+of its minimum duration: in closed form for each fd2ts slot and hd2ts's
+broadcast, and by secant steps on the slot's bound closed form from a
+bound below for fd1ts and hd2ts's access slot.  The two points a quarter
+of the tolerance either side of it are the bracket once checked; strictly
+inside the window, they also decide its ends.  A root whose two points are
+not such a bracket (on the benchmark's 61x9 sweep, 7 windows: fd1ts-etpa
+at traffic ratio 1 and cancellation 20-26 dB) probes the floor and the
+frame instead, and bisects from them.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
                furthest: bool) -> tuple[float, str | None]:
     """Minimum duration at which every power of the slot is within its
     budget, and the node that binds there.  The slot's closed form is bound
-    to the scenario once, and every probe evaluates the bound function.
+    to the scenario once, for the root and every probe.
 
     The slot first probes root -+ tol/4 (:attr:`Slot.root`); when both lie
     strictly inside (floor, frame), the first failing and the second
@@ -145,7 +145,7 @@ def _slot_tmin(s: Scenario, slot: Slot, floor: float,
     tol = _BISECT_TOL_FRACTION * s.frame_t
     # Strictly inside (floor, frame), a failing point below a passing one
     # also decides the floor (fails) and the frame (passes).
-    t = slot.root(s)
+    t = slot.root(s, bound)
     a, b = t - 0.25 * tol, t + 0.25 * tol
     if floor < a < b < s.frame_t and not within(a) and within(b):
         return found((a, b))

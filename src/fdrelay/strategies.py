@@ -61,7 +61,7 @@ __all__ = [
 _LOAD_LIMIT = 500.0
 _LN2 = math.log(2.0)
 
-# The iterative roots (:func:`_access_duration`, :func:`_root_1ts`) stop
+# The secant root of the coupled slots (:func:`_coupled_root`) stops
 # once a step moves the root by at most this fraction, or after this many
 # steps.  A root is only a seed, so these set its cost, never a digit.
 _ROOT_STEP_RTOL = 1e-7
@@ -158,15 +158,16 @@ class Slot:
     per power, in ``fields`` order: the ``(name, capacity, demand)``
     triples of the rate constraints that power closes, one of which is
     tight at the closed-form powers.  ``demand(s)`` is the traffic the slot
-    carries; a slot with none stays closed.  ``root(s)`` is the shortest
-    duration at which every power is within its ``p_max``, from the
-    scenario alone, never raising.  Each power rises with the load, so the
-    budgets bound it, and so does the load limit, past which the powers
-    read +inf.  Where the closed form inverts (each fd2ts slot, hd2ts's
-    broadcast) the root is in closed form; hd2ts's access slot takes a few
-    Newton steps per node, and fd1ts a few secant steps on its own closed
-    form from a bound below.  A root is only a seed: the feasibility
-    window checks it against the powers and bisects from it
+    carries; a slot with none stays closed.  ``root(s, powers)`` is the
+    shortest duration at which every power is within its ``p_max``, given
+    ``powers``, the closed form bound to ``s``; it never raises.  Each
+    power rises with the load, so the budgets bound it, and so does the
+    load limit, past which the powers read +inf.  Where the closed form
+    inverts (each fd2ts slot, hd2ts's broadcast) the root is in closed
+    form and ignores ``powers``; fd1ts and hd2ts's access slot, whose
+    powers close together, take a few secant steps on ``powers`` from a
+    bound below (:func:`_coupled_root`).  A root is only a seed: the
+    feasibility window checks it against the powers and bisects from it
     (:mod:`~fdrelay.feasibility`), so a root that is off, NaN or infinite
     costs probes, never a digit.
     """
@@ -177,7 +178,7 @@ class Slot:
     bind: Callable[[Scenario], Callable[..., tuple]]
     circuit: Callable[[Scenario], tuple[float, float]]
     rates: Callable[..., tuple]
-    root: Callable[[Scenario], float]
+    root: Callable[[Scenario, Callable], float]
 
     def budgets(self, s: Scenario) -> tuple[tuple[str, float], ...]:
         """(node, p_max) of each transmit power."""
@@ -406,7 +407,7 @@ def _fd2ts_slot(src: str, dst: str, rate: str, relay_field: str) -> Slot:
         return (((f"c_{src}r", c_up, demand(s)),),
                 ((f"c_r{dst}", c_down, demand(s)),))
 
-    def root(s: Scenario) -> float:
+    def root(s: Scenario, _powers: Callable) -> float:
         # The shortest duration is where x reaches the smaller of the two
         # nodes' largest x within budget.
         src_lin, src_quad, relay_lin = coefficients(s)
@@ -556,44 +557,49 @@ def _active_case_1ts(s: Scenario, t1: float) -> RelayCase:
             else RelayCase.CASE_II)
 
 
-def _root_1ts(s: Scenario) -> float:
+def _root_1ts(s: Scenario, powers: Callable) -> float:
     """The shortest duration at which p_a, p_b and p_r are all within their
-    budgets, found from a bound below it.
+    budgets, from ``powers``, the slot's bound closed form.
 
     Self-interference only adds to each power, so each is never below its
     value without it, which is hd2ts's closed form at the same loads: the
     access slot's for p_a and p_b, the broadcast's for p_r, in either mode.
     So the latest of their budget crossings bounds the root from below: the
     broadcast's exactly (:func:`_root_hd_broadcast`), and each access
-    power's through the least it can be (:func:`_access_floor`).  From
-    there, secant steps in u = 1/t on g, the log of the largest
-    power-to-budget ratio, which rises in u, close to linearly at high
-    load: the first step takes the larger load's slope, load*ln2 per unit
-    of u.  Gives NaN, or the bound, where the steps cannot go on; never
-    raises."""
-    k_a, k_b = _access_gains(s)
-    t = max(_access_floor(s, s.r_fl, k_a), _access_floor(s, s.r_rl, k_b),
-            _root_hd_broadcast(s))
+    power's through the least it can be (:func:`_access_floors`).  The
+    secant steps (:func:`_coupled_root`) go on from there."""
+    return _coupled_root(s, powers, (s.pa.a.p_max, s.pa.b.p_max, s.pa.r.p_max),
+                         max(_access_floors(s), _root_hd_broadcast(s)))
+
+
+def _coupled_root(s: Scenario, powers: Callable, caps: tuple, t: float
+                  ) -> float:
+    """The shortest duration at which every one of ``powers``, a closed form
+    bound to ``s`` whose powers carry both demands, is within its ``caps``,
+    found from ``t``, a bound at or below it.
+
+    Secant steps in u = 1/t on g, the log of the largest power-to-budget
+    ratio, which rises in u, close to linearly at high load: the first
+    step takes the larger load's slope, load*ln2 per unit of u.  Gives NaN,
+    or ``t``, where the steps cannot go on; never raises."""
     if not 0.0 < t < s.frame_t:
         return t
-    relay = _bound_relay_cases(s)
-    caps = (s.pa.a.p_max, s.pa.b.p_max, s.pa.r.p_max)
 
     def log_ratio(u: float) -> float:
         # Powers that raise read +inf, as does a t so far below the floor
         # that bandwidth times t underflows to 0 and the load divides by 0.
         try:
-            powers = relay(1.0 / u)[1]
+            at_u = powers(1.0 / u)
         except (InfeasibleError, ZeroDivisionError):
             return math.inf
-        ratio = max(map(truediv, powers, caps))
+        ratio = max(map(truediv, at_u, caps))
         return math.log(ratio) if ratio > 0 else -math.inf
 
     u = 1.0 / t
     g = log_ratio(u)
     slope = max(s.r_fl, s.r_rl) * s.frame_t / s.bandwidth_w * _LN2
     if not (0.0 < g < math.inf and slope > 0.0):
-        return t  # within budget at the bound already, or past cancellation
+        return t  # within budget at the bound already, or no finite power
     u_next = u - g / slope
     for _ in range(_ROOT_MAX_STEPS):
         if not u_next > 0.0:
@@ -667,77 +673,38 @@ def _root_hd_broadcast(s: Scenario) -> float:
                _duration_at(s, s.r_rl, _budget_x(cap, ch.sigma2_a / ch.g_ra)))
 
 
-def _access_gains(s: Scenario) -> tuple[float, float]:
-    """k = p_max*g/sigma2_r of end nodes a and b: each access power's budget
-    in units of sigma2_r/g."""
+def _access_floors(s: Scenario) -> float:
+    """A bound below the shortest duration at which p_a and p_b are both
+    within their budgets, in either coupled slot; +inf where no duration
+    is.
+
+    With l = 2**load of a node's own demand and l' of the other's, its
+    access power is (sigma2_r/g)*l*(l + l' - 1)/(l + l'), never below
+    (sigma2_r/g)*l*l/(l + 1), since l' >= 1, and fd1ts's self-interference
+    only adds to it.  So with k = p_max*g/sigma2_r, the positive root of
+    l*l = k*(l + 1) bounds l at the node's budget crossing from above, and
+    the duration at which l reaches it bounds that crossing from below."""
     ch = s.channels
-    return (s.pa.a.p_max * ch.g_ar / ch.sigma2_r,
-            s.pa.b.p_max * ch.g_br / ch.sigma2_r)
+    t = 0.0
+    for own, p_max, g in ((s.r_fl, s.pa.a.p_max, ch.g_ar),
+                          (s.r_rl, s.pa.b.p_max, ch.g_br)):
+        k = p_max * g / ch.sigma2_r
+        if not k > 0.5:
+            return math.inf  # the power is at least sigma2_r/(2g)
+        t = max(t, _duration_at(s, own, 0.5 * (k + math.sqrt(k * (k + 4.0)))
+                                - 1.0))
+    return t
 
 
-def _access_ceiling(k: float) -> float:
-    """The largest l = 2**load at which l*l/(l + 1) is within ``k``: the
-    positive root of l*l = k*(l + 1).  An access power (sigma2_r/g)*l*(l +
-    l' - 1)/(l + l') is never below (sigma2_r/g)*l*l/(l + 1), since the
-    other load's l' is at least 1, so with k = p_max*g/sigma2_r this l
-    bounds the one at its budget crossing from above."""
-    return 0.5 * (k + math.sqrt(k * (k + 4.0)))
-
-
-def _access_floor(s: Scenario, own: float, k: float) -> float:
-    """A bound below :func:`_access_duration`, without its steps: the
-    duration at which l reaches _access_ceiling(k); +inf where no duration
-    is within budget."""
-    if not k > 0.5:
-        return math.inf  # the power is at least sigma2_r/(2g)
-    return _duration_at(s, own, _access_ceiling(k) - 1.0)
-
-
-def _access_duration(s: Scenario, own: float, other: float, k: float
-                     ) -> float:
-    """The shortest duration at which the access power of the node that
-    sends ``own`` is within its budget, k = p_max*g/sigma2_r: its power
-    is (sigma2_r/g)*l*(l + l' - 1)/(l + l'), with l = 2**load of ``own``
-    and l' of ``other``.  It lies in [l*l/(l + 1), l) times sigma2_r/g,
-    since l' >= 1, so at the budget l lies in (k, _access_ceiling(k)].
-    Newton steps in v = ln l, which is proportional to 1/t, on the log of
-    the power, concave and rising in v, find it from k upwards.  Gives 0
-    where the load limit binds first, and +inf where no duration is within
-    budget; never raises."""
-    if not k > 0.5:
-        return math.inf  # the power is at least sigma2_r/(2g)
-    if not own:
-        # l = 1: the power is (sigma2_r/g)*l'/(l' + 1), below sigma2_r/g.
-        return 0.0 if k >= 1.0 else _duration_at(
-            s, other, (2.0 * k - 1.0) / (1.0 - k))
-    rho, log_k = other / own, math.log(k)
-    # Past _LOAD_LIMIT on either load the powers read +inf: that limit
-    # binds first there, and the exponentials below stay finite.
-    lo, v_max = max(log_k, 0.0), _LOAD_LIMIT * _LN2 / max(rho, 1.0)
-    if lo >= v_max:
-        return 0.0
-    # At a large k the ceiling rounds to k itself, and then hi = lo.
-    hi = min(math.log(_access_ceiling(k)), v_max)
-    v = lo
-    for _ in range(_ROOT_MAX_STEPS):
-        l, l_other = math.exp(v), math.exp(rho * v)
-        total = l + l_other
-        step = ((v + math.log1p(-1.0 / total) - log_k)
-                / (1.0 + (l + rho * l_other) / (total * (total - 1.0))))
-        v = min(max(v - step, lo), hi)
-        if abs(step) <= _ROOT_STEP_RTOL * v:
-            break
-    return own * s.frame_t * _LN2 / (s.bandwidth_w * v)
-
-
-def _root_hd_access(s: Scenario) -> float:
+def _root_hd_access(s: Scenario, powers: Callable) -> float:
     """The shortest access slot at which p_a and p_b are within their
-    budgets: the longest of each node's budget crossing
-    (:func:`_access_duration`) and of the load limit."""
-    k_a, k_b = _access_gains(s)
-    return max(_access_duration(s, s.r_fl, s.r_rl, k_a),
-               _access_duration(s, s.r_rl, s.r_fl, k_b),
-               _duration_at(s, max(s.r_fl, s.r_rl), math.inf))
+    budgets, from ``powers``, the slot's bound closed form: secant steps
+    (:func:`_coupled_root`) from the later of the access floors
+    (:func:`_access_floors`) and the load limit, short of which the powers
+    read +inf."""
+    return _coupled_root(s, powers, (s.pa.a.p_max, s.pa.b.p_max),
+                         max(_access_floors(s),
+                             _duration_at(s, max(s.r_fl, s.r_rl), math.inf)))
 
 
 # Printed accounting charges dynamic circuit power eps*(r_fl + r_rl) in
@@ -785,7 +752,8 @@ _HD2TS_SLOTS = (
          rates=_rates_hd_access, root=_root_hd_access),
     Slot(fields=("p_r_fwd",), nodes=("r",), demand=_total_demand,
          bind=_bind_hd_broadcast, circuit=_circuit_hd_broadcast,
-         rates=_rates_hd_broadcast, root=_root_hd_broadcast),
+         rates=_rates_hd_broadcast,
+         root=lambda s, _powers: _root_hd_broadcast(s)),
 )
 
 

@@ -11,6 +11,7 @@ bracket it returns must not change with the seed.
 reference checks them here for every kind of root.
 """
 
+import collections
 import importlib.util
 import math
 import random
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from fdrelay import cli
+from fdrelay import cli, strategies
 from fdrelay.config import (ConfigError, ScenarioParams,
                             unbuildable_is_config_error)
 from fdrelay.feasibility import (_BISECT_TOL_FRACTION, _bisect_monotone,
@@ -102,32 +103,54 @@ def test_tight_seed_leaves_few_calls():
 
 def _recorded(slot):
     """``slot`` with its closed form recording the durations it is called
-    at, and that record."""
-    calls = []
+    at, and two records: the window's calls (the bracket check, the
+    bisection and the binder's diagnosis), and apart from them the calls
+    that the slot's root makes on the bound closed form it is given."""
+    calls, steps = [], []
 
     def powers(s, t):
         calls.append(t)
         return slot.bind(s)(t)
 
-    return calls, with_powers(slot, powers)
+    def root(s, bound):
+        start = len(calls)
+        t = slot.root(s, bound)
+        steps.extend(calls[start:])
+        del calls[start:]
+        return t
+
+    return calls, steps, replace(with_powers(slot, powers), root=root)
 
 
 # Every slot has a `root`.  Measured on the defaults, per bisected slot: 3
-# `powers` calls for fd1ts, each fd2ts slot and hd2ts's access slot, and 4
+# window calls for fd1ts, each fd2ts slot and hd2ts's access slot, and 4
 # for hd2ts's broadcast, against 33 for every slot on the plain path that
 # a root of NaN takes (the floor, the frame, 30 midpoints and the binder's
-# diagnosis).  fd1ts's root steps on the closed form it binds itself, not
-# on the slot's, so those steps are not counted here.
+# diagnosis).  The two slots whose roots take secant steps on the slot's
+# bound closed form, fd1ts's and hd2ts's access slot, make 3 and 2 more
+# calls there; the closed-form roots make none.
+_ROOT_STEPS = {Strategy.FD1TS: [3], Strategy.FD2TS: [0, 0],
+               Strategy.HD2TS: [2, 0]}
+
+
 @pytest.mark.parametrize("pa", list(PaKind))
 @pytest.mark.parametrize("strategy", list(Strategy))
-def test_window_calls_per_bisected_slot(strategy, pa):
+def test_window_calls_per_bisected_slot(monkeypatch, strategy, pa):
     s = ScenarioParams(strategy=strategy, pa=pa).build()
     recorded = [_recorded(slot) for slot in DESCRIPTIONS[strategy].slots]
-    window = tmin_slots(s, tuple(slot for _, slot in recorded))
+    window = tmin_slots(s, tuple(slot for _, _, slot in recorded))
+    # fd1ts's root steps on the closed form the window binds, so the
+    # window binds fd1ts's relay cases once.
+    binds = []
+    bound_relay_cases = strategies._bound_relay_cases
+    monkeypatch.setattr(strategies, "_bound_relay_cases",
+                        lambda s: binds.append(s) or bound_relay_cases(s))
     assert window == tmin_for(s)
+    assert len(binds) == (strategy is Strategy.FD1TS)
     assert all(t > t_floor(s) for t in window.t_min)
-    for calls, _ in recorded:
+    for calls, _, _ in recorded:
         assert len(calls) <= 4, len(calls)
+    assert [len(steps) for _, steps, _ in recorded] == _ROOT_STEPS[strategy]
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -157,7 +180,7 @@ def test_powers_that_raise_fail_the_predicate(make_scenario, strategy):
 def _unrooted(strategy):
     """The strategy's slots with a root of NaN, which seeds nothing: each
     takes the plain bisection from the floor and the frame."""
-    return tuple(replace(slot, root=lambda _s: math.nan)
+    return tuple(replace(slot, root=lambda _s, _powers: math.nan)
                  for slot in DESCRIPTIONS[strategy].slots)
 
 
@@ -165,7 +188,8 @@ def _with_root(s, k, root):
     """The strategy's slots with slot ``k``'s root replaced by the constant
     ``root`` and its closed form recorded, and that record."""
     slots = list(DESCRIPTIONS[s.strategy].slots)
-    calls, slots[k] = _recorded(replace(slots[k], root=lambda _s: root))
+    calls, _, slots[k] = _recorded(replace(slots[k],
+                                           root=lambda _s, _powers: root))
     return calls, tuple(slots)
 
 
@@ -185,7 +209,7 @@ def test_any_root_gives_the_reference_window(strategy, pa, accounting):
         for k, slot in enumerate(DESCRIPTIONS[strategy].slots):
             if not slot.demand(s):
                 continue
-            root = slot.root(s)
+            root = slot.root(s, slot.bind(s))
             # (root, whether it seeds); an offset within a quarter
             # tolerance may still bracket the minimum, so it is not told.
             off = None if 1e-6 * root <= 0.5 * tol else False
@@ -215,7 +239,7 @@ def test_root_is_the_window_minimum(strategy, pa, accounting):
         for slot, t_min in zip(DESCRIPTIONS[strategy].slots, window.t_min):
             if not t_floor(s) < t_min:
                 continue
-            assert abs(slot.root(s) - t_min) <= 1e-9 * s.frame_t
+            assert abs(slot.root(s, slot.bind(s)) - t_min) <= 1e-9 * s.frame_t
             checked += 1
     assert checked >= 50
 
@@ -234,9 +258,9 @@ def test_root_of_extreme_channels_is_a_number(make_scenario, strategy,
     s = make_scenario(strategy=strategy, sigma2=sigma2, g_ar=2.0, g_br=2.0,
                       gs=0.0)
     for slot in DESCRIPTIONS[strategy].slots:
-        assert isinstance(slot.root(s), float)
+        assert isinstance(slot.root(s, slot.bind(s)), float)
     recorded = [_recorded(slot) for slot in DESCRIPTIONS[strategy].slots]
-    window = tmin_slots(s, tuple(slot for _, slot in recorded))
+    window = tmin_slots(s, tuple(slot for _, _, slot in recorded))
     try:
         want = reference_window(s)
     except InfeasibleError:
@@ -246,9 +270,17 @@ def test_root_of_extreme_channels_is_a_number(make_scenario, strategy,
     assert repr(window) == repr(tmin_for(s)) == repr(want)
     if sigma2 < 1.0:
         assert window.feasible
-        for calls, _ in recorded:
+        for calls, _, _ in recorded:
             assert t_floor(s) not in calls
             assert len(calls) <= 4, len(calls)
+
+
+# Per seed of the outcome draws, the most bisected fd1ts slots that may
+# probe their floor, as measured: 24 of the 232 that the six seeds bisect,
+# where fd1ts's powers raise at its root's bound below, or overflow just
+# above the load limit.  No other slot probes its floor, hd2ts's access
+# slot included (234 bisected).
+_FD1TS_PLAIN = {0: 7, 1: 2, 2: 4, 3: 4, 4: 2, 5: 5}
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -256,9 +288,11 @@ def test_outcome_draws_give_the_unrooted_window(seed):
     """Every draw of ``tests/test_outcomes.py`` that builds gives, under
     warnings as errors, the window its slots give with no root: edge
     values included, a root only seeds the bisection, and never warns or
-    raises."""
+    raises.  Only fd1ts's bisected slots take the plain path, which probes
+    the floor, and no more of them than measured."""
     rng = random.Random(seed)
     compared = 0
+    plain = collections.Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(_DRAWS):
@@ -268,10 +302,17 @@ def test_outcome_draws_give_the_unrooted_window(seed):
                     s = params.build()
             except ConfigError:
                 continue
-            window = tmin_slots(s, DESCRIPTIONS[s.strategy].slots)
+            recorded = [_recorded(slot)
+                        for slot in DESCRIPTIONS[s.strategy].slots]
+            window = tmin_slots(s, tuple(slot for _, _, slot in recorded))
             assert repr(window) == repr(tmin_slots(s, _unrooted(s.strategy)))
             compared += 1
+            for (calls, _, _), t_min in zip(recorded, window.t_min):
+                if t_floor(s) < t_min and t_floor(s) in calls:
+                    plain[s.strategy] += 1
     assert compared
+    assert set(plain) <= {Strategy.FD1TS}
+    assert plain[Strategy.FD1TS] <= _FD1TS_PLAIN[seed]
 
 
 def _workloads(monkeypatch):
@@ -333,16 +374,17 @@ def test_benchmark_inputs_are_seeded_by_their_roots(monkeypatch, name):
     bisected = unseeded = 0
     for s in scenarios(monkeypatch):
         recorded = [_recorded(slot) for slot in DESCRIPTIONS[s.strategy].slots]
-        window = tmin_slots(s, tuple(slot for _, slot in recorded))
+        window = tmin_slots(s, tuple(slot for _, _, slot in recorded))
         if plain:
             assert repr(window) == repr(reference_window(s))
-        for (calls, slot), t_min in zip(recorded, window.t_min):
+        for (calls, _, slot), t_min in zip(recorded, window.t_min):
             if not t_floor(s) < t_min:
                 continue
             bisected += 1
             if t_floor(s) in calls:
                 unseeded += 1
             else:
-                assert abs(slot.root(s) - t_min) <= 1e-9 * s.frame_t
+                assert (abs(slot.root(s, slot.bind(s)) - t_min)
+                        <= 1e-9 * s.frame_t)
     assert bool(unseeded) is plain
     assert bisected > least
