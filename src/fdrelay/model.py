@@ -349,12 +349,12 @@ def pa_draw(*pas: PaModel) -> Callable:
     once, and each call prices every amplifier in one numpy pass: one
     range check, one clip where some power is negative, and one curve.  A
     caller may bind the amplifiers of a whole frame, several slots' nodes
-    in slot order, and one amplifier may appear more than once.  Python float powers go
-    into one 1-D array through ``np.fromiter``, as do 0-d powers of other
-    types through ``np.asarray``, and the draw is a list of Python floats,
-    one per amplifier; powers of one shape stack into one
-    array, and powers of different shapes are broadcast first, which gives
-    one row per amplifier, of the broadcast shape.  The draws are not
+    in slot order, and one amplifier may appear more than once.  Python
+    float powers go into one 1-D array through ``np.fromiter``, as do 0-d
+    powers of other types through ``np.asarray``, and the draw is a list of
+    Python floats, one per amplifier; array powers of one shape stack into
+    one array, which gives one row per amplifier, of that shape.  Powers of
+    different shapes raise numpy's ValueError.  The draws are not
     summed: a caller adds a slot's rows left to right in argument order,
     and the sum is then, bit for bit, that of one :func:`pa_consumption`
     call per amplifier.  A power outside its amplifier's budget, NaN and
@@ -391,11 +391,7 @@ def pa_draw(*pas: PaModel) -> Callable:
                              f"amplifier, got {len(powers)}")
         for p in powers:
             if type(p) is not float:
-                try:
-                    arr = asarray(powers, dtype=float)
-                except ValueError:  # powers of different shapes
-                    arr = np.stack(np.broadcast_arrays(
-                        *[asarray(p, dtype=float) for p in powers]))
+                arr = asarray(powers, dtype=float)
                 # The amplifier axis goes last, against the per-amplifier
                 # arrays; a 1-D array has it there already.
                 if arr.ndim > 1:

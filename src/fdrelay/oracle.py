@@ -39,8 +39,8 @@ drops a duration whose anchor is infinite, over budget or short of a
 demand, and the probe's draw refuses it.  :func:`convexity_probe` calls
 its function once, on one array per coordinate holding every probe point,
 and refuses a value that is not finite; its count is the one
-:func:`verify` takes of the scenario's frame energy
-(``Description.energy``) at the probe points.
+:func:`verify` takes of the scenario's frame energy at the closed-form
+powers of the probe points.
 The rate constraints come grouped by the power that closes them
 (``Slot.rates``), and :func:`verify_necessary_conditions` reads each
 group's slacks from that one statement.
@@ -233,11 +233,11 @@ def _frame_pass(s: Scenario, slots, t_axis: np.ndarray, probes):
     leaves the grid too, and is a miss unless it was clipped: a clip on the
     budget edge shows no wrong closed form.  Then one PA draw prices the
     frame, one row per node: every slot's grid anchors followed by its probe
-    powers, with each slot's sum of :func:`~fdrelay.strategies.bind_actives`:
-    bit for bit :meth:`Slot.active`.  A grid duration that left the grid
-    is drawn at 0 W and never read; the draw is elementwise, so those rows
-    change no other.  A probe power outside its budget raises the draw's
-    ``ValueError``.
+    powers, with each slot's sum of
+    :func:`~fdrelay.strategies.bind_actives`.  A grid duration that left
+    the grid is drawn at 0 W and never read; the draw is elementwise, so
+    those rows change no other.  A probe power outside its budget raises
+    the draw's ``ValueError``.
     """
     n = t_axis.size
     # Every node's budget in slot order, read once, one row per node.
@@ -291,12 +291,12 @@ def _audit_pass(s: Scenario, n_t: int, n_samples: int):
 
     Returns the grid best and its durations (:func:`grid_search`), the
     number of anchors that miss a demand over all slots, and the probe's
-    count of negative second differences (:func:`convexity_probe` on
-    ``Description.energy``), 0 where the probe does not run: with no
-    samples, outside a feasible window, or where the strategy's energy is
-    only quasi-convex under TPA.  The probe values are the frame energy
+    count of negative second differences (:func:`convexity_probe` on the
+    frame energy), 0 where the probe does not run: with no samples,
+    outside a feasible window, or where the strategy's energy is only
+    quasi-convex under TPA.  The probe values are the frame energy
     (:func:`~fdrelay.strategies.frame_energy`) of the slots' active powers
-    at the probe durations, as ``Description.energy_at`` computes them.
+    at the probe durations.
     The probe's points reuse the last walk of its sampler wherever that
     walk's verdicts still hold (:func:`_probe_points`).
     """

@@ -7,11 +7,10 @@ strategy to its slots, and each :class:`Slot` states only the physics: the
 closed-form powers of its transmitting nodes, its static and dynamic
 circuit power under the scenario's accounting, and its rate constraints
 grouped by the power that closes them.  :func:`bind_actives` adds the PA
-draw of each node to the circuit power, for ``Slot.active``, the frame
-price of ``Description.bind_frame`` and the oracle alike.  The frame
-energy at given or closed-form powers (``Description.energy_at``,
-``Description.energy``), the solver's slot costs, the feasibility window
-and the oracle's grid all derive from it.
+draw of each node to the circuit power, for ``Description.bind_frame``,
+which prices a frame for a search, and for :func:`frame_energy`, which
+prices one at given powers.  The solver's slot costs, the feasibility
+window and the oracle's grid all derive from it.
 
 Each closed form is stated once, as a binder: ``Slot.bind(s)`` reads the
 scenario's channel gains, demands, frame and bandwidth once and returns the
@@ -184,19 +183,6 @@ class Slot:
         """(node, p_max) of each transmit power."""
         return tuple((node, getattr(s.pa, node).p_max) for node in self.nodes)
 
-    def active(self, s: Scenario, *powers):
-        """Power the slot draws at the given transmit powers: the PA draw of
-        each node, in one pass over the slot's amplifiers, summed as
-        :func:`bind_actives` sums it.  ndarray powers give the broadcast
-        array."""
-        return bind_actives(s, (self,))(*powers)[0]
-
-    def cost(self, s: Scenario, t: float) -> float:
-        """Energy above the idle draw that the slot spends over duration t,
-        for one-off callers; the solver prices every slot of a frame at
-        once (:meth:`Description.bind_frame`), bit for bit the same."""
-        return (self.active(s, *self.bind(s)(t)) - s.p_idle_total) * t
-
 
 def _no_case(s: Scenario, *durations: float) -> None:
     return None
@@ -232,8 +218,7 @@ class Description:
         the slots' active powers are bound once (:func:`bind_actives`), so
         a search that prices the frame many times does only arithmetic on
         bound values and one numpy pass per frame point.
-        ``(active - idle) * t`` is a slot's cost: bit for bit
-        :meth:`Slot.active` and :meth:`Slot.cost`.  A slot that is closed,
+        ``(active - idle) * t`` is a slot's cost.  A slot that is closed,
         or whose duration is already fixed, is priced at that duration in
         the same pass.  A power outside its budget raises the ValueError
         that pricing the slots one after another would raise first: it
@@ -258,22 +243,6 @@ class Description:
 
         return price
 
-    def energy(self, s: Scenario, *durations: float) -> float:
-        """Frame energy at each slot's closed-form powers."""
-        return self.energy_at(s, durations, [
-            slot.bind(s)(t) for slot, t in zip(self.slots, durations)])
-
-    def energy_at(self, s: Scenario, durations, powers):
-        """Frame energy: each slot's active power over its duration, plus
-        the idle draw over the rest of the frame.
-
-        Durations and powers may be ndarrays of one shape; the energy is
-        then an ndarray of that shape, elementwise equal to the scalar
-        calls.  Scalar arguments give a Python float.
-        """
-        return frame_energy(s, durations, [
-            slot.active(s, *p) for slot, p in zip(self.slots, powers)])
-
 
 def bind_actives(s: Scenario, slots) -> Callable[..., list]:
     """The active power of each of ``slots``, bound to ``s``:
@@ -285,11 +254,10 @@ def bind_actives(s: Scenario, slots) -> Callable[..., list]:
     and each slot's circuit power is read once.  Each call makes that one
     draw, adds each slot's draws left to right, then its static and its
     dynamic circuit power: the one statement of that sum, which
-    :meth:`Slot.active`, :meth:`Description.bind_frame` and the oracle's
-    audit share.  Float powers give Python floats, and ndarray powers the
-    broadcast arrays.  A power outside its budget raises the draw's
-    ValueError, naming the ``p_max`` of the first such node in slot
-    order."""
+    :meth:`Description.bind_frame` and the oracle's audit share.  Float
+    powers give Python floats, and ndarray powers of one shape arrays of
+    that shape.  A power outside its budget raises the draw's ValueError,
+    naming the ``p_max`` of the first such node in slot order."""
     draw = pa_draw(*[getattr(s.pa, node)
                      for slot in slots for node in slot.nodes])
     # Per slot: the index of its first node's draw, the indices of the
@@ -315,15 +283,14 @@ def bind_actives(s: Scenario, slots) -> Callable[..., list]:
 
 def frame_energy(s: Scenario, durations, actives):
     """Frame energy from each slot's active power (``actives``) over its
-    duration, plus the idle draw over the rest of the frame; the body of
-    :meth:`Description.energy_at`, for a caller that has bound each slot's
-    active power already."""
+    duration, plus the idle draw over the rest of the frame, for actives
+    that :func:`bind_actives` gives.  Float durations and actives give a
+    Python float, and ndarrays of one shape an ndarray of that shape."""
     energy, idle = 0.0, s.frame_t
     for active, t in zip(actives, durations):
         energy += active * t
         idle -= t
-    total = energy + s.p_idle_total * idle
-    return total if isinstance(total, np.ndarray) else float(total)
+    return energy + s.p_idle_total * idle
 
 
 def peak_power(s: Scenario, top: dict[str, float]) -> float:
@@ -786,6 +753,11 @@ def _powers(strategy: Strategy, s: Scenario, *durations: float) -> tuple:
                 in zip(DESCRIPTIONS[strategy].slots, durations)), ())
 
 
+def _energy(strategy: Strategy, s: Scenario, durations, powers) -> float:
+    return frame_energy(s, durations, bind_actives(
+        s, DESCRIPTIONS[strategy].slots)(*powers))
+
+
 def _caps(strategy: Strategy, s: Scenario, durations, powers) -> tuple:
     return tuple(c for slot, t, p in zip(DESCRIPTIONS[strategy].slots,
                                          durations, powers)
@@ -805,30 +777,30 @@ def powers_hd(s: Scenario, t1: float, t2: float) -> tuple:
 
 
 def energy_1ts(s: Scenario, t1: float) -> float:
-    return DESCRIPTIONS[Strategy.FD1TS].energy(s, t1)
+    return _energy(Strategy.FD1TS, s, (t1,), _powers(Strategy.FD1TS, s, t1))
 
 
 def energy_2ts(s: Scenario, t1: float, t2: float) -> float:
-    return DESCRIPTIONS[Strategy.FD2TS].energy(s, t1, t2)
+    return _energy(Strategy.FD2TS, s, (t1, t2),
+                   _powers(Strategy.FD2TS, s, t1, t2))
 
 
 def energy_hd(s: Scenario, t1: float, t2: float) -> float:
-    return DESCRIPTIONS[Strategy.HD2TS].energy(s, t1, t2)
+    return _energy(Strategy.HD2TS, s, (t1, t2),
+                   _powers(Strategy.HD2TS, s, t1, t2))
 
 
 def energy_1ts_at(s: Scenario, t1: float, p_a, p_b, p_r) -> float:
-    return DESCRIPTIONS[Strategy.FD1TS].energy_at(s, (t1,), ((p_a, p_b, p_r),))
+    return _energy(Strategy.FD1TS, s, (t1,), (p_a, p_b, p_r))
 
 
 def energy_2ts_at(s: Scenario, t1: float, t2: float, p_a, p_r_fwd, p_b,
                   p_r_rev) -> float:
-    return DESCRIPTIONS[Strategy.FD2TS].energy_at(
-        s, (t1, t2), ((p_a, p_r_fwd), (p_b, p_r_rev)))
+    return _energy(Strategy.FD2TS, s, (t1, t2), (p_a, p_r_fwd, p_b, p_r_rev))
 
 
 def energy_hd_at(s: Scenario, t1: float, t2: float, p_a, p_b, p_r) -> float:
-    return DESCRIPTIONS[Strategy.HD2TS].energy_at(
-        s, (t1, t2), ((p_a, p_b), (p_r,)))
+    return _energy(Strategy.HD2TS, s, (t1, t2), (p_a, p_b, p_r))
 
 
 def caps_1ts(s: Scenario, t1: float, p_a, p_b, p_r) -> tuple:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdrelay.config import ScenarioParams
+from fdrelay.strategies import bind_actives, frame_energy
 from fdrelay.model import (
     ChannelSet,
     NodeCircuit,
@@ -96,3 +97,28 @@ def capacities(s, desc, durations, powers):
     its ``rates`` order."""
     return tuple(c for slot, t, p in zip(desc.slots, durations, powers)
                  for group in slot.rates(s, t, *p) for _, c, _ in group)
+
+
+def slot_active(s, slot, *powers):
+    """The power ``slot`` draws at the given transmit powers, through the
+    seam the package prices it by (``bind_actives``)."""
+    return bind_actives(s, (slot,))(*powers)[0]
+
+
+def energy_at(s, desc, durations, powers):
+    """Frame energy of ``desc`` at the given durations and powers, one
+    group per slot in its ``fields`` order, through the seam the package
+    prices a frame by (``bind_actives``, then ``frame_energy``)."""
+    flat = [p for group in powers for p in group]
+    return frame_energy(s, durations, bind_actives(s, desc.slots)(*flat))
+
+
+def closed_form_energy(s, desc, *durations):
+    """Frame energy of ``desc`` at each slot's closed-form powers."""
+    return energy_at(s, desc, durations, slot_powers(s, desc, *durations))
+
+
+def slot_cost(s, slot, t):
+    """Energy above the idle draw that ``slot`` spends over duration ``t``
+    at its closed-form powers, as the solver's frame price gives it."""
+    return (slot_active(s, slot, *slot.bind(s)(t)) - s.p_idle_total) * t

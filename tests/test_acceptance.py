@@ -27,6 +27,8 @@ from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS
 from fdrelay.sweep import Axis, AxisKind, SweepSpec, emit_csv, run_sweep
 
+from conftest import closed_form_energy
+
 SCENARIOS_PER_COMBO = 50
 PROBE_SAMPLES = 1000
 
@@ -98,7 +100,7 @@ def test_criterion_3_convexity_probes():
 
     def energy(s):
         """The frame energy of ``s`` as a function of its slot durations."""
-        return partial(DESCRIPTIONS[s.strategy].energy, s)
+        return partial(closed_form_energy, s, DESCRIPTIONS[s.strategy])
 
     for pa_kind in PaKind:
         s2 = replace(base, strategy=Strategy.FD2TS, pa=pa_kind).build()

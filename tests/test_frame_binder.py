@@ -2,8 +2,8 @@
 
 ``Description.bind_frame(s)`` prices every slot of a frame in one PA draw
 over all the frame's nodes.  Each slot's powers, active power and cost must
-equal the slot's own closed form (``Slot.bind``) and one-off methods
-(``Slot.active``, ``Slot.cost``) bit for bit, and a power outside its
+equal the slot's own closed form (``Slot.bind``) and its own active power
+(``bind_actives`` of that slot alone) bit for bit, and a power outside its
 budget must raise what pricing the slots one after another, in slot order,
 raises first.
 """
@@ -18,6 +18,8 @@ from fdrelay.feasibility import tmin_for
 from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, Strategy
 from fdrelay.oracle import random_params
 from fdrelay.strategies import DESCRIPTIONS
+
+from conftest import slot_active
 
 CASES = [(strategy, pa, accounting) for strategy in Strategy
          for pa in PaKind for accounting in CircuitAccounting]
@@ -53,11 +55,12 @@ def _durations(s, rng, n=12):
 
 def _one_by_one(s, durations):
     """Each slot priced alone, in slot order, by its closed form and its
-    one-off methods."""
+    own active power (``bind_actives`` of that slot alone)."""
     slots = DESCRIPTIONS[s.strategy].slots
     powers = [slot.bind(s)(t) for slot, t in zip(slots, durations)]
-    actives = [slot.active(s, *p) for slot, p in zip(slots, powers)]
-    costs = [slot.cost(s, t) for slot, t in zip(slots, durations)]
+    actives = [slot_active(s, slot, *p) for slot, p in zip(slots, powers)]
+    costs = [(active - s.p_idle_total) * t
+             for active, t in zip(actives, durations)]
     return powers, actives, costs
 
 

@@ -19,6 +19,8 @@ from fdrelay.oracle import verify
 from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS, peak_power
 
+from conftest import slot_active
+
 FLOAT_KEYS = [f.name for f in fields(ScenarioParams)
               if isinstance(f.default, float)]
 EDGE_VALUES = ["0", "-1", "1e-300", "1e300", "nan"]
@@ -221,10 +223,10 @@ HEAVY_FORWARD = {"epsilon_mw_per_gbps": 1e8, "r_rl_mbps": 0.0}
 def test_peak_power_is_the_most_a_slot_draws(pa, changes, top_slot):
     """``peak_power`` equals, bit for bit, the largest active power of any
     slot of any strategy with every amplifier at its ``p_max``
-    (``Slot.active``)."""
+    (``bind_actives``)."""
     s = replace(ScenarioParams(pa=pa), **changes).build()
-    actives = {(strategy, k): slot.active(s, *(getattr(s.pa, node).p_max
-                                               for node in slot.nodes))
+    actives = {(strategy, k): slot_active(s, slot, *(
+                   getattr(s.pa, node).p_max for node in slot.nodes))
                for strategy, desc in DESCRIPTIONS.items()
                for k, slot in enumerate(desc.slots)}
     want = max(actives.values())

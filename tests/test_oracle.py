@@ -24,7 +24,7 @@ from fdrelay.oracle import (
 from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS
 
-from conftest import capacities, slot_powers
+from conftest import capacities, energy_at, slot_powers
 
 
 class TestGridSearch:
@@ -43,7 +43,7 @@ class TestGridSearch:
         desc = DESCRIPTIONS[Strategy.FD2TS]
         pw = slot_powers(s, desc, t1, t2)
         (p_a, p_r_fwd), (p_b, p_r_rev) = pw
-        e_cf = desc.energy_at(s, (t1, t2), pw)
+        e_cf = energy_at(s, desc, (t1, t2), pw)
         for _ in range(50):
             a, b, r_fwd, r_rev = (rng.uniform(p, cap) for p, cap in (
                 (p_a, s.pa.a.p_max), (p_b, s.pa.b.p_max),
@@ -52,14 +52,14 @@ class TestGridSearch:
             c_ar, c_rb, c_br, c_ra = capacities(s, desc, (t1, t2), candidate)
             if (c_ar >= s.r_fl and c_rb >= s.r_fl and c_br >= s.r_rl
                     and c_ra >= s.r_rl):
-                assert desc.energy_at(s, (t1, t2), candidate) >= e_cf
+                assert energy_at(s, desc, (t1, t2), candidate) >= e_cf
 
     def test_closed_form_dominates_grid_points_1ts(self, params, rng):
         s = replace(params, strategy=Strategy.FD1TS).build()
         t1 = 0.007
         desc = DESCRIPTIONS[Strategy.FD1TS]
         pw = slot_powers(s, desc, t1)
-        e_cf = desc.energy_at(s, (t1,), pw)
+        e_cf = energy_at(s, desc, (t1,), pw)
         (slot,) = desc.slots
         for _ in range(50):
             candidate = (tuple(rng.uniform(p, cap) for p, (_, cap)
@@ -67,7 +67,7 @@ class TestGridSearch:
             c_ar, c_br, c_ra, c_rb = capacities(s, desc, (t1,), candidate)
             if (c_ar >= s.r_fl and c_br >= s.r_rl and c_ra >= s.r_rl
                     and c_rb >= s.r_fl):
-                assert desc.energy_at(s, (t1,), candidate) >= e_cf
+                assert energy_at(s, desc, (t1,), candidate) >= e_cf
 
     def test_infeasible_scenario_raises(self, params):
         s = replace(params, strategy=Strategy.FD1TS, alpha_db=20.0,
@@ -118,7 +118,7 @@ class TestGridSearch:
             if sum(durations) > s.frame_t or any(
                     per_slot[k][i] == math.inf for k, i in enumerate(idx)):
                 continue
-            best = min(best, desc.energy_at(s, durations, powers))
+            best = min(best, energy_at(s, desc, durations, powers))
         energy, point = _best_combination(s, t_axis, per_slot)
         assert energy == best
         assert point["t1"] in t_axis

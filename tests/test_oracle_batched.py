@@ -37,7 +37,7 @@ from fdrelay.oracle import (
 from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS
 
-from conftest import with_powers
+from conftest import closed_form_energy, energy_at, slot_active, with_powers
 
 PAIRS = [(strategy, pa) for strategy in Strategy for pa in PaKind]
 
@@ -68,7 +68,7 @@ def _slot_best_per_duration(s, slot, t_axis):
         if all(capacity >= demand * (1.0 - _RATE_SLACK)
                for group in slot.rates(s, t, *clipped)
                for _, capacity, demand in group):
-            best[i] = slot.active(s, *clipped)
+            best[i] = slot_active(s, slot, *clipped)
         elif all(p <= cap for p, cap in zip(anchor, caps)):
             misses += 1
     return best, misses
@@ -104,7 +104,7 @@ def _assert_same(s, slot, t_axis, priced=True, t_probe=_NO_PROBE):
     assert best.tobytes() == ref_best.tobytes()
     assert misses == ref_misses
     assert np.isfinite(best).any() or not priced
-    want = slot.active(s, *slot.bind(s)(t_probe))
+    want = slot_active(s, slot, *slot.bind(s)(t_probe))
     assert active.size == t_probe.size
     assert active.tobytes() == np.asarray(want, dtype=float).tobytes()
     return misses
@@ -375,7 +375,7 @@ def _probe_count_per_point(s, domain, n_samples):
     ``Description.energy``: the reference for the array probe's count."""
     desc = DESCRIPTIONS[s.strategy]
     h, points = _probe_points(domain, n_samples, s.frame_t)
-    values = [[desc.energy(s, *x) for x in triple]
+    values = [[closed_form_energy(s, desc, *x) for x in triple]
               for triple in points.tolist()]
     f0, fp, fm = np.array(values).T
     d2 = (fp - 2.0 * f0 + fm) / h / h
@@ -413,8 +413,9 @@ class TestProbeParity:
             domain = _domain(s)
             expected = _probe_count_per_point(s, domain, 50)
             counts.append(expected)
-            assert convexity_probe(partial(desc.energy, s), domain,
-                                   n_samples=50, sum_cap=s.frame_t) == expected
+            energy = partial(closed_form_energy, s, desc)
+            assert convexity_probe(energy, domain, n_samples=50,
+                                   sum_cap=s.frame_t) == expected
             # verify's probe is this one, where the pair is probed at all.
             assert verify(s, solve(s)).convexity_violations == (
                 expected if probed else 0)
@@ -439,8 +440,8 @@ class TestProbeParity:
             for t in points.ravel().tolist():
                 slot.bind(s)(t)
         with pytest.raises(ValueError, match="transmit power outside"):
-            convexity_probe(partial(desc.energy, s), domain, n_samples=50,
-                            sum_cap=s.frame_t)
+            convexity_probe(partial(closed_form_energy, s, desc), domain,
+                            n_samples=50, sum_cap=s.frame_t)
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)
     def test_energy_at_on_arrays_equals_scalar_calls(self, strategy,
@@ -454,10 +455,10 @@ class TestProbeParity:
                            for lo, hi in spans) for _ in range(25)]
         powers = [[slot.bind(s)(t[k]) for t in durations]
                   for k, slot in enumerate(desc.slots)]
-        scalar = [desc.energy_at(s, t, [p[i] for p in powers])
+        scalar = [energy_at(s, desc, t, [p[i] for p in powers])
                   for i, t in enumerate(durations)]
         assert all(type(e) is float for e in scalar)
-        batched = desc.energy_at(s, np.array(durations).T,
+        batched = energy_at(s, desc, np.array(durations).T,
                                  [np.array(p).T for p in powers])
         assert isinstance(batched, np.ndarray)
         assert batched.shape == (len(durations),)
@@ -480,7 +481,7 @@ class TestOnePassPerSlot:
             sched = solve(s)
             grid_best, _, misses, unprobed = oracle._audit_pass(s, 40, 0)
             assert unprobed == 0
-            violations = (convexity_probe(partial(desc.energy, s),
+            violations = (convexity_probe(partial(closed_form_energy, s, desc),
                                           _domain(s), 50, sum_cap=s.frame_t)
                           if probed else 0)
             slacks = verify_necessary_conditions(s, sched, tol=math.inf)
@@ -505,7 +506,7 @@ class TestOnePassPerSlot:
         assert misses == 0
         for slot, best, active, t_probe in zip(slots, bests, actives, probes):
             assert np.isfinite(best).any()
-            want = slot.active(s, *slot.bind(s)(t_probe))
+            want = slot_active(s, slot, *slot.bind(s)(t_probe))
             assert active.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("strategy,pa_kind", PAIRS)

@@ -42,7 +42,7 @@ from fdrelay.feasibility import tmin_for
 from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS, frame_energy
 
-from conftest import neighbour
+from conftest import neighbour, slot_active
 
 FLOAT_KEYS = [f.name for f in fields(ScenarioParams)
               if f.type in ("float", float)]
@@ -174,8 +174,8 @@ def _active(s, slot, t):
     closed slot (``t`` is ``[0.0]``) is priced at a float 0, as the solver
     prices it."""
     if t[0]:
-        return slot.active(s, *slot.bind(s)(t))
-    return np.array([slot.active(s, *slot.bind(s)(0.0))])
+        return slot_active(s, slot, *slot.bind(s)(t))
+    return np.array([slot_active(s, slot, *slot.bind(s)(0.0))])
 
 
 def _dense_energy(s) -> float:
@@ -224,7 +224,8 @@ def _swamped(s, sched) -> bool:
     slot, active - idle rounds to -idle, so the costs the solver compares
     keep no digit of the active powers."""
     for slot, t in zip(DESCRIPTIONS[s.strategy].slots, (sched.t1, sched.t2)):
-        active = slot.active(s, *(getattr(sched, f) for f in slot.fields))
+        active = slot_active(s, slot,
+                             *(getattr(sched, f) for f in slot.fields))
         if t and active - s.p_idle_total != -s.p_idle_total:
             return False
     return True

@@ -30,6 +30,7 @@ from fdrelay.model import (PaKind, PaModel, Strategy, pa_consumption,
                            pa_draw)
 from fdrelay.strategies import DESCRIPTIONS
 
+from conftest import slot_active
 from test_powers_arrays import _assert_same
 
 _SLACK = 1e-9
@@ -177,7 +178,7 @@ def test_slot_active_never_falls_along_a_power_axis(strategy, pa_kind, rng):
         axes = [np.sort(np.concatenate([[0.0, cap],
                                         rng.uniform(0.0, cap, 9)]))
                 for _, cap in slot.budgets(s)]
-        active = slot.active(s, *np.ix_(*axes))
+        active = slot_active(s, slot, *np.broadcast_arrays(*np.ix_(*axes)))
         assert active.shape == tuple(axis.size for axis in axes)
         for w in range(len(axes)):
             assert (np.diff(active, axis=w) >= 0).all()
@@ -241,26 +242,10 @@ def test_slot_draw_equals_the_per_node_sum(pas, rng):
     _assert_same(_added(_assert_rows(pas, insides)), _per_node(pas, insides))
     for forms in zip(*[_inputs(pa) for pa in pas]):
         _assert_same(_added(_assert_rows(pas, forms)), _per_node(pas, forms))
-    # Floats beside arrays broadcast as the per-node sum does.
-    mixed = (insides[0],) + tuple(pa.p_max / 3 for pa in pas[1:])
+    # Floats beside arrays, broadcast first, as the per-node sum does.
+    mixed = np.broadcast_arrays(insides[0],
+                                *[pa.p_max / 3 for pa in pas[1:]])
     _assert_same(_added(_assert_rows(pas, mixed)), _per_node(pas, mixed))
-
-
-@pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
-def test_slot_draw_broadcasts_a_mesh_as_the_per_node_sum(pas, rng):
-    """The oracle's open mesh: one axis per node, each of its own shape."""
-    axes = [np.sort(_inside(pa, rng)[:9]) for pa in pas]
-    mesh = np.ix_(*axes)
-    got = _added(_assert_rows(pas, mesh))
-    assert got.shape == tuple(axis.size for axis in axes)
-    _assert_same(got, _per_node(pas, mesh))
-    # A column against a row, and 0-d arrays against both.
-    if len(pas) > 1:
-        shapes = [(-1, 1), (1, -1), (), ()][:len(pas)]
-        powers = [np.asarray(axis if shape else axis[3]).reshape(shape)
-                  for axis, shape in zip(axes, shapes)]
-        _assert_same(_added(_assert_rows(pas, powers)),
-                     _per_node(pas, powers))
 
 
 @pytest.mark.parametrize("pas", SLOT_PAS, ids=repr)
@@ -337,12 +322,7 @@ def _earlier_draw(*pas):
         if len(powers) != n:
             raise ValueError(f"expected {n} transmit power(s), one per "
                              f"amplifier, got {len(powers)}")
-        try:
-            arr = np.asarray(powers, dtype=float)
-        except ValueError:
-            arr = np.stack(np.broadcast_arrays(
-                *[np.asarray(p, dtype=float) for p in powers]))
-        arr = arr.T
+        arr = np.asarray(powers, dtype=float).T
         inside = (arr >= lo) & (arr <= hi)
         if np.count_nonzero(inside) != inside.size:
             first = int(np.argmin(inside.reshape(-1, n).all(axis=0)))
@@ -412,9 +392,9 @@ def test_draw_gives_the_earlier_draw_on_both_paths(kind, n, rng):
 @pytest.mark.parametrize("kind", list(PaKind))
 @pytest.mark.parametrize("n", range(1, 9))
 def test_draw_of_other_forms_gives_the_earlier_draw(kind, n, rng):
-    """Ints, numpy scalars of other types, mixed float and array powers of
-    different shapes, and a count of powers that is not one per
-    amplifier."""
+    """Ints, numpy scalars of other types, -0.0 and NaN in one array
+    beside floats broadcast to its shape, and a count of powers that is not
+    one per amplifier."""
     pas = _frame_pas(kind, n)
     draw, earlier = pa_draw(*pas), _earlier_draw(*pas)
     half = [0.5 * pa.p_max for pa in pas]
@@ -422,14 +402,26 @@ def test_draw_of_other_forms_gives_the_earlier_draw(kind, n, rng):
              [np.float32(p) for p in half], [np.int64(0)] * n,
              # The first power an int, the rest floats.
              [int(half[0])] + half[1:],
-             # A float beside arrays of shapes (4,), (2, 1) and (1, 4).
-             [half[0]] + [np.full(shape, p) for shape, p in
-                          zip([(4,), (2, 1), (1, 4)] * 3, half[1:])],
-             # Every power but the last a 1-element list.
-             [[p] for p in half[:-1]] + half[-1:],
              half[:-1], half + [0.0], []]
     for k in range(n):
         forms.append(half[:k] + [np.asarray(-0.0)] + half[k + 1:])
-        forms.append(half[:k] + [np.array([-0.0, math.nan])] + half[k + 1:])
+        forms.append(np.broadcast_arrays(
+            *half[:k], np.array([-0.0, math.nan]), *half[k + 1:]))
     for powers in forms:
         assert _outcome(draw, powers) == _outcome(earlier, powers), powers
+
+
+@pytest.mark.parametrize("kind", list(PaKind))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_draw_refuses_powers_of_different_shapes(kind, n):
+    """A float beside arrays, and 1-element lists beside a float, raise a
+    ValueError: the draw broadcasts nothing."""
+    pas = _frame_pas(kind, n)
+    draw = pa_draw(*pas)
+    half = [0.5 * pa.p_max for pa in pas]
+    for powers in ([half[0]] + [np.full(shape, p) for shape, p in
+                                zip([(4,), (2, 1), (1, 4)] * 3, half[1:])],
+                   [[p] for p in half[:-1]] + half[-1:],
+                   [np.full(4, half[0])] + half[1:]):
+        with pytest.raises(ValueError):
+            draw(*powers)

@@ -7,9 +7,9 @@ solver's path, Python floats from ``math`` alone) or a 1-D array of
 durations (the oracle's path).  The
 array results must equal the float calls element for element, bit for bit:
 +inf where a spectral load overflows, and NaN wherever the float form of the
-single-slot strategy raises :class:`InfeasibleError`.  ``Slot.active`` and
-the HD capacities (``Slot.rates``) must equal the forms below by ``repr``
-for floats and by bytes for arrays.
+single-slot strategy raises :class:`InfeasibleError`.  Each slot's active
+power (``bind_actives``) and the HD capacities (``Slot.rates``) must equal
+the forms below by ``repr`` for floats and by bytes for arrays.
 """
 
 import math
@@ -26,7 +26,7 @@ from fdrelay.model import (CircuitAccounting, InfeasibleError, PaKind,
 from fdrelay.oracle import random_params
 from fdrelay.strategies import DESCRIPTIONS, _bound_exps
 
-from conftest import capacities
+from conftest import capacities, slot_active
 
 CASES = [(strategy, pa, accounting) for strategy in Strategy for pa in PaKind
          for accounting in CircuitAccounting]
@@ -165,9 +165,10 @@ def test_float_duration_gives_python_floats(strategy):
 
 
 # ---------------------------------------------------------------------------
-# Slot.active and the HD capacities against the hand-written forms they
-# replace: each slot's active power summed its nodes' PA draw and its circuit
-# power in one expression, and one function priced all four HD links.
+# Each slot's active power and the HD capacities against the hand-written
+# forms they replace: each slot's active power summed its nodes' PA draw and
+# its circuit power in one expression, and one function priced all four HD
+# links.
 # ---------------------------------------------------------------------------
 
 def _ref_fd2ts_active(src, rate):
@@ -267,8 +268,9 @@ def _open_mesh(s, slot, t, n_p=5):
 
 
 def _assert_active_parity(s, rng):
-    """Every slot's ``active`` equals its hand-written form: at float and
-    array closed-form powers and on an open-mesh power grid.  Returns how
+    """Every slot's active power (``bind_actives``) equals its
+    hand-written form: at float and array closed-form powers and on an
+    open-mesh power grid, broadcast to one shape first.  Returns how
     many float and array points were compared."""
     floats = points = 0
     desc = DESCRIPTIONS[s.strategy]
@@ -283,15 +285,16 @@ def _assert_active_parity(s, rng):
                 want = ref(s, *powers)
             except ValueError:  # a power past its budget
                 with pytest.raises(ValueError):
-                    slot.active(s, *powers)
+                    slot_active(s, slot, *powers)
                 continue
-            got = slot.active(s, *powers)
+            got = slot_active(s, slot, *powers)
             assert type(got) is float
             _assert_same(got, want)
             floats += 1
         _, anchors, grid = _open_mesh(s, slot, t)
-        _assert_same(slot.active(s, *anchors.T), ref(s, *anchors.T))
-        _assert_same(slot.active(s, *grid), ref(s, *grid))
+        _assert_same(slot_active(s, slot, *anchors.T), ref(s, *anchors.T))
+        _assert_same(slot_active(s, slot, *np.broadcast_arrays(*grid)),
+                     ref(s, *grid))
         points += anchors.shape[0]
     return floats, points
 
@@ -382,4 +385,4 @@ def test_active_takes_one_power_per_node():
     powers = slot.bind(s)(0.6 * s.frame_t)
     for wrong in (powers[:1], powers[:2], powers + (1.0,)):
         with pytest.raises(ValueError, match="one per amplifier"):
-            slot.active(s, *wrong)
+            slot_active(s, slot, *wrong)

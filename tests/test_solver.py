@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from fdrelay.model import InfeasibleError, PaKind, Strategy
 from fdrelay.solver import DURATION_TOL, minimize_unimodal_1d, solve
 from fdrelay.strategies import DESCRIPTIONS
 
-from conftest import random_scenario_params
+from conftest import closed_form_energy, random_scenario_params, slot_cost
 
 FD1TS = DESCRIPTIONS[Strategy.FD1TS]
 FD2TS = DESCRIPTIONS[Strategy.FD2TS]
@@ -44,11 +45,11 @@ class TestGoldenSection:
     def test_matches_dense_grid_on_1ts_energy(self, params):
         s = replace(params, strategy=Strategy.FD1TS).build()
         w = tmin_for(s)
-        t1, e = minimize_unimodal_1d(lambda t: FD1TS.energy(s, t),
+        t1, e = minimize_unimodal_1d(partial(closed_form_energy, s, FD1TS),
                                      w.t_min[0], s.frame_t,
                                      DURATION_TOL * s.frame_t)
         grid = np.linspace(w.t_min[0], s.frame_t, 10_000)
-        energies = [FD1TS.energy(s, t) for t in grid]
+        energies = [closed_form_energy(s, FD1TS, t) for t in grid]
         k = int(np.argmin(energies))
         assert abs(t1 - grid[k]) <= (grid[1] - grid[0])
         assert e <= energies[k] * (1 + 1e-9)
@@ -79,7 +80,7 @@ class TestSolve2TS:
         for t1 in t1s:
             for t2 in t2s:
                 if t1 + t2 <= s.frame_t:
-                    best = min(best, FD2TS.energy(s, t1, t2))
+                    best = min(best, closed_form_energy(s, FD2TS, t1, t2))
         assert sched.e_total <= best * 1.001
 
     def test_budget_skip_matches_unconstrained(self, params):
@@ -90,8 +91,10 @@ class TestSolve2TS:
         assert sched.t1 + sched.t2 < s.frame_t
         w = tmin_for(s)
         t1, _ = minimize_unimodal_1d(
-            lambda t: FD2TS.energy(s, t, s.frame_t - w.t_min[1])
-            - FD2TS.energy(s, s.frame_t / 2, s.frame_t - w.t_min[1]),
+            lambda t: closed_form_energy(s, FD2TS, t,
+                                         s.frame_t - w.t_min[1])
+            - closed_form_energy(s, FD2TS, s.frame_t / 2,
+                                 s.frame_t - w.t_min[1]),
             w.t_min[0], s.frame_t - w.t_min[1], DURATION_TOL * s.frame_t)
         assert sched.t1 == pytest.approx(t1, abs=2e-7 * s.frame_t)
 
@@ -108,9 +111,10 @@ class TestSolve2TS:
         assert closed == (0.0, 0.0, 0.0)
         assert open_ > 0.0
         # Only the open slot and the idle rest of the frame are charged.
-        assert sched.e_total == FD2TS.energy(s, sched.t1, sched.t2)
-        assert sched.e_total < FD2TS.energy(s, sched.t1 or 1e-8,
-                                            sched.t2 or 1e-8)
+        assert sched.e_total == closed_form_energy(s, FD2TS, sched.t1,
+                                                   sched.t2)
+        assert sched.e_total < closed_form_energy(s, FD2TS, sched.t1 or 1e-8,
+                                                  sched.t2 or 1e-8)
 
 
 class TestSolve1TS:
@@ -139,7 +143,7 @@ class TestSolve1TS:
         sched = solve(s)
         w = tmin_for(s)
         grid = np.linspace(w.t_min[0], s.frame_t, 10_000)
-        best = min(FD1TS.energy(s, t) for t in grid)
+        best = min(closed_form_energy(s, FD1TS, t) for t in grid)
         assert sched.e_total <= best * 1.001
 
     def test_interior_optimum_without_circuit_power(self):
@@ -154,7 +158,7 @@ class TestSolve1TS:
         assert sched.t1 < s.frame_t * (1 - 1e-6)
         # grid confirmation
         grid = np.linspace(sched.t1 * 0.5, s.frame_t, 4000)
-        energies = [FD1TS.energy(s, t) for t in grid]
+        energies = [closed_form_energy(s, FD1TS, t) for t in grid]
         assert sched.e_total <= min(energies) * (1 + 1e-6)
 
 
@@ -162,7 +166,7 @@ class TestSolveHd:
     def test_symmetric_scenario(self, params):
         s = replace(params, strategy=Strategy.HD2TS).build()
         sched = solve(s)
-        recomputed = HD2TS.energy(s, sched.t1, sched.t2)
+        recomputed = closed_form_energy(s, HD2TS, sched.t1, sched.t2)
         assert sched.e_total == pytest.approx(recomputed)
 
     def test_low_demand_leaves_idle_time(self, params):
@@ -181,7 +185,7 @@ class TestSolveHd:
         for t1 in t1s:
             for t2 in t2s:
                 if t1 + t2 <= s.frame_t:
-                    best = min(best, HD2TS.energy(s, t1, t2))
+                    best = min(best, closed_form_energy(s, HD2TS, t1, t2))
         assert sched.e_total <= best * 1.001
 
 
@@ -226,10 +230,10 @@ class TestNumericalBehavior:
         s = replace(params, strategy=Strategy.FD1TS).build()
         e_coarse = solve(s).e_total
         slot, = DESCRIPTIONS[Strategy.FD1TS].slots
-        t1, _ = minimize_unimodal_1d(lambda t: slot.cost(s, t),
+        t1, _ = minimize_unimodal_1d(lambda t: slot_cost(s, slot, t),
                                      tmin_for(s).t_min[0], s.frame_t,
                                      1e-8 * s.frame_t)
-        e_fine = FD1TS.energy(s, t1)
+        e_fine = closed_form_energy(s, FD1TS, t1)
         assert abs(e_fine - e_coarse) / e_coarse < 1e-6
 
     @pytest.mark.parametrize("strategy", list(Strategy))

@@ -9,7 +9,8 @@ from fdrelay.feasibility import t_floor, tmin_for
 from fdrelay.model import CircuitAccounting, InfeasibleError, PaKind, RelayCase, Strategy
 from fdrelay.strategies import DESCRIPTIONS, _bind_1ts, _bound_exps
 
-from conftest import capacities, random_scenario_params, slot_powers
+from conftest import (capacities, closed_form_energy, energy_at,
+                      random_scenario_params, slot_cost, slot_powers)
 
 FD1TS = DESCRIPTIONS[Strategy.FD1TS]
 FD2TS = DESCRIPTIONS[Strategy.FD2TS]
@@ -189,7 +190,8 @@ class TestEnergy2TS:
         pw = ((0.0, 0.0), (0.0, 0.0))
         t1, t2 = 0.002, 0.003
         expected_idle = s.p_idle_total * (s.frame_t - t1 - t2)
-        assert FD2TS.energy_at(s, (t1, t2), pw) == pytest.approx(expected_idle)
+        assert energy_at(s, FD2TS, (t1, t2), pw) == \
+            pytest.approx(expected_idle)
 
     def test_transmit_energy_isolation(self, make_scenario):
         s = make_scenario(u=0.0, eps=0.0, p_base=(0.0, 0.0, 0.0),
@@ -197,7 +199,7 @@ class TestEnergy2TS:
         t1 = t2 = 0.004
         (p_a, p_r_fwd), (p_b, p_r_rev) = slot_powers(s, FD2TS, t1, t2)
         expected = ((p_a + p_r_fwd) * t1 + (p_b + p_r_rev) * t2) / 0.35
-        assert FD2TS.energy(s, t1, t2) == pytest.approx(expected)
+        assert closed_form_energy(s, FD2TS, t1, t2) == pytest.approx(expected)
 
     def test_etpa_expansion_second_coding(self, params):
         """Same objective written as an explicit function of the loads."""
@@ -222,7 +224,8 @@ class TestEnergy2TS:
         expansion = ((alpha_1 * x + beta_1 * x * x + p_1) * t1
                      + (alpha_2 * y + beta_2 * y * y + p_2) * t2
                      + s.p_idle_total * s.frame_t)
-        assert FD2TS.energy(s, t1, t2) == pytest.approx(expansion, rel=1e-12)
+        assert closed_form_energy(s, FD2TS, t1, t2) == \
+            pytest.approx(expansion, rel=1e-12)
 
     def test_tpa_expansion_second_coding(self, params):
         p = replace(params, strategy=Strategy.FD2TS, pa=PaKind.TPA,
@@ -250,7 +253,8 @@ class TestEnergy2TS:
                      + (math.sqrt(beta12 * y + gamma2 * y * y)
                         + math.sqrt(alpha12 * y) + p_2) * t2
                      + s.p_idle_total * s.frame_t)
-        assert FD2TS.energy(s, t1, t2) == pytest.approx(expansion, rel=1e-12)
+        assert closed_form_energy(s, FD2TS, t1, t2) == \
+            pytest.approx(expansion, rel=1e-12)
 
 
 class TestCaps1TS:
@@ -280,8 +284,8 @@ class TestPowers1TS:
         pw = slot_powers(s, FD1TS, 0.008)
         [(p_a, p_b, _)] = pw
         assert p_a == pytest.approx(p_b)
-        assert FD1TS.energy(s, 0.008) == pytest.approx(
-            FD1TS.energy_at(s, (0.008,), pw))
+        assert closed_form_energy(s, FD1TS, 0.008) == pytest.approx(
+            energy_at(s, FD1TS, (0.008,), pw))
 
     def test_interference_free_asymptotic_limit(self, make_scenario):
         s = make_scenario(strategy=Strategy.FD1TS, gs=0.0, asymptotic=True)
@@ -358,14 +362,15 @@ class TestEnergy1TS:
         s_idle = make_scenario(strategy=Strategy.FD1TS, p_idle=(1.0, 1.0, 1.0))
         s_none = make_scenario(strategy=Strategy.FD1TS, p_idle=(0.0, 0.0, 0.0))
         t1 = s_idle.frame_t
-        assert FD1TS.energy(s_idle, t1) == pytest.approx(FD1TS.energy(s_none, t1))
+        assert closed_form_energy(s_idle, FD1TS, t1) == pytest.approx(
+            closed_form_energy(s_none, FD1TS, t1))
 
     def test_symmetric_cases_degenerate(self, make_scenario):
         s = make_scenario(strategy=Strategy.FD1TS, gs=1e-16)
         case1, case2 = reference_relay_cases(s)(0.007)
         assert case1[2] == pytest.approx(case2[2])
-        assert FD1TS.energy_at(s, (0.007,), (case1,)) == pytest.approx(
-            FD1TS.energy_at(s, (0.007,), (case2,)))
+        assert energy_at(s, FD1TS, (0.007,), (case1,)) == pytest.approx(
+            energy_at(s, FD1TS, (0.007,), (case2,)))
 
     def test_accounting_modes_differ_as_stated(self, make_scenario):
         printed = make_scenario(strategy=Strategy.FD1TS)
@@ -376,7 +381,8 @@ class TestEnergy1TS:
         want = eps * (3 * (printed.r_fl + printed.r_rl)
                       + max(printed.r_fl, printed.r_rl)) \
             - eps * (printed.r_fl + 2 * printed.r_rl)
-        got = FD1TS.energy(fp, t1) - FD1TS.energy(printed, t1)
+        got = (closed_form_energy(fp, FD1TS, t1)
+               - closed_form_energy(printed, FD1TS, t1))
         assert got == pytest.approx(want * t1, rel=1e-12)
 
 
@@ -428,7 +434,8 @@ class TestHd:
         eps = printed.circuit.a.epsilon
         both = printed.r_fl + printed.r_rl
         want = eps * both * t1 + eps * both * t2
-        got = HD2TS.energy(fp, t1, t2) - HD2TS.energy(printed, t1, t2)
+        got = (closed_form_energy(fp, HD2TS, t1, t2)
+               - closed_form_energy(printed, HD2TS, t1, t2))
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -457,8 +464,8 @@ class TestCrossCutting:
             mirror = make_scenario(strategy=strategy, p_base=(0.05,) * 3,
                                    p_idle=(0.01,) * 3, p_max=(40.0,) * 3,
                                    accounting=accounting, **swapped)
-            e1 = DESCRIPTIONS[strategy].energy(base, *durations)
-            e2 = DESCRIPTIONS[strategy].energy(mirror, *mirrored)
+            e1 = closed_form_energy(base, DESCRIPTIONS[strategy], *durations)
+            e2 = closed_form_energy(mirror, DESCRIPTIONS[strategy], *mirrored)
             assert e1 == pytest.approx(e2, rel=1e-12)
 
     def test_cancellation_monotonicity(self):
@@ -514,10 +521,11 @@ class TestSlotDescriptions:
         slots = DESCRIPTIONS[strategy].slots
         for durations in ((0.004, 0.005), (0.0045, 0.0055), (0.006, 0.004)):
             durations = durations[:len(slots)]
-            split = (sum(slot.cost(s, t) for slot, t in zip(slots, durations))
+            split = (sum(slot_cost(s, slot, t)
+                         for slot, t in zip(slots, durations))
                      + s.p_idle_total * s.frame_t)
-            assert DESCRIPTIONS[strategy].energy(s, *durations) == \
-                pytest.approx(split, rel=1e-12)
+            energy = closed_form_energy(s, DESCRIPTIONS[strategy], *durations)
+            assert energy == pytest.approx(split, rel=1e-12)
 
     @pytest.mark.parametrize("accounting", list(CircuitAccounting))
     @pytest.mark.parametrize("pa_kind", list(PaKind))
@@ -532,10 +540,10 @@ class TestSlotDescriptions:
             t = float(rng.uniform(0.2, 1.0)) * s.frame_t
             try:
                 cases = reference_relay_cases(s)(t)
-                expected = max(FD1TS.energy_at(s, (t,), (c,)) for c in cases)
+                expected = max(energy_at(s, FD1TS, (t,), (c,)) for c in cases)
             except (InfeasibleError, ValueError):
                 continue
-            assert FD1TS.energy(s, t) == expected
+            assert closed_form_energy(s, FD1TS, t) == expected
             checked += 1
 
     @pytest.mark.parametrize("accounting", list(CircuitAccounting))
