@@ -49,6 +49,7 @@ from .model import (
     Scenario,
     Strategy,
     db_to_linear,
+    least_frame_energy,
     noise_power,
     pa_draw_range,
     pathloss_gain,
@@ -129,8 +130,10 @@ class ScenarioParams:
         and ``bandwidth_mhz``; and so does a frame whose energy at full
         budget is not finite: ``frame_t_ms`` times the most a slot of any
         strategy draws (``peak_power``) plus the idle draw, naming the keys
-        that set it.  All of these are float arithmetic, so the checks
-        build no array."""
+        that set it; and so does a frame whose least energy
+        (``least_frame_energy``) is below the least normal float, naming
+        the keys that set it.  All of these are float arithmetic, so the
+        checks build no array."""
 
         def linear(name: str, convert, *args) -> float:
             try:
@@ -223,6 +226,16 @@ class ScenarioParams:
                 f"eta_max, kappa_db, etpa_u and p_max_*_dbm) plus its "
                 f"circuit power (p_base_*_mw, epsilon_mw_per_gbps and the "
                 f"rates) and the idle draw (p_idle_*_mw)")
+        floor = least_frame_energy(s)
+        if not floor >= sys.float_info.min:
+            raise ValueError(
+                f"the least frame energy, {floor:.6g} J, is below the least "
+                f"normal float, {sys.float_info.min:.6g}: frame_t_ms = "
+                f"{self.frame_t_ms} times the smaller of the idle and the "
+                f"static circuit draw (p_idle_*_mw, p_base_*_mw), plus the "
+                f"least PA draw that carries r_fl_mbps and r_rl_mbps over "
+                f"bandwidth_mhz (from n0_dbm_per_hz, d_ar_m, d_rb_m, "
+                f"ant_gain_db and eta_max)")
         return s
 
     def with_total_rate(self, total_mbps: float) -> "ScenarioParams":

@@ -39,6 +39,7 @@ __all__ = [
     "pa_draw_range",
     "pa_draw",
     "pa_consumption",
+    "least_frame_energy",
     "ee_from_energy",
 ]
 
@@ -439,6 +440,27 @@ def pa_consumption(pa: PaModel, p):
     budget, and any amplifier whose draw overflows a float.
     """
     return pa_draw(pa)(p)[0]
+
+
+def least_frame_energy(s: Scenario) -> float:
+    """A bound below the frame energy of every schedule of ``s``, of any
+    strategy, in float arithmetic.
+
+    Every instant draws at least the smaller of the idle draw and
+    ``p_base_total``, the least static circuit power of any slot.  And
+    each direction's rate*frame bits cross one uplink into the relay,
+    whose capacity w*log2(1 + p*g/sigma2_r) in a slot of bandwidth share w
+    is at most w*p*g/(sigma2_r*ln 2), interference only lowering it.  So
+    the sender spends at least rate*frame*ln2*sigma2_r/(bandwidth*g) of
+    transmit energy, and its amplifier draws at least p/eta_max for a
+    power p within its budget, under either curve."""
+    ch = s.channels
+    floor = s.frame_t * min(s.p_idle_total, s.p_base_total)
+    for rate, pa, g in ((s.r_fl, s.pa.a, ch.g_ar), (s.r_rl, s.pa.b, ch.g_br)):
+        if rate:
+            floor += (rate / s.bandwidth_w * s.frame_t * math.log(2.0)
+                      * (ch.sigma2_r / g) / pa.eta_max)
+    return floor
 
 
 def ee_from_energy(r_fl: float, r_rl: float, frame_t: float, e_total: float) -> float:

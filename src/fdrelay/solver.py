@@ -5,7 +5,9 @@ durations once the powers are eliminated, and the frame energy is one cost
 per slot plus the idle draw, so a derivative-free golden-section search per
 slot duration is exact for this problem family.  Every strategy is solved
 the same way from its description: one search per slot, plus a
-frame-budget boundary re-solve when two slots overrun the frame.  The
+frame-budget boundary re-solve when two slots overrun the frame, which
+prices the energy ``solve`` reports, Σ active·t, since the idle term is
+exactly 0 on the frame's edge.  The
 feasibility window comes from the same description, one bisection per slot
 (see :func:`~fdrelay.feasibility.tmin_for`).
 
@@ -154,8 +156,11 @@ def _solve_separable(price: Callable[..., tuple], window: FeasibleWindow,
 
     Each slot is searched on its own interval first; the boundary re-solve
     along t1 + t2 = T runs only when two independent optima overrun the
-    frame (one slot's interval already ends at the frame).  A slot with no
-    traffic (minimum duration 0) stays closed.
+    frame (one slot's interval already ends at the frame).  It prices
+    Σ active·t, from ``price``'s active powers: on that edge the idle draw
+    adds exactly nothing, so where it dwarfs the active powers, and each
+    slot cost rounds to -idle·t, the re-solve still compares every digit
+    of them.  A slot with no traffic (minimum duration 0) stays closed.
 
     The slot searches run in lockstep rounds: each running search asks for
     its next point, and one ``price`` call prices the whole round, a slot
@@ -197,8 +202,8 @@ def _solve_separable(price: Callable[..., tuple], window: FeasibleWindow,
     (lo1, hi1), _ = spans
 
     def frame_cost(t: float) -> float:
-        cost1, cost2 = price(t, frame - t)[2]
-        return cost1 + cost2
+        active1, active2 = price(t, frame - t)[1]
+        return active1 * t + active2 * (frame - t)
 
     t1, _ = minimize_unimodal_1d(frame_cost, lo1, hi1, tol)
     return t1, frame - t1

@@ -7,10 +7,11 @@ strategy to its slots, and each :class:`Slot` states only the physics: the
 closed-form powers of its transmitting nodes, its static and dynamic
 circuit power under the scenario's accounting, and its rate constraints
 grouped by the power that closes them.  :func:`bind_actives` adds the PA
-draw of each node to the circuit power, for ``Description.bind_frame``,
-which prices a frame for a search, and for :func:`frame_energy`, which
-prices one at given powers.  The solver's slot costs, the feasibility
-window and the oracle's grid all derive from it.
+draw of each node to the circuit power, and a frame is priced only
+through it: ``Description.bind_frame`` binds it for a search, and
+:func:`frame_energy` adds the idle draw to its actives at given powers.
+The solver's slot costs, the feasibility window and the oracle's grid all
+derive from it.
 
 Each closed form is stated once, as a binder: ``Slot.bind(s)`` reads the
 scenario's channel gains, demands, frame and bandwidth once and returns the

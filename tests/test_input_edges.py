@@ -9,13 +9,15 @@ import sys
 import warnings
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from fdrelay.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
 from fdrelay.config import (ConfigError, ScenarioParams, parse_params,
                             unbuildable_is_config_error)
-from fdrelay.model import CircuitAccounting, PaKind, Strategy, pa_draw_range
-from fdrelay.oracle import verify
+from fdrelay.model import (CircuitAccounting, InfeasibleError, PaKind,
+                           Strategy, least_frame_energy, pa_draw_range)
+from fdrelay.oracle import random_params, verify
 from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS, peak_power
 
@@ -273,3 +275,55 @@ def test_demand_at_the_float_spacing(strategy, pa, key):
         report = verify(s, solve(s))
     assert math.isfinite(report.grid_best_energy)
     assert all(math.isfinite(v) for v in report.active_constraints.values())
+
+
+# No circuit power at all, and a noise floor so low that the least PA draw
+# that carries the demands over a 1e-304 ms frame underflows to 0 J.
+NO_CIRCUIT = {f"p_{kind}_{node}_mw": 0.0 for kind in ("base", "idle")
+              for node in "arb"} | {"epsilon_mw_per_gbps": 0.0, "etpa_u": 0.0}
+UNDERFLOWING_ENERGY = ("frame_t_ms = 1e-304\nn0_dbm_per_hz = -330\n"
+                       "r_fl_mbps = 5\nr_rl_mbps = 5\n"
+                       + "".join(f"{key} = 0\n" for key in NO_CIRCUIT))
+
+
+@pytest.mark.parametrize("strategy, pa", PAIRS)
+def test_underflowing_frame_energy_is_a_config_error(tmp_path, strategy, pa):
+    """A frame whose least energy (``least_frame_energy``) is below the
+    least normal float is refused, naming the keys that set it, through
+    ``solve`` and ``sweep`` alike, where its efficiency once divided by
+    0 J."""
+    text = UNDERFLOWING_ENERGY + f"pa = {pa.value}\n"
+    params = replace(parse_params(text), strategy=strategy)
+    with pytest.raises(ConfigError, match="least frame energy") as err:
+        with unbuildable_is_config_error():
+            params.build()
+    assert "frame_t_ms = 1e-304" in str(err.value)
+    assert "p_idle_*_mw" in str(err.value)
+    sweep = ["sweep", "--axis", "total-rate", "--from", "10", "--to", "20",
+             "--step", "10"]
+    for argv in (["solve"], sweep):
+        code, err = _cli(argv + ["--strategy", strategy.value], text,
+                         tmp_path)
+        assert code == EXIT_CONFIG and "least frame energy" in err, err
+
+
+@pytest.mark.parametrize("strategy, pa", PAIRS)
+def test_solved_energy_is_at_least_the_floor(strategy, pa):
+    """``solve``'s energy is never below ``least_frame_energy``, on seeded
+    scenarios that build: as drawn, with no circuit power, where the bound
+    is closest, and with no circuit power over a 1e-280 ms frame."""
+    rng = np.random.default_rng([list(Strategy).index(strategy),
+                                 list(PaKind).index(pa)])
+    solved = 0
+    for _ in range(20):
+        params = random_params(rng, strategy, pa)
+        quiet = replace(params, **NO_CIRCUIT)
+        for p in (params, quiet, replace(quiet, frame_t_ms=1e-280)):
+            s = p.build()
+            try:
+                e_total = solve(s).e_total
+            except InfeasibleError:
+                continue
+            assert e_total >= least_frame_energy(s) >= sys.float_info.min
+            solved += 1
+    assert solved >= 30

@@ -14,15 +14,20 @@ in exactly one of:
 and ``verify`` must judge every schedule with a report (or an
 ``InfeasibleError``), both against its own scenario and against a
 neighbour's: the draw with 3 dB less self-cancellation and a 5% longer
-a-r distance.  No outcome is a traceback.  The verdicts are counted, not
-asserted: a FAILED report is a verdict too (ROADMAP items 2, 12 and 13).
-A seeded sample of the draws also runs as config files through
+a-r distance.  No outcome is a traceback.  The verdicts are counted, and
+each FAILED verdict of a draw on its own schedule is classed by its cause
+(:func:`_failed_class`); each class the draws reach is a strict xfail that
+names the ROADMAP item that mends it, and any other FAILED fails.  A
+FAILED verdict on a neighbour's schedule is not classed: that schedule is
+not the scenario's optimum, so the oracle may rightly fail it.  A seeded
+sample of the draws also runs as config files through
 ``fdrelay solve --oracle``, which must exit 0, 1 or 2, and a seeded sample
 of their schedules is held to a dense scan of the durations, without
 ``verify``.
 """
 
 import io
+import math
 import random
 import warnings
 from collections import Counter
@@ -37,7 +42,7 @@ from fdrelay.config import (ConfigError, ScenarioParams, parse_params,
                             unbuildable_is_config_error)
 from fdrelay.model import (CircuitAccounting, InfeasibleError, PaKind,
                            Schedule, Strategy)
-from fdrelay.oracle import OracleReport, verify
+from fdrelay.oracle import _RATE_SLACK, OracleReport, verify
 from fdrelay.feasibility import tmin_for
 from fdrelay.solver import solve
 from fdrelay.strategies import DESCRIPTIONS, frame_energy
@@ -94,38 +99,110 @@ def _outcome(params: ScenarioParams):
     return "ok", s, sched
 
 
-def _judge(s, sched) -> str:
-    """The verdict of ``verify(s, sched)``: "OK", "FAILED" or
-    "infeasible"."""
+def _report(s, sched) -> OracleReport | None:
+    """``verify(s, sched)``, or None where it raises an
+    ``InfeasibleError``, which must name its cause."""
     try:
         report = verify(s, sched)
     except InfeasibleError as err:
         assert err.cause
-        return "infeasible"
+        return None
     assert isinstance(report, OracleReport)
+    return report
+
+
+def _verdict(report: OracleReport | None) -> str:
+    """"OK", "FAILED" or "infeasible"."""
+    if report is None:
+        return "infeasible"
     return "OK" if report.ok else "FAILED"
 
 
-@pytest.mark.parametrize("seed", _SEEDS)
-def test_every_draw_has_one_outcome(seed):
-    rng = random.Random(seed)
-    counts = Counter()
+@pytest.fixture(scope="module")
+def draws():
+    """Per seed, under warnings as errors: the count of every outcome and
+    verdict of its draws, and (scenario, schedule, report) of each draw
+    that solves, in draw order."""
+    found = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(_DRAWS):
-            params = _draw(rng)
-            kind, s, sched = _outcome(params)
-            counts[kind] += 1
-            if kind != "ok":
-                continue
-            counts[f"own {_judge(s, sched)}"] += 1
-            near_kind, near_s, near_sched = _outcome(neighbour(params))
-            if near_kind == "ok":
-                counts[f"neighbour {_judge(s, near_sched)}"] += 1
-                counts[f"neighbour {_judge(near_s, sched)}"] += 1
+        for seed in _SEEDS:
+            rng = random.Random(seed)
+            counts, solved = Counter(), []
+            for _ in range(_DRAWS):
+                params = _draw(rng)
+                kind, s, sched = _outcome(params)
+                counts[kind] += 1
+                if kind != "ok":
+                    continue
+                report = _report(s, sched)
+                solved.append((s, sched, report))
+                counts[f"own {_verdict(report)}"] += 1
+                near_kind, near_s, near_sched = _outcome(neighbour(params))
+                if near_kind == "ok":
+                    for pair in ((s, near_sched), (near_s, sched)):
+                        counts[f"neighbour {_verdict(_report(*pair))}"] += 1
+            found[seed] = counts, solved
+    return found
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_every_draw_has_one_outcome(draws, seed):
+    counts, _ = draws[seed]
     assert counts["config"] + counts["infeasible"] + counts["ok"] == _DRAWS
     assert counts["ok"] and counts["infeasible"] and counts["config"]
     print(f"seed {seed}:", dict(sorted(counts.items())))
+
+
+def _failed_class(s, report: OracleReport) -> str:
+    """The class of a FAILED verdict on the scenario's own schedule, by
+    the checks it fails (``OracleReport.ok``) and where:
+
+    - "probe": the convexity probe's negative second differences alone;
+    - "zero-demand": anchor misses or negative slacks where one direction
+      carries no traffic;
+    - "gain-overflow": fd1ts where the product of the relay's two link
+      gains to one end node overflows a float;
+    - "other": any other FAILED, a miss, a slack or a gap over 1%.
+    """
+    causes = {cause for cause, failed in (
+        ("probe", report.convexity_violations > 0),
+        ("anchor", report.anchor_misses > 0),
+        ("slack", any(v < -_RATE_SLACK
+                      for v in report.active_constraints.values())),
+        ("gap", not report.relative_gap <= 0.01)) if failed}
+    ch = s.channels
+    if causes == {"probe"}:
+        return "probe"
+    if causes <= {"anchor", "slack"} and not (s.r_fl and s.r_rl):
+        return "zero-demand"
+    if s.strategy is Strategy.FD1TS and (math.isinf(ch.g_ar * ch.g_ra)
+                                         or math.isinf(ch.g_br * ch.g_rb)):
+        return "gain-overflow"
+    return "other"
+
+
+@pytest.mark.parametrize("cls", [
+    pytest.param("probe", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the convexity probe's false alarms, under TPA at low "
+               "spectral load (ROADMAP item 13 deletes the probe)")),
+    pytest.param("zero-demand", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the zero-demand link reads a capacity just below 0 at "
+               "the anchors (ROADMAP item 2)")),
+    pytest.param("gain-overflow", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="fd1ts's relay power divides by an overflowed gain "
+               "product and reads 0 W (ROADMAP item 12)")),
+    "other"])
+def test_no_failed_verdict_on_its_own_schedule(draws, cls):
+    """No draw's own schedule gets a FAILED verdict of the class."""
+    failed = [(s, report) for seed in _SEEDS
+              for s, _, report in draws[seed][1]
+              if report is not None and not report.ok
+              and _failed_class(s, report) == cls]
+    assert failed == []
 
 
 def _config_text(params: ScenarioParams) -> str:
@@ -236,31 +313,19 @@ class _DenseMiss(AssertionError):
 
 
 @pytest.fixture(scope="module")
-def schedules():
+def schedules(draws):
     """(scenario, schedule) of every draw that solves, in draw order."""
-    found = []
-    for seed in _SEEDS:
-        rng = random.Random(seed)
-        for _ in range(_DRAWS):
-            kind, s, sched = _outcome(_draw(rng))
-            if kind == "ok":
-                found.append((s, sched))
-    return found
+    return [(s, sched) for seed in _SEEDS for s, sched, _ in draws[seed][1]]
 
 
-@pytest.mark.parametrize("swamped", [
-    False,
-    pytest.param(True, marks=pytest.mark.xfail(
-        strict=True, raises=_DenseMiss,
-        reason="under an idle draw that swamps the slot costs, fd2ts's "
-               "searches compare rounding noise (ROADMAP item 15)"))],
-    ids=["sample", "idle-swamped"])
+@pytest.mark.parametrize("swamped", [False, True],
+                         ids=["sample", "idle-swamped"])
 def test_solve_meets_the_dense_reference(schedules, swamped):
     """``solve``'s energy is no more than 1e-12 relative above the dense
     reference's (:func:`_dense_energy`), which checks optimality without
     ``verify``: on a seeded sample of the draws' schedules, and on every
-    schedule whose idle draw swamps its slot costs, a known class whose
-    fd2ts schedules miss."""
+    schedule whose idle draw swamps its slot costs, where fd2ts missed
+    while the boundary re-solve compared slot costs, not Σ active·t."""
     chosen = [(s, sched) for s, sched in schedules
               if _swamped(s, sched) is swamped]
     if not swamped:

@@ -94,10 +94,13 @@ def _solve_separable_sequential(price, window, s):
                       for cost, (lo, hi) in zip(costs, spans))
     if sum(durations) <= frame:
         return durations
-    cost1, cost2 = costs
     (lo1, hi1), _ = spans
-    t1, _ = _golden_sequential(lambda t: cost1(t) + cost2(frame - t),
-                               lo1, hi1, tol)
+
+    def frame_cost(t):
+        active1, active2 = price(t, frame - t)[1]
+        return active1 * t + active2 * (frame - t)
+
+    t1, _ = _golden_sequential(frame_cost, lo1, hi1, tol)
     return t1, frame - t1
 
 
